@@ -6,10 +6,9 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import ShapeError
+from .gates import SINGLE_QUDIT_GATES
 from .noise import NOISE_KINDS
 from .pauli import _as_dimension
-
-_SINGLE_GATES = ("X", "X_INV", "Z", "Z_INV", "F", "F_INV", "P", "P_INV")
 
 
 def build_ghz_chain(n: int, d, measure: bool = False) -> Circuit:
@@ -93,7 +92,7 @@ def build_local_gate_test(n: int = 7, *, d, depth: int,
         raise ShapeError(f"depth must be nonnegative, got {depth}")
     circuit = Circuit(n, d)
     for j in range(n):
-        for name in rng.choice(_SINGLE_GATES, size=int(depth)):
+        for name in rng.choice(SINGLE_QUDIT_GATES, size=int(depth)):
             circuit.add_gate(str(name), j)
     for j in range(n - 1):
         circuit.add_gate("SUM", j, j + 1)
@@ -125,7 +124,7 @@ def build_random_clifford_circuit(n: int, d, depth: int, rng: np.random.Generato
             touched = [int(c), int(t)]
         else:
             j = int(rng.integers(n))
-            circuit.add_gate(str(rng.choice(_SINGLE_GATES)), j)
+            circuit.add_gate(str(rng.choice(SINGLE_QUDIT_GATES)), j)
             touched = [j]
         if noise is not None:
             for q in touched:

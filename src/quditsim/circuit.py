@@ -2,8 +2,8 @@
 
 An SDIM file is line oriented: a DIM header, a QUDITS header, then one
 instruction per line.  '#' starts a comment.  Gate lines use the canonical
-names below; H/H_INV and CNOT/CNOT_INV are accepted as aliases of F/F_INV
-and SUM/SUM_INV on input and normalized on output.
+names of gates.py; H/H_INV and CNOT/CNOT_INV are accepted as aliases of
+F/F_INV and SUM/SUM_INV on input and normalized on output.
 
     DIM 3
     QUDITS 2
@@ -24,15 +24,11 @@ import re
 from dataclasses import dataclass
 
 from .errors import ParseError, ShapeError
+from .gates import GATE_ALIASES, GATE_ARITY, check_qudits, operand_error
+from .noise import NOISE_KINDS
 from .pauli import Dimension, _as_dimension
 
-GATE_ARITY = {
-    "X": 1, "X_INV": 1, "Z": 1, "Z_INV": 1,
-    "F": 1, "F_INV": 1, "P": 1, "P_INV": 1,
-    "SUM": 2, "SUM_INV": 2,
-}
-GATE_ALIASES = {"H": "F", "H_INV": "F_INV", "CNOT": "SUM", "CNOT_INV": "SUM_INV"}
-NOISE_KINDS = ("f", "p", "d")
+_ONE_QUDIT_OPS = ("M", "RESET", "N1")
 
 
 @dataclass(frozen=True)
@@ -67,6 +63,13 @@ class MeasurementRecord:
     outcome: int
 
 
+def _convert(kind, value, operand: int, what: str):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise operand_error(f"{what}, got {value!r}", operand) from None
+
+
 class Circuit:
     """An ordered list of instructions on num_qudits qudits of dimension d."""
 
@@ -81,40 +84,33 @@ class Circuit:
 
     def add_gate(self, name: str, *qudits: int, noise_channel: str = None,
                  prob: float = None) -> "Circuit":
-        """Append an instruction; accepts gate names, aliases, M, RESET, N1."""
+        """Append an instruction; accepts gate names, aliases, M, RESET, N1.
+
+        Qudits are converted with int() and the probability with float().
+        A rejected instruction raises ShapeError whose operand attribute
+        indexes the token at fault in SDIM order: 0 for the name, then the
+        qudits, the noise channel and the probability.
+        """
         name = GATE_ALIASES.get(name, name)
-        qudits = tuple(int(q) for q in qudits)
-        for q in qudits:
-            if not 0 <= q < self.num_qudits:
-                raise ShapeError(
-                    f"qudit index {q} out of range for {self.num_qudits} qudits")
-        if name in GATE_ARITY:
-            if len(qudits) != GATE_ARITY[name]:
-                raise ShapeError(
-                    f"{name} takes {GATE_ARITY[name]} qudit(s), got {len(qudits)}")
-            if len(qudits) == 2 and qudits[0] == qudits[1]:
-                raise ShapeError(f"{name} needs two distinct qudits")
-            if noise_channel is not None or prob is not None:
-                raise ShapeError(f"{name} does not take noise arguments")
-            self.instructions.append(Instruction(name, qudits))
-        elif name in ("M", "RESET"):
-            if len(qudits) != 1:
-                raise ShapeError(f"{name} takes 1 qudit, got {len(qudits)}")
-            if noise_channel is not None or prob is not None:
-                raise ShapeError(f"{name} does not take noise arguments")
-            self.instructions.append(Instruction(name, qudits))
-        elif name == "N1":
-            if len(qudits) != 1:
-                raise ShapeError(f"N1 takes 1 qudit, got {len(qudits)}")
+        if name not in GATE_ARITY and name not in _ONE_QUDIT_OPS:
+            raise operand_error(f"unknown instruction name {name!r}", 0)
+        arity = GATE_ARITY.get(name, 1)
+        if len(qudits) == arity:  # else check_qudits reports the arity first
+            qudits = tuple(_convert(int, q, k, "qudit index must be an integer")
+                           for k, q in enumerate(qudits, 1))
+        check_qudits(name, arity, qudits, self.num_qudits)
+        if name == "N1":
             if noise_channel not in NOISE_KINDS:
-                raise ShapeError(
-                    f"noise channel must be one of {NOISE_KINDS}, got {noise_channel!r}")
-            prob = float(prob)
+                raise operand_error(
+                    f"noise channel must be one of {NOISE_KINDS}, "
+                    f"got {noise_channel!r}", 2)
+            prob = _convert(float, prob, 3, "noise probability must be a number")
             if not 0.0 <= prob <= 1.0:
-                raise ShapeError(f"noise probability {prob} outside [0, 1]")
-            self.instructions.append(Instruction("N1", qudits, noise_channel, prob))
-        else:
-            raise ShapeError(f"unknown instruction name {name!r}")
+                raise operand_error(
+                    f"noise probability {prob} outside [0, 1]", 3)
+        elif noise_channel is not None or prob is not None:
+            raise operand_error(f"{name} does not take noise arguments", 0)
+        self.instructions.append(Instruction(name, qudits, noise_channel, prob))
         return self
 
     @property
@@ -164,7 +160,6 @@ def _parse_int(token: str, line_no: int, col: int, what: str) -> int:
 def parse_sdim(text: str) -> Circuit:
     """Parse SDIM text into a Circuit; raises ParseError with line/column."""
     dim = None
-    n = None
     circuit = None
     saw_any = False
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -173,69 +168,34 @@ def parse_sdim(text: str) -> Circuit:
             continue
         saw_any = True
         (head, head_col) = toks[0]
-        if dim is None:
-            if head != "DIM":
-                raise ParseError(line_no, head_col, f"expected DIM header, got {head!r}")
+        if circuit is None:
+            key, what, low = (("DIM", "dimension", 2) if dim is None
+                              else ("QUDITS", "qudit count", 1))
+            if head != key:
+                raise ParseError(line_no, head_col, f"expected {key} header, got {head!r}")
             if len(toks) != 2:
-                raise ParseError(line_no, head_col, "DIM takes exactly one value")
-            value = _parse_int(toks[1][0], line_no, toks[1][1], "dimension")
-            if value < 2:
-                raise ParseError(line_no, toks[1][1], f"dimension must be >= 2, got {value}")
-            dim = Dimension(value)
-            continue
-        if n is None:
-            if head != "QUDITS":
-                raise ParseError(line_no, head_col, f"expected QUDITS header, got {head!r}")
-            if len(toks) != 2:
-                raise ParseError(line_no, head_col, "QUDITS takes exactly one value")
-            n = _parse_int(toks[1][0], line_no, toks[1][1], "qudit count")
-            if n < 1:
-                raise ParseError(line_no, toks[1][1], f"qudit count must be >= 1, got {n}")
-            circuit = Circuit(n, dim)
+                raise ParseError(line_no, head_col, f"{key} takes exactly one value")
+            value = _parse_int(toks[1][0], line_no, toks[1][1], what)
+            if value < low:
+                raise ParseError(line_no, toks[1][1], f"{what} must be >= {low}, got {value}")
+            if dim is None:
+                dim = Dimension(value)
+            else:
+                circuit = Circuit(value, dim)
             continue
 
-        name = GATE_ALIASES.get(head, head)
-        if name in GATE_ARITY or name in ("M", "RESET"):
-            arity = GATE_ARITY.get(name, 1)
-            if len(toks) != 1 + arity:
-                raise ParseError(line_no, head_col,
-                                 f"{head} takes {arity} qudit argument(s)")
-            qudits = []
-            for tok, col in toks[1:]:
-                q = _parse_int(tok, line_no, col, "qudit index")
-                if not 0 <= q < n:
-                    raise ParseError(line_no, col,
-                                     f"qudit index {q} out of range for {n} qudits")
-                qudits.append(q)
-            if arity == 2 and qudits[0] == qudits[1]:
-                raise ParseError(line_no, toks[2][1],
-                                 f"{head} needs two distinct qudits")
-            circuit.instructions.append(Instruction(name, tuple(qudits)))
-        elif name == "N1":
-            if len(toks) != 4:
+        operands = [tok for tok, _ in toks[1:]]
+        channel = prob = None
+        if head == "N1":
+            if len(operands) < 3:
                 raise ParseError(line_no, head_col,
                                  "N1 takes qudit, channel and probability")
-            q = _parse_int(toks[1][0], line_no, toks[1][1], "qudit index")
-            if not 0 <= q < n:
-                raise ParseError(line_no, toks[1][1],
-                                 f"qudit index {q} out of range for {n} qudits")
-            kind, kind_col = toks[2]
-            if kind not in NOISE_KINDS:
-                raise ParseError(line_no, kind_col,
-                                 f"noise channel must be one of {'/'.join(NOISE_KINDS)}, "
-                                 f"got {kind!r}")
-            prob_tok, prob_col = toks[3]
-            try:
-                prob = float(prob_tok)
-            except ValueError:
-                raise ParseError(line_no, prob_col,
-                                 f"probability must be a number, got {prob_tok!r}")
-            if not 0.0 <= prob <= 1.0:
-                raise ParseError(line_no, prob_col,
-                                 f"probability {prob} outside [0, 1]")
-            circuit.instructions.append(Instruction("N1", (q,), kind, prob))
-        else:
-            raise ParseError(line_no, head_col, f"unknown instruction {head!r}")
+            *operands, channel, prob = operands
+        try:
+            circuit.add_gate(head, *operands, noise_channel=channel, prob=prob)
+        except ShapeError as exc:
+            col = toks[min(exc.operand, len(toks) - 1)][1]
+            raise ParseError(line_no, col, str(exc))
     if circuit is None:
         if saw_any:
             raise ParseError(1, 1, "missing QUDITS header")

@@ -52,6 +52,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _usage_error(message: str) -> SystemExit:
+    print(f"quditsim: error: {message}", file=sys.stderr)
+    return SystemExit(EXIT_USAGE)
+
+
 def _threads_from(args) -> int:
     if args.threads is not None:
         return args.threads
@@ -59,10 +64,12 @@ def _threads_from(args) -> int:
     if env is None:
         return None
     try:
-        return int(env)
+        threads = int(env)
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
-    return None
+        threads = 0  # rejected below
+    if threads < 1:
+        raise _usage_error(f"SDIM_THREADS must be a positive integer, got {env!r}")
+    return threads
 
 
 def _emit(text: str) -> None:
@@ -137,7 +144,8 @@ def _cmd_gen(args) -> int:
                                       constant_value=args.value)
     elif args.kind == "bv":
         if any(not ch.isdigit() or int(ch) >= args.d for ch in args.secret):
-            raise SystemExit(EXIT_USAGE)
+            raise _usage_error(f"--secret must be a string of digits below "
+                               f"d={args.d}, got {args.secret!r}")
         circuit = build_bernstein_vazirani(args.d, args.secret)
     elif args.kind == "ghz":
         circuit = build_ghz_chain(args.n, args.d, measure=args.measure)
@@ -321,6 +329,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        for option in ("shots", "threads"):
+            value = getattr(args, option, None)
+            if value is not None and value < 1:
+                raise _usage_error(f"--{option} must be >= 1, got {value}")
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

@@ -18,20 +18,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
 from .errors import DimensionError, ShapeError, SupportMismatchError
 from .frames import FrameSimulator
+from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import run_circuit
-from .tableau import Tableau
-
-_SINGLE_GATES = ("X", "X_INV", "Z", "Z_INV", "F", "F_INV", "P", "P_INV")
-_INVERSE_GATE = {"X": "X_INV", "X_INV": "X", "Z": "Z_INV", "Z_INV": "Z",
-                 "F": "F_INV", "F_INV": "F", "P": "P_INV", "P_INV": "P"}
+from .tableau import Tableau, rref_mod_prime, solve_mod_prime
 
 
 # -- distributions and TVD -----------------------------------------------------
@@ -275,12 +272,12 @@ def build_rb_circuit(d, depth: int, p: float, rng: np.random.Generator) -> Circu
     """depth random generator gates with a channel event after each, the
     noiseless reversed-inverse block, one more channel event, and a readout."""
     circuit = Circuit(1, d)
-    names = [str(g) for g in rng.choice(_SINGLE_GATES, size=int(depth))]
+    names = [str(g) for g in rng.choice(SINGLE_QUDIT_GATES, size=int(depth))]
     for name in names:
         circuit.add_gate(name, 0)
         circuit.add_gate("N1", 0, noise_channel="d", prob=p)
     for name in reversed(names):
-        circuit.add_gate(_INVERSE_GATE[name], 0)
+        circuit.add_gate(GATES[name].inverse, 0)
     circuit.add_gate("N1", 0, noise_channel="d", prob=p)
     circuit.add_gate("M", 0)
     circuit.metadata["family"] = f"rb_d{_as_dimension(d).d}_depth{depth}"
@@ -366,53 +363,6 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
 
 # -- detection code ------------------------------------------------------------
 
-def _rref_mod_prime(rows, p):
-    """Reduced row echelon form mod prime p; returns (matrix, pivot columns)."""
-    mat = [[int(x) % p for x in row] for row in rows]
-    pivots = []
-    r = 0
-    ncols = len(mat[0]) if mat else 0
-    for c in range(ncols):
-        sel = next((i for i in range(r, len(mat)) if mat[i][c] % p), None)
-        if sel is None:
-            continue
-        mat[r], mat[sel] = mat[sel], mat[r]
-        inv = pow(mat[r][c], -1, p)
-        mat[r] = [(x * inv) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [(a - f * b) % p for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
-
-
-def _kernel_basis_mod_prime(rows, p, ncols):
-    if not rows:
-        return [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
-    mat, pivots = _rref_mod_prime(rows, p)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, c in enumerate(pivots):
-            vec[c] = (-mat[r][f]) % p
-        basis.append(vec)
-    return basis
-
-
-def _rank_mod_prime(rows, p):
-    return len(_rref_mod_prime(rows, p)[1]) if rows else 0
-
-
-def _in_span_mod_prime(rows, vec, p):
-    return _rank_mod_prime(rows + [vec], p) == _rank_mod_prime(rows, p)
-
-
 @dataclass(frozen=True)
 class DetectionCode:
     """A stabilizer detection code on n data qudits with one logical qudit."""
@@ -464,10 +414,20 @@ def qutrit_detection_code() -> DetectionCode:
     stabilizers = (z_string(z_rows[0]), z_string(z_rows[1]),
                    x_string(x_rows[0]), x_string(x_rows[1]))
 
-    z_cands = [v for v in _kernel_basis_mod_prime(x_rows, d, 5)
-               if not _in_span_mod_prime(z_rows, v, d)]
-    x_cands = [v for v in _kernel_basis_mod_prime(z_rows, d, 5)
-               if not _in_span_mod_prime(x_rows, v, d)]
+    def kernel(rows):
+        red, pivots = rref_mod_prime(rows, d)
+        for f in range(5):
+            if f not in pivots:
+                v = np.zeros(5, dtype=np.int64)
+                v[f] = 1
+                v[pivots] = -red[:len(pivots), f] % d
+                yield v
+
+    def in_span(rows, v):
+        return solve_mod_prime(np.transpose(rows), v, d) is not None
+
+    z_cands = [v for v in kernel(x_rows) if not in_span(z_rows, v)]
+    x_cands = [v for v in kernel(z_rows) if not in_span(x_rows, v)]
     for u in x_cands:
         for w in z_cands:
             lx, lz = x_string(u), z_string(w)
@@ -480,23 +440,11 @@ def qutrit_detection_code() -> DetectionCode:
 
 def _conjugate_single(name: str, r: int, x: int, z: int, d: int):
     """Image of omega^r X^x Z^z under conjugation by one generator gate."""
-    if name == "F":
-        return (r - x * z) % d, (-z) % d, x % d
-    if name == "F_INV":
-        return (r - x * z) % d, z % d, (-x) % d
-    if name == "P":
-        return (r + (x * (x - 1)) // 2) % d, x % d, (z + x) % d
-    if name == "P_INV":
-        return (r - (x * (x - 1)) // 2) % d, x % d, (z - x) % d
-    if name == "X":
-        return (r - z) % d, x % d, z % d
-    if name == "X_INV":
-        return (r + z) % d, x % d, z % d
-    if name == "Z":
-        return (r + x) % d, x % d, z % d
-    if name == "Z_INV":
-        return (r - x) % d, x % d, z % d
-    raise ShapeError(f"unknown gate name {name!r}")
+    gate = GATES[name]
+    r = (r + gate.omega(x, z, d)) % d
+    if gate.cols is not None:
+        x, z = gate.cols(np.int64(x), np.int64(z), d)
+    return r, int(x), int(z)
 
 
 _V_WORD_CACHE = {}
@@ -518,7 +466,7 @@ def _v_word(d: int, a: int, b: int) -> tuple:
     while frontier and target is None:
         nxt = []
         for state in frontier:
-            for gate in _SINGLE_GATES:
+            for gate in SINGLE_QUDIT_GATES:
                 new = _conjugate_single(gate, *state, d)
                 if new in seen:
                     continue
@@ -575,7 +523,7 @@ def build_syndrome_gadget(pauli: PauliString, ancilla: int = None) -> Circuit:
             continue
         word = _v_word(dim.d, a, b)
         for gate in reversed(word):
-            circuit.add_gate(_INVERSE_GATE[gate], q)
+            circuit.add_gate(GATES[gate].inverse, q)
         circuit.add_gate("SUM", anc, q)
         for gate in word:
             circuit.add_gate(gate, q)

@@ -28,6 +28,7 @@ import numpy as np
 
 from .circuit import MeasurementRecord
 from .errors import DimensionError
+from .gates import GATES
 from .noise import sample_error_batch
 from .pauli import _as_dimension
 from .tableau import Tableau
@@ -141,24 +142,16 @@ class FrameSimulator:
                 fx[:, j] = (fx[:, j] + a) % d
                 fz[:, j] = (fz[:, j] + b) % d
                 ops += 2 * size
-            elif name in ("SUM", "SUM_INV"):
-                c, t = ins.qudits
-                s = 1 if name == "SUM" else -1
-                fx[:, t] = (fx[:, t] + s * fx[:, c]) % d
-                fz[:, c] = (fz[:, c] - s * fz[:, t]) % d
-                ops += 2 * size
             else:
-                j = ins.qudits[0]
-                if name == "F":
-                    fx[:, j], fz[:, j] = (-fz[:, j]) % d, fx[:, j].copy()
-                elif name == "F_INV":
-                    fx[:, j], fz[:, j] = fz[:, j].copy(), (-fx[:, j]) % d
-                elif name == "P":
-                    fz[:, j] = (fz[:, j] + fx[:, j]) % d
-                elif name == "P_INV":
-                    fz[:, j] = (fz[:, j] - fx[:, j]) % d
-                # X, Z and their inverses only move phases; frames carry none
-                ops += size
+                gate = GATES[name]
+                if gate.arity == 2:
+                    c, t = ins.qudits
+                    fx[:, t], fz[:, c] = gate.cols(fx[:, c], fz[:, c],
+                                                   fx[:, t], fz[:, t], d)
+                elif gate.cols is not None:  # X and Z powers move only phases
+                    j = ins.qudits[0]
+                    fx[:, j], fz[:, j] = gate.cols(fx[:, j], fz[:, j], d)
+                ops += gate.arity * size
         return out, ops
 
 

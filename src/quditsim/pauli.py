@@ -197,9 +197,6 @@ class PauliString:
     def commutes(self, other: "PauliString") -> bool:
         return self.commutation_exponent(other) == 0
 
-    def is_identity(self) -> bool:
-        return not self.x.any() and not self.z.any()
-
     # -- block form --------------------------------------------------------
 
     def encode_block(self) -> np.ndarray:

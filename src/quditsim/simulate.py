@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
-from .errors import DimensionError
 from .frames import FrameSimulator, _as_seedseq
 from .noise import sample_error
 from .statevector import DEFAULT_AMPLITUDE_CAP, DenseState
@@ -62,33 +61,8 @@ class SimulationResult:
         return [tuple(int(r.outcome) for r in rec) for rec in self.records]
 
 
-def _run_stabilizer_shot(circuit: Circuit, state, rng,
-                         fast_deterministic: bool = False):
-    records = []
-    is_tableau = isinstance(state, Tableau)
-    for ins in circuit.instructions:
-        name = ins.name
-        if name == "M":
-            if is_tableau:
-                records.append(state.measure_z(ins.qudits[0], rng,
-                                               fast_deterministic=fast_deterministic))
-            else:
-                records.append(state.measure_z(ins.qudits[0], rng))
-        elif name == "RESET":
-            state.reset(ins.qudits[0], rng)
-        elif name == "N1":
-            a, b = sample_error(ins.noise_channel, ins.prob, circuit.dimension.d, rng)
-            if a or b:
-                state.apply_pauli_error(ins.qudits[0], a, b)
-        else:
-            state.apply_gate(name, *ins.qudits)
-    return tuple(records)
-
-
-def _run_dense_shot(circuit: Circuit, rng, amplitude_cap: int):
-    from .pauli import PauliString
-
-    state = DenseState(circuit.num_qudits, circuit.dimension, amplitude_cap)
+def _run_shot(circuit: Circuit, state, rng):
+    """One shot on a fresh state of any backend; its records in order."""
     records = []
     for ins in circuit.instructions:
         name = ins.name
@@ -99,8 +73,7 @@ def _run_dense_shot(circuit: Circuit, rng, amplitude_cap: int):
         elif name == "N1":
             a, b = sample_error(ins.noise_channel, ins.prob, circuit.dimension.d, rng)
             if a or b:
-                state.apply_pauli(PauliString.single(
-                    circuit.num_qudits, circuit.dimension, ins.qudits[0], a, b))
+                state.apply_pauli_error(ins.qudits[0], a, b)
         else:
             state.apply_gate(name, *ins.qudits)
     return tuple(records)
@@ -172,7 +145,6 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 method: str = "tableau", threads: int = None,
                 initial_tableau: Tableau = None,
-                fast_deterministic: bool = False,
                 amplitude_cap: int = DEFAULT_AMPLITUDE_CAP) -> SimulationResult:
     """Sample measurement records and tallied counts for a circuit."""
     if method not in METHODS:
@@ -202,7 +174,8 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 records = _run_dense_fast(circuit, measured, shots, rng,
                                           amplitude_cap)
             else:
-                records = [_run_dense_shot(circuit, rng, amplitude_cap)
+                n, dim = circuit.num_qudits, circuit.dimension
+                records = [_run_shot(circuit, DenseState(n, dim, amplitude_cap), rng)
                            for _ in range(shots)]
         else:
             records = []
@@ -216,8 +189,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                     state = initial_tableau.copy()
                 else:
                     state = Tableau(circuit.num_qudits, circuit.dimension)
-                records.append(_run_stabilizer_shot(circuit, state, rng,
-                                                    fast_deterministic))
+                records.append(_run_shot(circuit, state, rng))
 
     return SimulationResult(
         dimension=d,

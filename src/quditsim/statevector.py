@@ -5,7 +5,8 @@ explicit unitaries on a d^n amplitude tensor, Pauli strings as shift/phase
 operations, and measurement follows the Born rule with explicit collapse.
 Everything else in the package is validated against it.
 
-Gate definitions (shared with the stabilizer backends):
+Gate definitions, written out here independently of the update rules in
+gates.py so that the stabilizer backends can be checked against them:
 
 - X|j> = |j+1 mod d>
 - Z|j> = w^j |j>,  w = exp(2*pi*i/d)
@@ -24,14 +25,12 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import DimensionError, MemoryCapError, PauliMatchError, ShapeError
-from .pauli import Dimension, PauliString, _as_dimension
+from .errors import MemoryCapError, PauliMatchError, ShapeError
+from .gates import lookup, resolve
+from .pauli import PauliString, _as_dimension
 
 #: Largest number of amplitudes a DenseState will allocate.
 DEFAULT_AMPLITUDE_CAP = 2 ** 24
-
-_SINGLE_QUDIT_GATES = ("X", "X_INV", "Z", "Z_INV", "F", "F_INV", "P", "P_INV")
-_TWO_QUDIT_GATES = ("SUM", "SUM_INV")
 
 
 def gate_matrix(name: str, d) -> np.ndarray:
@@ -39,7 +38,8 @@ def gate_matrix(name: str, d) -> np.ndarray:
     dim = _as_dimension(d)
     d = dim.d
     w = dim.omega()
-    name = {"H": "F", "H_INV": "F_INV", "CNOT": "SUM", "CNOT_INV": "SUM_INV"}.get(name, name)
+    gate = lookup(name)
+    name = gate.name
     j = np.arange(d)
     if name == "X":
         m = np.zeros((d, d), dtype=complex)
@@ -53,17 +53,13 @@ def gate_matrix(name: str, d) -> np.ndarray:
         if d % 2 == 1:
             return np.diag(w ** ((j * (j - 1)) // 2))
         return np.diag(dim.tau() ** (j * j))
-    if name in ("X_INV", "Z_INV", "F_INV", "P_INV"):
-        return gate_matrix(name[:-4], dim).conj().T
     if name == "SUM":
         m = np.zeros((d * d, d * d), dtype=complex)
         for a in range(d):
             for b in range(d):
                 m[a * d + (a + b) % d, a * d + b] = 1.0
         return m
-    if name == "SUM_INV":
-        return gate_matrix("SUM", dim).conj().T
-    raise ShapeError(f"unknown gate name {name!r}")
+    return gate_matrix(gate.inverse, dim).conj().T
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -111,27 +107,18 @@ class DenseState:
     # -- evolution ---------------------------------------------------------
 
     def apply_gate(self, name: str, *qudits: int) -> None:
-        name = {"H": "F", "H_INV": "F_INV", "CNOT": "SUM", "CNOT_INV": "SUM_INV"}.get(name, name)
+        gate = resolve(name, qudits, self.n)
         d = self.dimension.d
-        for q in qudits:
-            if not 0 <= q < self.n:
-                raise ShapeError(f"qudit index {q} out of range for n={self.n}")
-        if name in _SINGLE_QUDIT_GATES:
-            if len(qudits) != 1:
-                raise ShapeError(f"{name} takes 1 qudit, got {len(qudits)}")
-            m = gate_matrix(name, self.dimension)
+        m = gate_matrix(gate.name, self.dimension)
+        if gate.arity == 1:
+            (j,) = qudits
             self.psi = np.moveaxis(
-                np.tensordot(m, self.psi, axes=([1], [qudits[0]])), 0, qudits[0])
-        elif name in _TWO_QUDIT_GATES:
-            if len(qudits) != 2 or qudits[0] == qudits[1]:
-                raise ShapeError(f"{name} takes 2 distinct qudits, got {qudits}")
-            c, t = qudits
-            m = gate_matrix(name, self.dimension).reshape(d, d, d, d)
-            moved = np.moveaxis(self.psi, (c, t), (0, 1))
-            moved = np.einsum("abcd,cd...->ab...", m, moved)
-            self.psi = np.moveaxis(moved, (0, 1), (c, t))
+                np.tensordot(m, self.psi, axes=([1], [j])), 0, j)
         else:
-            raise ShapeError(f"unknown gate name {name!r}")
+            c, t = qudits
+            moved = np.moveaxis(self.psi, (c, t), (0, 1))
+            moved = np.einsum("abcd,cd...->ab...", m.reshape(d, d, d, d), moved)
+            self.psi = np.moveaxis(moved, (0, 1), (c, t))
 
     def apply_pauli(self, p: PauliString) -> None:
         """Apply a Pauli string using index shifts and phase masks."""
@@ -153,6 +140,10 @@ class DenseState:
         if p.r:
             psi = psi * (w ** p.r)
         self.psi = psi
+
+    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
+        """Apply X^a Z^b to qudit j."""
+        self.apply_pauli(PauliString.single(self.n, self.dimension, j, a, b))
 
     # -- measurement -------------------------------------------------------
 
@@ -193,13 +184,9 @@ class DenseState:
         rec = self.measure_z(j, rng)
         self.measurements_done -= 1  # resets do not occupy a record slot
         if rec.outcome:
-            self.apply_pauli(
-                PauliString.single(self.n, self.dimension, j, x=(-rec.outcome)))
+            self.apply_pauli_error(j, -rec.outcome, 0)
 
     # -- inner products ----------------------------------------------------
-
-    def fidelity(self, other: "DenseState") -> float:
-        return abs(np.vdot(self.vector, other.vector)) ** 2
 
     def expectation(self, p: PauliString) -> complex:
         tmp = self.copy()
@@ -281,26 +268,12 @@ def conjugate_pauli(gate: str, p: PauliString, atol: float = 1e-9):
     the phase is an omega power (always, for odd d).
     """
     dim = p.dimension
-    arity = 2 if gate in ("SUM", "SUM_INV", "CNOT", "CNOT_INV") else 1
+    arity = lookup(gate).arity
     if p.n != arity:
         raise ShapeError(f"{gate} acts on {arity} qudit(s), Pauli has {p.n}")
     g = gate_matrix(gate, dim)
     m = g @ pauli_matrix(p) @ g.conj().T
     return match_pauli(m, p.n, dim, atol=atol)
-
-
-def apply_dense_gate(state: DenseState, name: str, *qudits: int) -> DenseState:
-    """Functional form of DenseState.apply_gate: returns a new state."""
-    out = state.copy()
-    out.apply_gate(name, *qudits)
-    return out
-
-
-def measure_dense(state: DenseState, j: int, rng: np.random.Generator):
-    """Functional Born measurement: returns (record, collapsed new state)."""
-    out = state.copy()
-    rec = out.measure_z(j, rng)
-    return rec, out
 
 
 def stabilizer_check(tableau, state: DenseState, atol: float = 1e-9) -> bool:

@@ -2,9 +2,9 @@
 
 The tableau holds 2n Pauli rows over Z_d: rows 0..n-1 are destabilizers,
 rows n..2n-1 are stabilizers.  A fresh register starts as destabilizer X_j
-and stabilizer Z_j for each qudit j.  Gates act as column updates on the
-X-block, Z-block and phase vector; measurement uses the destabilizer block
-to avoid searching the full group.
+and stabilizer Z_j for each qudit j.  Gates act by the column maps and
+omega phase rules of gates.py on the X-block, Z-block and phase vector;
+measurement uses the destabilizer block to avoid searching the full group.
 
 Row pairing invariant: the commutation exponent of stabilizer i with
 destabilizer k is lam[k] * delta_ik with lam[k] != 0.  The lam vector starts
@@ -23,40 +23,41 @@ import numpy as np
 
 from .circuit import MeasurementRecord
 from .errors import DimensionError, ShapeError
-from .pauli import Dimension, PauliString, _as_dimension
-
-_CANONICAL = {"H": "F", "H_INV": "F_INV", "CNOT": "SUM", "CNOT_INV": "SUM_INV"}
-_SINGLE = ("X", "X_INV", "Z", "Z_INV", "F", "F_INV", "P", "P_INV")
+from .gates import resolve
+from .pauli import PauliString, _as_dimension
 
 
-def _rref_solve_mod_prime(a: np.ndarray, b: np.ndarray, p: int):
-    """One solution of a @ u = b (mod prime p), or None if inconsistent."""
+def rref_mod_prime(a, p: int):
+    """Reduced row echelon form of a over F_p, and its pivot columns."""
     a = np.array(a, dtype=np.int64) % p
-    b = np.array(b, dtype=np.int64) % p
     rows, cols = a.shape
-    aug = np.hstack([a, b.reshape(-1, 1)])
-    pivot_cols = []
-    rank = 0
+    pivots = []
     for c in range(cols):
-        sub = np.flatnonzero(aug[rank:, c])
+        rank = len(pivots)
+        if rank == rows:
+            break
+        sub = np.flatnonzero(a[rank:, c])
         if len(sub) == 0:
             continue
         r = rank + int(sub[0])
-        aug[[rank, r]] = aug[[r, rank]]
-        aug[rank] = (aug[rank] * pow(int(aug[rank, c]), -1, p)) % p
-        others = np.flatnonzero(aug[:, c])
+        a[[rank, r]] = a[[r, rank]]
+        a[rank] = (a[rank] * pow(int(a[rank, c]), -1, p)) % p
+        others = np.flatnonzero(a[:, c])
         others = others[others != rank]
         if len(others):
-            aug[others] = (aug[others] - np.outer(aug[others, c], aug[rank])) % p
-        pivot_cols.append(c)
-        rank += 1
-        if rank == rows:
-            break
-    if np.any(aug[rank:, cols]):
+            a[others] = (a[others] - np.outer(a[others, c], a[rank])) % p
+        pivots.append(c)
+    return a, pivots
+
+
+def solve_mod_prime(a, b, p: int):
+    """One solution of a @ u = b (mod prime p), or None if inconsistent."""
+    cols = np.shape(a)[1]
+    red, pivots = rref_mod_prime(np.column_stack([a, b]), p)
+    if pivots and pivots[-1] == cols:
         return None
     u = np.zeros(cols, dtype=np.int64)
-    for r, c in enumerate(pivot_cols):
-        u[c] = aug[r, cols]
+    u[pivots] = red[:len(pivots), cols]
     return u
 
 
@@ -122,7 +123,7 @@ class Tableau:
             a = np.array(constraint_rows, dtype=np.int64)
             b = np.zeros(len(constraint_rows), dtype=np.int64)
             b[i] = 1
-            u = _rref_solve_mod_prime(a, b, d)
+            u = solve_mod_prime(a, b, d)
             if u is None:
                 raise ShapeError("stabilizer rows are not independent")
             tab.X[i] = u[:n] % d
@@ -178,57 +179,19 @@ class Tableau:
     # -- gates -----------------------------------------------------------------
 
     def apply_gate(self, name: str, *qudits: int) -> None:
-        name = _CANONICAL.get(name, name)
-        d, n = self.d, self.n
-        X, Z, r = self.X, self.Z, self.r
-        for q in qudits:
-            if not 0 <= q < n:
-                raise ShapeError(f"qudit index {q} out of range for n={n}")
-        if name in _SINGLE:
-            if len(qudits) != 1:
-                raise ShapeError(f"{name} takes 1 qudit, got {len(qudits)}")
+        gate = resolve(name, qudits, self.n)
+        d, X, Z, r = self.d, self.X, self.Z, self.r
+        if gate.arity == 1:
             (j,) = qudits
-            xj = X[:, j].copy()
-            zj = Z[:, j].copy()
-            if name == "F":
-                r[:] = (r - xj * zj) % d
-                X[:, j] = (-zj) % d
-                Z[:, j] = xj
-            elif name == "F_INV":
-                r[:] = (r - xj * zj) % d
-                X[:, j] = zj
-                Z[:, j] = (-xj) % d
-            elif name == "P":
-                r[:] = (r + (xj * (xj - 1)) // 2) % d
-                Z[:, j] = (zj + xj) % d
-            elif name == "P_INV":
-                r[:] = (r - (xj * (xj - 1)) // 2) % d
-                Z[:, j] = (zj - xj) % d
-            elif name == "X":
-                r[:] = (r - zj) % d
-            elif name == "X_INV":
-                r[:] = (r + zj) % d
-            elif name == "Z":
-                r[:] = (r + xj) % d
-            else:
-                r[:] = (r - xj) % d
-            self.gate_op_log.append(2 * n)
-        elif name in ("SUM", "SUM_INV"):
-            if len(qudits) != 2 or qudits[0] == qudits[1]:
-                raise ShapeError(f"{name} takes 2 distinct qudits, got {qudits}")
-            c, t = qudits
-            s = 1 if name == "SUM" else -1
-            X[:, t] = (X[:, t] + s * X[:, c]) % d
-            Z[:, c] = (Z[:, c] - s * Z[:, t]) % d
-            self.gate_op_log.append(4 * n)
+            x, z = X[:, j], Z[:, j]
+            r += gate.omega(x, z, d)
+            r %= d
+            if gate.cols is not None:
+                X[:, j], Z[:, j] = gate.cols(x, z, d)
         else:
-            raise ShapeError(f"unknown gate name {name!r}")
-
-    def apply_pauli(self, p: PauliString) -> None:
-        """Conjugate every row by a Pauli string (phase-only update)."""
-        if p.n != self.n or p.dimension.d != self.d:
-            raise ShapeError("Pauli string does not match tableau shape")
-        self.r = (self.r + self.X @ p.z - self.Z @ p.x) % self.d
+            c, t = qudits
+            X[:, t], Z[:, c] = gate.cols(X[:, c], Z[:, c], X[:, t], Z[:, t], d)
+        self.gate_op_log.append(2 * gate.arity * self.n)
 
     def apply_pauli_error(self, j: int, a: int, b: int) -> None:
         """Conjugate every row by X^a Z^b on qudit j."""
@@ -236,18 +199,12 @@ class Tableau:
 
     # -- measurement -----------------------------------------------------------
 
-    def measure_z(self, j: int, rng: np.random.Generator,
-                  fast_deterministic: bool = False) -> MeasurementRecord:
+    def measure_z(self, j: int, rng: np.random.Generator) -> MeasurementRecord:
         """Z-basis measurement of qudit j; outcome k collapses onto w^(-k) Z_j.
 
         The outcome is the eigenvalue exponent: the post-measurement state is
         stabilized by w^(-k) Z_j, so Z_j has eigenvalue w^k, matching dense
         Born sampling.
-
-        fast_deterministic replaces the phase-tracked deterministic product
-        with a linear-time phase sum that is only valid while every lam entry
-        is 1; it is off by default because measurements leave lam entries
-        equal to the pivot's X exponent, which need not be 1.
         """
         d, n = self.d, self.n
         if not 0 <= j < n:
@@ -273,28 +230,22 @@ class Tableau:
             self.measure_op_log.append(ops)
             return MeasurementRecord(j, seq, False, k)
 
-        if fast_deterministic:
-            outcome = int(-(self.X[:n, j] @ self.r[n:])) % d
-            self.measure_op_log.append(3 * n)
-            return MeasurementRecord(j, seq, True, outcome)
-
-        # lam[k]^(d-2) is the inverse mod prime d.
+        # Z_j = prod_k S_k^y_k with y = X[:n, j] / lam.  Multiplying the
+        # powers in order k = 0..n-1 gives the phase sum below: each power
+        # contributes y_k r_k + C(y_k, 2) (x_k . z_k), and each earlier
+        # factor k' < k contributes y_k' y_k (z_k' . x_k).
         lam_inv = np.array([pow(int(v), -1, d) for v in self.lam], dtype=np.int64)
         y = (self.X[:n, j] * lam_inv) % d
-        px = np.zeros(n, dtype=np.int64)
-        pz = np.zeros(n, dtype=np.int64)
-        pr = 0
-        for k in range(n):
-            h = int(y[k])
-            sx, sz = self.X[n + k], self.Z[n + k]
-            hr = (h * int(self.r[n + k]) + (h * (h - 1) // 2) * int(sx @ sz)) % d
-            pr = (pr + hr + h * int(pz @ sx)) % d
-            px = (px + h * sx) % d
-            pz = (pz + h * sz) % d
+        sx, sz = self.X[n:], self.Z[n:]
+        px = (y @ sx) % d
+        pz = (y @ sz) % d
+        cross = np.triu((y[:, None] * sz) @ (y[:, None] * sx).T, 1).sum()
+        pr = int(y @ self.r[n:] + (y * (y - 1) // 2) @ (sx * sz).sum(axis=1)
+                 + cross)
         assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
         self.measure_op_log.append(2 * n + n + n * (2 * n + 1))
-        return MeasurementRecord(j, seq, True, (-pr) % d)
+        return MeasurementRecord(j, seq, True, -pr % d)
 
     def deterministic_outcome_gaussian(self, j: int):
         """Branch decision and outcome by direct linear solving; never mutates.
@@ -312,7 +263,7 @@ class Tableau:
         a = np.hstack([self.X[n:], self.Z[n:]]).T  # (2n, n): column i = generator i
         b = np.zeros(2 * n, dtype=np.int64)
         b[n + j] = 1
-        y = _rref_solve_mod_prime(a, b, d)
+        y = solve_mod_prime(a, b, d)
         if y is None:
             return False, None
         prod = PauliString.identity(n, self.dimension)

@@ -24,12 +24,11 @@ gcd elimination instead of keeping a fixed destabilizer pairing.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import DimensionError, ShapeError
+from .errors import ShapeError
+from .gates import resolve
 from .pauli import Dimension, PauliString, _as_dimension
 from .snf import kernel_mod, solve_mod
 
@@ -125,10 +124,6 @@ class WeylTableau:
                           self.coords[:, :n].T,
                           self.coords[:, n:].T])
 
-    def rows(self):
-        return [(int(self.phases[i]), self.coords[i].copy())
-                for i in range(len(self.phases))]
-
     def check_invariants(self) -> None:
         d, n = self.d, self.n
         a, b = self.coords[:, :n], self.coords[:, n:]
@@ -139,48 +134,21 @@ class WeylTableau:
     # -- gates ---------------------------------------------------------------
 
     def apply_gate(self, name: str, *qudits: int) -> None:
-        name = {"H": "F", "H_INV": "F_INV", "CNOT": "SUM",
-                "CNOT_INV": "SUM_INV"}.get(name, name)
-        n, dp = self.n, self.dp
-        for q in qudits:
-            if not 0 <= q < n:
-                raise ShapeError(f"qudit index {q} out of range for n={n}")
-        C, F = self.coords, self.phases
-        if name in ("SUM", "SUM_INV"):
-            if len(qudits) != 2 or qudits[0] == qudits[1]:
-                raise ShapeError(f"{name} takes 2 distinct qudits, got {qudits}")
-            c, t = qudits
-            s = 1 if name == "SUM" else -1
-            C[:, c] = (C[:, c] - s * C[:, t]) % dp
-            C[:, n + t] = (C[:, n + t] + s * C[:, n + c]) % dp
-            return
-        if len(qudits) != 1:
-            raise ShapeError(f"{name} takes 1 qudit, got {len(qudits)}")
-        (j,) = qudits
-        a = C[:, j].copy()
-        b = C[:, n + j].copy()
-        if name == "F":
-            C[:, j], C[:, n + j] = b, (-a) % dp
-        elif name == "F_INV":
-            C[:, j], C[:, n + j] = (-b) % dp, a
-        elif name == "P":
-            C[:, j] = (a + b) % dp
-            if self.d % 2 == 1:
-                F[:] = (F - b) % dp
-        elif name == "P_INV":
-            C[:, j] = (a - b) % dp
-            if self.d % 2 == 1:
-                F[:] = (F + b) % dp
-        elif name == "X":
-            F[:] = (F - 2 * a) % dp
-        elif name == "X_INV":
-            F[:] = (F + 2 * a) % dp
-        elif name == "Z":
-            F[:] = (F + 2 * b) % dp
-        elif name == "Z_INV":
-            F[:] = (F - 2 * b) % dp
+        # a coordinate row is (z | x): the Z-block comes first
+        gate = resolve(name, qudits, self.n)
+        n, dp, C = self.n, self.dp, self.coords
+        if gate.arity == 1:
+            (j,) = qudits
+            x, z = C[:, n + j], C[:, j]
+            df = gate.tau(x, z, self.d)
+            if df is not None:
+                self.phases[:] = (self.phases + df) % dp
+            if gate.cols is not None:
+                C[:, n + j], C[:, j] = gate.cols(x, z, dp)
         else:
-            raise ShapeError(f"unknown gate name {name!r}")
+            c, t = qudits
+            C[:, n + t], C[:, c] = gate.cols(C[:, n + c], C[:, c],
+                                             C[:, n + t], C[:, t], dp)
 
     def apply_pauli_error(self, j: int, a: int, b: int) -> None:
         """Conjugate every generator by X^a Z^b on qudit j."""
@@ -189,6 +157,15 @@ class WeylTableau:
                        + 2 * (b * self.coords[:, n + j] - a * self.coords[:, j])) % dp
 
     # -- measurement -----------------------------------------------------------
+
+    def _product(self, y):
+        """Phase and coordinates of prod_i generator_i^y_i, in row order."""
+        f, v = 0, np.zeros(2 * self.n, dtype=np.int64)
+        for i, yi in enumerate(y):
+            gf, gv = weyl_pow(int(self.phases[i]), self.coords[i], int(yi),
+                              self.dimension)
+            f, v = weyl_mul(f, v, gf, gv, self.dimension)
+        return f, v
 
     def _z_support(self, j: int):
         """Outcome support of a Z measurement on qudit j, with its Z_j power.
@@ -205,11 +182,7 @@ class WeylTableau:
             y = solve_mod(a_cols, (m * target) % d, d)
             if y is None:
                 continue
-            f, v = 0, np.zeros(2 * n, dtype=np.int64)
-            for i, yi in enumerate(y):
-                gf, gv = weyl_pow(int(self.phases[i]), self.coords[i], int(yi),
-                                  self.dimension)
-                f, v = weyl_mul(f, v, gf, gv, self.dimension)
+            f, v = self._product(y)
             shift = (v - m * target) % dp
             assert not np.any(shift % d), "solution does not hit the target mod d"
             f, v = weyl_canonical(f, v, self.dimension)
@@ -235,14 +208,7 @@ class WeylTableau:
 
         # generators commuting with Z_j: kernel of the X-exponent row mod d
         beta = [[int(x) for x in (self.coords[:, n + j] % d)]]
-        survivors = []
-        for y in kernel_mod(beta, d):
-            f, v = 0, np.zeros(2 * n, dtype=np.int64)
-            for i, yi in enumerate(y):
-                gf, gv = weyl_pow(int(self.phases[i]), self.coords[i], int(yi),
-                                  self.dimension)
-                f, v = weyl_mul(f, v, gf, gv, self.dimension)
-            survivors.append((f, v))
+        survivors = [self._product(y) for y in kernel_mod(beta, d)]
         inserted = np.zeros(2 * n, dtype=np.int64)
         inserted[j] = 1
         survivors.append(((-2 * k) % dp, inserted))

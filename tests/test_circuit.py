@@ -55,6 +55,10 @@ class TestCircuitBuild:
         with pytest.raises(ShapeError):
             c.add_gate("N1", 0, noise_channel="d", prob=1.5)
 
+    def test_noise_probability_required(self):
+        with pytest.raises(ShapeError):
+            Circuit(1, 3).add_gate("N1", 0, noise_channel="d")
+
     def test_num_measurements(self):
         c = Circuit(2, 3)
         c.add_gate("M", 0)
@@ -137,6 +141,25 @@ class TestParse:
             parse_sdim("QUDITS 1\nDIM 3\n")
         with pytest.raises(ParseError):
             parse_sdim("DIM 3\nX 0\n")
+
+    @pytest.mark.parametrize("line, column", [
+        ("BOGUS 0", 1),        # unknown name
+        ("SUM 0", 1),          # wrong arity
+        ("X 0 1", 1),
+        ("X 4", 3),            # index out of range
+        ("SUM 0 5", 7),
+        ("N1 4 d 0.1", 4),
+        ("SUM 1 1", 7),        # operands not distinct
+        ("N1 0 q 0.5", 6),     # bad channel
+        ("N1 0 d 1.5", 8),     # probability out of range
+        ("N1 0 d -0.1", 8),
+        ("X a", 3),            # non-integer index
+        ("SUM 0 b", 7),
+    ])
+    def test_error_position(self, line, column):
+        with pytest.raises(ParseError) as err:
+            parse_sdim("DIM 3\nQUDITS 2\n" + line + "\n")
+        assert (err.value.line, err.value.column) == (3, column)
 
     def test_bad_probability(self):
         with pytest.raises(ParseError):

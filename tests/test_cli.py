@@ -109,6 +109,20 @@ class TestExitCodes:
         assert run_cli("run", ghz_file, "--shots", "1", "--seed", "0",
                        "--method", "warp").returncode == 4
 
+    @pytest.mark.parametrize("argv, option", [
+        (["run", "GHZ", "--seed", "0", "--shots", "-5"], "--shots"),
+        (["run", "GHZ", "--seed", "0", "--threads", "-3"], "--threads"),
+        (["validate", "--seed", "0", "--shots", "0"], "--shots"),
+        (["rb", "--p", "0.1", "--seed", "0", "--threads", "0"], "--threads"),
+        (["lrbd", "--p", "0.1", "--seed", "0", "--shots", "0"], "--shots"),
+    ])
+    def test_nonpositive_counts_are_4(self, ghz_file, argv, option):
+        argv = [ghz_file if a == "GHZ" else a for a in argv]
+        proc = run_cli(*argv)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert option in proc.stderr and len(proc.stderr.splitlines()) == 1
+
     def test_missing_file_is_5(self):
         proc = run_cli("run", "/nonexistent/x.sdim", "--shots", "1",
                        "--seed", "0")
@@ -142,6 +156,11 @@ class TestGen:
 
     def test_bv_secret_digit_range(self):
         assert run_cli("gen", "bv", "--d", "3", "--secret", "14").returncode == 4
+
+    def test_bv_bad_secret_says_why(self):
+        proc = run_cli("gen", "bv", "--d", "3", "--secret", "1x")
+        assert proc.returncode == 4
+        assert "--secret" in proc.stderr
 
     def test_ghz(self):
         proc = run_cli("gen", "ghz", "--n", "3", "--d", "3", "--measure")
@@ -212,3 +231,12 @@ class TestThreadsEnv:
         proc = run_cli("run", ghz_file, "--shots", "1", "--seed", "0",
                        env=env)
         assert proc.returncode == 4
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-2"])
+    def test_bad_env_value_says_why(self, ghz_file, value):
+        import os
+        env = dict(os.environ, SDIM_THREADS=value)
+        proc = run_cli("run", ghz_file, "--shots", "1", "--seed", "0",
+                       env=env)
+        assert proc.returncode == 4
+        assert "SDIM_THREADS" in proc.stderr

@@ -28,10 +28,12 @@ from quditsim.experiments import (
     run_rb,
     tvd,
     validate_backend_pair,
+    _v_word,
 )
 from quditsim.pauli import Dimension, PauliString
 from quditsim.simulate import run_circuit
-from quditsim.statevector import DenseState, stabilizer_check
+from quditsim.statevector import (DenseState, gate_matrix, pauli_matrix,
+                                  stabilizer_check)
 from quditsim.tableau import Tableau
 
 
@@ -272,6 +274,31 @@ class TestDetectionCode:
             assert code.logical_x.commutation_exponent(g) == 0
             assert code.logical_z.commutation_exponent(g) == 0
 
+    def test_logicals_pinned(self):
+        code = qutrit_detection_code()
+        assert code.logical_x == PauliString(Dimension(3), [2, 0, 0, 2, 0],
+                                             [0, 0, 0, 0, 0], 0)
+        assert code.logical_z == PauliString(Dimension(3), [0, 0, 0, 0, 0],
+                                             [1, 0, 1, 0, 0], 0)
+
+    def test_initial_tableau_pinned(self):
+        # destabilizers come from the mod-3 RREF solve in from_stabilizers
+        got = code_initial_tableau(qutrit_detection_code()).to_array()
+        assert got.tolist() == [
+            [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
+            [0, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0],
+            [1, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 2, 0, 1, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0],
+        ]
+
     def test_code_state_is_stabilized(self):
         code = qutrit_detection_code()
         tab = code_initial_tableau(code)
@@ -288,6 +315,21 @@ class TestDetectionCode:
 
 class TestSyndromeGadget:
     """Ancilla-coupled eigenvalue readout."""
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_basis_change_words(self, d):
+        # each word W, applied in instruction order, maps X to X^a Z^b
+        # with no leftover phase
+        x = pauli_matrix(PauliString.single(1, Dimension(d), 0, x=1))
+        for a in range(d):
+            for b in range(d):
+                if (a, b) == (0, 0):
+                    continue
+                u = np.eye(d)
+                for gate in _v_word(d, a, b):
+                    u = gate_matrix(gate, d) @ u
+                want = pauli_matrix(PauliString.single(1, Dimension(d), 0, a, b))
+                assert np.allclose(u @ x @ u.conj().T, want), (a, b)
 
     def gadget_outcome(self, prep, stab, seed=0):
         """Measure a stabilizer eigenvalue after prep errors on the code state."""

@@ -1,0 +1,96 @@
+"""The gate table's conjugation rules against the dense oracle."""
+
+import itertools
+
+import numpy as np
+import pytest
+
+from quditsim.gates import GATE_TABLE, GATES, SINGLE_QUDIT_GATES
+from quditsim.pauli import Dimension, PauliString
+from quditsim.statevector import conjugate_pauli
+from quditsim.weyl import weyl_canonical, weyl_from_pauli
+
+
+def all_paulis(n, d):
+    dim = Dimension(d)
+    for xs in itertools.product(range(d), repeat=n):
+        for zs in itertools.product(range(d), repeat=n):
+            yield PauliString(dim, list(xs), list(zs), 0)
+
+
+def tau_image(gate, p):
+    """Table image of p in Weyl form, folded to coordinates in [0, d)."""
+    dim = p.dimension
+    f, v = weyl_from_pauli(p)
+    n, dp = p.n, dim.d_prime
+    z, x = v[:n].copy(), v[n:].copy()
+    if gate.arity == 1:
+        f = (f + (gate.tau(x[0], z[0], dim.d) or 0)) % dp
+        if gate.cols is not None:
+            x[0], z[0] = gate.cols(x[0], z[0], dp)
+    else:
+        x[1], z[0] = gate.cols(x[0], z[0], x[1], z[1], dp)
+    return weyl_canonical(f, np.concatenate([z, x]), dim)
+
+
+def omega_image(gate, p):
+    """Table image of p as a tableau row (odd prime d)."""
+    d = p.dimension.d
+    x, z, r = p.x.copy(), p.z.copy(), p.r
+    if gate.arity == 1:
+        r = (r + gate.omega(x[0], z[0], d)) % d
+        if gate.cols is not None:
+            x[0], z[0] = gate.cols(x[0], z[0], d)
+    else:
+        x[1], z[0] = gate.cols(x[0], z[0], x[1], z[1], d)
+    return PauliString(p.dimension, x, z, int(r))
+
+
+def cases(max_sum_d):
+    for gate in GATE_TABLE:
+        for d in (2, 3, 4, 5, 6):
+            if gate.arity == 1 or d <= max_sum_d:
+                yield pytest.param(gate.name, d, id=f"{gate.name}-d{d}")
+
+
+class TestTable:
+    """Names, arities and inverses."""
+
+    def test_single_gate_order(self):
+        # seeded random circuits draw from this tuple by index
+        assert SINGLE_QUDIT_GATES == ("X", "X_INV", "Z", "Z_INV",
+                                      "F", "F_INV", "P", "P_INV")
+
+    def test_inverses_pair_up(self):
+        for gate in GATE_TABLE:
+            inv = GATES[gate.inverse]
+            assert inv.inverse == gate.name and inv.arity == gate.arity
+
+
+class TestOracle:
+    """Every rule matches dense conjugation on every Pauli it can see."""
+
+    @pytest.mark.parametrize("name, d", cases(max_sum_d=4))
+    def test_tau_rule(self, name, d):
+        gate = GATES[name]
+        dp = Dimension(d).d_prime
+        for p in all_paulis(gate.arity, d):
+            q, tau_pow = conjugate_pauli(name, p)
+            f, v = tau_image(gate, p)
+            n = gate.arity
+            assert v[n:].tolist() == q.x.tolist()
+            assert v[:n].tolist() == q.z.tolist()
+            # tau^f W_(z, x) = tau^(f + z.x) X^x Z^z
+            assert (f + int(v[:n] @ v[n:])) % dp == (2 * q.r + tau_pow) % dp
+
+    @pytest.mark.parametrize("name, d", [
+        pytest.param(g.name, d, id=f"{g.name}-d{d}")
+        for g in GATE_TABLE for d in (3, 5)])
+    def test_omega_rule(self, name, d):
+        gate = GATES[name]
+        for p0 in all_paulis(gate.arity, d):
+            for r in range(d):
+                p = PauliString(p0.dimension, p0.x, p0.z, r)
+                q, tau_pow = conjugate_pauli(name, p)
+                assert tau_pow == 0
+                assert omega_image(gate, p) == q

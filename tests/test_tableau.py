@@ -305,6 +305,38 @@ class TestGaussianOracle:
         assert np.array_equal(tab.to_array(), before)
 
 
+def loop_outcome(tab, j):
+    """Deterministic outcome by multiplying stabilizer powers one by one."""
+    d, n = tab.d, tab.n
+    y = [int(x) * pow(int(lam), -1, d) % d for x, lam in zip(tab.X[:n, j], tab.lam)]
+    prod = PauliString.identity(n, tab.dimension)
+    for k in range(n):
+        prod = prod * tab.stabilizer(k).pow(y[k])
+    return (-prod.r) % d
+
+
+class TestDeterministicPhaseSum:
+    """measure_z's vectorized phase sum equals the row-by-row product."""
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_matches_loop(self, d):
+        rng = np.random.default_rng(100 + d)
+        checked = scaled = 0
+        for seed in range(40):
+            tab = Tableau(4, d)
+            for _ in range(6):
+                random_gate_walk(tab, rng, 8)
+                j = int(rng.integers(4))
+                if not tab.X[4:, j].any():
+                    want = loop_outcome(tab, j)
+                    rec = tab.copy().measure_z(j, rng)
+                    assert rec.deterministic and rec.outcome == want
+                    checked += 1
+                    scaled += bool((tab.lam != 1).any())
+                tab.measure_z(j, rng)
+        assert checked > 20 and scaled > 5
+
+
 class TestDeterministicOracleEquality:
     """Deterministic outcomes equal the dense-state expectation."""
 
