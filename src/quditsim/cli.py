@@ -33,6 +33,7 @@ from .errors import (DimensionError, MemoryCapError, ParseError,
                      QuditSimError)
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
+from .frames import SHARD_SIZE
 from .simulate import run_circuit
 
 EXIT_OK = 0
@@ -92,6 +93,68 @@ def _depths(text: str) -> tuple:
     return depths
 
 
+def _slot_text(result, render) -> np.ndarray:
+    """render(slot, qudit, seq, flag, outcome) for every slot and outcome
+    value, flattened so that entry i * d + k is slot i at outcome k."""
+    slots = zip(result.qudits.tolist(), result.seqs.tolist(),
+                result.deterministic.tolist())
+    return np.array([render(i, q, s, f, k) for i, (q, s, f) in enumerate(slots)
+                     for k in range(result.dimension)], dtype=object)
+
+
+def _chunks(result):
+    """(first shot, text table indices) per chunk of outcome rows."""
+    offsets = np.arange(result.outcomes.shape[1]) * result.dimension
+    for start in range(0, result.shots, SHARD_SIZE):
+        yield start, result.outcomes[start:start + SHARD_SIZE] + offsets
+
+
+def _write_json(result, seed) -> None:
+    """The json.dumps(doc, indent=2) text of the run, written in chunks from
+    the outcome array; each record's text is prebuilt once per slot and
+    outcome value."""
+    head, tail = json.dumps({
+        "dimension": result.dimension,
+        "qudits": result.num_qudits,
+        "shots": result.shots,
+        "seed": seed,
+        "method": result.method,
+        "records": [],
+        "counts": result.counts,
+    }, indent=2).split('"records": []', 1)
+    m = result.outcomes.shape[1]
+
+    def render(i, q, s, f, k):
+        opening = ",\n    [" if i == 0 else ","
+        closing = "\n    ]" if i == m - 1 else ""
+        return (f'{opening}\n      {{\n        "qudit": {q},\n'
+                f'        "seq": {s},\n'
+                f'        "deterministic": {json.dumps(f)},\n'
+                f'        "outcome": {k}\n      }}{closing}')
+
+    table = _slot_text(result, render)
+    out = sys.stdout
+    out.write(head + '"records": [')
+    for start, index in _chunks(result):
+        text = ("".join(table[index].ravel().tolist()) if m
+                else ",\n    []" * len(index))
+        out.write(text[1:] if start == 0 else text)
+    out.write("\n  ]" + tail + "\n")
+
+
+def _write_csv(result) -> None:
+    """One line per record, written in chunks from the outcome array."""
+    table = _slot_text(result, lambda i, q, s, f, k: f",{q},{s},{int(f)},{k}\n")
+    out = sys.stdout
+    out.write("shot,qudit,seq,deterministic,outcome\n")
+    for start, index in _chunks(result):
+        lines = np.empty(index.shape + (2,), dtype=object)
+        lines[..., 0] = np.array([str(s) for s in range(start, start + len(index))],
+                                 dtype=object)[:, None]
+        lines[..., 1] = table[index]
+        out.write("".join(lines.ravel().tolist()))
+
+
 def _cmd_run(args) -> int:
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
@@ -112,29 +175,12 @@ def _cmd_run(args) -> int:
     elapsed = time.perf_counter() - started
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
     if args.out == "json":
-        doc = {
-            "dimension": result.dimension,
-            "qudits": result.num_qudits,
-            "shots": result.shots,
-            "seed": args.seed,
-            "method": result.method,
-            "records": [[{"qudit": r.qudit, "seq": r.seq,
-                          "deterministic": r.deterministic,
-                          "outcome": r.outcome} for r in shot]
-                        for shot in result.records],
-            "counts": result.counts,
-        }
-        _emit(json.dumps(doc, indent=2))
+        _write_json(result, args.seed)
     elif args.out == "counts":
         _emit("\n".join(f"{key} {count}"
                         for key, count in result.counts.items()))
-    else:  # csv
-        lines = ["shot,qudit,seq,deterministic,outcome"]
-        for s, shot in enumerate(result.records):
-            for r in shot:
-                lines.append(f"{s},{r.qudit},{r.seq},"
-                             f"{int(r.deterministic)},{r.outcome}")
-        _emit("\n".join(lines))
+    else:
+        _write_csv(result)
     return EXIT_OK
 
 
@@ -329,7 +375,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for option in ("shots", "threads"):
+        for option in ("shots", "threads", "circuits"):
             value = getattr(args, option, None)
             if value is not None and value < 1:
                 raise _usage_error(f"--{option} must be >= 1, got {value}")

@@ -92,16 +92,26 @@ def tvd(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
 
 
 def per_slot_distributions(records, d: int) -> list:
-    """One empirical OutcomeDistribution per measurement slot."""
-    if not records:
+    """One empirical OutcomeDistribution per measurement slot.
+
+    records is a (shots, M) outcome array or a per-shot sequence of
+    MeasurementRecord tuples or outcome tuples.  Labels keep the order of
+    their first appearance.
+    """
+    if not isinstance(records, np.ndarray):
+        records = [[r.outcome if isinstance(r, MeasurementRecord) else int(r)
+                    for r in shot] for shot in records]
+    outs = np.asarray(records, dtype=np.int64)
+    if len(outs) == 0:
         return []
-    num_slots = len(records[0])
-    outs = np.empty((len(records), num_slots), dtype=np.int64)
-    for s, shot in enumerate(records):
-        for i, r in enumerate(shot):
-            outs[s, i] = r.outcome if isinstance(r, MeasurementRecord) else int(r)
-    return [OutcomeDistribution.from_outcomes(outs[:, i], d)
-            for i in range(num_slots)]
+    dists = []
+    for column in outs.T:
+        labels, first, counts = np.unique(column, return_index=True,
+                                          return_counts=True)
+        order = np.argsort(first)
+        dists.append(OutcomeDistribution.from_counts(
+            dict(zip(labels[order].tolist(), counts[order].tolist())), d))
+    return dists
 
 
 def max_slot_tvd(records_a, records_b, d: int) -> float:
@@ -137,6 +147,8 @@ def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
     even for identical distributions, while any real propagation bug corrupts
     most slots and moves the mean far above any plausible threshold.
     """
+    if len(circuits) == 0:
+        raise ShapeError("validate_backend_pair needs at least one circuit")
     ss = np.random.SeedSequence(seed)
     children = ss.spawn(2 * len(circuits))
     rows = []
@@ -145,7 +157,7 @@ def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
                             threads=threads)
         res_b = run_circuit(circuit, shots, children[2 * i + 1], method_b,
                             threads=threads)
-        score = mean_slot_tvd(res_a.records, res_b.records,
+        score = mean_slot_tvd(res_a.outcomes, res_b.outcomes,
                               circuit.dimension.d)
         rows.append({
             "index": i,
@@ -162,14 +174,12 @@ def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
         "threshold": threshold,
         "circuits": len(circuits),
         "per_circuit": rows,
-        "max_tvd": max((r["tvd"] for r in rows), default=0.0),
+        "max_tvd": max(r["tvd"] for r in rows),
         "all_passed": all(r["passed"] for r in rows),
     }
     if csv_path:
         with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]) if rows else
-                                    ["index", "family", "dimension", "qudits",
-                                     "tvd", "passed"])
+            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
             writer.writeheader()
             writer.writerows(rows)
     return report
@@ -218,7 +228,7 @@ def channel_distribution_test(kind: str, d, p: float, shots: int, seed=None,
     dim = _as_dimension(d)
     circuit = build_channel_test_circuit(kind, dim, p)
     result = run_circuit(circuit, shots, seed, method)
-    empirical = per_slot_distributions(result.records, dim.d)[0]
+    empirical = per_slot_distributions(result.outcomes, dim.d)[0]
     reference = channel_reference_distribution(kind, dim.d, p)
     score = tvd(empirical, reference)
     return {
@@ -248,10 +258,15 @@ class RBConfig:
     p: float
 
     def __post_init__(self):
+        if len(self.depths) == 0:
+            raise ShapeError("depths must not be empty")
         if any(int(D) < 0 for D in self.depths):
             raise ShapeError("depths must be nonnegative")
+        if self.circuits_per_depth < 1:
+            raise ShapeError(f"circuits_per_depth must be >= 1, got "
+                             f"{self.circuits_per_depth}")
         if self.shots < 1:
-            raise ShapeError("shots must be >= 1")
+            raise ShapeError(f"shots must be >= 1, got {self.shots}")
         if not 0.0 <= self.p <= 1.0:
             raise ShapeError("p must lie in [0, 1]")
         object.__setattr__(self, "depths", tuple(int(D) for D in self.depths))
@@ -330,7 +345,7 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
             circuit = build_rb_circuit(cfg.d, depth, cfg.p, rng)
             result = run_circuit(circuit, cfg.shots, run_child, method,
                                  threads=threads)
-            dist = per_slot_distributions(result.records, cfg.d)[0]
+            dist = per_slot_distributions(result.outcomes, cfg.d)[0]
             fidelities.append(rb_fidelity(dist))
         arr = np.array(fidelities)
         per_depth.append({

@@ -10,18 +10,23 @@ Methods:
   are all terminal, on distinct qudits, with no noise or resets, are sampled
   from one joint Born distribution instead of evolving every shot.
 
-Each shot's result is a tuple of MeasurementRecord in program order, so a
-result carries the measured qudit, the sequence number, the outcome, and
-whether that outcome was deterministic given the shot's earlier outcomes.
+Results are columnar: outcomes[s, i] is shot s's outcome at measurement
+slot i (program order), and the per-slot arrays qudits, seqs and
+deterministic describe slot i for every shot.  Whether a measurement is
+deterministic depends only on the phaseless stabilizer group, which neither
+earlier outcomes nor Pauli noise change, so one flag per slot is exact; the
+per-shot backends check that every shot agrees with the first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
+from .errors import QuditSimError
 from .frames import FrameSimulator, _as_seedseq
 from .noise import sample_error
 from .statevector import DEFAULT_AMPLITUDE_CAP, DenseState
@@ -39,26 +44,64 @@ def counts_key(outcomes, d: int) -> str:
 
 
 def records_to_counts(records, d: int) -> dict:
-    """Tally per-shot outcome tuples, keys ordered by numeric outcome."""
-    tally = {}
-    for rec in records:
-        outs = tuple(int(r.outcome) for r in rec)
-        tally[outs] = tally.get(outs, 0) + 1
-    return {counts_key(outs, d): c for outs, c in sorted(tally.items())}
+    """Tally outcome rows, keys ordered by numeric outcome.
+
+    records is a (shots, M) outcome array or a sequence of per-shot
+    MeasurementRecord tuples.
+    """
+    if not isinstance(records, np.ndarray):
+        records = [[r.outcome for r in rec] for rec in records]
+    outcomes = np.asarray(records, dtype=np.int64)
+    if len(outcomes) == 0:
+        return {}
+    if outcomes.shape[1] == 0:
+        return {"": len(outcomes)}
+    # lexsort's last key is its primary one; np.unique(axis=0) is slower
+    rows = outcomes[np.lexsort(outcomes.T[::-1])]
+    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(rows)])
+    return {counts_key(row, d): c
+            for row, c in zip(rows[starts].tolist(), counts.tolist())}
 
 
-@dataclass
+@dataclass(eq=False)
 class SimulationResult:
+    """Sampled outcomes with one description per measurement slot.
+
+    outcomes has shape (shots, M); qudits, seqs and deterministic have
+    shape (M,).  records and outcome_tuples() are per-shot views built on
+    first use.
+    """
+
     dimension: int
     num_qudits: int
     shots: int
     seed: object
     method: str
-    records: list = field(repr=False)
+    outcomes: np.ndarray = field(repr=False)
+    qudits: np.ndarray
+    seqs: np.ndarray
+    deterministic: np.ndarray
     counts: dict = field(default_factory=dict)
 
+    @cached_property
+    def records(self) -> list:
+        """Per shot, a tuple of MeasurementRecord in program order."""
+        slots = list(zip(self.qudits.tolist(), self.seqs.tolist(),
+                         self.deterministic.tolist()))
+        return [tuple(MeasurementRecord(q, s, f, k)
+                      for (q, s, f), k in zip(slots, row))
+                for row in self.outcomes.tolist()]
+
     def outcome_tuples(self) -> list:
-        return [tuple(int(r.outcome) for r in rec) for rec in self.records]
+        return [tuple(row) for row in self.outcomes.tolist()]
+
+
+def _slot_arrays(records) -> tuple:
+    """(qudits, seqs, deterministic) arrays of one shot's records."""
+    return (np.array([r.qudit for r in records], dtype=np.int64),
+            np.array([r.seq for r in records], dtype=np.int64),
+            np.array([r.deterministic for r in records], dtype=bool))
 
 
 def _run_shot(circuit: Circuit, state, rng):
@@ -94,14 +137,29 @@ def _terminal_measurement_plan(circuit: Circuit):
     return measured
 
 
+def _run_per_shot(circuit: Circuit, new_state, shots: int, rng) -> tuple:
+    """Outcome rows and slot arrays from one fresh state per shot."""
+    first = _run_shot(circuit, new_state(), rng)
+    flags = [r.deterministic for r in first]
+    outcomes = np.empty((shots, len(first)), dtype=np.int64)
+    outcomes[0] = [r.outcome for r in first]
+    for s in range(1, shots):
+        records = _run_shot(circuit, new_state(), rng)
+        if [r.deterministic for r in records] != flags:
+            raise QuditSimError(f"shot {s} has deterministic flags that "
+                                f"differ from shot 0")
+        outcomes[s] = [r.outcome for r in records]
+    return (outcomes, *_slot_arrays(first))
+
+
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
-                    amplitude_cap: int):
+                    amplitude_cap: int) -> tuple:
     """Sample all terminal measurements from one joint Born distribution.
 
-    The per-record deterministic flag is conditional on the shot's earlier
-    outcomes, so it is recovered from the joint by checking whether the
-    marginal of each slot given the sampled prefix is a point mass; prefix
-    marginals are memoized across shots.
+    A slot is deterministic when its marginal given the sampled outcomes of
+    the earlier slots is a point mass.  That is checked on every distinct
+    sampled outcome row, memoizing prefix marginals, and must agree across
+    rows.
     """
     d = circuit.dimension.d
     state = DenseState(circuit.num_qudits, circuit.dimension, amplitude_cap)
@@ -118,7 +176,6 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
     flat = flat / flat.sum()
     draws = rng.choice(len(flat), size=shots, p=flat)
 
-    m = len(measured)
     marginal_cache = {}
 
     def slot_marginal(prefix):
@@ -130,73 +187,71 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
             marginal_cache[prefix] = got
         return got
 
-    records = []
-    for idx in draws:
-        outs = tuple(int(v) for v in np.unravel_index(idx, joint.shape))
-        shot = tuple(
-            MeasurementRecord(measured[i], i,
-                              bool(slot_marginal(outs[:i])[outs[i]] >= 1.0 - 1e-9),
-                              outs[i])
-            for i in range(m))
-        records.append(shot)
-    return records
+    flags = None
+    for idx in set(draws.tolist()):
+        outs = np.unravel_index(idx, joint.shape)
+        row = [bool(slot_marginal(outs[:i])[k] >= 1.0 - 1e-9)
+               for i, k in enumerate(outs)]
+        if flags is not None and row != flags:
+            raise QuditSimError("deterministic flags of the dense joint "
+                                "depend on the sampled outcomes")
+        flags = row
+    outcomes = np.stack(np.unravel_index(draws, joint.shape), axis=1)
+    return (outcomes.astype(np.int64), np.array(measured, dtype=np.int64),
+            np.arange(len(measured), dtype=np.int64),
+            np.array(flags, dtype=bool))
 
 
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 method: str = "tableau", threads: int = None,
                 initial_tableau: Tableau = None,
                 amplitude_cap: int = DEFAULT_AMPLITUDE_CAP) -> SimulationResult:
-    """Sample measurement records and tallied counts for a circuit."""
+    """Sample measurement outcomes and tallied counts for a circuit."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
     d = circuit.dimension.d
     if method == "tableau" and not circuit.dimension.is_odd_prime:
         method_used = "weyl"
     else:
         method_used = method
+    if initial_tableau is not None and method_used in ("weyl", "statevector"):
+        raise ValueError("initial_tableau requires the odd-prime tableau or "
+                         "frames backend")
 
     if method_used == "frames":
         sim = FrameSimulator(circuit, seed, initial_tableau)
-        matrix = sim.run(shots, threads)
-        refs = sim.reference_records
-        records = [tuple(MeasurementRecord(r.qudit, r.seq, r.deterministic,
-                                           int(row[i]))
-                         for i, r in enumerate(refs))
-                   for row in matrix]
+        columns = (sim.run(shots, threads), *_slot_arrays(sim.reference_records))
     else:
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
-        if method_used == "statevector":
-            if initial_tableau is not None:
-                raise ValueError("initial_tableau is only supported on the "
-                                 "stabilizer methods")
-            measured = _terminal_measurement_plan(circuit)
-            if measured is not None:
-                records = _run_dense_fast(circuit, measured, shots, rng,
-                                          amplitude_cap)
-            else:
-                n, dim = circuit.num_qudits, circuit.dimension
-                records = [_run_shot(circuit, DenseState(n, dim, amplitude_cap), rng)
-                           for _ in range(shots)]
+        n, dim = circuit.num_qudits, circuit.dimension
+        measured = (_terminal_measurement_plan(circuit)
+                    if method_used == "statevector" else None)
+        if measured is not None:
+            columns = _run_dense_fast(circuit, measured, shots, rng,
+                                      amplitude_cap)
         else:
-            records = []
-            for _ in range(shots):
-                if method_used == "weyl":
-                    if initial_tableau is not None:
-                        raise ValueError("initial_tableau requires the odd-prime "
-                                         "tableau backend")
-                    state = WeylTableau(circuit.num_qudits, circuit.dimension)
-                elif initial_tableau is not None:
-                    state = initial_tableau.copy()
-                else:
-                    state = Tableau(circuit.num_qudits, circuit.dimension)
-                records.append(_run_shot(circuit, state, rng))
+            if method_used == "statevector":
+                new_state = partial(DenseState, n, dim, amplitude_cap)
+            elif method_used == "weyl":
+                new_state = partial(WeylTableau, n, dim)
+            elif initial_tableau is not None:
+                new_state = initial_tableau.copy
+            else:
+                new_state = partial(Tableau, n, dim)
+            columns = _run_per_shot(circuit, new_state, shots, rng)
 
+    outcomes, qudits, seqs, deterministic = columns
     return SimulationResult(
         dimension=d,
         num_qudits=circuit.num_qudits,
         shots=shots,
         seed=seed,
         method=method,
-        records=records,
-        counts=records_to_counts(records, d),
+        outcomes=outcomes,
+        qudits=qudits,
+        seqs=seqs,
+        deterministic=deterministic,
+        counts=records_to_counts(outcomes, d),
     )

@@ -123,6 +123,16 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert option in proc.stderr and len(proc.stderr.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [
+        ["rb", "--p", "0.1"], ["lrbd", "--p", "0.1"], ["validate"]])
+    @pytest.mark.parametrize("circuits", ["0", "-2"])
+    def test_empty_corpus_is_4(self, command, circuits):
+        proc = run_cli(*command, "--seed", "0", "--circuits", circuits)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == (f"quditsim: error: --circuits must be >= 1, "
+                               f"got {circuits}\n")
+
     def test_missing_file_is_5(self):
         proc = run_cli("run", "/nonexistent/x.sdim", "--shots", "1",
                        "--seed", "0")

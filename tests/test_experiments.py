@@ -157,6 +157,11 @@ class TestValidateBackendPair:
                                        shots=800, threshold=0.2, seed=9)
         assert report["all_passed"]
 
+    def test_empty_corpus_rejected(self):
+        with pytest.raises(ShapeError, match="at least one circuit"):
+            validate_backend_pair([], "tableau", "statevector", shots=10,
+                                  threshold=0.2, seed=0)
+
 
 class TestChannels:
     """Closed-form channel distributions."""
@@ -256,6 +261,16 @@ class TestRB:
             RBConfig(d=3, depths=(-1,), circuits_per_depth=1, shots=10, p=0.0)
         with pytest.raises(ShapeError):
             RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("circuits_per_depth", 0), ("circuits_per_depth", -1),
+        ("shots", 0), ("depths", ()),
+    ])
+    def test_config_rejects_empty_runs(self, field, value):
+        kwargs = dict(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=0.0)
+        kwargs[field] = value
+        with pytest.raises(ShapeError, match="depths|>= 1"):
+            RBConfig(**kwargs)
 
 
 class TestDetectionCode:

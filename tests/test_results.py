@@ -1,0 +1,279 @@
+"""Columnar SimulationResult: per-slot flags, counts, views and CLI bytes.
+
+The CLI writers stream their text from the outcome array.  The byte tests
+rebuild each output the way it used to be written, from the per-shot record
+view, and require the streamed text to match it exactly.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from quditsim import cli
+from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
+from quditsim.circuit import Circuit, serialize_sdim
+from quditsim.experiments import OutcomeDistribution, per_slot_distributions
+from quditsim.frames import SHARD_SIZE, FrameSimulator
+from quditsim.simulate import _run_shot, records_to_counts, run_circuit
+from quditsim.statevector import DenseState
+from quditsim.tableau import Tableau
+from quditsim.weyl import WeylTableau
+
+
+def corpus(seed: int, dims, count: int, max_qudits: int, max_depth: int):
+    """Random circuits drawn the way the cross-backend corpora draw them."""
+    rng = np.random.default_rng(seed)
+    circuits = []
+    for i in range(count):
+        n = int(rng.integers(1, max_qudits + 1))
+        depth = int(rng.integers(1, max_depth + 1))
+        circuits.append(build_random_clifford_circuit(n, dims[i % len(dims)],
+                                                      depth, rng))
+    return circuits
+
+
+def per_shot_records(circuit, shots: int, seed, new_state) -> list:
+    """Records of independent shots, drawn from run_circuit's RNG stream."""
+    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+    return [_run_shot(circuit, new_state(), rng) for _ in range(shots)]
+
+
+def record_outcomes(records) -> np.ndarray:
+    return np.array([[r.outcome for r in shot] for shot in records],
+                    dtype=np.int64).reshape(len(records), -1)
+
+
+def old_tally(records, d: int) -> dict:
+    """Counts as the per-shot tuple tally computed them.  records holds
+    per-shot MeasurementRecord tuples or outcome rows."""
+    tally = {}
+    for shot in records:
+        outs = tuple(getattr(r, "outcome", r) for r in shot)
+        tally[outs] = tally.get(outs, 0) + 1
+    sep = "" if d <= 10 else "-"
+    return {sep.join(map(str, outs)): c for outs, c in sorted(tally.items())}
+
+
+class TestSlotFlags:
+    """One deterministic flag per slot holds for every shot."""
+
+    @pytest.mark.parametrize("seed, dims, count, max_qudits, max_depth", [
+        (3, (3, 5, 7), 12, 5, 100),   # criterion 03 corpus
+        (4, (3, 5), 6, 6, 200),       # criterion 04 corpus
+    ])
+    def test_tableau_and_frames_flags(self, seed, dims, count, max_qudits,
+                                      max_depth):
+        for i, circuit in enumerate(corpus(seed, dims, count, max_qudits,
+                                           max_depth)):
+            n, dim = circuit.num_qudits, circuit.dimension
+            records = per_shot_records(circuit, 25, i,
+                                       lambda: Tableau(n, dim))
+            tab = run_circuit(circuit, 25, i, "tableau")
+            frames = run_circuit(circuit, 25, i, "frames")
+            assert np.array_equal(tab.outcomes, record_outcomes(records))
+            for shot in records:
+                flags = [r.deterministic for r in shot]
+                assert tab.deterministic.tolist() == flags
+                assert frames.deterministic.tolist() == flags
+                assert tab.qudits.tolist() == [r.qudit for r in shot]
+                assert tab.seqs.tolist() == [r.seq for r in shot]
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_weyl_flags(self, d):
+        for i, circuit in enumerate(corpus(20 + d, (d,), 4, 4, 40)):
+            n, dim = circuit.num_qudits, circuit.dimension
+            records = per_shot_records(circuit, 15, i,
+                                       lambda: WeylTableau(n, dim))
+            result = run_circuit(circuit, 15, i, "tableau")
+            assert np.array_equal(result.outcomes, record_outcomes(records))
+            for shot in records:
+                assert result.deterministic.tolist() == [r.deterministic
+                                                         for r in shot]
+
+    def test_statevector_per_shot_flags(self):
+        circuit = reset_circuit()
+        n, dim = circuit.num_qudits, circuit.dimension
+        records = per_shot_records(circuit, 40, 5, lambda: DenseState(n, dim))
+        result = run_circuit(circuit, 40, 5, "statevector")
+        assert np.array_equal(result.outcomes, record_outcomes(records))
+        for shot in records:
+            assert result.deterministic.tolist() == [r.deterministic
+                                                     for r in shot]
+
+    def test_dense_fast_path_flags(self):
+        result = run_circuit(build_ghz_chain(3, 5, measure=True), 200, 1,
+                             "statevector")
+        assert result.deterministic.tolist() == [False, True, True]
+        assert (result.outcomes == result.outcomes[:, :1]).all()
+
+    def test_frames_take_reference_flags(self):
+        circuit = build_random_clifford_circuit(
+            4, 3, 60, np.random.default_rng(8), noise=("d", 0.02))
+        result = run_circuit(circuit, 300, 9, "frames")
+        sim = FrameSimulator(circuit, 9)
+        assert np.array_equal(result.outcomes, sim.run(300))
+        refs = sim.reference_records
+        assert result.deterministic.tolist() == [r.deterministic for r in refs]
+        assert result.qudits.tolist() == [r.qudit for r in refs]
+        assert result.seqs.tolist() == [r.seq for r in refs]
+
+
+class TestColumns:
+    """Array shapes, counts and the per-shot compatibility views."""
+
+    def test_shapes(self):
+        circuit = build_ghz_chain(3, 3, measure=True)
+        for method in ("tableau", "frames", "statevector"):
+            result = run_circuit(circuit, 7, 0, method)
+            assert result.outcomes.shape == (7, 3)
+            assert result.outcomes.dtype == np.int64
+            for column in (result.qudits, result.seqs, result.deterministic):
+                assert column.shape == (3,)
+            assert result.deterministic.dtype == bool
+
+    def test_records_view(self):
+        circuit = build_ghz_chain(2, 3, measure=True)
+        result = run_circuit(circuit, 5, 3, "frames")
+        assert result.records is result.records
+        assert len(result.records) == 5
+        for shot, row in zip(result.records, result.outcome_tuples()):
+            assert tuple(r.outcome for r in shot) == row
+            assert all(type(r.outcome) is int for r in shot)
+            assert [type(r.deterministic) for r in shot] == [bool, bool]
+
+    @pytest.mark.parametrize("method", ["tableau", "frames"])
+    def test_counts_match_old_tally(self, method):
+        circuit = build_random_clifford_circuit(
+            5, 3, 80, np.random.default_rng(2), noise=("d", 0.05))
+        result = run_circuit(circuit, 2000, 4, method)
+        assert result.counts == old_tally(result.records, 3)
+        assert list(result.counts) == list(old_tally(result.records, 3))
+
+    def test_counts_of_wide_rows(self):
+        rng = np.random.default_rng(6)
+        outcomes = rng.integers(0, 3, (500, 45))
+        outcomes[:250] = outcomes[250:]
+        tally = records_to_counts(outcomes, 3)
+        assert sum(tally.values()) == 500
+        assert list(tally) == list(old_tally(outcomes.tolist(), 3))
+        assert tally == old_tally(outcomes.tolist(), 3)
+
+    def test_counts_with_dashed_keys(self):
+        circuit = build_random_clifford_circuit(
+            3, 11, 30, np.random.default_rng(7), noise=("d", 0.05))
+        result = run_circuit(circuit, 400, 1, "frames")
+        assert result.counts == old_tally(result.records, 11)
+        assert all("-" in key for key in result.counts)
+
+    def test_per_slot_distributions_from_array(self):
+        circuit = build_random_clifford_circuit(
+            4, 5, 50, np.random.default_rng(3), noise=("d", 0.05))
+        result = run_circuit(circuit, 600, 2, "frames")
+        from_array = per_slot_distributions(result.outcomes, 5)
+        from_records = per_slot_distributions(result.records, 5)
+        assert len(from_array) == circuit.num_measurements
+        for i, (a, b) in enumerate(zip(from_array, from_records)):
+            # label order feeds rb_fidelity's sum, so it must match too
+            loop = OutcomeDistribution.from_outcomes(
+                [shot[i].outcome for shot in result.records], 5)
+            for dist in (a, b):
+                assert list(dist.probs.items()) == list(loop.probs.items())
+
+
+@pytest.mark.parametrize("shots", [0, -5])
+@pytest.mark.parametrize("method", ["tableau", "weyl", "frames",
+                                    "statevector"])
+def test_nonpositive_shots_rejected(method, shots):
+    with pytest.raises(ValueError, match=str(shots)):
+        run_circuit(build_ghz_chain(2, 3, measure=True), shots, 0, method)
+
+
+# -- CLI bytes -----------------------------------------------------------------
+
+def reset_circuit() -> Circuit:
+    circuit = Circuit(2, 3)
+    for name, qudits, kwargs in [("F", (0,), {}), ("SUM", (0, 1), {}),
+                                 ("M", (0,), {}),
+                                 ("N1", (1,), {"noise_channel": "d",
+                                               "prob": 0.2}),
+                                 ("RESET", (0,), {}), ("M", (1,), {}),
+                                 ("M", (0,), {})]:
+        circuit.add_gate(name, *qudits, **kwargs)
+    return circuit
+
+
+def old_output(result, seed: int, out: str) -> str:
+    """stdout as the writers built it from per-shot records."""
+    if out == "json":
+        text = json.dumps({
+            "dimension": result.dimension,
+            "qudits": result.num_qudits,
+            "shots": result.shots,
+            "seed": seed,
+            "method": result.method,
+            "records": [[{"qudit": r.qudit, "seq": r.seq,
+                          "deterministic": r.deterministic,
+                          "outcome": r.outcome} for r in shot]
+                        for shot in result.records],
+            "counts": old_tally(result.records, result.dimension),
+        }, indent=2)
+    elif out == "counts":
+        text = "\n".join(f"{key} {count}" for key, count in
+                         old_tally(result.records, result.dimension).items())
+    else:
+        lines = ["shot,qudit,seq,deterministic,outcome"]
+        for s, shot in enumerate(result.records):
+            for r in shot:
+                lines.append(f"{s},{r.qudit},{r.seq},"
+                             f"{int(r.deterministic)},{r.outcome}")
+        text = "\n".join(lines)
+    return text if text.endswith("\n") else text + "\n"
+
+
+def noisy(n, d, depth, seed):
+    return build_random_clifford_circuit(n, d, depth,
+                                         np.random.default_rng(seed),
+                                         noise=("d", 0.03))
+
+
+def noiseless(n, d, depth, seed):
+    return build_random_clifford_circuit(n, d, depth,
+                                         np.random.default_rng(seed))
+
+
+BYTE_CASES = {
+    # name: (circuit, method, shots); frames crosses a chunk boundary
+    "frames": (lambda: noisy(4, 3, 60, 1), "frames", SHARD_SIZE + 37),
+    "tableau": (lambda: noisy(3, 5, 40, 2), "tableau", 150),
+    "weyl_d4": (lambda: noiseless(3, 4, 30, 3), "tableau", 80),
+    "statevector_fast": (lambda: build_ghz_chain(2, 3, measure=True),
+                         "statevector", 120),
+    "statevector_per_shot": (reset_circuit, "statevector", 120),
+    "frames_d11": (lambda: noisy(3, 11, 30, 4), "frames", 300),
+    "no_measurements": (lambda: Circuit(2, 3), "frames", 5),
+}
+
+
+@pytest.mark.parametrize("out", ["json", "csv", "counts"])
+@pytest.mark.parametrize("case", sorted(BYTE_CASES))
+def test_cli_bytes_match_record_writers(case, out, tmp_path, capsys):
+    build, method, shots = BYTE_CASES[case]
+    circuit = build()
+    path = tmp_path / "circuit.sdim"
+    path.write_text(serialize_sdim(circuit))
+    seed = 17
+    assert cli.main(["run", str(path), "--shots", str(shots), "--seed",
+                     str(seed), "--method", method, "--out", out,
+                     "--threads", "1"]) == 0
+    stdout = capsys.readouterr().out
+    expected = run_circuit(circuit, shots, seed, method, threads=1)
+    if case == "statevector_fast":
+        assert expected.deterministic.tolist() == [False, True]
+    old = old_output(expected, seed, out)
+    if stdout != old:  # a plain assert would diff megabytes of text
+        new_lines, old_lines = stdout.splitlines(), old.splitlines()
+        at = next((i for i, pair in enumerate(zip(new_lines, old_lines))
+                   if pair[0] != pair[1]), min(len(new_lines), len(old_lines)))
+        pytest.fail(f"stdout differs at line {at + 1}: "
+                    f"{new_lines[at:at + 1]} != {old_lines[at:at + 1]}")
