@@ -33,7 +33,6 @@ from .errors import (DimensionError, MemoryCapError, ParseError,
                      QuditSimError)
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
-from .frames import SHARD_SIZE
 from .simulate import run_circuit
 
 EXIT_OK = 0
@@ -43,6 +42,9 @@ EXIT_USAGE = 4
 EXIT_IO = 5
 EXIT_MEMORY = 6
 EXIT_INTERNAL = 7
+
+# --out json|csv writes the text of this many shots at a time
+CHUNK_SHOTS = 4096
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,8 +107,8 @@ def _slot_text(result, render) -> np.ndarray:
 def _chunks(result):
     """(first shot, text table indices) per chunk of outcome rows."""
     offsets = np.arange(result.outcomes.shape[1]) * result.dimension
-    for start in range(0, result.shots, SHARD_SIZE):
-        yield start, result.outcomes[start:start + SHARD_SIZE] + offsets
+    for start in range(0, result.shots, CHUNK_SHOTS):
+        yield start, result.outcomes[start:start + CHUNK_SHOTS] + offsets
 
 
 def _write_json(result, seed) -> None:
@@ -364,6 +366,24 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _check_values(args) -> None:
+    """Reject option values that the library would refuse, as usage errors."""
+    for attr in ("shots", "threads", "circuits", "max_qudits", "max_depth"):
+        value = getattr(args, attr, None)
+        if value is not None and value < 1:
+            raise _usage_error(f"--{attr.replace('_', '-')} must be >= 1, "
+                               f"got {value}")
+    for attr in ("p", "noise_prob"):
+        value = getattr(args, attr, None)
+        if value is not None and not 0.0 <= value <= 1.0:
+            raise _usage_error(f"--{attr.replace('_', '-')} must lie in "
+                               f"[0, 1], got {value}")
+    depths = getattr(args, "depths", ())
+    if any(depth < 0 for depth in depths):
+        raise _usage_error(f"--depths must be >= 0, got "
+                           f"{','.join(map(str, depths))}")
+
+
 _COMMANDS = {"run": _cmd_run, "gen": _cmd_gen, "validate": _cmd_validate,
              "rb": _cmd_rb, "lrbd": _cmd_lrbd}
 
@@ -375,10 +395,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        for option in ("shots", "threads", "circuits"):
-            value = getattr(args, option, None)
-            if value is not None and value < 1:
-                raise _usage_error(f"--{option} must be >= 1, got {value}")
+        _check_values(args)
         return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)

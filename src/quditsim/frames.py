@@ -15,6 +15,21 @@ it the frame stays uniform over the current stabilizer group for the whole
 run, which makes random outcomes uniform and leaves deterministic outcomes
 exact in every shot.
 
+Layout: a shard keeps fx and fz qudit-major, one row of shots per qudit, in
+the smallest unsigned dtype that holds 2d - 1 (uint8 for d <= 127), so a
+gate reads and rewrites whole contiguous rows and the sum of two reduced
+entries never wraps before it is taken mod d.  Measured outcomes collect
+in an (M, shots) block that run() transposes into its (shots, M) int64
+result.
+
+Noise is sampled sparsely, after Stim's frame simulator (Gidney 2021): for
+each N1 and shard the number of firing shots is drawn from Binomial(shard
+size, p), that many distinct shots are chosen uniformly, and only those get
+an error, uniform over the channel's support.  Each (instruction, shot) pair
+still fires independently with probability p, so the distribution is
+exactly that of one Bernoulli draw per pair, while the cost follows the
+events that fire.
+
 Shots are processed in fixed-size shards, each with its own child of the
 master seed sequence, so results are identical whether shards run serially
 or across a thread pool.
@@ -22,6 +37,7 @@ or across a thread pool.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -33,7 +49,9 @@ from .noise import sample_error_batch
 from .pauli import _as_dimension
 from .tableau import Tableau
 
-SHARD_SIZE = 4096
+# Every instruction costs a few numpy calls per shard whatever its size, so
+# large shards amortize that; a shard's frame rows stay small (16 KiB each).
+SHARD_SIZE = 16384
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
@@ -84,6 +102,8 @@ class FrameSimulator:
         self.shard_size = int(shard_size)
         self._seedseq = _as_seedseq(seed)
         self.op_count = 0
+        # frame entries live in [0, d); sums of two fit before reduction
+        self._dtype = np.min_scalar_type(2 * self.d - 1)
 
         # uniform powers of these rows seed each shot's frame
         self.init_stab_x = tab.X[self.n:].copy()
@@ -91,66 +111,72 @@ class FrameSimulator:
 
         ref_rng = np.random.Generator(np.random.PCG64(self._seedseq.spawn(1)[0]))
         self.reference_records = _trace(circuit, tab, ref_rng)
-        self._ref_outcomes = np.array([r.outcome for r in self.reference_records],
-                                      dtype=np.int64)
+        self._ref_outcomes = [r.outcome for r in self.reference_records]
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
-        """Record matrix of shape (shots, num_measurements)."""
+        """Record matrix of shape (shots, num_measurements), dtype int64."""
         shots = int(shots)
         if shots < 1:
-            return np.zeros((0, self.circuit.num_measurements), dtype=np.int64)
-        sizes = []
-        left = shots
-        while left > 0:
-            sizes.append(min(self.shard_size, left))
-            left -= sizes[-1]
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        sizes = [min(self.shard_size, shots - start)
+                 for start in range(0, shots, self.shard_size)]
         children = self._seedseq.spawn(len(sizes))
         jobs = [(np.random.Generator(np.random.PCG64(child)), size)
                 for child, size in zip(children, sizes)]
-        if threads and threads > 1 and len(jobs) > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 parts = list(pool.map(lambda job: self._run_shard(*job), jobs))
         else:
             parts = [self._run_shard(rng, size) for rng, size in jobs]
         self.op_count += sum(ops for _, ops in parts)
-        return np.concatenate([out for out, _ in parts], axis=0)
+        return np.concatenate([out.T for out, _ in parts], axis=0,
+                              dtype=np.int64)
 
     def _run_shard(self, rng: np.random.Generator, size: int):
-        d, n = self.d, self.n
-        powers = rng.integers(0, d, (size, n))
-        fx = (powers @ self.init_stab_x) % d
-        fz = (powers @ self.init_stab_z) % d
-        out = np.empty((size, self.circuit.num_measurements), dtype=np.int64)
+        """(M, size) outcomes of one shard and its frame-slot update count."""
+        d, dtype = self.d, self._dtype
+        powers = rng.integers(0, d, (self.n, size))
+        fx = ((self.init_stab_x.T @ powers) % d).astype(dtype)
+        fz = ((self.init_stab_z.T @ powers) % d).astype(dtype)
+        out = np.empty((self.circuit.num_measurements, size), dtype=dtype)
         mi = 0
         ops = 0  # frame-slot updates: O(1) per shot per instruction
         for ins in self.circuit.instructions:
             name = ins.name
             if name == "M":
                 j = ins.qudits[0]
-                out[:, mi] = (self._ref_outcomes[mi] + fx[:, j]) % d
+                np.remainder(fx[j] + self._ref_outcomes[mi], d, out=out[mi])
                 mi += 1
-                fz[:, j] = (fz[:, j] + rng.integers(0, d, size)) % d
+                row = fz[j]
+                row += rng.integers(0, d, size, dtype=dtype)
+                row %= d
                 ops += 2 * size
             elif name == "RESET":
                 j = ins.qudits[0]
-                fx[:, j] = 0
-                fz[:, j] = rng.integers(0, d, size)
+                fx[j] = 0
+                fz[j] = rng.integers(0, d, size, dtype=dtype)
                 ops += 2 * size
             elif name == "N1":
-                j = ins.qudits[0]
-                a, b = sample_error_batch(ins.noise_channel, ins.prob, d, rng, size)
-                fx[:, j] = (fx[:, j] + a) % d
-                fz[:, j] = (fz[:, j] + b) % d
+                # Bernoulli(prob) per shot: a binomial count of firing shots,
+                # a uniform subset of that size, then errors from the support
+                k = rng.binomial(size, ins.prob)
+                if k:
+                    j = ins.qudits[0]
+                    hit = rng.choice(size, k, replace=False, shuffle=False)
+                    a, b = sample_error_batch(ins.noise_channel, 1.0, d,
+                                              rng, k)
+                    fx[j, hit] = (fx[j, hit] + a) % d
+                    fz[j, hit] = (fz[j, hit] + b) % d
                 ops += 2 * size
             else:
                 gate = GATES[name]
                 if gate.arity == 2:
                     c, t = ins.qudits
-                    fx[:, t], fz[:, c] = gate.cols(fx[:, c], fz[:, c],
-                                                   fx[:, t], fz[:, t], d)
+                    fx[t], fz[c] = gate.cols(fx[c], fz[c], fx[t], fz[t], d)
                 elif gate.cols is not None:  # X and Z powers move only phases
                     j = ins.qudits[0]
-                    fx[:, j], fz[:, j] = gate.cols(fx[:, j], fz[:, j], d)
+                    fx[j], fz[j] = gate.cols(fx[j], fz[j], d)
                 ops += gate.arity * size
         return out, ops
 

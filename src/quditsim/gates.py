@@ -18,7 +18,9 @@ A single-qudit gate maps one qudit's exponent columns (x, z) by a
 symplectic matrix.  Given numpy columns reduced mod m, cols(x, z, m)
 returns the new columns reduced mod m as fresh arrays, so that callers may
 pass views and write the results back in either order; cols is None for X
-and Z powers, which move only phases.  omega(x, z, d) is the increment of
+and Z powers, which move only phases.  No intermediate leaves [0, 2m - 1],
+so the columns may also be unsigned arrays of a dtype that holds 2m - 1, as
+the frame sampler keeps them.  omega(x, z, d) is the increment of
 r (tableau rows) and tau(x, z, d) the increment of f (Weyl coordinates,
 None where f does not move), both computed from the columns before the
 gate.  P and P_INV move the tau phase only for odd d: for even d the phase
@@ -59,23 +61,23 @@ GATE_TABLE = (
          omega=lambda x, z, d: x, tau=lambda x, z, d: 2 * x),
     Gate("Z_INV", 1, "Z",
          omega=lambda x, z, d: -x, tau=lambda x, z, d: -2 * x),
-    Gate("F", 1, "F_INV", cols=lambda x, z, m: ((-z) % m, x.copy()),
+    Gate("F", 1, "F_INV", cols=lambda x, z, m: ((m - z) % m, x.copy()),
          omega=lambda x, z, d: -x * z, tau=lambda x, z, d: None,
          aliases=("H",)),
-    Gate("F_INV", 1, "F", cols=lambda x, z, m: (z.copy(), (-x) % m),
+    Gate("F_INV", 1, "F", cols=lambda x, z, m: (z.copy(), (m - x) % m),
          omega=lambda x, z, d: -x * z, tau=lambda x, z, d: None,
          aliases=("H_INV",)),
     Gate("P", 1, "P_INV", cols=lambda x, z, m: (x.copy(), (z + x) % m),
          omega=lambda x, z, d: (x * (x - 1)) // 2,
          tau=lambda x, z, d: -x if d % 2 else None),
-    Gate("P_INV", 1, "P", cols=lambda x, z, m: (x.copy(), (z - x) % m),
+    Gate("P_INV", 1, "P", cols=lambda x, z, m: (x.copy(), (z + (m - x)) % m),
          omega=lambda x, z, d: -((x * (x - 1)) // 2),
          tau=lambda x, z, d: x if d % 2 else None),
     Gate("SUM", 2, "SUM_INV",
-         cols=lambda xc, zc, xt, zt, m: ((xt + xc) % m, (zc - zt) % m),
+         cols=lambda xc, zc, xt, zt, m: ((xt + xc) % m, (zc + (m - zt)) % m),
          aliases=("CNOT",)),
     Gate("SUM_INV", 2, "SUM",
-         cols=lambda xc, zc, xt, zt, m: ((xt - xc) % m, (zc + zt) % m),
+         cols=lambda xc, zc, xt, zt, m: ((xt + (m - xc)) % m, (zc + zt) % m),
          aliases=("CNOT_INV",)),
 )
 

@@ -7,9 +7,12 @@ otherwise applies a uniformly random nonidentity error from its support:
     'p' (phase):         Z^b, b in 1..d-1
     'd' (depolarizing):  X^a Z^b, (a, b) != (0, 0)
 
-Every sampling call consumes exactly one uniform float and one integer draw
-per event, whether or not an error fires, so shot streams stay aligned
-across circuits that only differ in where errors land.
+sample_error and sample_error_batch consume one uniform float and one
+integer draw per event, whether or not an error fires, so the per-shot
+streams of the tableau, Weyl and statevector backends stay aligned across
+circuits that only differ in where errors land.  The frame sampler draws
+the firing shots itself (see frames.py) and calls sample_error_batch with
+prob 1.0 for those shots only, so its draws follow the events that fire.
 """
 
 from __future__ import annotations

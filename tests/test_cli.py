@@ -133,6 +133,27 @@ class TestExitCodes:
         assert proc.stderr == (f"quditsim: error: --circuits must be >= 1, "
                                f"got {circuits}\n")
 
+    @pytest.mark.parametrize("argv, message", [
+        (["rb", "--p", "1.5"], "--p must lie in [0, 1], got 1.5"),
+        (["lrbd", "--p", "-0.1"], "--p must lie in [0, 1], got -0.1"),
+        (["rb", "--p", "0.1", "--depths=-1,2"],
+         "--depths must be >= 0, got -1,2"),
+        (["lrbd", "--p", "0.1", "--depths", "3,-4"],
+         "--depths must be >= 0, got 3,-4"),
+        (["validate", "--max-qudits", "0"],
+         "--max-qudits must be >= 1, got 0"),
+        (["validate", "--max-depth", "0"], "--max-depth must be >= 1, got 0"),
+        (["validate", "--noise-prob", "2"],
+         "--noise-prob must lie in [0, 1], got 2.0"),
+        (["gen", "random", "--n", "2", "--d", "3", "--depth", "2",
+          "--noise-prob", "1.5"], "--noise-prob must lie in [0, 1], got 1.5"),
+    ])
+    def test_out_of_range_values_are_4(self, argv, message):
+        proc = run_cli(*argv, "--seed", "0")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == f"quditsim: error: {message}\n"
+
     def test_missing_file_is_5(self):
         proc = run_cli("run", "/nonexistent/x.sdim", "--shots", "1",
                        "--seed", "0")

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+import quditsim.frames as frames_module
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError
 from quditsim.frames import FrameSimulator, reference_run, run_frames
+from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import run_circuit
 from quditsim.tableau import Tableau
 
@@ -178,3 +180,113 @@ class TestCustomInitialTableau:
         assert first > 0
         sim.run(100)
         assert sim.op_count > first
+
+
+class TestInputChecks:
+    """Shot and thread counts."""
+
+    def test_nonpositive_shots_rejected(self):
+        c = build_ghz_chain(2, 3, measure=True)
+        for shots in (0, -5):
+            with pytest.raises(ValueError, match=f"got {shots}"):
+                FrameSimulator(c, 0).run(shots)
+            with pytest.raises(ValueError, match=f"got {shots}"):
+                run_frames(c, shots, seed=0)
+
+    @pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, [])])
+    def test_workers_capped_by_shards_and_cpus(self, monkeypatch, cpus, pools):
+        started = []
+
+        class Recording(frames_module.ThreadPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(frames_module, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(frames_module.os, "cpu_count", lambda: cpus)
+        c = build_ghz_chain(3, 5, measure=True)
+        serial = FrameSimulator(c, seed=4, shard_size=64).run(100)
+        pooled = FrameSimulator(c, seed=4, shard_size=64).run(100, threads=16)
+        assert started == pools
+        assert np.array_equal(serial, pooled)
+
+
+def observed_component(kind, prob, d, read):
+    """Outcome distribution of N1 then M (read 'x', which measures a) or of
+    F, N1, F_INV, M (read 'z', which measures b), from the channel's exact
+    table."""
+    dist = np.zeros(d)
+    for (a, b), p in error_distribution(kind, prob, d).items():
+        dist[a if read == "x" else b] += p
+    return dist
+
+
+class TestChannelSampling:
+    """Sparse noise draws one Bernoulli(p) error per instruction and shot."""
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("prob", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("read", ["x", "z"])
+    def test_single_channel_matches_error_distribution(self, kind, d, prob,
+                                                       read):
+        shots = 20000
+        c = Circuit(1, d)
+        if read == "z":
+            c.add_gate("F", 0)
+        c.add_gate("N1", 0, noise_channel=kind, prob=prob)
+        if read == "z":
+            c.add_gate("F_INV", 0)
+        c.add_gate("M", 0)
+        mat = run_frames(c, shots, seed=17)
+        freqs = np.bincount(mat[:, 0], minlength=d) / shots
+        expected = observed_component(kind, prob, d, read)
+        # five binomial standard deviations; exact where expected is 0 or 1
+        bound = 5 * np.sqrt(expected * (1 - expected) / shots) + 1e-12
+        assert (np.abs(freqs - expected) <= bound).all(), (freqs, expected)
+
+
+def sample_tvd_bound(pooled, n1, n2, factor=4.0):
+    """factor times the expected TVD between two independent samples
+    (sizes n1, n2) of one categorical distribution, estimated from pooled
+    counts by the normal approximation to each count."""
+    p = pooled / pooled.sum()
+    spread = np.sqrt(2 / np.pi * p * (1 - p) * (1 / n1 + 1 / n2))
+    return factor * 0.5 * spread.sum()
+
+
+class TestWideDimensions:
+    """uint8 frames up to d = 127, a wider dtype beyond."""
+
+    @pytest.mark.parametrize("d", [127, 131])
+    def test_marginals_match_tableau(self, d):
+        rng = np.random.default_rng(d)
+        c = build_random_clifford_circuit(3, d, 40, rng, two_qudit_prob=0.5,
+                                          noise=("d", 0.05),
+                                          mid_measure_prob=0.2,
+                                          reset_prob=0.1)
+        n_frames, n_tab = 20000, 2000
+        fr = run_frames(c, n_frames, seed=1)
+        tab = run_circuit(c, n_tab, seed=2, method="tableau").outcomes
+        m = fr.shape[1]
+        # each slot, and the difference of each pair (GHZ-like correlations)
+        stats = [(fr[:, i], tab[:, i]) for i in range(m)]
+        stats += [((fr[:, i] - fr[:, j]) % d, (tab[:, i] - tab[:, j]) % d)
+                  for i in range(m) for j in range(i + 1, m)]
+        for k, (a, b) in enumerate(stats):
+            ca = np.bincount(a, minlength=d)
+            cb = np.bincount(b, minlength=d)
+            tvd = 0.5 * np.abs(ca / n_frames - cb / n_tab).sum()
+            assert tvd <= sample_tvd_bound(ca + cb, n_frames, n_tab), (d, k)
+
+    @pytest.mark.parametrize("d", [127, 131])
+    def test_entries_up_to_2d_minus_2(self, d):
+        # the second SUM adds x_0 to x_1 == x_0, a sum up to 2d - 2 before
+        # reduction; SUM_INV takes one copy off, leaving a GHZ pair
+        c = Circuit(2, d)
+        for name, *qudits in [("F", 0), ("SUM", 0, 1), ("SUM", 0, 1),
+                              ("SUM_INV", 0, 1), ("M", 0), ("M", 1)]:
+            c.add_gate(name, *qudits)
+        mat = run_frames(c, 20000, seed=3)
+        assert (mat[:, 0] == mat[:, 1]).all()
+        assert len(np.unique(mat[:, 0])) == d

@@ -94,3 +94,22 @@ class TestOracle:
                 q, tau_pow = conjugate_pauli(name, p)
                 assert tau_pow == 0
                 assert omega_image(gate, p) == q
+
+
+class TestUnsignedColumns:
+    """The frame sampler's unsigned columns give the int64 results."""
+
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 127])
+    @pytest.mark.parametrize("name", [g.name for g in GATE_TABLE
+                                      if g.cols is not None])
+    def test_uint8_matches_int64(self, name, m):
+        gate = GATES[name]
+        u, v = np.array(list(itertools.product(range(m), repeat=2))).T
+        # SUM's new x_t depends on (x_c, x_t) and its new z_c on (z_c, z_t),
+        # so (u, u, v, v) covers every input pair of both outputs
+        args = (u, v) if gate.arity == 1 else (u, u, v, v)
+        wide = gate.cols(*(a.astype(np.int64) for a in args), m)
+        narrow = gate.cols(*(a.astype(np.uint8) for a in args), m)
+        for w, n in zip(wide, narrow):
+            assert n.dtype == np.uint8
+            assert np.array_equal(n.astype(np.int64), w)
