@@ -368,11 +368,21 @@ def build_parser() -> _Parser:
 
 def _check_values(args) -> None:
     """Reject option values that the library would refuse, as usage errors."""
-    for attr in ("shots", "threads", "circuits", "max_qudits", "max_depth"):
+    for attr in ("shots", "threads", "circuits", "max_qudits", "max_depth",
+                 "n"):
         value = getattr(args, attr, None)
         if value is not None and value < 1:
             raise _usage_error(f"--{attr.replace('_', '-')} must be >= 1, "
                                f"got {value}")
+    d = getattr(args, "d", None)
+    if isinstance(d, int) and d < 2:  # validate's --d list checks itself
+        raise _usage_error(f"--d must be >= 2, got {d}")
+    depth = getattr(args, "depth", None)
+    if depth is not None and depth < 0:
+        raise _usage_error(f"--depth must be >= 0, got {depth}")
+    value = getattr(args, "value", None)
+    if value is not None and not 0 <= value < d:
+        raise _usage_error(f"--value must lie in [0, {d}), got {value}")
     for attr in ("p", "noise_prob"):
         value = getattr(args, attr, None)
         if value is not None and not 0.0 <= value <= 1.0:

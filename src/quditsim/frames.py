@@ -33,6 +33,12 @@ events that fire.
 Shots are processed in fixed-size shards, each with its own child of the
 master seed sequence, so results are identical whether shards run serially
 or across a thread pool.
+
+The shot-batched tableau backend (simulate.run_circuit, method 'tableau')
+shares this module's pieces: the sparse noise draw (sample_noise), the
+shard scheme (run_shards) and the tableau loop (run_tableau), which the
+reference run above uses on a single shot (a 1-D phase vector) with noise
+skipped.
 """
 
 from __future__ import annotations
@@ -72,21 +78,71 @@ def _start_tableau(circuit, initial_tableau: Tableau = None) -> Tableau:
     return initial_tableau.copy()
 
 
-def _trace(circuit, tab: Tableau, rng) -> list[MeasurementRecord]:
+def sample_noise(ins, d: int, rng, size: int):
+    """Sparse errors of one N1 over a batch of size shots.
+
+    Bernoulli(prob) per shot: a binomial count of firing shots, a uniform
+    subset of that size, then errors from the channel's support.  Returns
+    (shot indices, a, b), or None when no shot fires.
+    """
+    k = rng.binomial(size, ins.prob)
+    if not k:
+        return None
+    hit = rng.choice(size, k, replace=False, shuffle=False)
+    a, b = sample_error_batch(ins.noise_channel, 1.0, d, rng, k)
+    return hit, a, b
+
+
+def run_tableau(circuit, tab: Tableau, rng, noise: bool = True) -> list[MeasurementRecord]:
+    """Run circuit on tab; its MeasurementRecords in program order.
+
+    With a shot axis on tab's phase vector the outcomes are per-shot
+    arrays, with a 1-D one (a single shot) they are ints.  noise=False
+    skips N1; noise needs the shot axis.
+    """
     records = []
     for ins in circuit.instructions:
-        if ins.name == "M":
+        name = ins.name
+        if name == "M":
             records.append(tab.measure_z(ins.qudits[0], rng))
-        elif ins.name == "RESET":
+        elif name == "RESET":
             tab.reset(ins.qudits[0], rng)
-        elif ins.name != "N1":
-            tab.apply_gate(ins.name, *ins.qudits)
+        elif name == "N1":
+            if noise:
+                drawn = sample_noise(ins, tab.d, rng, tab.r.shape[1])
+                if drawn is not None:
+                    hit, a, b = drawn
+                    tab.apply_pauli_error(ins.qudits[0], a, b, hit)
+        else:
+            tab.apply_gate(name, *ins.qudits)
     return records
+
+
+def run_shards(seedseq, shots: int, shard_size: int, threads, run_shard) -> list:
+    """run_shard(rng, size) on consecutive shards of at most shard_size shots.
+
+    Each shard gets its own child of seedseq and the results come back in
+    shard order, so they do not depend on whether the shards run serially
+    or on min(threads, shards, CPUs) pool threads.
+    """
+    shots = int(shots)
+    if shots < 1:
+        raise ValueError(f"shots must be >= 1, got {shots}")
+    sizes = [min(shard_size, shots - start)
+             for start in range(0, shots, shard_size)]
+    jobs = [(np.random.Generator(np.random.PCG64(child)), size)
+            for child, size in zip(seedseq.spawn(len(sizes)), sizes)]
+    workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(lambda job: run_shard(*job), jobs))
+    return [run_shard(rng, size) for rng, size in jobs]
 
 
 def reference_run(circuit, rng, initial_tableau: Tableau = None) -> list[MeasurementRecord]:
     """One noiseless tableau execution; returns its MeasurementRecords."""
-    return _trace(circuit, _start_tableau(circuit, initial_tableau), rng)
+    return run_tableau(circuit, _start_tableau(circuit, initial_tableau), rng,
+                       noise=False)
 
 
 class FrameSimulator:
@@ -110,25 +166,13 @@ class FrameSimulator:
         self.init_stab_z = tab.Z[self.n:].copy()
 
         ref_rng = np.random.Generator(np.random.PCG64(self._seedseq.spawn(1)[0]))
-        self.reference_records = _trace(circuit, tab, ref_rng)
+        self.reference_records = run_tableau(circuit, tab, ref_rng, noise=False)
         self._ref_outcomes = [r.outcome for r in self.reference_records]
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
         """Record matrix of shape (shots, num_measurements), dtype int64."""
-        shots = int(shots)
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
-        sizes = [min(self.shard_size, shots - start)
-                 for start in range(0, shots, self.shard_size)]
-        children = self._seedseq.spawn(len(sizes))
-        jobs = [(np.random.Generator(np.random.PCG64(child)), size)
-                for child, size in zip(children, sizes)]
-        workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                parts = list(pool.map(lambda job: self._run_shard(*job), jobs))
-        else:
-            parts = [self._run_shard(rng, size) for rng, size in jobs]
+        parts = run_shards(self._seedseq, shots, self.shard_size, threads,
+                           self._run_shard)
         self.op_count += sum(ops for _, ops in parts)
         return np.concatenate([out.T for out, _ in parts], axis=0,
                               dtype=np.int64)
@@ -158,14 +202,10 @@ class FrameSimulator:
                 fz[j] = rng.integers(0, d, size, dtype=dtype)
                 ops += 2 * size
             elif name == "N1":
-                # Bernoulli(prob) per shot: a binomial count of firing shots,
-                # a uniform subset of that size, then errors from the support
-                k = rng.binomial(size, ins.prob)
-                if k:
+                drawn = sample_noise(ins, d, rng, size)
+                if drawn is not None:
                     j = ins.qudits[0]
-                    hit = rng.choice(size, k, replace=False, shuffle=False)
-                    a, b = sample_error_batch(ins.noise_channel, 1.0, d,
-                                              rng, k)
+                    hit, a, b = drawn
                     fx[j, hit] = (fx[j, hit] + a) % d
                     fz[j, hit] = (fz[j, hit] + b) % d
                 ops += 2 * size

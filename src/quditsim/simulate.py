@@ -2,8 +2,11 @@
 
 Methods:
 
-- 'tableau': odd prime d runs the destabilizer tableau; any other d falls
-  back to the Weyl generator backend automatically.
+- 'tableau': odd prime d runs the destabilizer tableau shot-batched: each
+  shard of shots shares one X/Z/lam evolution and keeps a (2n, shard)
+  phase array (see tableau.py), with noise drawn sparsely as the frame
+  sampler draws it.  Any other d falls back to the Weyl generator backend
+  automatically.
 - 'weyl': force the Weyl generator backend (any d >= 2).
 - 'frames': Pauli-frame sampler (odd prime d only).
 - 'statevector': dense reference simulation.  Circuits whose measurements
@@ -14,8 +17,16 @@ Results are columnar: outcomes[s, i] is shot s's outcome at measurement
 slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
-earlier outcomes nor Pauli noise change, so one flag per slot is exact; the
-per-shot backends check that every shot agrees with the first.
+earlier outcomes nor Pauli noise change, so one flag per slot is exact.
+The batched tableau reads it from the X-block all shots share; the per-shot
+Weyl and statevector loops check that every shot agrees with the first.
+
+Weyl and statevector shots run one after another on one generator, and
+their noise draws one float and one integer per N1 and shot whether or not
+it fires (noise.sample_error), so their streams stay aligned across
+circuits that differ only in where errors land.  The tableau and frame
+samplers shard shots and give each shard its own child seed
+(frames.run_shards), so their output does not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -27,13 +38,18 @@ import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
 from .errors import QuditSimError
-from .frames import FrameSimulator, _as_seedseq
+from .frames import (SHARD_SIZE, FrameSimulator, _as_seedseq, _start_tableau,
+                     run_shards, run_tableau)
 from .noise import sample_error
 from .statevector import DEFAULT_AMPLITUDE_CAP, DenseState
 from .tableau import Tableau
 from .weyl import WeylTableau
 
 METHODS = ("tableau", "weyl", "frames", "statevector")
+
+# A batched tableau shard holds a (2n, shard) int64 phase array; this caps
+# its entries (8 MiB) for wide registers.
+TABLEAU_SHARD_ENTRIES = 1 << 20
 
 
 def counts_key(outcomes, d: int) -> str:
@@ -152,6 +168,23 @@ def _run_per_shot(circuit: Circuit, new_state, shots: int, rng) -> tuple:
     return (outcomes, *_slot_arrays(first))
 
 
+def _run_batched(circuit: Circuit, seed, shots: int, threads,
+                 initial_tableau: Tableau = None) -> tuple:
+    """Outcome rows and slot arrays from one shot-batched tableau per shard."""
+    start = _start_tableau(circuit, initial_tableau)
+    shard_size = max(1, min(SHARD_SIZE,
+                            TABLEAU_SHARD_ENTRIES // (2 * circuit.num_qudits)))
+
+    def run_shard(rng, size):
+        records = run_tableau(circuit, start.tile_shots(size), rng)
+        outcomes = np.array([r.outcome for r in records], dtype=np.int64)
+        return outcomes.reshape(-1, size), _slot_arrays(records)
+
+    parts = run_shards(_as_seedseq(seed), shots, shard_size, threads, run_shard)
+    outcomes = np.concatenate([out.T for out, _ in parts], axis=0)
+    return (outcomes, *parts[0][1])
+
+
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
                     amplitude_cap: int) -> tuple:
     """Sample all terminal measurements from one joint Born distribution.
@@ -223,6 +256,8 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     if method_used == "frames":
         sim = FrameSimulator(circuit, seed, initial_tableau)
         columns = (sim.run(shots, threads), *_slot_arrays(sim.reference_records))
+    elif method_used == "tableau":
+        columns = _run_batched(circuit, seed, shots, threads, initial_tableau)
     else:
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
         n, dim = circuit.num_qudits, circuit.dimension
@@ -234,12 +269,8 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         else:
             if method_used == "statevector":
                 new_state = partial(DenseState, n, dim, amplitude_cap)
-            elif method_used == "weyl":
-                new_state = partial(WeylTableau, n, dim)
-            elif initial_tableau is not None:
-                new_state = initial_tableau.copy
             else:
-                new_state = partial(Tableau, n, dim)
+                new_state = partial(WeylTableau, n, dim)
             columns = _run_per_shot(circuit, new_state, shots, rng)
 
     outcomes, qudits, seqs, deterministic = columns

@@ -12,6 +12,16 @@ at all ones and only changes when a measurement swaps an unnormalized pivot
 row into the destabilizer block; the deterministic-measurement exponents
 divide by lam to compensate.
 
+Shot batching: the X-block, Z-block and lam evolve the same way in every
+shot, because gates, pivot choice and row elimination never read the phase
+vector, while noise and measurement outcomes only move it, and every update
+of it is affine.  So r may carry a trailing shot axis, shape (2n, shots):
+one tableau then runs a whole batch of shots, a random measurement draws one
+outcome per shot and a deterministic one returns one per shot.  Every method
+below works for either shape; with a 1-D r outcomes are ints, with a shot
+axis they are int64 arrays.  The bodies index r through its transpose, so
+a per-row vector broadcasts over the shots on the trailing axis.
+
 Elementary-operation counters are kept per gate and per measurement so the
 asymptotic costs (linear per gate, quadratic per measurement, independent of
 d) can be checked directly.
@@ -147,6 +157,12 @@ class Tableau:
         out.measure_op_log = list(self.measure_op_log)
         return out
 
+    def tile_shots(self, shots: int) -> "Tableau":
+        """A copy whose 1-D phase vector is repeated over `shots` shots."""
+        out = self.copy()
+        out.r = np.repeat(self.r[:, None], shots, axis=1)
+        return out
+
     # -- row access ----------------------------------------------------------
 
     def destabilizer(self, k: int) -> PauliString:
@@ -184,8 +200,9 @@ class Tableau:
         if gate.arity == 1:
             (j,) = qudits
             x, z = X[:, j], Z[:, j]
-            r += gate.omega(x, z, d)
-            r %= d
+            rt = r.T
+            rt += gate.omega(x, z, d)
+            rt %= d
             if gate.cols is not None:
                 X[:, j], Z[:, j] = gate.cols(x, z, d)
         else:
@@ -193,9 +210,15 @@ class Tableau:
             X[:, t], Z[:, c] = gate.cols(X[:, c], Z[:, c], X[:, t], Z[:, t], d)
         self.gate_op_log.append(2 * gate.arity * self.n)
 
-    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
-        """Conjugate every row by X^a Z^b on qudit j."""
-        self.r = (self.r + b * self.X[:, j] - a * self.Z[:, j]) % self.d
+    def apply_pauli_error(self, j: int, a, b, shots=...) -> None:
+        """Conjugate every row by X^a Z^b on qudit j.
+
+        With a shot axis, shots selects the columns to update (all by
+        default) and a, b are scalars or per-shot arrays for them.
+        """
+        rt = self.r.T
+        rt[shots] = (rt[shots] + np.multiply.outer(b, self.X[:, j])
+                     - np.multiply.outer(a, self.Z[:, j])) % self.d
 
     # -- measurement -----------------------------------------------------------
 
@@ -215,7 +238,7 @@ class Tableau:
         hits = np.flatnonzero(stab_col)
         if len(hits):
             p = n + int(hits[0])
-            k = int(rng.integers(d))
+            k = rng.integers(0, d, self.r.shape[1:] or None)
             ops = 2 * n
             ops += self._eliminate_column(j, p) * (2 * n + 1)
             self.lam[p - n] = int(self.X[p, j])
@@ -228,7 +251,7 @@ class Tableau:
             self.r[p] = (-k) % d
             ops += 2 * (2 * n + 1) + 1
             self.measure_op_log.append(ops)
-            return MeasurementRecord(j, seq, False, k)
+            return MeasurementRecord(j, seq, False, self._outcome(k))
 
         # Z_j = prod_k S_k^y_k with y = X[:n, j] / lam.  Multiplying the
         # powers in order k = 0..n-1 gives the phase sum below: each power
@@ -240,12 +263,16 @@ class Tableau:
         px = (y @ sx) % d
         pz = (y @ sz) % d
         cross = np.triu((y[:, None] * sz) @ (y[:, None] * sx).T, 1).sum()
-        pr = int(y @ self.r[n:] + (y * (y - 1) // 2) @ (sx * sz).sum(axis=1)
-                 + cross)
+        pr = (y @ self.r[n:] + (y * (y - 1) // 2) @ (sx * sz).sum(axis=1)
+              + cross)
         assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
         self.measure_op_log.append(2 * n + n + n * (2 * n + 1))
-        return MeasurementRecord(j, seq, True, -pr % d)
+        return MeasurementRecord(j, seq, True, self._outcome(-pr % d))
+
+    def _outcome(self, k):
+        """k as an int for a 1-D phase vector, else as a per-shot array."""
+        return int(k) if self.r.ndim == 1 else k
 
     def deterministic_outcome_gaussian(self, j: int):
         """Branch decision and outcome by direct linear solving; never mutates.
@@ -282,12 +309,12 @@ class Tableau:
             return 0
         xp = self.X[p].copy()
         zp = self.Z[p].copy()
-        rp = int(self.r[p])
         inv = pow(int(col[p]), -1, d)
         h = (-(col[rows]) * inv) % d
         quad = (h * (h - 1) // 2) * int(xp @ zp)
         cross = h * (self.Z[rows] @ xp)
-        self.r[rows] = (self.r[rows] + h * rp + quad + cross) % d
+        rt = self.r.T
+        rt[..., rows] = (rt[..., rows] + rt[..., [p]] * h + quad + cross) % d
         self.X[rows] = (self.X[rows] + h[:, None] * xp) % d
         self.Z[rows] = (self.Z[rows] + h[:, None] * zp) % d
         return int(len(rows))
@@ -296,5 +323,5 @@ class Tableau:
         """Measure qudit j and shift it back to |0> with an X correction."""
         rec = self.measure_z(j, rng)
         self.measurements_done -= 1  # resets do not occupy a record slot
-        if rec.outcome:
+        if np.count_nonzero(rec.outcome):
             self.apply_pauli_error(j, (-rec.outcome) % self.d, 0)

@@ -154,6 +154,37 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == f"quditsim: error: {message}\n"
 
+    @pytest.mark.parametrize("argv, message", [
+        (["gen", "ghz", "--n", "0", "--d", "3"], "--n must be >= 1, got 0"),
+        (["gen", "random", "--n", "0", "--d", "3", "--depth", "3",
+          "--seed", "1"], "--n must be >= 1, got 0"),
+        (["gen", "dj", "--d", "3", "--value", "7"],
+         "--value must lie in [0, 3), got 7"),
+        (["gen", "random", "--n", "2", "--d", "3", "--depth", "-1",
+          "--seed", "1"], "--depth must be >= 0, got -1"),
+        (["gen", "local", "--n", "3", "--d", "3", "--depth", "-1",
+          "--seed", "1"], "--depth must be >= 0, got -1"),
+    ])
+    def test_bad_gen_values_are_4(self, argv, message):
+        proc = run_cli(*argv)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == f"quditsim: error: {message}\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["rb", "--d", "1", "--p", "0.1", "--seed", "1"],
+        ["gen", "ghz", "--n", "2", "--d", "1"],
+        ["gen", "bv", "--d", "0", "--secret", "0"],
+    ])
+    def test_dimension_below_two_is_4(self, argv):
+        """A bad --d is a usage error; an unsupported method/dimension pair
+        still exits 3 (test_unsupported_combination_is_3)."""
+        proc = run_cli(*argv)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == (f"quditsim: error: --d must be >= 2, "
+                               f"got {argv[argv.index('--d') + 1]}\n")
+
     def test_missing_file_is_5(self):
         proc = run_cli("run", "/nonexistent/x.sdim", "--shots", "1",
                        "--seed", "0")

@@ -14,7 +14,8 @@ from quditsim import cli
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import OutcomeDistribution, per_slot_distributions
-from quditsim.frames import SHARD_SIZE, FrameSimulator
+from quditsim.frames import SHARD_SIZE, FrameSimulator, run_tableau
+from quditsim.gates import GATE_TABLE
 from quditsim.simulate import _run_shot, records_to_counts, run_circuit
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
@@ -37,6 +38,51 @@ def per_shot_records(circuit, shots: int, seed, new_state) -> list:
     """Records of independent shots, drawn from run_circuit's RNG stream."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
     return [_run_shot(circuit, new_state(), rng) for _ in range(shots)]
+
+
+class RecordingRNG:
+    """A generator that logs every integers() draw it hands out."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.draws = []
+
+    def integers(self, *args, **kwargs):
+        out = self.rng.integers(*args, **kwargs)
+        self.draws.append(out)
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self.rng, name)
+
+
+class ReplayRNG:
+    """Hands one shot's column of a batch's logged draws, in order."""
+
+    def __init__(self, draws, shot: int):
+        self._values = iter([int(v[shot]) for v in draws])
+
+    def integers(self, low, high=None, size=None):
+        return next(self._values)
+
+
+def replay_batch(circuit, shots: int, rng):
+    """Run circuit shot-batched on rng, then replay every shot's random
+    outcomes (measurements and resets) on its own per-shot Tableau.
+    Returns the batch outcomes, the per-shot records and the batch tableau.
+    """
+    n, dim = circuit.num_qudits, circuit.dimension
+    recording = RecordingRNG(rng)
+    tab = Tableau(n, dim).tile_shots(shots)
+    batch = run_tableau(circuit, tab, recording)
+    outcomes = np.array([r.outcome for r in batch],
+                        dtype=np.int64).reshape(-1, shots).T
+    records = [_run_shot(circuit, Tableau(n, dim),
+                         ReplayRNG(recording.draws, s)) for s in range(shots)]
+    for shot in records:
+        assert [r.deterministic for r in shot] == [r.deterministic
+                                                   for r in batch]
+    return outcomes, records, tab
 
 
 def record_outcomes(records) -> np.ndarray:
@@ -66,11 +112,13 @@ class TestSlotFlags:
                                       max_depth):
         for i, circuit in enumerate(corpus(seed, dims, count, max_qudits,
                                            max_depth)):
-            n, dim = circuit.num_qudits, circuit.dimension
-            records = per_shot_records(circuit, 25, i,
-                                       lambda: Tableau(n, dim))
             tab = run_circuit(circuit, 25, i, "tableau")
             frames = run_circuit(circuit, 25, i, "frames")
+            # run_circuit's one shard draws from the first child of its seed
+            child = np.random.SeedSequence(i).spawn(1)[0]
+            outcomes, records, _ = replay_batch(
+                circuit, 25, np.random.Generator(np.random.PCG64(child)))
+            assert np.array_equal(tab.outcomes, outcomes)
             assert np.array_equal(tab.outcomes, record_outcomes(records))
             for shot in records:
                 flags = [r.deterministic for r in shot]
@@ -78,6 +126,18 @@ class TestSlotFlags:
                 assert frames.deterministic.tolist() == flags
                 assert tab.qudits.tolist() == [r.qudit for r in shot]
                 assert tab.seqs.tolist() == [r.seq for r in shot]
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_replay_with_resets_and_rescaled_pairs(self, d):
+        """Mid-circuit M and RESET; some shots end with lam != 1."""
+        rescaled = 0
+        for i in range(12):
+            circuit = reset_corpus_circuit(d, np.random.default_rng(100 * d + i))
+            outcomes, records, tab = replay_batch(circuit, 40,
+                                                  np.random.default_rng(i))
+            assert np.array_equal(outcomes, record_outcomes(records))
+            rescaled += bool((tab.lam != 1).any())
+        assert rescaled >= 3
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_flags(self, d):
@@ -190,6 +250,28 @@ def test_nonpositive_shots_rejected(method, shots):
 
 
 # -- CLI bytes -----------------------------------------------------------------
+
+def reset_corpus_circuit(d: int, rng) -> Circuit:
+    """Random gates on 2-5 qudits with mid-circuit M and RESET mixed in."""
+    n = int(rng.integers(2, 6))
+    circuit = Circuit(n, d)
+    singles = [g.name for g in GATE_TABLE if g.arity == 1]
+    for _ in range(int(rng.integers(20, 80))):
+        u = rng.random()
+        j = int(rng.integers(n))
+        if u < 0.1:
+            circuit.add_gate("M", j)
+        elif u < 0.18:
+            circuit.add_gate("RESET", j)
+        elif u < 0.55:
+            circuit.add_gate(singles[int(rng.integers(len(singles)))], j)
+        else:
+            t = (j + 1 + int(rng.integers(n - 1))) % n
+            circuit.add_gate(("SUM", "SUM_INV")[int(rng.integers(2))], j, t)
+    for j in range(n):
+        circuit.add_gate("M", j)
+    return circuit
+
 
 def reset_circuit() -> Circuit:
     circuit = Circuit(2, 3)

@@ -8,8 +8,12 @@ from quditsim.builders import (
     build_ghz_chain,
     build_random_clifford_circuit,
 )
+import quditsim.simulate as simulate
 from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError
+from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
+                                  mean_slot_tvd, qutrit_detection_code)
+from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
 
 
@@ -196,3 +200,86 @@ class TestNoiseIntegration:
         assert freqs[0] == pytest.approx(0.925, abs=0.01)
         assert freqs[1] == pytest.approx(0.0375, abs=0.01)
         assert freqs[2] == pytest.approx(0.0375, abs=0.01)
+
+
+def channel_component(kind, prob, d, read):
+    """Outcome distribution of N1 then M (read 'x', which measures a) or of
+    F, N1, F_INV, M (read 'z', which measures b), from the channel's exact
+    table."""
+    dist = np.zeros(d)
+    for (a, b), p in error_distribution(kind, prob, d).items():
+        dist[a if read == "x" else b] += p
+    return dist
+
+
+class TestBatchedTableau:
+    """One shot-batched tableau per shard: noise, shards, threads, start."""
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("prob", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("read", ["x", "z"])
+    def test_single_channel_matches_error_distribution(self, kind, d, prob,
+                                                       read):
+        shots = 20000
+        c = Circuit(1, d)
+        if read == "z":
+            c.add_gate("F", 0)
+        c.add_gate("N1", 0, noise_channel=kind, prob=prob)
+        if read == "z":
+            c.add_gate("F_INV", 0)
+        c.add_gate("M", 0)
+        outs = run_circuit(c, shots, seed=18, method="tableau").outcomes
+        freqs = np.bincount(outs[:, 0], minlength=d) / shots
+        expected = channel_component(kind, prob, d, read)
+        # five binomial standard deviations; exact where expected is 0 or 1
+        bound = 5 * np.sqrt(expected * (1 - expected) / shots) + 1e-12
+        assert (np.abs(freqs - expected) <= bound).all(), (freqs, expected)
+
+    @staticmethod
+    def noisy_circuit():
+        c = build_random_clifford_circuit(4, 3, 60, np.random.default_rng(21),
+                                          noise=("d", 0.05))
+        for j in range(4):
+            c.add_gate("M", j)
+        return c
+
+    def test_thread_count_invariance(self, monkeypatch):
+        # 800 phase entries over 2n = 8 rows: shards of 100 shots
+        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
+        c = self.noisy_circuit()
+        serial = run_circuit(c, shots=350, seed=31, method="tableau")
+        for threads in (2, 4):
+            threaded = run_circuit(c, shots=350, seed=31, method="tableau",
+                                   threads=threads)
+            assert np.array_equal(serial.outcomes, threaded.outcomes)
+
+    def test_shard_boundary_determinism(self, monkeypatch):
+        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
+        c = self.noisy_circuit()
+        long = run_circuit(c, shots=250, seed=32, method="tableau").outcomes
+        again = run_circuit(c, shots=250, seed=32, method="tableau").outcomes
+        assert np.array_equal(long, again)
+        # shard k draws from child k of the seed, whatever the shot count
+        first = run_circuit(c, shots=100, seed=32, method="tableau").outcomes
+        assert np.array_equal(long[:100], first)
+        assert not np.array_equal(long[100:200], first)
+
+    def test_initial_tableau_with_resets_matches_frames(self):
+        """The LRB-D circuit (coded start, ancilla resets, noise), tableau
+        vs frames at criterion 04's bar."""
+        code = qutrit_detection_code()
+        start = code_initial_tableau(code)
+        before = start.to_array()
+        rng = np.random.default_rng(33)
+        for depth in (2, 6):
+            c = build_lrb_d_circuit(code, depth, 0.05, rng)
+            assert any(ins.name == "RESET" for ins in c.instructions)
+            tab = run_circuit(c, 10**4, 34 + depth, "tableau",
+                              initial_tableau=start)
+            frames = run_circuit(c, 10**4, 44 + depth, "frames",
+                                 initial_tableau=start)
+            assert tab.deterministic.tolist() == frames.deterministic.tolist()
+            assert mean_slot_tvd(tab.outcomes, frames.outcomes, 3) < 0.02
+        # the start tableau itself is left untouched
+        assert np.array_equal(start.to_array(), before)
