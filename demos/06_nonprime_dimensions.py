@@ -4,8 +4,9 @@ linear algebra.
 For non-prime d a measurement can be neither deterministic nor uniform over
 all d outcomes: the support is a coset of a subgroup of Z_d.  The d=4
 circuit below leaves qudit 1 supported on {0, 2} with probability 1/2 each.
-The backend derives that support by solving linear systems over Z_d via the
-Smith normal form, shown on its own at the end.
+The backend reads the support size off the measured qudit's X-exponents
+and finds the matching Z power with one linear solve over Z_d via the Smith
+normal form, shown on its own at the end.
 """
 
 import numpy as np

@@ -33,7 +33,7 @@ from .errors import (DimensionError, MemoryCapError, ParseError,
                      QuditSimError)
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
-from .simulate import run_circuit
+from .simulate import METHODS, run_circuit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -265,10 +265,9 @@ def _cmd_lrbd(args) -> int:
 
 def _methods_pair(text: str):
     parts = text.split(",")
-    allowed = ("tableau", "weyl", "frames", "statevector")
-    if len(parts) != 2 or any(p not in allowed for p in parts):
+    if len(parts) != 2 or any(p not in METHODS for p in parts):
         raise argparse.ArgumentTypeError(
-            f"expected two of {allowed} separated by a comma, got {text!r}")
+            f"expected two of {METHODS} separated by a comma, got {text!r}")
     return parts
 
 

@@ -114,24 +114,24 @@ def per_slot_distributions(records, d: int) -> list:
     return dists
 
 
-def max_slot_tvd(records_a, records_b, d: int) -> float:
-    """Largest per-slot TVD between two record sets of the same shape."""
+def _slot_tvds(records_a, records_b, d: int) -> list:
+    """Per-slot TVDs between two record sets of the same shape."""
     da = per_slot_distributions(records_a, d)
     db = per_slot_distributions(records_b, d)
     if len(da) != len(db):
         raise SupportMismatchError(
             f"record shapes differ: {len(da)} vs {len(db)} slots")
-    return max((tvd(a, b) for a, b in zip(da, db)), default=0.0)
+    return [tvd(a, b) for a, b in zip(da, db)]
+
+
+def max_slot_tvd(records_a, records_b, d: int) -> float:
+    """Largest per-slot TVD between two record sets of the same shape."""
+    return max(_slot_tvds(records_a, records_b, d), default=0.0)
 
 
 def mean_slot_tvd(records_a, records_b, d: int) -> float:
     """Mean per-slot TVD between two record sets of the same shape."""
-    da = per_slot_distributions(records_a, d)
-    db = per_slot_distributions(records_b, d)
-    if len(da) != len(db):
-        raise SupportMismatchError(
-            f"record shapes differ: {len(da)} vs {len(db)} slots")
-    scores = [tvd(a, b) for a, b in zip(da, db)]
+    scores = _slot_tvds(records_a, records_b, d)
     return float(np.mean(scores)) if scores else 0.0
 
 

@@ -61,8 +61,12 @@ SHARD_SIZE = 16384
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
+    """seed as a SeedSequence; a caller's is copied so spawning never
+    advances it."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(
+            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
+            n_children_spawned=seed.n_children_spawned)
     return np.random.SeedSequence(seed)
 
 

@@ -41,7 +41,7 @@ from .errors import QuditSimError
 from .frames import (SHARD_SIZE, FrameSimulator, _as_seedseq, _start_tableau,
                      run_shards, run_tableau)
 from .noise import sample_error
-from .statevector import DEFAULT_AMPLITUDE_CAP, DenseState
+from .statevector import DenseState
 from .tableau import Tableau
 from .weyl import WeylTableau
 
@@ -185,8 +185,7 @@ def _run_batched(circuit: Circuit, seed, shots: int, threads,
     return (outcomes, *parts[0][1])
 
 
-def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
-                    amplitude_cap: int) -> tuple:
+def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
     """Sample all terminal measurements from one joint Born distribution.
 
     A slot is deterministic when its marginal given the sampled outcomes of
@@ -195,7 +194,7 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
     rows.
     """
     d = circuit.dimension.d
-    state = DenseState(circuit.num_qudits, circuit.dimension, amplitude_cap)
+    state = DenseState(circuit.num_qudits, circuit.dimension)
     for ins in circuit.instructions:
         if ins.name != "M":
             state.apply_gate(ins.name, *ins.qudits)
@@ -237,8 +236,7 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng,
 
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 method: str = "tableau", threads: int = None,
-                initial_tableau: Tableau = None,
-                amplitude_cap: int = DEFAULT_AMPLITUDE_CAP) -> SimulationResult:
+                initial_tableau: Tableau = None) -> SimulationResult:
     """Sample measurement outcomes and tallied counts for a circuit."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
@@ -264,11 +262,10 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         measured = (_terminal_measurement_plan(circuit)
                     if method_used == "statevector" else None)
         if measured is not None:
-            columns = _run_dense_fast(circuit, measured, shots, rng,
-                                      amplitude_cap)
+            columns = _run_dense_fast(circuit, measured, shots, rng)
         else:
             if method_used == "statevector":
-                new_state = partial(DenseState, n, dim, amplitude_cap)
+                new_state = partial(DenseState, n, dim)
             else:
                 new_state = partial(WeylTableau, n, dim)
             columns = _run_per_shot(circuit, new_state, shots, rng)

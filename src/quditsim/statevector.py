@@ -79,13 +79,13 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
 class DenseState:
     """A d^n statevector with qudit 0 as the most significant digit."""
 
-    def __init__(self, n: int, d, amplitude_cap: int = DEFAULT_AMPLITUDE_CAP):
+    def __init__(self, n: int, d):
         dim = _as_dimension(d)
         if n < 1:
             raise ShapeError(f"need at least 1 qudit, got n={n}")
-        if dim.d ** n > amplitude_cap:
-            raise MemoryCapError(
-                f"d^n = {dim.d}^{n} exceeds the amplitude cap {amplitude_cap}")
+        if dim.d ** n > DEFAULT_AMPLITUDE_CAP:
+            raise MemoryCapError(f"d^n = {dim.d}^{n} exceeds the amplitude cap "
+                                 f"{DEFAULT_AMPLITUDE_CAP}")
         self.dimension = dim
         self.n = n
         self.psi = np.zeros((dim.d,) * n, dtype=complex)

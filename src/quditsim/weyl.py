@@ -13,7 +13,9 @@ Coordinates d apart describe the same operator up to sign:
     W_(v + d*u) = tau^(-d(a.ub + b.ua + d*ua.ub)) W_v,  u = (ua | ub),
 
 which is what lets Z-basis measurement canonicalize a group element with
-coordinates m*(e_j|0) mod d into an exact tau^c Z_j^m.
+coordinates m*(e_j|0) mod d into an exact tau^c Z_j^m.  The power m is read
+off qudit j's X-exponent column, so a measurement costs one modular solve
+(for that element) and one kernel (for the generators commuting with Z_j).
 
 The state is held as a list of at most 2n phase-tracked generators of the
 stabilizer group.  Unlike the odd-prime tableau, composite d may genuinely
@@ -81,10 +83,6 @@ def _ext_gcd(a: int, b: int):
         old_x, x = x, old_x - q * x
         old_y, y = y, old_y - q * y
     return old_r, old_x, old_y
-
-
-def _divisors(d: int):
-    return [m for m in range(1, d + 1) if d % m == 0]
 
 
 class WeylTableau:
@@ -170,28 +168,27 @@ class WeylTableau:
     def _z_support(self, j: int):
         """Outcome support of a Z measurement on qudit j, with its Z_j power.
 
-        Finds the smallest m dividing d such that some product of generators
-        has coordinates m*(e_j|0) mod d, canonicalizes that product to
-        tau^c Z_j^m, and intersects the eigenvalue constraint with 0..d-1.
+        The state is pure, so its group is maximal isotropic: Z_j^t is in it
+        up to phase exactly when it commutes with every generator, i.e. when
+        t times qudit j's X column is 0 mod d.  The smallest such t is
+        m = d / gcd(d, that column).  One solve finds the generator product
+        with coordinates m*(e_j|0) mod d; canonicalized to tau^c Z_j^m, its
+        eigenvalue constraint intersected with 0..d-1 is the support.
         """
         d, dp, n = self.d, self.dp, self.n
+        m = d // int(np.gcd.reduce(self.coords[:, n + j], initial=d))
         target = np.zeros(2 * n, dtype=np.int64)
-        target[j] = 1
-        a_cols = (self.coords % d).T  # (2n, k) system over Z_d
-        for m in _divisors(d):
-            y = solve_mod(a_cols, (m * target) % d, d)
-            if y is None:
-                continue
-            f, v = self._product(y)
-            shift = (v - m * target) % dp
-            assert not np.any(shift % d), "solution does not hit the target mod d"
-            f, v = weyl_canonical(f, v, self.dimension)
-            assert np.array_equal(v, (m * target) % d), \
-                "canonical coordinates are not a pure Z power"
-            support = [k for k in range(d) if (2 * k * m + f) % dp == 0]
-            assert len(support) == m, "support size disagrees with the Z power"
-            return m, support
-        raise AssertionError("m = d is always solvable; unreachable")
+        target[j] = m % d
+        y = solve_mod((self.coords % d).T, target, d)
+        assert y is not None, "Z_j^m commutes with the group yet is not in it"
+        f, v = self._product(y)
+        assert not np.any((v - target) % d), "solution does not hit the target mod d"
+        f, v = weyl_canonical(f, v, self.dimension)
+        assert np.array_equal(v, target), \
+            "canonical coordinates are not a pure Z power"
+        support = [k for k in range(d) if (2 * k * m + f) % dp == 0]
+        assert len(support) == m, "support size disagrees with the Z power"
+        return m, support
 
     def outcome_distribution(self, j: int) -> dict:
         m, support = self._z_support(j)

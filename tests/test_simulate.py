@@ -161,6 +161,20 @@ class TestDeterminismAndCounts:
             assert a.outcome_tuples() == b.outcome_tuples(), m
             assert a.counts == b.counts
 
+    @pytest.mark.parametrize("method", ["frames", "tableau"])
+    def test_seed_sequence_reused_not_advanced(self, method):
+        rng = np.random.default_rng(8)
+        c = build_random_clifford_circuit(3, 3, 30, rng, noise=("d", 0.05))
+        for j in range(3):
+            c.add_gate("M", j)
+        ss = np.random.SeedSequence(99)
+        a = run_circuit(c, shots=200, seed=ss, method=method).outcomes
+        b = run_circuit(c, shots=200, seed=ss, method=method).outcomes
+        assert ss.n_children_spawned == 0
+        assert np.array_equal(a, b)
+        assert np.array_equal(a, run_circuit(c, shots=200, seed=99,
+                                             method=method).outcomes)
+
     def test_counts_totals(self):
         c = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(c, shots=300, seed=8, method="tableau")

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import quditsim.weyl as weyl
 from quditsim.errors import ShapeError
 from quditsim.pauli import Dimension, PauliString
+from quditsim.snf import solve_mod
 from quditsim.statevector import DenseState
 from quditsim.weyl import (
     WeylTableau,
@@ -253,3 +255,67 @@ class TestPauliErrors:
         tab.apply_pauli_error(0, 0, 2)
         rec = tab.measure_z(0, rng)
         assert rec.deterministic and rec.outcome == 0
+
+
+def divisor_search_support(tab, j):
+    """Reference _z_support: try each divisor m of d until m*(e_j|0) solves."""
+    d, dp, n = tab.d, tab.dp, tab.n
+    target = np.zeros(2 * n, dtype=np.int64)
+    target[j] = 1
+    for m in [m for m in range(1, d + 1) if d % m == 0]:
+        y = solve_mod((tab.coords % d).T, (m * target) % d, d)
+        if y is not None:
+            f, _ = weyl_canonical(*tab._product(y), tab.dimension)
+            return m, [k for k in range(d) if (2 * k * m + f) % dp == 0]
+    raise AssertionError("m = d is always solvable")
+
+
+def noisy_walk(tab, rng, depth):
+    """Gates interleaved with Weyl errors, mid-walk measurements and resets."""
+    for _ in range(depth):
+        u = rng.random()
+        j = int(rng.integers(tab.n))
+        if u < 0.1:
+            tab.apply_pauli_error(j, int(rng.integers(tab.d)), int(rng.integers(tab.d)))
+        elif u < 0.15:
+            tab.measure_z(j, rng)
+        elif u < 0.2:
+            tab.reset(j, rng)
+        else:
+            random_walk(tab, rng, 1)
+        yield
+
+
+class TestSupportFromXColumn:
+    """The support size read off the X column equals the divisor search."""
+
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 9, 12])
+    def test_matches_divisor_search(self, d):
+        sizes = set()
+        for seed in range(6):
+            rng = np.random.default_rng(100 * d + seed)
+            tab = WeylTableau(3, d)
+            for _ in noisy_walk(tab, rng, 40):
+                for j in range(tab.n):
+                    expected = divisor_search_support(tab, j)
+                    assert tab._z_support(j) == expected, (d, seed, j)
+                    sizes.add(expected[0])
+        # the corpus reaches every support size that divides d
+        assert sizes == {m for m in range(1, d + 1) if d % m == 0}, sizes
+
+    @pytest.mark.parametrize("d", [4, 6, 9])
+    def test_one_solve_per_measurement(self, d, monkeypatch):
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args)
+            return solve_mod(*args)
+
+        monkeypatch.setattr(weyl, "solve_mod", counting_solve)
+        rng = np.random.default_rng(d)
+        tab = WeylTableau(3, d)
+        for _ in range(30):
+            random_walk(tab, rng, 3)
+            before = len(calls)
+            tab.measure_z(int(rng.integers(tab.n)), rng)
+            assert len(calls) == before + 1
