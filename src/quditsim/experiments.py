@@ -191,9 +191,17 @@ _KIND_ALIASES = {"flip": "f", "phase": "p", "depolarizing": "d",
                  "f": "f", "p": "p", "d": "d"}
 
 
+def _channel_kind(kind: str) -> str:
+    """The one-letter channel code for a channel name or alias."""
+    if kind not in _KIND_ALIASES:
+        raise ShapeError(f"noise channel must be one of {tuple(_KIND_ALIASES)}, "
+                         f"got {kind!r}")
+    return _KIND_ALIASES[kind]
+
+
 def channel_reference_distribution(kind: str, d: int, p: float) -> OutcomeDistribution:
     """Closed-form outcome distribution for one channel event on |0>."""
-    kind = _KIND_ALIASES[kind]
+    kind = _channel_kind(kind)
     if kind == "d":
         q0 = (1 - p) + (d - 1) * p / (d * d - 1)
         qk = d * p / (d * d - 1)
@@ -208,7 +216,7 @@ def channel_reference_distribution(kind: str, d: int, p: float) -> OutcomeDistri
 
 def build_channel_test_circuit(kind: str, d, p: float) -> Circuit:
     """One channel event on |0>, read out in the basis where it shows."""
-    kind = _KIND_ALIASES[kind]
+    kind = _channel_kind(kind)
     circuit = Circuit(1, d)
     if kind == "p":
         # a phase kick is invisible to Z readout; conjugate into the X basis

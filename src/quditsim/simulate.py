@@ -10,8 +10,8 @@ Methods:
 - 'weyl': force the Weyl generator backend (any d >= 2).
 - 'frames': Pauli-frame sampler (odd prime d only).
 - 'statevector': dense reference simulation.  Circuits whose measurements
-  are all terminal, on distinct qudits, with no noise or resets, are sampled
-  from one joint Born distribution instead of evolving every shot.
+  are all terminal, with no noise or resets, are sampled from one joint Born
+  distribution over the measured qudits instead of evolving every shot.
 
 Results are columnar: outcomes[s, i] is shot s's outcome at measurement
 slot i (program order), and the per-slot arrays qudits, seqs and
@@ -148,9 +148,7 @@ def _terminal_measurement_plan(circuit: Circuit):
             measured.append(ins.qudits[0])
         elif ins.name in ("N1", "RESET") or tail:
             return None
-    if not measured or len(set(measured)) != len(measured):
-        return None
-    return measured
+    return measured or None
 
 
 def _run_per_shot(circuit: Circuit, new_state, shots: int, rng) -> tuple:
@@ -188,50 +186,42 @@ def _run_batched(circuit: Circuit, seed, shots: int, threads,
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
     """Sample all terminal measurements from one joint Born distribution.
 
-    A slot is deterministic when its marginal given the sampled outcomes of
-    the earlier slots is a point mass.  That is checked on every distinct
-    sampled outcome row, memoizing prefix marginals, and must agree across
-    rows.
+    The joint is over the distinct measured qudits in first-measured order;
+    a repeated slot copies its qudit's first outcome and is deterministic.
+    A first slot is deterministic when every reachable prefix of earlier
+    slots leaves it one outcome, and random when every one leaves several.
     """
-    d = circuit.dimension.d
     state = DenseState(circuit.num_qudits, circuit.dimension)
     for ins in circuit.instructions:
         if ins.name != "M":
             state.apply_gate(ins.name, *ins.qudits)
+    distinct = list(dict.fromkeys(measured))
     probs = np.abs(state.psi) ** 2
-    other = tuple(a for a in range(circuit.num_qudits) if a not in measured)
+    other = tuple(a for a in range(circuit.num_qudits) if a not in distinct)
     joint = probs.sum(axis=other) if other else probs
     # summing keeps axes in qudit order; put them in measurement order
-    order = np.argsort(np.argsort(measured))
+    order = np.argsort(np.argsort(distinct))
     joint = np.ascontiguousarray(np.transpose(joint, axes=order))
     flat = joint.reshape(-1)
     flat = flat / flat.sum()
     draws = rng.choice(len(flat), size=shots, p=flat)
 
-    marginal_cache = {}
-
-    def slot_marginal(prefix):
-        got = marginal_cache.get(prefix)
-        if got is None:
-            sub = joint[prefix]
-            got = sub.reshape(d, -1).sum(axis=1)
-            got = got / got.sum()
-            marginal_cache[prefix] = got
-        return got
-
-    flags = None
-    for idx in set(draws.tolist()):
-        outs = np.unravel_index(idx, joint.shape)
-        row = [bool(slot_marginal(outs[:i])[k] >= 1.0 - 1e-9)
-               for i, k in enumerate(outs)]
-        if flags is not None and row != flags:
+    flags = []
+    for i in range(joint.ndim):
+        # outcomes of slot i each positive-probability prefix allows
+        marginal = joint.sum(axis=tuple(range(i + 1, joint.ndim)))
+        allowed = (marginal.reshape(-1, joint.shape[i]) > 1e-12).sum(axis=1)
+        kinds = np.unique(allowed[allowed > 0] == 1)
+        if len(kinds) != 1:
             raise QuditSimError("deterministic flags of the dense joint "
-                                "depend on the sampled outcomes")
-        flags = row
-    outcomes = np.stack(np.unravel_index(draws, joint.shape), axis=1)
+                                "depend on the earlier outcomes")
+        flags.append(bool(kinds[0]))
+    slot = [distinct.index(q) for q in measured]
+    repeat = [q in measured[:i] for i, q in enumerate(measured)]
+    outcomes = np.stack(np.unravel_index(draws, joint.shape), axis=1)[:, slot]
     return (outcomes.astype(np.int64), np.array(measured, dtype=np.int64),
             np.arange(len(measured), dtype=np.int64),
-            np.array(flags, dtype=bool))
+            np.array([r or flags[k] for k, r in zip(slot, repeat)], dtype=bool))
 
 
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,

@@ -216,6 +216,8 @@ class Tableau:
         With a shot axis, shots selects the columns to update (all by
         default) and a, b are scalars or per-shot arrays for them.
         """
+        if not 0 <= j < self.n:
+            raise ShapeError(f"qudit index {j} out of range for n={self.n}")
         rt = self.r.T
         rt[shots] = (rt[shots] + np.multiply.outer(b, self.X[:, j])
                      - np.multiply.outer(a, self.Z[:, j])) % self.d

@@ -12,19 +12,23 @@ Coordinates d apart describe the same operator up to sign:
 
     W_(v + d*u) = tau^(-d(a.ub + b.ua + d*ua.ub)) W_v,  u = (ua | ub),
 
-which is what lets Z-basis measurement canonicalize a group element with
-coordinates m*(e_j|0) mod d into an exact tau^c Z_j^m.  The power m is read
-off qudit j's X-exponent column, so a measurement costs one modular solve
-(for that element) and one kernel (for the generators commuting with Z_j).
+so every W_(d e_i) is the identity.
 
-The state is held as a list of at most 2n phase-tracked generators of the
-stabilizer group.  Unlike the odd-prime tableau, composite d may genuinely
-need more than n generators (for d=4, (|0>+|2>)/sqrt(2) needs both X^2 and
-Z^2), so the list is re-reduced after each measurement by unimodular two-row
-gcd elimination instead of keeping a fixed destabilizer pairing.
+The state is at most 2n phase-tracked generators of the stabilizer group:
+composite d may need more than n (for d=4, (|0>+|2>)/sqrt(2) needs both X^2
+and Z^2), so there is no destabilizer pairing.  A Z measurement of qudit j
+is unimodular gcd row reduction over Z_d with Howell's completion (each
+column's pivot leaves behind its smallest power that is 0 there, so the
+echelon form spans every element that is 0 in the eliminated columns).
+Eliminating qudit j's X column mod d leaves the subgroup commuting with Z_j.
+Echeloned mod d' with the W_(d e_i), column j last, its last pivot is the
+smallest Z_j power in the group and fixes the outcome support; the other
+pivots plus the measured tau^(-2k) Z_j are echeloned into the new list.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 import numpy as np
 
@@ -32,7 +36,8 @@ from .circuit import MeasurementRecord
 from .errors import ShapeError
 from .gates import resolve
 from .pauli import Dimension, PauliString, _as_dimension
-from .snf import kernel_mod, solve_mod
+# measurement uses neither; tracers and tests patch these names here
+from .snf import kernel_mod, solve_mod  # noqa: F401
 
 
 def weyl_mul(f1: int, v1: np.ndarray, f2: int, v2: np.ndarray, dim: Dimension):
@@ -97,21 +102,14 @@ class WeylTableau:
         self.dp = dim.d_prime
         self.n = n
         # rows start as the Z_j generators of |0...0>
-        self.coords = np.zeros((n, 2 * n), dtype=np.int64)
-        for j in range(n):
-            self.coords[j, j] = 1
+        self.coords = np.eye(n, 2 * n, dtype=np.int64)
         self.phases = np.zeros(n, dtype=np.int64)
         self.measurements_done = 0
 
     def copy(self) -> "WeylTableau":
         out = WeylTableau.__new__(WeylTableau)
-        out.dimension = self.dimension
-        out.d = self.d
-        out.dp = self.dp
-        out.n = self.n
-        out.coords = self.coords.copy()
-        out.phases = self.phases.copy()
-        out.measurements_done = self.measurements_done
+        out.__dict__.update(self.__dict__, coords=self.coords.copy(),
+                            phases=self.phases.copy())
         return out
 
     def to_array(self) -> np.ndarray:
@@ -151,6 +149,8 @@ class WeylTableau:
     def apply_pauli_error(self, j: int, a: int, b: int) -> None:
         """Conjugate every generator by X^a Z^b on qudit j."""
         n, dp = self.n, self.dp
+        if not 0 <= j < n:
+            raise ShapeError(f"qudit index {j} out of range for n={n}")
         self.phases = (self.phases
                        + 2 * (b * self.coords[:, n + j] - a * self.coords[:, j])) % dp
 
@@ -165,30 +165,63 @@ class WeylTableau:
             f, v = weyl_mul(f, v, gf, gv, self.dimension)
         return f, v
 
-    def _z_support(self, j: int):
-        """Outcome support of a Z measurement on qudit j, with its Z_j power.
+    def _eliminate(self, rows, c: int, modulus: int):
+        """Gcd-combine the rows nonzero in column c (mod modulus) into one pivot.
 
-        The state is pure, so its group is maximal isotropic: Z_j^t is in it
-        up to phase exactly when it commutes with every generator, i.e. when
-        t times qudit j's X column is 0 mod d.  The smallest such t is
-        m = d / gcd(d, that column).  One solve finds the generator product
-        with coordinates m*(e_j|0) mod d; canonicalized to tau^c Z_j^m, its
-        eigenvalue constraint intersected with 0..d-1 is the support.
+        Returns (pivot or None, rest); rest also gets the pivot's smallest
+        power that is 0 in column c, so it spans every element that is.
+        """
+        dim = self.dimension
+        pivot, rest = None, []
+        for row in rows:
+            beta = int(row[1][c]) % modulus
+            if not beta:
+                rest.append(row)
+            elif pivot is None:
+                pivot = row
+            else:
+                alpha = int(pivot[1][c]) % modulus
+                g, x, y = _ext_gcd(alpha, beta)
+                rest.append(weyl_mul(*weyl_pow(*pivot, -(beta // g), dim),
+                                     *weyl_pow(*row, alpha // g, dim), dim))
+                pivot = weyl_mul(*weyl_pow(*pivot, x, dim),
+                                 *weyl_pow(*row, y, dim), dim)
+        if pivot is not None:
+            alpha = int(pivot[1][c]) % modulus
+            rest.append(weyl_pow(*pivot, modulus // gcd(modulus, alpha), dim))
+        return pivot, rest
+
+    def _echelon(self, rows, columns):
+        """Eliminate the columns in order mod d'; one pivot (or None) each."""
+        pivots = []
+        for c in columns:
+            pivot, rows = self._eliminate(rows, c, self.dp)
+            pivots.append(pivot)
+        for f, v in rows:
+            assert not v.any() and f % self.dp == 0, \
+                "reduction produced a nontrivial phase times identity"
+        return pivots
+
+    def _commutant(self, j: int):
+        """Echelon of the subgroup commuting with Z_j: (other pivots, m, support).
+
+        The last pivot tau^f W_(t e_j) (t = d, f = 0 if none) spans the Z_j
+        powers in the group, so m = gcd(d, t) is the smallest one, and
+        outcome k is in the support when tau^(f + 2kt) = 1.
         """
         d, dp, n = self.d, self.dp, self.n
-        m = d // int(np.gcd.reduce(self.coords[:, n + j], initial=d))
-        target = np.zeros(2 * n, dtype=np.int64)
-        target[j] = m % d
-        y = solve_mod((self.coords % d).T, target, d)
-        assert y is not None, "Z_j^m commutes with the group yet is not in it"
-        f, v = self._product(y)
-        assert not np.any((v - target) % d), "solution does not hit the target mod d"
-        f, v = weyl_canonical(f, v, self.dimension)
-        assert np.array_equal(v, target), \
-            "canonical coordinates are not a pure Z power"
-        support = [k for k in range(d) if (2 * k * m + f) % dp == 0]
-        assert len(support) == m, "support size disagrees with the Z power"
-        return m, support
+        rows = list(zip(self.phases.tolist(), self.coords))
+        _, rows = self._eliminate(rows, n + j, d)
+        rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
+        *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
+        f, t = (0, d) if last is None else (int(last[0]), int(last[1][j]))
+        support = [k for k in range(d) if (2 * k * t + f) % dp == 0]
+        assert len(support) == gcd(d, t), "support size disagrees with the Z power"
+        return [p for p in others if p is not None], len(support), support
+
+    def _z_support(self, j: int):
+        """Outcome support of a Z measurement on qudit j, with its Z_j power."""
+        return self._commutant(j)[1:]
 
     def outcome_distribution(self, j: int) -> dict:
         m, support = self._z_support(j)
@@ -200,48 +233,13 @@ class WeylTableau:
             raise ShapeError(f"qudit index {j} out of range for n={n}")
         seq = self.measurements_done
         self.measurements_done += 1
-        m, support = self._z_support(j)
+        others, _, support = self._commutant(j)
         k = int(support[int(rng.integers(len(support)))])
-
-        # generators commuting with Z_j: kernel of the X-exponent row mod d
-        beta = [[int(x) for x in (self.coords[:, n + j] % d)]]
-        survivors = [self._product(y) for y in kernel_mod(beta, d)]
-        inserted = np.zeros(2 * n, dtype=np.int64)
-        inserted[j] = 1
-        survivors.append(((-2 * k) % dp, inserted))
-        self._set_rows(self._reduce(survivors))
+        z_j = ((-2 * k) % dp, np.eye(2 * n, dtype=np.int64)[j])
+        pivots = self._echelon(others + [z_j], range(2 * n))
+        # a pivot that is 0 mod d is the identity: the group has no -1
+        self._set_rows([p for p in pivots if p is not None and (p[1] % d).any()])
         return MeasurementRecord(j, seq, len(support) == 1, k)
-
-    def _reduce(self, rows):
-        """Unimodular row reduction to at most 2n generators of the same group."""
-        remaining = [(int(f) % self.dp, v % self.dp) for f, v in rows]
-        kept = []
-        for c in range(2 * self.n):
-            nxt = []
-            pivot = None
-            for row in remaining:
-                if not row[1][c] % self.dp:
-                    nxt.append(row)
-                elif pivot is None:
-                    pivot = row
-                else:
-                    alpha, beta = int(pivot[1][c]), int(row[1][c])
-                    g, x, y = _ext_gcd(alpha, beta)
-                    new_pivot = weyl_mul(*weyl_pow(*pivot, x, self.dimension),
-                                         *weyl_pow(*row, y, self.dimension),
-                                         self.dimension)
-                    new_row = weyl_mul(*weyl_pow(*pivot, -(beta // g), self.dimension),
-                                       *weyl_pow(*row, alpha // g, self.dimension),
-                                       self.dimension)
-                    pivot = new_pivot
-                    nxt.append(new_row)
-            remaining = nxt
-            if pivot is not None:
-                kept.append(pivot)
-        for f, v in remaining:
-            assert not v.any() and f % self.dp == 0, \
-                "reduction produced a nontrivial phase times identity"
-        return kept
 
     def _set_rows(self, rows) -> None:
         self.coords = np.array([v for _, v in rows], dtype=np.int64).reshape(

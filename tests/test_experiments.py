@@ -196,6 +196,13 @@ class TestChannels:
                                                seed=11)
             assert report["kind"] == short
 
+    def test_unknown_kind_names_accepted_ones(self):
+        for call in (lambda: channel_distribution_test("x", 3, 0.1, 100),
+                     lambda: channel_reference_distribution("x", 3, 0.1),
+                     lambda: build_channel_test_circuit("x", 3, 0.1)):
+            with pytest.raises(ShapeError, match="'depolarizing'.*got 'x'"):
+                call()
+
 
 class TestRBFidelity:
     """Omega-weighted readout statistic."""

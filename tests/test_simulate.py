@@ -90,6 +90,20 @@ class TestRecords:
             assert rec[1].deterministic
             assert rec[0].outcome == rec[1].outcome
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_repeated_terminal_measurement_dense(self, d):
+        c = build_ghz_chain(2, d, measure=True)
+        c.add_gate("M", 0)
+        # sampled from the joint, not shot by shot
+        assert simulate._terminal_measurement_plan(c) == [0, 1, 0]
+        result = run_circuit(c, shots=50, seed=4, method="statevector")
+        assert np.array_equal(result.outcomes[:, 2], result.outcomes[:, 0])
+        assert len(set(result.outcomes[:, 0].tolist())) > 1
+        tableau = run_circuit(c, shots=5, seed=4, method="tableau")
+        assert result.deterministic.tolist() == [False, True, True]
+        assert np.array_equal(result.deterministic, tableau.deterministic)
+        assert result.qudits.tolist() == [0, 1, 0]
+
     def test_deterministic_flags_frames(self):
         c = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(c, shots=10, seed=3, method="frames")

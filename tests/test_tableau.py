@@ -370,6 +370,17 @@ class TestReset:
             tab.check_invariants()
 
 
+class TestPauliError:
+    """Injected errors check their qudit index."""
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_index_range(self, j):
+        tab = Tableau(2, 3)
+        with pytest.raises(ShapeError, match="out of range for n=2"):
+            tab.apply_pauli_error(j, 1, 0)
+        assert not tab.r.any()
+
+
 class TestOperationCounters:
     """Cost-model instrumentation."""
 

@@ -6,7 +6,7 @@ import pytest
 import quditsim.weyl as weyl
 from quditsim.errors import ShapeError
 from quditsim.pauli import Dimension, PauliString
-from quditsim.snf import solve_mod
+from quditsim.snf import kernel_mod, solve_mod
 from quditsim.statevector import DenseState
 from quditsim.weyl import (
     WeylTableau,
@@ -256,6 +256,13 @@ class TestPauliErrors:
         rec = tab.measure_z(0, rng)
         assert rec.deterministic and rec.outcome == 0
 
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_index_range(self, j):
+        tab = WeylTableau(2, 4)
+        with pytest.raises(ShapeError, match="out of range for n=2"):
+            tab.apply_pauli_error(j, 1, 0)
+        assert not tab.phases.any()
+
 
 def divisor_search_support(tab, j):
     """Reference _z_support: try each divisor m of d until m*(e_j|0) solves."""
@@ -287,7 +294,7 @@ def noisy_walk(tab, rng, depth):
 
 
 class TestSupportFromXColumn:
-    """The support size read off the X column equals the divisor search."""
+    """The elimination's support equals the Smith-normal-form divisor search."""
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8, 9, 12])
     def test_matches_divisor_search(self, d):
@@ -296,6 +303,8 @@ class TestSupportFromXColumn:
             rng = np.random.default_rng(100 * d + seed)
             tab = WeylTableau(3, d)
             for _ in noisy_walk(tab, rng, 40):
+                assert len(tab.coords) <= 2 * tab.n
+                tab.check_invariants()
                 for j in range(tab.n):
                     expected = divisor_search_support(tab, j)
                     assert tab._z_support(j) == expected, (d, seed, j)
@@ -305,17 +314,20 @@ class TestSupportFromXColumn:
 
     @pytest.mark.parametrize("d", [4, 6, 9])
     def test_one_solve_per_measurement(self, d, monkeypatch):
+        """No modular solve or kernel per measurement: one elimination does it."""
         calls = []
 
-        def counting_solve(*args):
-            calls.append(args)
-            return solve_mod(*args)
+        def counting(solver):
+            def wrapped(*args):
+                calls.append(args)
+                return solver(*args)
+            return wrapped
 
-        monkeypatch.setattr(weyl, "solve_mod", counting_solve)
+        monkeypatch.setattr(weyl, "solve_mod", counting(solve_mod))
+        monkeypatch.setattr(weyl, "kernel_mod", counting(kernel_mod))
         rng = np.random.default_rng(d)
         tab = WeylTableau(3, d)
         for _ in range(30):
             random_walk(tab, rng, 3)
-            before = len(calls)
             tab.measure_z(int(rng.integers(tab.n)), rng)
-            assert len(calls) == before + 1
+            assert calls == []
