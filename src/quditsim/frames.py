@@ -34,11 +34,11 @@ Shots are processed in fixed-size shards, each with its own child of the
 master seed sequence, so results are identical whether shards run serially
 or across a thread pool.
 
-The shot-batched tableau backend (simulate.run_circuit, method 'tableau')
-shares this module's pieces: the sparse noise draw (sample_noise), the
-shard scheme (run_shards) and the tableau loop (run_tableau), which the
-reference run above uses on a single shot (a 1-D phase vector) with noise
-skipped.
+The shot-batched tableau and Weyl backends (simulate.run_circuit, methods
+'tableau' and 'weyl') share this module's pieces: the sparse noise draw
+(sample_noise), the shard scheme (run_shards) and the instruction loop
+(run_tableau), which the reference run above uses on a single shot (a 1-D
+phase vector) with noise skipped.
 """
 
 from __future__ import annotations
@@ -97,10 +97,11 @@ def sample_noise(ins, d: int, rng, size: int):
     return hit, a, b
 
 
-def run_tableau(circuit, tab: Tableau, rng, noise: bool = True) -> list[MeasurementRecord]:
-    """Run circuit on tab; its MeasurementRecords in program order.
+def run_tableau(circuit, tab, rng, noise: bool = True) -> list[MeasurementRecord]:
+    """Run circuit on tab, a Tableau or a WeylTableau; its MeasurementRecords
+    in program order.
 
-    With a shot axis on tab's phase vector the outcomes are per-shot
+    With a shot axis on tab's phase array the outcomes are per-shot
     arrays, with a 1-D one (a single shot) they are ints.  noise=False
     skips N1; noise needs the shot axis.
     """
@@ -113,7 +114,7 @@ def run_tableau(circuit, tab: Tableau, rng, noise: bool = True) -> list[Measurem
             tab.reset(ins.qudits[0], rng)
         elif name == "N1":
             if noise:
-                drawn = sample_noise(ins, tab.d, rng, tab.r.shape[1])
+                drawn = sample_noise(ins, tab.d, rng, tab.num_shots)
                 if drawn is not None:
                     hit, a, b = drawn
                     tab.apply_pauli_error(ins.qudits[0], a, b, hit)

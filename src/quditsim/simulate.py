@@ -7,7 +7,10 @@ Methods:
   phase array (see tableau.py), with noise drawn sparsely as the frame
   sampler draws it.  Any other d falls back to the Weyl generator backend
   automatically.
-- 'weyl': force the Weyl generator backend (any d >= 2).
+- 'weyl': force the Weyl generator backend (any d >= 2), shot-batched the
+  same way: each shard shares the generator coordinates and every
+  elimination step, and keeps a (rows, shard) tau phase array (see
+  weyl.py).
 - 'frames': Pauli-frame sampler (odd prime d only).
 - 'statevector': dense reference simulation.  Circuits whose measurements
   are all terminal, with no noise or resets, are sampled from one joint Born
@@ -18,21 +21,22 @@ slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact.
-The batched tableau reads it from the X-block all shots share; the per-shot
-Weyl and statevector loops check that every shot agrees with the first.
+The batched tableau and Weyl backends read it from the coordinates all
+shots share; the per-shot statevector loop checks that every shot agrees
+with the first.
 
-Weyl and statevector shots run one after another on one generator, and
-their noise draws one float and one integer per N1 and shot whether or not
-it fires (noise.sample_error), so their streams stay aligned across
-circuits that differ only in where errors land.  The tableau and frame
-samplers shard shots and give each shard its own child seed
-(frames.run_shards), so their output does not depend on the thread count.
+Statevector shots run one after another on one generator, and their noise
+draws one float and one integer per N1 and shot whether or not it fires
+(noise.sample_error), so their streams stay aligned across circuits that
+differ only in where errors land.  The tableau, Weyl and frame samplers
+shard shots and give each shard its own child seed (frames.run_shards), so
+their output does not depend on the thread count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -47,8 +51,8 @@ from .weyl import WeylTableau
 
 METHODS = ("tableau", "weyl", "frames", "statevector")
 
-# A batched tableau shard holds a (2n, shard) int64 phase array; this caps
-# its entries (8 MiB) for wide registers.
+# A batched tableau or Weyl shard holds an int64 phase array of at most 2n
+# rows by shard columns; this caps its entries (8 MiB) for wide registers.
 TABLEAU_SHARD_ENTRIES = 1 << 20
 
 
@@ -121,7 +125,8 @@ def _slot_arrays(records) -> tuple:
 
 
 def _run_shot(circuit: Circuit, state, rng):
-    """One shot on a fresh state of any backend; its records in order."""
+    """One shot on a fresh state of any single-shot backend; its records in
+    order."""
     records = []
     for ins in circuit.instructions:
         name = ins.name
@@ -151,14 +156,15 @@ def _terminal_measurement_plan(circuit: Circuit):
     return measured or None
 
 
-def _run_per_shot(circuit: Circuit, new_state, shots: int, rng) -> tuple:
-    """Outcome rows and slot arrays from one fresh state per shot."""
-    first = _run_shot(circuit, new_state(), rng)
+def _run_per_shot(circuit: Circuit, shots: int, rng) -> tuple:
+    """Outcome rows and slot arrays from one fresh DenseState per shot."""
+    n, dim = circuit.num_qudits, circuit.dimension
+    first = _run_shot(circuit, DenseState(n, dim), rng)
     flags = [r.deterministic for r in first]
     outcomes = np.empty((shots, len(first)), dtype=np.int64)
     outcomes[0] = [r.outcome for r in first]
     for s in range(1, shots):
-        records = _run_shot(circuit, new_state(), rng)
+        records = _run_shot(circuit, DenseState(n, dim), rng)
         if [r.deterministic for r in records] != flags:
             raise QuditSimError(f"shot {s} has deterministic flags that "
                                 f"differ from shot 0")
@@ -166,10 +172,9 @@ def _run_per_shot(circuit: Circuit, new_state, shots: int, rng) -> tuple:
     return (outcomes, *_slot_arrays(first))
 
 
-def _run_batched(circuit: Circuit, seed, shots: int, threads,
-                 initial_tableau: Tableau = None) -> tuple:
-    """Outcome rows and slot arrays from one shot-batched tableau per shard."""
-    start = _start_tableau(circuit, initial_tableau)
+def _run_batched(circuit: Circuit, seed, shots: int, threads, start) -> tuple:
+    """Outcome rows and slot arrays from one shot-batched copy of start, a
+    Tableau or a WeylTableau, per shard."""
     shard_size = max(1, min(SHARD_SIZE,
                             TABLEAU_SHARD_ENTRIES // (2 * circuit.num_qudits)))
 
@@ -245,20 +250,18 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         sim = FrameSimulator(circuit, seed, initial_tableau)
         columns = (sim.run(shots, threads), *_slot_arrays(sim.reference_records))
     elif method_used == "tableau":
-        columns = _run_batched(circuit, seed, shots, threads, initial_tableau)
+        columns = _run_batched(circuit, seed, shots, threads,
+                               _start_tableau(circuit, initial_tableau))
+    elif method_used == "weyl":
+        columns = _run_batched(circuit, seed, shots, threads,
+                               WeylTableau(circuit.num_qudits, circuit.dimension))
     else:
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
-        n, dim = circuit.num_qudits, circuit.dimension
-        measured = (_terminal_measurement_plan(circuit)
-                    if method_used == "statevector" else None)
+        measured = _terminal_measurement_plan(circuit)
         if measured is not None:
             columns = _run_dense_fast(circuit, measured, shots, rng)
         else:
-            if method_used == "statevector":
-                new_state = partial(DenseState, n, dim)
-            else:
-                new_state = partial(WeylTableau, n, dim)
-            columns = _run_per_shot(circuit, new_state, shots, rng)
+            columns = _run_per_shot(circuit, shots, rng)
 
     outcomes, qudits, seqs, deterministic = columns
     return SimulationResult(

@@ -22,6 +22,8 @@ case uses the tau form; at d=2 it reduces to diag(1, i).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .circuit import MeasurementRecord
@@ -60,6 +62,15 @@ def gate_matrix(name: str, d) -> np.ndarray:
                 m[a * d + (a + b) % d, a * d + b] = 1.0
         return m
     return gate_matrix(gate.inverse, dim).conj().T
+
+
+# room for every gate at a few dimensions; SUM alone holds d^4 entries
+@lru_cache(maxsize=32)
+def _cached_gate_matrix(name: str, d: int) -> np.ndarray:
+    """gate_matrix(name, d), built once per (name, d) and read-only."""
+    m = gate_matrix(name, d)
+    m.flags.writeable = False
+    return m
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -109,7 +120,7 @@ class DenseState:
     def apply_gate(self, name: str, *qudits: int) -> None:
         gate = resolve(name, qudits, self.n)
         d = self.dimension.d
-        m = gate_matrix(gate.name, self.dimension)
+        m = _cached_gate_matrix(gate.name, d)
         if gate.arity == 1:
             (j,) = qudits
             self.psi = np.moveaxis(
@@ -117,7 +128,8 @@ class DenseState:
         else:
             c, t = qudits
             moved = np.moveaxis(self.psi, (c, t), (0, 1))
-            moved = np.einsum("abcd,cd...->ab...", m.reshape(d, d, d, d), moved)
+            moved = np.tensordot(m.reshape(d, d, d, d), moved,
+                                 axes=([2, 3], [0, 1]))
             self.psi = np.moveaxis(moved, (0, 1), (c, t))
 
     def apply_pauli(self, p: PauliString) -> None:

@@ -163,6 +163,11 @@ class Tableau:
         out.r = np.repeat(self.r[:, None], shots, axis=1)
         return out
 
+    @property
+    def num_shots(self) -> int:
+        """Length of r's trailing shot axis."""
+        return self.r.shape[1]
+
     # -- row access ----------------------------------------------------------
 
     def destabilizer(self, k: int) -> PauliString:

@@ -24,6 +24,16 @@ Eliminating qudit j's X column mod d leaves the subgroup commuting with Z_j.
 Echeloned mod d' with the W_(d e_i), column j last, its last pivot is the
 smallest Z_j power in the group and fixes the outcome support; the other
 pivots plus the measured tau^(-2k) Z_j are echeloned into the new list.
+
+Shot batching: gates, noise and measurement outcomes only move the tau
+phases, and every row operation above reads only the coordinates, so the
+coordinates evolve the same way in every shot.  phases may therefore carry
+a trailing shot axis, shape (rows, shots): one tableau then runs a whole
+batch, every elimination step is shared and only the phases are per shot.
+The last pivot's Z_j power t, and so the support size and the
+deterministic flag, are shared too; each shot's support is the coset of
+its own phase f.  With a 1-D phase vector outcomes are ints, with a shot
+axis they are int64 arrays, as in tableau.py.
 """
 
 from __future__ import annotations
@@ -112,9 +122,20 @@ class WeylTableau:
                             phases=self.phases.copy())
         return out
 
+    def tile_shots(self, shots: int) -> "WeylTableau":
+        """A copy whose 1-D phase vector is repeated over `shots` shots."""
+        out = self.copy()
+        out.phases = np.repeat(self.phases[:, None], shots, axis=1)
+        return out
+
+    @property
+    def num_shots(self) -> int:
+        """Length of the phases' trailing shot axis."""
+        return self.phases.shape[1]
+
     def to_array(self) -> np.ndarray:
-        """Debug dump: phase row, then Z block, then X block, one generator
-        per column."""
+        """Debug dump of a 1-D phase vector: phase row, then Z block, then
+        X block, one generator per column."""
         n = self.n
         return np.vstack([self.phases[None, :],
                           self.coords[:, :n].T,
@@ -138,7 +159,9 @@ class WeylTableau:
             x, z = C[:, n + j], C[:, j]
             df = gate.tau(x, z, self.d)
             if df is not None:
-                self.phases[:] = (self.phases + df) % dp
+                pt = self.phases.T
+                pt += df
+                pt %= dp
             if gate.cols is not None:
                 C[:, n + j], C[:, j] = gate.cols(x, z, dp)
         else:
@@ -146,13 +169,18 @@ class WeylTableau:
             C[:, n + t], C[:, c] = gate.cols(C[:, n + c], C[:, c],
                                              C[:, n + t], C[:, t], dp)
 
-    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
-        """Conjugate every generator by X^a Z^b on qudit j."""
-        n, dp = self.n, self.dp
+    def apply_pauli_error(self, j: int, a, b, shots=...) -> None:
+        """Conjugate every generator by X^a Z^b on qudit j.
+
+        With a shot axis, shots selects the columns to update (all by
+        default) and a, b are scalars or per-shot arrays for them.
+        """
+        n, C = self.n, self.coords
         if not 0 <= j < n:
             raise ShapeError(f"qudit index {j} out of range for n={n}")
-        self.phases = (self.phases
-                       + 2 * (b * self.coords[:, n + j] - a * self.coords[:, j])) % dp
+        pt = self.phases.T
+        pt[shots] = (pt[shots] + 2 * (np.multiply.outer(b, C[:, n + j])
+                                      - np.multiply.outer(a, C[:, j]))) % self.dp
 
     # -- measurement -----------------------------------------------------------
 
@@ -198,57 +226,72 @@ class WeylTableau:
             pivot, rows = self._eliminate(rows, c, self.dp)
             pivots.append(pivot)
         for f, v in rows:
-            assert not v.any() and f % self.dp == 0, \
+            assert not v.any() and not np.any(f % self.dp), \
                 "reduction produced a nontrivial phase times identity"
         return pivots
 
     def _commutant(self, j: int):
-        """Echelon of the subgroup commuting with Z_j: (other pivots, m, support).
+        """Echelon of the subgroup commuting with Z_j: (other pivots, m, k0).
 
         The last pivot tau^f W_(t e_j) (t = d, f = 0 if none) spans the Z_j
         powers in the group, so m = gcd(d, t) is the smallest one, and
-        outcome k is in the support when tau^(f + 2kt) = 1.
+        outcome k is in the support when tau^(2kt + f) = 1.  That holds for
+        g = gcd(2t, d') dividing f and k = k0 mod d/m (d/m = d'/g), so the
+        support is k0 + i*d/m for i < m, with k0 per shot on a shot axis.
         """
-        d, dp, n = self.d, self.dp, self.n
-        rows = list(zip(self.phases.tolist(), self.coords))
-        _, rows = self._eliminate(rows, n + j, d)
-        rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
-        *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
-        f, t = (0, d) if last is None else (int(last[0]), int(last[1][j]))
-        support = [k for k in range(d) if (2 * k * t + f) % dp == 0]
-        assert len(support) == gcd(d, t), "support size disagrees with the Z power"
-        return [p for p in others if p is not None], len(support), support
-
-    def _z_support(self, j: int):
-        """Outcome support of a Z measurement on qudit j, with its Z_j power."""
-        return self._commutant(j)[1:]
-
-    def outcome_distribution(self, j: int) -> dict:
-        m, support = self._z_support(j)
-        return {k: 1.0 / len(support) for k in support}
-
-    def measure_z(self, j: int, rng: np.random.Generator) -> MeasurementRecord:
         d, dp, n = self.d, self.dp, self.n
         if not 0 <= j < n:
             raise ShapeError(f"qudit index {j} out of range for n={n}")
+        rows = list(zip(self.phases, self.coords))
+        _, rows = self._eliminate(rows, n + j, d)
+        rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
+        *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
+        f, t = (0, d) if last is None else (last[0], int(last[1][j]))
+        # a pivot built from the identity rows alone has a scalar phase
+        f = np.broadcast_to(f, self.phases.shape[1:])
+        m, g = gcd(d, t), gcd(2 * t, dp)
+        assert not np.any(f % g), "the pivot's phase leaves no outcome"
+        k0 = (-(f // g) * pow(2 * t // g, -1, d // m)) % (d // m)
+        return [p for p in others if p is not None], m, k0
+
+    def _z_support(self, j: int):
+        """Outcome support of a Z measurement on qudit j, with its size m:
+        a list for a 1-D phase vector, one list per shot on a shot axis."""
+        _, m, k0 = self._commutant(j)
+        return m, (k0[..., None] + self.d // m * np.arange(m)).tolist()
+
+    def outcome_distribution(self, j: int) -> dict:
+        m, support = self._z_support(j)
+        return {k: 1.0 / m for k in support}
+
+    def measure_z(self, j: int, rng: np.random.Generator) -> MeasurementRecord:
+        """Z-basis measurement of qudit j; outcome k collapses onto
+        tau^(-2k) Z_j.  A random measurement draws one index into the
+        support per shot; a deterministic one draws nothing."""
+        d, dp, n = self.d, self.dp, self.n
+        others, m, k = self._commutant(j)
         seq = self.measurements_done
         self.measurements_done += 1
-        others, _, support = self._commutant(j)
-        k = int(support[int(rng.integers(len(support)))])
+        if m > 1:
+            k = k + d // m * rng.integers(m, size=self.phases.shape[1:] or None)
         z_j = ((-2 * k) % dp, np.eye(2 * n, dtype=np.int64)[j])
         pivots = self._echelon(others + [z_j], range(2 * n))
         # a pivot that is 0 mod d is the identity: the group has no -1
         self._set_rows([p for p in pivots if p is not None and (p[1] % d).any()])
-        return MeasurementRecord(j, seq, len(support) == 1, k)
+        return MeasurementRecord(j, seq, m == 1,
+                                 int(k) if self.phases.ndim == 1 else k)
 
     def _set_rows(self, rows) -> None:
+        # every kept row has a per-shot phase: a pivot built from the
+        # identity rows alone is 0 mod d, and measure_z drops it
         self.coords = np.array([v for _, v in rows], dtype=np.int64).reshape(
             len(rows), 2 * self.n)
-        self.phases = np.array([f for f, _ in rows], dtype=np.int64)
+        self.phases = np.array([f for f, _ in rows], dtype=np.int64).reshape(
+            len(rows), *self.phases.shape[1:])
 
     def reset(self, j: int, rng: np.random.Generator) -> None:
         """Measure qudit j and shift it back to |0> with an X correction."""
         rec = self.measure_z(j, rng)
         self.measurements_done -= 1  # resets do not occupy a record slot
-        if rec.outcome:
+        if np.count_nonzero(rec.outcome):
             self.apply_pauli_error(j, (-rec.outcome) % self.d, 0)

@@ -66,18 +66,19 @@ class ReplayRNG:
         return next(self._values)
 
 
-def replay_batch(circuit, shots: int, rng):
+def replay_batch(circuit, shots: int, rng, cls=Tableau):
     """Run circuit shot-batched on rng, then replay every shot's random
-    outcomes (measurements and resets) on its own per-shot Tableau.
-    Returns the batch outcomes, the per-shot records and the batch tableau.
+    outcomes (measurements and resets) on its own per-shot cls instance
+    (Tableau or WeylTableau).  Returns the batch outcomes, the per-shot
+    records and the batch tableau.
     """
     n, dim = circuit.num_qudits, circuit.dimension
     recording = RecordingRNG(rng)
-    tab = Tableau(n, dim).tile_shots(shots)
+    tab = cls(n, dim).tile_shots(shots)
     batch = run_tableau(circuit, tab, recording)
     outcomes = np.array([r.outcome for r in batch],
                         dtype=np.int64).reshape(-1, shots).T
-    records = [_run_shot(circuit, Tableau(n, dim),
+    records = [_run_shot(circuit, cls(n, dim),
                          ReplayRNG(recording.draws, s)) for s in range(shots)]
     for shot in records:
         assert [r.deterministic for r in shot] == [r.deterministic
@@ -139,17 +140,27 @@ class TestSlotFlags:
             rescaled += bool((tab.lam != 1).any())
         assert rescaled >= 3
 
-    @pytest.mark.parametrize("d", [4, 6])
+    @pytest.mark.parametrize("d", [2, 4, 6, 8, 9])
     def test_weyl_flags(self, d):
-        for i, circuit in enumerate(corpus(20 + d, (d,), 4, 4, 40)):
-            n, dim = circuit.num_qudits, circuit.dimension
-            records = per_shot_records(circuit, 15, i,
-                                       lambda: WeylTableau(n, dim))
-            result = run_circuit(circuit, 15, i, "tableau")
-            assert np.array_equal(result.outcomes, record_outcomes(records))
+        """Exact replay: each shot of a shot-batched Weyl run, replayed on
+        its own per-shot WeylTableau with its recorded draws, gives the same
+        outcome and flag at every slot, mid-circuit M and RESET included."""
+        random_slots = 0
+        for i in range(10):
+            circuit = reset_corpus_circuit(d, np.random.default_rng(200 + 10 * d + i))
+            result = run_circuit(circuit, 30, i, "weyl")
+            # run_circuit's one shard draws from the first child of its seed
+            child = np.random.SeedSequence(i).spawn(1)[0]
+            outcomes, records, _ = replay_batch(
+                circuit, 30, np.random.Generator(np.random.PCG64(child)),
+                WeylTableau)
+            assert np.array_equal(result.outcomes, outcomes)
+            assert np.array_equal(outcomes, record_outcomes(records))
             for shot in records:
                 assert result.deterministic.tolist() == [r.deterministic
                                                          for r in shot]
+            random_slots += int((~result.deterministic).sum())
+        assert random_slots >= 10
 
     def test_statevector_per_shot_flags(self):
         circuit = reset_circuit()

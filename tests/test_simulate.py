@@ -243,12 +243,8 @@ def channel_component(kind, prob, d, read):
 class TestBatchedTableau:
     """One shot-batched tableau per shard: noise, shards, threads, start."""
 
-    @pytest.mark.parametrize("kind", NOISE_KINDS)
-    @pytest.mark.parametrize("d", [3, 5])
-    @pytest.mark.parametrize("prob", [0.0, 0.01, 0.3, 1.0])
-    @pytest.mark.parametrize("read", ["x", "z"])
-    def test_single_channel_matches_error_distribution(self, kind, d, prob,
-                                                       read):
+    @staticmethod
+    def check_single_channel(kind, d, prob, read, method):
         shots = 20000
         c = Circuit(1, d)
         if read == "z":
@@ -257,41 +253,75 @@ class TestBatchedTableau:
         if read == "z":
             c.add_gate("F_INV", 0)
         c.add_gate("M", 0)
-        outs = run_circuit(c, shots, seed=18, method="tableau").outcomes
+        outs = run_circuit(c, shots, seed=18, method=method).outcomes
         freqs = np.bincount(outs[:, 0], minlength=d) / shots
         expected = channel_component(kind, prob, d, read)
         # five binomial standard deviations; exact where expected is 0 or 1
-        bound = 5 * np.sqrt(expected * (1 - expected) / shots) + 1e-12
+        # (clipped: expected sums of p/(d-1) can round to just above 1)
+        var = np.clip(expected * (1 - expected), 0, None)
+        bound = 5 * np.sqrt(var / shots) + 1e-12
         assert (np.abs(freqs - expected) <= bound).all(), (freqs, expected)
 
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [3, 5])
+    @pytest.mark.parametrize("prob", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("read", ["x", "z"])
+    def test_single_channel_matches_error_distribution(self, kind, d, prob,
+                                                       read):
+        self.check_single_channel(kind, d, prob, read, "tableau")
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [2, 4, 6])
+    @pytest.mark.parametrize("prob", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("read", ["x", "z"])
+    def test_weyl_single_channel_matches_error_distribution(self, kind, d,
+                                                            prob, read):
+        self.check_single_channel(kind, d, prob, read, "weyl")
+
     @staticmethod
-    def noisy_circuit():
-        c = build_random_clifford_circuit(4, 3, 60, np.random.default_rng(21),
+    def noisy_circuit(d=3):
+        c = build_random_clifford_circuit(4, d, 60, np.random.default_rng(21),
                                           noise=("d", 0.05))
         for j in range(4):
             c.add_gate("M", j)
         return c
 
-    def test_thread_count_invariance(self, monkeypatch):
-        # 800 phase entries over 2n = 8 rows: shards of 100 shots
-        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
-        c = self.noisy_circuit()
-        serial = run_circuit(c, shots=350, seed=31, method="tableau")
+    @staticmethod
+    def check_thread_count_invariance(c, method):
+        serial = run_circuit(c, shots=350, seed=31, method=method)
         for threads in (2, 4):
-            threaded = run_circuit(c, shots=350, seed=31, method="tableau",
+            threaded = run_circuit(c, shots=350, seed=31, method=method,
                                    threads=threads)
             assert np.array_equal(serial.outcomes, threaded.outcomes)
 
-    def test_shard_boundary_determinism(self, monkeypatch):
-        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
-        c = self.noisy_circuit()
-        long = run_circuit(c, shots=250, seed=32, method="tableau").outcomes
-        again = run_circuit(c, shots=250, seed=32, method="tableau").outcomes
+    @staticmethod
+    def check_shard_boundary_determinism(c, method):
+        long = run_circuit(c, shots=250, seed=32, method=method).outcomes
+        again = run_circuit(c, shots=250, seed=32, method=method).outcomes
         assert np.array_equal(long, again)
         # shard k draws from child k of the seed, whatever the shot count
-        first = run_circuit(c, shots=100, seed=32, method="tableau").outcomes
+        first = run_circuit(c, shots=100, seed=32, method=method).outcomes
         assert np.array_equal(long[:100], first)
         assert not np.array_equal(long[100:200], first)
+
+    def test_thread_count_invariance(self, monkeypatch):
+        # 800 phase entries over 2n = 8 rows: shards of 100 shots
+        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
+        self.check_thread_count_invariance(self.noisy_circuit(), "tableau")
+
+    def test_shard_boundary_determinism(self, monkeypatch):
+        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
+        self.check_shard_boundary_determinism(self.noisy_circuit(), "tableau")
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_weyl_thread_count_invariance(self, d, monkeypatch):
+        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
+        self.check_thread_count_invariance(self.noisy_circuit(d), "weyl")
+
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_weyl_shard_boundary_determinism(self, d, monkeypatch):
+        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
+        self.check_shard_boundary_determinism(self.noisy_circuit(d), "weyl")
 
     def test_initial_tableau_with_resets_matches_frames(self):
         """The LRB-D circuit (coded start, ancilla resets, noise), tableau

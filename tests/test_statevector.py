@@ -1,5 +1,7 @@
 """Tests for the dense statevector oracle."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,34 @@ class TestDenseState:
         expect = np.zeros(9, dtype=complex)
         expect[[0, 4, 8]] = 1 / np.sqrt(3)
         assert np.allclose(vec, expect)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_two_qudit_gates_permute_amplitudes(self, d):
+        """SUM and SUM_INV on every ordered pair, against the index map
+        |..i_c..i_t..> -> |..i_c..i_t +- i_c..>, exactly."""
+        n = 3
+        rng = np.random.default_rng(d)
+        psi = rng.normal(size=(d,) * n) + 1j * rng.normal(size=(d,) * n)
+        for name, sign in (("SUM", 1), ("SUM_INV", -1)):
+            for c, t in itertools.permutations(range(n), 2):
+                state = DenseState(n, d)
+                state.psi = psi.copy()
+                state.apply_gate(name, c, t)
+                expect = np.empty_like(psi)
+                for idx in np.ndindex(psi.shape):
+                    out = list(idx)
+                    out[t] = (idx[t] + sign * idx[c]) % d
+                    expect[tuple(out)] = psi[idx]
+                assert np.array_equal(state.psi, expect), (name, c, t)
+
+    def test_gate_matrix_stays_fresh_after_use(self):
+        DenseState(1, 3).apply_gate("X", 0)
+        m = gate_matrix("X", 3)
+        assert m.flags.writeable
+        m[:] = 0
+        state = DenseState(1, 3)
+        state.apply_gate("X", 0)
+        assert np.isclose(state.vector[1], 1)
 
     def test_outcome_distribution(self):
         state = DenseState(2, 3)

@@ -232,10 +232,32 @@ class TestMeasurement:
             rec = tab.measure_z(0, rng)
             assert rec.deterministic and rec.outcome == 0
 
+    @pytest.mark.parametrize("d", [4, 6])
+    def test_batched_reset(self, d):
+        """A reset on a shot axis corrects each shot by its own outcome."""
+        tab = WeylTableau(2, d)
+        tab.apply_gate("F", 0)
+        tab.apply_gate("SUM", 0, 1)
+        batch = tab.tile_shots(200)
+        batch.reset(0, np.random.default_rng(1))
+        after = batch.measure_z(0, np.random.default_rng(2))
+        assert after.deterministic and not after.outcome.any()
+        partner = batch.measure_z(1, np.random.default_rng(3))
+        assert partner.deterministic and len(set(partner.outcome.tolist())) > 1
+
     def test_index_range(self):
         tab = WeylTableau(1, 4)
         with pytest.raises(ShapeError):
             tab.measure_z(1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("j", [-1, 2])
+    def test_distribution_index_range(self, j):
+        tab = WeylTableau(2, 4)
+        for probe in (tab.outcome_distribution, tab._z_support,
+                      lambda q: tab.measure_z(q, np.random.default_rng(0))):
+            with pytest.raises(ShapeError, match="out of range for n=2"):
+                probe(j)
+        assert tab.measurements_done == 0
 
 
 class TestPauliErrors:
