@@ -34,11 +34,16 @@ Shots are processed in fixed-size shards, each with its own child of the
 master seed sequence, so results are identical whether shards run serially
 or across a thread pool.
 
-The shot-batched tableau and Weyl backends (simulate.run_circuit, methods
-'tableau' and 'weyl') share this module's pieces: the sparse noise draw
-(sample_noise), the shard scheme (run_shards) and the instruction loop
-(run_tableau), which the reference run above uses on a single shot (a 1-D
-phase vector) with noise skipped.
+The odd-prime tableau (simulate.run_circuit, method 'tableau') samples
+from an OutcomeMap compiled once on symbolic phases (tableau.py):
+sample_outcomes draws a shard's symbols, uniform values for random
+measurements and resets and, per (channel, prob) group of N1 locations,
+the same sparse Bernoulli draw over the whole (locations x shots) grid, and
+adds each fired error's entries to its shot's outcomes.  The shot-batched
+Weyl backend (method 'weyl') shares the per-N1 sparse draw (sample_noise)
+and the instruction loop (run_tableau), which the reference run above uses
+on a single shot (a 1-D phase vector) with noise skipped.  Both share the
+shard scheme (run_shards).
 """
 
 from __future__ import annotations
@@ -58,6 +63,10 @@ from .tableau import Tableau
 # Every instruction costs a few numpy calls per shard whatever its size, so
 # large shards amortize that; a shard's frame rows stay small (16 KiB each).
 SHARD_SIZE = 16384
+
+# sample_outcomes scatters symbol entries times shots in steps of at most
+# this many products (8 MiB of int64).
+SCATTER_ENTRIES = 1 << 20
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
@@ -101,9 +110,9 @@ def run_tableau(circuit, tab, rng, noise: bool = True) -> list[MeasurementRecord
     """Run circuit on tab, a Tableau or a WeylTableau; its MeasurementRecords
     in program order.
 
-    With a shot axis on tab's phase array the outcomes are per-shot
-    arrays, with a 1-D one (a single shot) they are ints.  noise=False
-    skips N1; noise needs the shot axis.
+    With a shot axis on a WeylTableau's phase array the outcomes are
+    per-shot arrays, with a 1-D one (a single shot) they are ints.
+    noise=False skips N1; noise needs the shot axis.
     """
     records = []
     for ins in circuit.instructions:
@@ -133,6 +142,8 @@ def run_shards(seedseq, shots: int, shard_size: int, threads, run_shard) -> list
     shots = int(shots)
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     sizes = [min(shard_size, shots - start)
              for start in range(0, shots, shard_size)]
     jobs = [(np.random.Generator(np.random.PCG64(child)), size)
@@ -142,6 +153,85 @@ def run_shards(seedseq, shots: int, shard_size: int, threads, run_shard) -> list
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(lambda job: run_shard(*job), jobs))
     return [run_shard(rng, size) for rng, size in jobs]
+
+
+def draw_symbols(omap, rng, size: int):
+    """One shard's symbol values for omap: uniform draws, shape
+    (len(omap.uniform), size), and the fired N1 events as arrays
+    (location, shot, a, b).
+
+    Per (channel, prob) group of locations, a binomial count over the
+    (locations x shots) grid, a uniform subset of that size and errors from
+    the channel's support: each (location, shot) fires independently with
+    probability prob.
+    """
+    values = rng.integers(0, omap.d, (len(omap.uniform), size))
+    fired = [np.zeros(0, dtype=np.int64)] * 4
+    for (kind, prob), locs in omap.noise_groups:
+        k = rng.binomial(len(locs) * size, prob)
+        if k:
+            hit = rng.choice(len(locs) * size, k, replace=False, shuffle=False)
+            a, b = sample_error_batch(kind, 1.0, omap.d, rng, k)
+            fired = [np.concatenate(pair) for pair in
+                     zip(fired, (locs[hit // size], hit % size, a, b))]
+    return values, tuple(fired)
+
+
+def _entries(omap, sym):
+    """(position in sym, slot, coeff) of every entry of the symbols sym."""
+    start = omap.indptr[sym]
+    count = omap.indptr[sym + 1] - start
+    which = np.repeat(np.arange(len(sym)), count)
+    pos = np.arange(len(which)) + np.repeat(start - np.cumsum(count) + count,
+                                            count)
+    return which, omap.slots[pos], omap.coeffs[pos]
+
+
+def _chunks(weights, cap: int):
+    """Consecutive slices of weights, each summing to at most cap unless it
+    is a single element."""
+    ends = np.cumsum(weights)
+    lo = 0
+    while lo < len(ends):
+        base = ends[lo - 1] if lo else 0
+        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
+def sample_outcomes(omap, rng, size: int) -> np.ndarray:
+    """(size, M) int64 outcomes of one shard of shots drawn from omap.
+
+    Uniform symbols reach every shot, so their entries scale whole rows of
+    draws; a fired error adds a * (its a symbol's entries) + b * (its b
+    symbol's) to its own shot only.  Both go in chunks of at most
+    SCATTER_ENTRIES products.
+    """
+    values, (loc, shot, a, b) = draw_symbols(omap, rng, size)
+    d = omap.d
+    out = np.empty((len(omap.const), size), dtype=np.int64)
+    out[:] = omap.const[:, None]
+    counts = np.diff(omap.indptr)
+    for part in _chunks(counts[omap.uniform] * size, SCATTER_ENTRIES):
+        which, slot, coeff = _entries(omap, omap.uniform[part])
+        if not len(slot):  # symbols of resets that no outcome reads
+            continue
+        order = np.argsort(slot, kind="stable")
+        which, slot, coeff = which[order], slot[order], coeff[order]
+        heads = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+        rows = coeff[:, None] * values[part][which]
+        out[slot[heads]] += np.add.reduceat(rows, heads, axis=0) % d
+    val = np.column_stack([a, b]).reshape(-1)
+    fired = val != 0
+    sym, val = omap.noise[loc].reshape(-1)[fired], val[fired]
+    shot = np.repeat(shot, 2)[fired]
+    flat = out.reshape(-1)
+    for part in _chunks(counts[sym], SCATTER_ENTRIES):
+        which, slot, coeff = _entries(omap, sym[part])
+        np.add.at(flat, slot * size + shot[part][which],
+                  val[part][which] * coeff)
+    out %= d
+    return out.T
 
 
 def reference_run(circuit, rng, initial_tableau: Tableau = None) -> list[MeasurementRecord]:

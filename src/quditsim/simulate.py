@@ -2,15 +2,15 @@
 
 Methods:
 
-- 'tableau': odd prime d runs the destabilizer tableau shot-batched: each
-  shard of shots shares one X/Z/lam evolution and keeps a (2n, shard)
-  phase array (see tableau.py), with noise drawn sparsely as the frame
-  sampler draws it.  Any other d falls back to the Weyl generator backend
-  automatically.
-- 'weyl': force the Weyl generator backend (any d >= 2), shot-batched the
-  same way: each shard shares the generator coordinates and every
-  elimination step, and keeps a (rows, shard) tau phase array (see
-  weyl.py).
+- 'tableau': odd prime d runs the destabilizer tableau once, with phases
+  kept as affine forms over random symbols, and so compiles every outcome
+  into an OutcomeMap (see tableau.py); each shard of shots then draws its
+  symbols and fired errors and reads its outcomes off that map
+  (frames.sample_outcomes).  Any other d falls back to the Weyl generator
+  backend automatically.
+- 'weyl': force the Weyl generator backend (any d >= 2), shot-batched:
+  each shard shares the generator coordinates and every elimination step,
+  and keeps a (rows, shard) tau phase array (see weyl.py).
 - 'frames': Pauli-frame sampler (odd prime d only).
 - 'statevector': dense reference simulation.  Circuits whose measurements
   are all terminal, with no noise or resets, are sampled from one joint Born
@@ -21,16 +21,17 @@ slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact.
-The batched tableau and Weyl backends read it from the coordinates all
-shots share; the per-shot statevector loop checks that every shot agrees
-with the first.
+The compiled tableau and the batched Weyl backend read it from the
+coordinates all shots share; the per-shot statevector loop checks that
+every shot agrees with the first.
 
 Statevector shots run one after another on one generator, and their noise
 draws one float and one integer per N1 and shot whether or not it fires
 (noise.sample_error), so their streams stay aligned across circuits that
 differ only in where errors land.  The tableau, Weyl and frame samplers
 shard shots and give each shard its own child seed (frames.run_shards), so
-their output does not depend on the thread count.
+their output does not depend on the thread count.  The compiled tableau's
+RNG work is all in the shards: compiling draws nothing.
 """
 
 from __future__ import annotations
@@ -43,17 +44,23 @@ import numpy as np
 from .circuit import Circuit, MeasurementRecord
 from .errors import QuditSimError
 from .frames import (SHARD_SIZE, FrameSimulator, _as_seedseq, _start_tableau,
-                     run_shards, run_tableau)
+                     run_shards, run_tableau, sample_outcomes)
 from .noise import sample_error
 from .statevector import DenseState
-from .tableau import Tableau
+from .tableau import Tableau, compile_circuit
 from .weyl import WeylTableau
 
 METHODS = ("tableau", "weyl", "frames", "statevector")
 
-# A batched tableau or Weyl shard holds an int64 phase array of at most 2n
-# rows by shard columns; this caps its entries (8 MiB) for wide registers.
+# A batched Weyl shard holds an int64 phase array of at most 2n rows by
+# shard columns; this caps its entries (8 MiB) for wide registers.
 TABLEAU_SHARD_ENTRIES = 1 << 20
+
+# A compiled-tableau shard holds (M, shard) outcomes and (U, shard) uniform
+# symbol draws in int64, for M measurements and U random measurements and
+# resets, and draws its noise over an (L, shard) grid of N1 locations; this
+# caps M + U + L times the shard size.
+OUTCOME_SHARD_ENTRIES = 1 << 20
 
 
 def counts_key(outcomes, d: int) -> str:
@@ -74,8 +81,15 @@ def records_to_counts(records, d: int) -> dict:
     outcomes = np.asarray(records, dtype=np.int64)
     if len(outcomes) == 0:
         return {}
-    if outcomes.shape[1] == 0:
-        return {"": len(outcomes)}
+    shots, m = outcomes.shape
+    if m == 0:
+        return {"": shots}
+    if d <= 10:
+        # each row's digit string as one byte string; byte order is the
+        # numeric order of the rows
+        keys = (outcomes + 48).astype(np.uint8, order="C").view(f"S{m}")[:, 0]
+        keys, counts = np.unique(keys, return_counts=True)
+        return dict(zip(keys.astype(str).tolist(), counts.tolist()))
     # lexsort's last key is its primary one; np.unique(axis=0) is slower
     rows = outcomes[np.lexsort(outcomes.T[::-1])]
     starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
@@ -172,11 +186,12 @@ def _run_per_shot(circuit: Circuit, shots: int, rng) -> tuple:
     return (outcomes, *_slot_arrays(first))
 
 
-def _run_batched(circuit: Circuit, seed, shots: int, threads, start) -> tuple:
-    """Outcome rows and slot arrays from one shot-batched copy of start, a
-    Tableau or a WeylTableau, per shard."""
+def _run_batched(circuit: Circuit, seed, shots: int, threads) -> tuple:
+    """Outcome rows and slot arrays from one shot-batched WeylTableau per
+    shard."""
     shard_size = max(1, min(SHARD_SIZE,
                             TABLEAU_SHARD_ENTRIES // (2 * circuit.num_qudits)))
+    start = WeylTableau(circuit.num_qudits, circuit.dimension)
 
     def run_shard(rng, size):
         records = run_tableau(circuit, start.tile_shots(size), rng)
@@ -186,6 +201,19 @@ def _run_batched(circuit: Circuit, seed, shots: int, threads, start) -> tuple:
     parts = run_shards(_as_seedseq(seed), shots, shard_size, threads, run_shard)
     outcomes = np.concatenate([out.T for out, _ in parts], axis=0)
     return (outcomes, *parts[0][1])
+
+
+def _run_compiled(circuit: Circuit, seed, shots: int, threads,
+                  start: Tableau) -> tuple:
+    """Outcome rows and slot arrays sampled, shard by shard, from the
+    circuit's OutcomeMap compiled from start."""
+    omap = compile_circuit(circuit, start)
+    width = max(1, len(omap.const) + len(omap.uniform) + len(omap.noise))
+    parts = run_shards(_as_seedseq(seed), shots,
+                       max(1, OUTCOME_SHARD_ENTRIES // width), threads,
+                       lambda rng, size: sample_outcomes(omap, rng, size))
+    return (np.concatenate(parts, axis=0), omap.qudits, omap.seqs,
+            omap.deterministic)
 
 
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
@@ -250,11 +278,10 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         sim = FrameSimulator(circuit, seed, initial_tableau)
         columns = (sim.run(shots, threads), *_slot_arrays(sim.reference_records))
     elif method_used == "tableau":
-        columns = _run_batched(circuit, seed, shots, threads,
-                               _start_tableau(circuit, initial_tableau))
+        columns = _run_compiled(circuit, seed, shots, threads,
+                                _start_tableau(circuit, initial_tableau))
     elif method_used == "weyl":
-        columns = _run_batched(circuit, seed, shots, threads,
-                               WeylTableau(circuit.num_qudits, circuit.dimension))
+        columns = _run_batched(circuit, seed, shots, threads)
     else:
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
         measured = _terminal_measurement_plan(circuit)

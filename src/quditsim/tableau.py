@@ -12,15 +12,22 @@ at all ones and only changes when a measurement swaps an unnormalized pivot
 row into the destabilizer block; the deterministic-measurement exponents
 divide by lam to compensate.
 
-Shot batching: the X-block, Z-block and lam evolve the same way in every
+Symbolic phases: the X-block, Z-block and lam evolve the same way in every
 shot, because gates, pivot choice and row elimination never read the phase
 vector, while noise and measurement outcomes only move it, and every update
-of it is affine.  So r may carry a trailing shot axis, shape (2n, shots):
-one tableau then runs a whole batch of shots, a random measurement draws one
-outcome per shot and a deterministic one returns one per shot.  Every method
-below works for either shape; with a 1-D r outcomes are ints, with a shot
-axis they are int64 arrays.  The bodies index r through its transpose, so
-a per-row vector broadcasts over the shots on the trailing axis.
+of it is affine.  So symbolic() gives r a trailing axis [constant | live
+symbol columns]: each phase is an affine form c + L @ s over random symbols
+s (after Symphase, Fang & Ying 2024).  Gates and the quadratic terms of
+elimination move the constant column only, a pivot row operation moves
+every column, a random measurement or reset sets its pivot row to a fresh
+uniform symbol and an N1 location (add_noise_symbols) adds the columns of
+its error components a and b.  Outcomes then come out as forms
+(constant, symbol ids, coefficients) instead of ints.  Destabilizer phases
+never flow into a stabilizer row or an outcome, so a column that is zero on
+every stabilizer row stays zero there and is dropped (_drop_dead); the live
+width, not the symbol count, bounds the work.  compile_circuit runs a
+circuit this way once and returns an OutcomeMap, from which
+frames.sample_outcomes draws every shot.
 
 Elementary-operation counters are kept per gate and per measurement so the
 asymptotic costs (linear per gate, quadratic per measurement, independent of
@@ -28,6 +35,8 @@ d) can be checked directly.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -91,6 +100,9 @@ class Tableau:
             self.X[j, j] = 1
             self.Z[n + j, j] = 1
         self.lam = np.ones(n, dtype=np.int64)
+        self.symbols = None  # ids of r's symbol columns once symbolic()
+        self.num_symbols = 0
+        self._pending = []
         self.measurements_done = 0
         self.gate_op_log: list[int] = []
         self.measure_op_log: list[int] = []
@@ -152,21 +164,54 @@ class Tableau:
         out.Z = self.Z.copy()
         out.r = self.r.copy()
         out.lam = self.lam.copy()
+        out.symbols = None if self.symbols is None else self.symbols.copy()
+        out.num_symbols = self.num_symbols
+        out._pending = list(self._pending)
         out.measurements_done = self.measurements_done
         out.gate_op_log = list(self.gate_op_log)
         out.measure_op_log = list(self.measure_op_log)
         return out
 
-    def tile_shots(self, shots: int) -> "Tableau":
-        """A copy whose 1-D phase vector is repeated over `shots` shots."""
+    def symbolic(self) -> "Tableau":
+        """A copy whose phases are affine forms over random symbols, starting
+        as the constant column alone."""
         out = self.copy()
-        out.r = np.repeat(self.r[:, None], shots, axis=1)
+        out.r = self.r[:, None].copy()
+        out.symbols = np.zeros(0, dtype=np.int64)
         return out
 
-    @property
-    def num_shots(self) -> int:
-        """Length of r's trailing shot axis."""
-        return self.r.shape[1]
+    def _const(self, a):
+        """View of the constant part of a, one phase or an array of them."""
+        return a if self.symbols is None else a[..., 0]
+
+    def _new_symbols(self, *cols) -> list:
+        """Ids of fresh symbols whose phase columns are cols, each (2n,).
+
+        Gates move only the constant column, so the columns wait in a list
+        until the next measurement or reset needs them (_flush)."""
+        ids = list(range(self.num_symbols, self.num_symbols + len(cols)))
+        self.num_symbols += len(cols)
+        self._pending.extend(cols)
+        return ids
+
+    def _flush(self) -> None:
+        """Append the waiting symbol columns to r, except those zero on
+        every stabilizer row, which are dead at birth."""
+        if not self._pending:
+            return
+        cols = np.stack(self._pending, axis=1)
+        ids = np.arange(self.num_symbols - len(self._pending), self.num_symbols)
+        self._pending = []
+        live = cols[self.n:].any(axis=0)
+        self.r = np.concatenate([self.r, cols[:, live]], axis=1)
+        self.symbols = np.concatenate([self.symbols, ids[live]])
+
+    def _drop_dead(self) -> None:
+        """Drop the symbol columns that are zero on every stabilizer row."""
+        live = self.r[self.n:, 1:].any(axis=0)
+        if not live.all():
+            self.r = self.r[:, np.r_[True, live]]
+            self.symbols = self.symbols[live]
 
     # -- row access ----------------------------------------------------------
 
@@ -201,13 +246,13 @@ class Tableau:
 
     def apply_gate(self, name: str, *qudits: int) -> None:
         gate = resolve(name, qudits, self.n)
-        d, X, Z, r = self.d, self.X, self.Z, self.r
+        d, X, Z = self.d, self.X, self.Z
         if gate.arity == 1:
             (j,) = qudits
             x, z = X[:, j], Z[:, j]
-            rt = r.T
-            rt += gate.omega(x, z, d)
-            rt %= d
+            rc = self._const(self.r)
+            rc += gate.omega(x, z, d)
+            rc %= d
             if gate.cols is not None:
                 X[:, j], Z[:, j] = gate.cols(x, z, d)
         else:
@@ -215,37 +260,50 @@ class Tableau:
             X[:, t], Z[:, c] = gate.cols(X[:, c], Z[:, c], X[:, t], Z[:, t], d)
         self.gate_op_log.append(2 * gate.arity * self.n)
 
-    def apply_pauli_error(self, j: int, a, b, shots=...) -> None:
-        """Conjugate every row by X^a Z^b on qudit j.
+    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
+        """Conjugate every row by X^a Z^b on qudit j."""
+        self._check_qudit(j)
+        self.r = (self.r + b * self.X[:, j] - a * self.Z[:, j]) % self.d
 
-        With a shot axis, shots selects the columns to update (all by
-        default) and a, b are scalars or per-shot arrays for them.
-        """
+    def add_noise_symbols(self, j: int) -> list:
+        """Symbolic X^a Z^b on qudit j: the ids of fresh symbols a and b."""
+        self._check_qudit(j)
+        return self._new_symbols((-self.Z[:, j]) % self.d, self.X[:, j].copy())
+
+    def _check_qudit(self, j: int) -> None:
         if not 0 <= j < self.n:
             raise ShapeError(f"qudit index {j} out of range for n={self.n}")
-        rt = self.r.T
-        rt[shots] = (rt[shots] + np.multiply.outer(b, self.X[:, j])
-                     - np.multiply.outer(a, self.Z[:, j])) % self.d
 
     # -- measurement -----------------------------------------------------------
 
-    def measure_z(self, j: int, rng: np.random.Generator) -> MeasurementRecord:
+    def measure_z(self, j: int, rng: np.random.Generator = None) -> MeasurementRecord:
         """Z-basis measurement of qudit j; outcome k collapses onto w^(-k) Z_j.
 
         The outcome is the eigenvalue exponent: the post-measurement state is
         stabilized by w^(-k) Z_j, so Z_j has eigenvalue w^k, matching dense
-        Born sampling.
+        Born sampling.  A random outcome is drawn from rng, or with symbolic
+        phases is a fresh symbol; symbolic outcomes are forms (constant,
+        symbol ids, nonzero coefficients).
         """
-        d, n = self.d, self.n
-        if not 0 <= j < n:
-            raise ShapeError(f"qudit index {j} out of range for n={n}")
         seq = self.measurements_done
+        deterministic, k = self._collapse(j, rng)
         self.measurements_done += 1
-        stab_col = self.X[n:, j]
-        hits = np.flatnonzero(stab_col)
+        if self.symbols is None:
+            return MeasurementRecord(j, seq, deterministic, int(k))
+        live = np.flatnonzero(k[1:])
+        form = (int(k[0]), self.symbols[live], k[1 + live])
+        self._drop_dead()
+        return MeasurementRecord(j, seq, deterministic, form)
+
+    def _collapse(self, j: int, rng):
+        """Measure Z_j: (deterministic, outcome k mod d), k an int or, with
+        symbolic phases, a vector over r's columns."""
+        d, n = self.d, self.n
+        self._check_qudit(j)
+        self._flush()
+        hits = np.flatnonzero(self.X[n:, j])
         if len(hits):
             p = n + int(hits[0])
-            k = rng.integers(0, d, self.r.shape[1:] or None)
             ops = 2 * n
             ops += self._eliminate_column(j, p) * (2 * n + 1)
             self.lam[p - n] = int(self.X[p, j])
@@ -255,10 +313,19 @@ class Tableau:
             self.X[p] = 0
             self.Z[p] = 0
             self.Z[p, j] = 1
+            if self.symbols is None:
+                k = int(rng.integers(0, d))
+            else:
+                fresh = np.zeros(2 * n, dtype=np.int64)
+                fresh[p] = d - 1
+                self._new_symbols(fresh)
+                self._flush()
+                k = np.zeros(self.r.shape[1], dtype=np.int64)
+                k[-1] = 1
             self.r[p] = (-k) % d
             ops += 2 * (2 * n + 1) + 1
             self.measure_op_log.append(ops)
-            return MeasurementRecord(j, seq, False, self._outcome(k))
+            return False, k
 
         # Z_j = prod_k S_k^y_k with y = X[:n, j] / lam.  Multiplying the
         # powers in order k = 0..n-1 gives the phase sum below: each power
@@ -270,16 +337,13 @@ class Tableau:
         px = (y @ sx) % d
         pz = (y @ sz) % d
         cross = np.triu((y[:, None] * sz) @ (y[:, None] * sx).T, 1).sum()
-        pr = (y @ self.r[n:] + (y * (y - 1) // 2) @ (sx * sz).sum(axis=1)
-              + cross)
         assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
+        k = np.array(-(y @ self.r[n:]))
+        kc = self._const(k)
+        kc -= (y * (y - 1) // 2) @ (sx * sz).sum(axis=1) + cross
         self.measure_op_log.append(2 * n + n + n * (2 * n + 1))
-        return MeasurementRecord(j, seq, True, self._outcome(-pr % d))
-
-    def _outcome(self, k):
-        """k as an int for a 1-D phase vector, else as a per-shot array."""
-        return int(k) if self.r.ndim == 1 else k
+        return True, k % d
 
     def deterministic_outcome_gaussian(self, j: int):
         """Branch decision and outcome by direct linear solving; never mutates.
@@ -318,17 +382,82 @@ class Tableau:
         zp = self.Z[p].copy()
         inv = pow(int(col[p]), -1, d)
         h = (-(col[rows]) * inv) % d
-        quad = (h * (h - 1) // 2) * int(xp @ zp)
-        cross = h * (self.Z[rows] @ xp)
-        rt = self.r.T
-        rt[..., rows] = (rt[..., rows] + rt[..., [p]] * h + quad + cross) % d
+        moved = self.r[rows] + np.multiply.outer(h, self.r[p])
+        mc = self._const(moved)
+        mc += (h * (h - 1) // 2) * int(xp @ zp) + h * (self.Z[rows] @ xp)
+        self.r[rows] = moved % d
         self.X[rows] = (self.X[rows] + h[:, None] * xp) % d
         self.Z[rows] = (self.Z[rows] + h[:, None] * zp) % d
         return int(len(rows))
 
-    def reset(self, j: int, rng: np.random.Generator) -> None:
-        """Measure qudit j and shift it back to |0> with an X correction."""
-        rec = self.measure_z(j, rng)
-        self.measurements_done -= 1  # resets do not occupy a record slot
-        if np.count_nonzero(rec.outcome):
-            self.apply_pauli_error(j, (-rec.outcome) % self.d, 0)
+    def reset(self, j: int, rng: np.random.Generator = None) -> None:
+        """Measure qudit j and shift it back to |0> with an X^-k correction,
+        which adds k Z[:, j] to the phases."""
+        _, k = self._collapse(j, rng)
+        self.r = (self.r + np.multiply.outer(self.Z[:, j], k)) % self.d
+        if self.symbols is not None:
+            self._drop_dead()
+
+
+@dataclass(eq=False)
+class OutcomeMap:
+    """Every measurement outcome of a circuit as an affine form over symbols.
+
+    Slot m reads (const[m] + sum of coeff * value over its entries) mod d.
+    Symbols are numbered in program order: a random M or RESET adds one,
+    uniform on Z_d (listed in uniform), and each N1 location two, its error
+    components a and b (the rows of noise), which are 0 unless it fires.
+    Symbol s's entries, sorted by slot, are slots[indptr[s]:indptr[s+1]]
+    with their coeffs.  noise_groups lists, per (channel, prob), the N1
+    locations (rows of noise) that share it.
+    """
+
+    d: int
+    const: np.ndarray
+    qudits: np.ndarray
+    seqs: np.ndarray
+    deterministic: np.ndarray
+    indptr: np.ndarray
+    slots: np.ndarray
+    coeffs: np.ndarray
+    uniform: np.ndarray
+    noise: np.ndarray
+    noise_groups: list
+
+
+def compile_circuit(circuit, start: Tableau) -> OutcomeMap:
+    """Run circuit once on symbolic phases from start; no randomness used."""
+    tab = start.symbolic()
+    records, noise, groups = [], [], {}
+    for ins in circuit.instructions:
+        name = ins.name
+        if name == "M":
+            records.append(tab.measure_z(ins.qudits[0]))
+        elif name == "RESET":
+            tab.reset(ins.qudits[0])
+        elif name == "N1":
+            groups.setdefault((ins.noise_channel, ins.prob), []).append(len(noise))
+            noise.append(tab.add_noise_symbols(ins.qudits[0]))
+        else:
+            tab.apply_gate(name, *ins.qudits)
+    forms = [rec.outcome for rec in records]
+    ids = np.concatenate([f[1] for f in forms] + [np.zeros(0, np.int64)])
+    order = np.argsort(ids, kind="stable")
+    slots = np.repeat(np.arange(len(forms)), [len(f[1]) for f in forms])
+    noise = np.array(noise, dtype=np.int64).reshape(-1, 2)
+    uniform = np.ones(tab.num_symbols, dtype=bool)
+    uniform[noise] = False
+    return OutcomeMap(
+        d=tab.d,
+        const=np.array([f[0] for f in forms], dtype=np.int64),
+        qudits=np.array([r.qudit for r in records], dtype=np.int64),
+        seqs=np.array([r.seq for r in records], dtype=np.int64),
+        deterministic=np.array([r.deterministic for r in records], dtype=bool),
+        indptr=np.r_[0, np.cumsum(np.bincount(ids, minlength=tab.num_symbols))],
+        slots=slots[order],
+        coeffs=np.concatenate([f[2] for f in forms]
+                              + [np.zeros(0, np.int64)])[order],
+        uniform=np.flatnonzero(uniform),
+        noise=noise,
+        noise_groups=[(key, np.array(locs)) for key, locs in groups.items()],
+    )

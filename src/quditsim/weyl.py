@@ -33,7 +33,7 @@ batch, every elimination step is shared and only the phases are per shot.
 The last pivot's Z_j power t, and so the support size and the
 deterministic flag, are shared too; each shot's support is the coset of
 its own phase f.  With a 1-D phase vector outcomes are ints, with a shot
-axis they are int64 arrays, as in tableau.py.
+axis they are int64 arrays.
 """
 
 from __future__ import annotations

@@ -13,12 +13,16 @@ import pytest
 from quditsim import cli
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit, serialize_sdim
-from quditsim.experiments import OutcomeDistribution, per_slot_distributions
-from quditsim.frames import SHARD_SIZE, FrameSimulator, run_tableau
+from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
+                                  code_initial_tableau, per_slot_distributions,
+                                  qutrit_detection_code)
+from quditsim.frames import SHARD_SIZE, FrameSimulator, draw_symbols, run_tableau
 from quditsim.gates import GATE_TABLE
-from quditsim.simulate import _run_shot, records_to_counts, run_circuit
+from quditsim.noise import NOISE_KINDS
+from quditsim.simulate import (OUTCOME_SHARD_ENTRIES, _run_shot,
+                               records_to_counts, run_circuit)
 from quditsim.statevector import DenseState
-from quditsim.tableau import Tableau
+from quditsim.tableau import Tableau, compile_circuit
 from quditsim.weyl import WeylTableau
 
 
@@ -65,25 +69,73 @@ class ReplayRNG:
     def integers(self, low, high=None, size=None):
         return next(self._values)
 
+    def exhausted(self) -> bool:
+        return next(self._values, None) is None
 
-def replay_batch(circuit, shots: int, rng, cls=Tableau):
-    """Run circuit shot-batched on rng, then replay every shot's random
-    outcomes (measurements and resets) on its own per-shot cls instance
-    (Tableau or WeylTableau).  Returns the batch outcomes, the per-shot
-    records and the batch tableau.
+
+def replay_batch(circuit, shots: int, rng):
+    """Run circuit shot-batched on a WeylTableau with rng, then replay every
+    shot's random outcomes (measurements and resets) on its own per-shot
+    WeylTableau.  Returns the batch outcomes, the per-shot records and the
+    batch tableau.
     """
     n, dim = circuit.num_qudits, circuit.dimension
     recording = RecordingRNG(rng)
-    tab = cls(n, dim).tile_shots(shots)
+    tab = WeylTableau(n, dim).tile_shots(shots)
     batch = run_tableau(circuit, tab, recording)
     outcomes = np.array([r.outcome for r in batch],
                         dtype=np.int64).reshape(-1, shots).T
-    records = [_run_shot(circuit, cls(n, dim),
-                         ReplayRNG(recording.draws, s)) for s in range(shots)]
+    records = [_run_shot(circuit, WeylTableau(n, dim),
+                         ReplayRNG(recording.draws, s))
+               for s in range(shots)]
     for shot in records:
         assert [r.deterministic for r in shot] == [r.deterministic
                                                    for r in batch]
     return outcomes, records, tab
+
+
+def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
+    """Replay run_circuit(method="tableau") shot by shot.
+
+    Draws the symbols of run_circuit's one shard from the first child of
+    its seed, then runs each shot on its own concrete 1-D Tableau: its
+    random measurements and resets read that shot's uniform symbol values
+    in order, and each N1 applies the error that fired there in that shot,
+    if any.  Returns the result, the per-shot records, the per-shot final
+    tableaus and the number of fired errors.
+    """
+    n, dim = circuit.num_qudits, circuit.dimension
+    start = initial_tableau or Tableau(n, dim)
+    omap = compile_circuit(circuit, start)
+    width = len(omap.const) + len(omap.uniform) + len(omap.noise)
+    assert shots <= OUTCOME_SHARD_ENTRIES // max(1, width)  # one shard
+    result = run_circuit(circuit, shots, seed, "tableau",
+                         initial_tableau=initial_tableau)
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    values, (loc, shot, a, b) = draw_symbols(
+        omap, np.random.Generator(np.random.PCG64(child)), shots)
+    fired = {(int(l), int(s)): (int(x), int(z))
+             for l, s, x, z in zip(loc, shot, a, b)}
+    records, tabs = [], []
+    for s in range(shots):
+        tab, rng = start.copy(), ReplayRNG(values, s)
+        shot_records, location = [], 0
+        for ins in circuit.instructions:
+            q = ins.qudits[0]
+            if ins.name == "M":
+                shot_records.append(tab.measure_z(q, rng))
+            elif ins.name == "RESET":
+                tab.reset(q, rng)
+            elif ins.name == "N1":
+                if (location, s) in fired:
+                    tab.apply_pauli_error(q, *fired[location, s])
+                location += 1
+            else:
+                tab.apply_gate(ins.name, *ins.qudits)
+        assert rng.exhausted()
+        records.append(tuple(shot_records))
+        tabs.append(tab)
+    return result, records, tabs, len(fired)
 
 
 def record_outcomes(records) -> np.ndarray:
@@ -113,13 +165,8 @@ class TestSlotFlags:
                                       max_depth):
         for i, circuit in enumerate(corpus(seed, dims, count, max_qudits,
                                            max_depth)):
-            tab = run_circuit(circuit, 25, i, "tableau")
             frames = run_circuit(circuit, 25, i, "frames")
-            # run_circuit's one shard draws from the first child of its seed
-            child = np.random.SeedSequence(i).spawn(1)[0]
-            outcomes, records, _ = replay_batch(
-                circuit, 25, np.random.Generator(np.random.PCG64(child)))
-            assert np.array_equal(tab.outcomes, outcomes)
+            tab, records, _, _ = replay_compiled(circuit, 25, i)
             assert np.array_equal(tab.outcomes, record_outcomes(records))
             for shot in records:
                 flags = [r.deterministic for r in shot]
@@ -130,15 +177,32 @@ class TestSlotFlags:
 
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_replay_with_resets_and_rescaled_pairs(self, d):
-        """Mid-circuit M and RESET; some shots end with lam != 1."""
-        rescaled = 0
+        """Exact replay of the compiled sampler with noise, mid-circuit M
+        and RESET; some shots end with lam != 1."""
+        rescaled = fired = random_slots = 0
         for i in range(12):
-            circuit = reset_corpus_circuit(d, np.random.default_rng(100 * d + i))
-            outcomes, records, tab = replay_batch(circuit, 40,
-                                                  np.random.default_rng(i))
-            assert np.array_equal(outcomes, record_outcomes(records))
-            rescaled += bool((tab.lam != 1).any())
-        assert rescaled >= 3
+            noise = (NOISE_KINDS[i % 3], 0.1)
+            circuit = reset_corpus_circuit(d, np.random.default_rng(100 * d + i),
+                                           noise)
+            result, records, tabs, events = replay_compiled(circuit, 40, i)
+            assert np.array_equal(result.outcomes, record_outcomes(records))
+            for shot in records:
+                assert result.deterministic.tolist() == [r.deterministic
+                                                         for r in shot]
+            rescaled += sum(bool((tab.lam != 1).any()) for tab in tabs)
+            fired += events
+            random_slots += int((~result.deterministic).sum())
+        assert rescaled >= 3 * 40
+        assert fired >= 100 and random_slots >= 10
+
+    def test_replay_from_initial_tableau(self):
+        """The LRB-D circuit: coded start, ancilla resets and noise."""
+        code = qutrit_detection_code()
+        start = code_initial_tableau(code)
+        circuit = build_lrb_d_circuit(code, 4, 0.05, np.random.default_rng(5))
+        result, records, _, events = replay_compiled(circuit, 60, 6, start)
+        assert np.array_equal(result.outcomes, record_outcomes(records))
+        assert events > 0
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8, 9])
     def test_weyl_flags(self, d):
@@ -152,8 +216,7 @@ class TestSlotFlags:
             # run_circuit's one shard draws from the first child of its seed
             child = np.random.SeedSequence(i).spawn(1)[0]
             outcomes, records, _ = replay_batch(
-                circuit, 30, np.random.Generator(np.random.PCG64(child)),
-                WeylTableau)
+                circuit, 30, np.random.Generator(np.random.PCG64(child)))
             assert np.array_equal(result.outcomes, outcomes)
             assert np.array_equal(outcomes, record_outcomes(records))
             for shot in records:
@@ -262,8 +325,10 @@ def test_nonpositive_shots_rejected(method, shots):
 
 # -- CLI bytes -----------------------------------------------------------------
 
-def reset_corpus_circuit(d: int, rng) -> Circuit:
-    """Random gates on 2-5 qudits with mid-circuit M and RESET mixed in."""
+def reset_corpus_circuit(d: int, rng, noise=None) -> Circuit:
+    """Random gates on 2-5 qudits with mid-circuit M and RESET mixed in.
+    noise, a (kind, prob) pair, adds an N1 after every gate on each qudit
+    it touches; it draws nothing from rng."""
     n = int(rng.integers(2, 6))
     circuit = Circuit(n, d)
     singles = [g.name for g in GATE_TABLE if g.arity == 1]
@@ -272,13 +337,20 @@ def reset_corpus_circuit(d: int, rng) -> Circuit:
         j = int(rng.integers(n))
         if u < 0.1:
             circuit.add_gate("M", j)
-        elif u < 0.18:
+            continue
+        if u < 0.18:
             circuit.add_gate("RESET", j)
-        elif u < 0.55:
+            continue
+        if u < 0.55:
             circuit.add_gate(singles[int(rng.integers(len(singles)))], j)
+            touched = (j,)
         else:
             t = (j + 1 + int(rng.integers(n - 1))) % n
             circuit.add_gate(("SUM", "SUM_INV")[int(rng.integers(2))], j, t)
+            touched = (j, t)
+        if noise is not None:
+            for q in touched:
+                circuit.add_gate("N1", q, noise_channel=noise[0], prob=noise[1])
     for j in range(n):
         circuit.add_gate("M", j)
     return circuit

@@ -14,7 +14,9 @@ from quditsim.errors import DimensionError
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
+from quditsim.frames import FrameSimulator
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
+from quditsim.tableau import Tableau, compile_circuit
 
 
 class TestCountsKeys:
@@ -241,7 +243,7 @@ def channel_component(kind, prob, d, read):
 
 
 class TestBatchedTableau:
-    """One shot-batched tableau per shard: noise, shards, threads, start."""
+    """Shard-sampled tableau and Weyl runs: noise, shards, threads, start."""
 
     @staticmethod
     def check_single_channel(kind, d, prob, read, method):
@@ -304,14 +306,32 @@ class TestBatchedTableau:
         assert np.array_equal(long[:100], first)
         assert not np.array_equal(long[100:200], first)
 
+    @staticmethod
+    def outcome_shards_of(monkeypatch, c, shots):
+        """Make the compiled tableau sample c in shards of `shots` shots."""
+        omap = compile_circuit(c, Tableau(c.num_qudits, c.dimension))
+        width = len(omap.const) + len(omap.uniform) + len(omap.noise)
+        monkeypatch.setattr(simulate, "OUTCOME_SHARD_ENTRIES", shots * width)
+
     def test_thread_count_invariance(self, monkeypatch):
-        # 800 phase entries over 2n = 8 rows: shards of 100 shots
-        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
-        self.check_thread_count_invariance(self.noisy_circuit(), "tableau")
+        c = self.noisy_circuit()
+        self.outcome_shards_of(monkeypatch, c, 100)
+        self.check_thread_count_invariance(c, "tableau")
 
     def test_shard_boundary_determinism(self, monkeypatch):
-        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
-        self.check_shard_boundary_determinism(self.noisy_circuit(), "tableau")
+        c = self.noisy_circuit()
+        self.outcome_shards_of(monkeypatch, c, 100)
+        self.check_shard_boundary_determinism(c, "tableau")
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    @pytest.mark.parametrize("method", ["tableau", "weyl", "frames"])
+    def test_nonpositive_threads_rejected(self, method, threads):
+        c = self.noisy_circuit()
+        with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
+            run_circuit(c, 10, 1, method, threads=threads)
+        if method == "frames":
+            with pytest.raises(ValueError, match="threads must be >= 1, got -3"):
+                FrameSimulator(c, 1).run(10, threads=-3)
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_thread_count_invariance(self, d, monkeypatch):
