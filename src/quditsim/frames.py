@@ -1,49 +1,32 @@
-"""Vectorized Pauli-frame sampling for odd prime qudit dimensions.
+"""Pauli-frame sampling for odd prime qudit dimensions.
 
-One phase-tracked reference run of the circuit is taken on the stabilizer
-tableau with noise switched off.  Each shot then carries only a phaseless
-Pauli frame (fx, fz) per qudit, the difference between that shot's state and
-the reference state.  Gates act on frames by the same symplectic column maps
-as on tableau rows (phases dropped), noise adds sampled error components, and
-a measurement of qudit j returns reference outcome + fx_j.
+A Pauli frame records how one shot differs from a noiseless reference
+shot: each random measurement or reset and each noise event that fires
+moves the later outcomes by fixed multiples of its value, the same in every
+shot.  FrameSimulator works that map out once.  compile_circuit
+(tableau.py) runs the circuit on symbolic phases and returns an OutcomeMap:
+every outcome is an affine form over random symbols, one uniform symbol per
+random measurement or reset and the components a and b of each N1
+location's error.  The constant terms are the reference shot and the
+symbol entries are the frame.  A shard of shots then only draws its symbols
+and adds their entries to the constants (sample_outcomes), so no
+instruction is replayed per shot.
 
-Frames are initialized with uniformly random powers of the initial
-stabilizer rows, i.e. a uniform element of the initial stabilizer group.
-Without this the frame would be pinned to the reference on the first
-measurement and random outcomes would all repeat the reference values; with
-it the frame stays uniform over the current stabilizer group for the whole
-run, which makes random outcomes uniform and leaves deterministic outcomes
-exact in every shot.
+Noise is sampled sparsely, after Stim's frame simulator (Gidney 2021): per
+(channel, prob) group of N1 locations, the number of firing (location,
+shot) pairs is drawn from Binomial(locations x shots, prob), that many
+distinct pairs are chosen uniformly, and only those get an error, uniform
+over the channel's support.  Each pair still fires independently with
+probability prob, so the distribution is exactly that of one Bernoulli draw
+per pair, while the cost follows the events that fire.
 
-Layout: a shard keeps fx and fz qudit-major, one row of shots per qudit, in
-the smallest unsigned dtype that holds 2d - 1 (uint8 for d <= 127), so a
-gate reads and rewrites whole contiguous rows and the sum of two reduced
-entries never wraps before it is taken mod d.  Measured outcomes collect
-in an (M, shots) block that run() transposes into its (shots, M) int64
-result.
-
-Noise is sampled sparsely, after Stim's frame simulator (Gidney 2021): for
-each N1 and shard the number of firing shots is drawn from Binomial(shard
-size, p), that many distinct shots are chosen uniformly, and only those get
-an error, uniform over the channel's support.  Each (instruction, shot) pair
-still fires independently with probability p, so the distribution is
-exactly that of one Bernoulli draw per pair, while the cost follows the
-events that fire.
-
-Shots are processed in fixed-size shards, each with its own child of the
-master seed sequence, so results are identical whether shards run serially
-or across a thread pool.
-
-The odd-prime tableau (simulate.run_circuit, method 'tableau') samples
-from an OutcomeMap compiled once on symbolic phases (tableau.py):
-sample_outcomes draws a shard's symbols, uniform values for random
-measurements and resets and, per (channel, prob) group of N1 locations,
-the same sparse Bernoulli draw over the whole (locations x shots) grid, and
-adds each fired error's entries to its shot's outcomes.  The shot-batched
-Weyl backend (method 'weyl') shares the per-N1 sparse draw (sample_noise)
-and the instruction loop (run_tableau), which the reference run above uses
-on a single shot (a 1-D phase vector) with noise skipped.  Both share the
-shard scheme (run_shards).
+Shots are processed in shards, each with its own child of the master seed
+sequence, so results are identical whether shards run serially or across a
+thread pool (run_shards).  simulate.run_circuit samples both the 'frames'
+and the odd-prime 'tableau' methods with FrameSimulator.  The shot-batched
+Weyl backend (method 'weyl') shares the shard scheme, the per-N1 sparse
+draw (sample_noise) and the instruction loop (run_tableau); reference_run
+runs that loop once on a concrete Tableau with noise skipped.
 """
 
 from __future__ import annotations
@@ -55,18 +38,24 @@ import numpy as np
 
 from .circuit import MeasurementRecord
 from .errors import DimensionError
-from .gates import GATES
 from .noise import sample_error_batch
 from .pauli import _as_dimension
-from .tableau import Tableau
+from .tableau import Tableau, compile_circuit
 
-# Every instruction costs a few numpy calls per shard whatever its size, so
-# large shards amortize that; a shard's frame rows stay small (16 KiB each).
+# Every Weyl instruction costs a few numpy calls per shard whatever its
+# size, so large shards amortize that.
 SHARD_SIZE = 16384
 
+# A FrameSimulator shard holds (M, shard) outcomes and (U, shard) uniform
+# symbol draws in int64, for M measurements and U random measurements and
+# resets, and draws its noise over an (L, shard) grid of N1 locations; this
+# caps M + U + L times the shard size.
+OUTCOME_SHARD_ENTRIES = 1 << 20
+
 # sample_outcomes scatters symbol entries times shots in steps of at most
-# this many products (8 MiB of int64).
-SCATTER_ENTRIES = 1 << 20
+# this many products (32 KiB of int64), so its index and value arrays stay
+# small next to the shard's outcomes.
+SCATTER_ENTRIES = 1 << 12
 
 
 def _as_seedseq(seed) -> np.random.SeedSequence:
@@ -200,27 +189,28 @@ def _chunks(weights, cap: int):
 
 
 def sample_outcomes(omap, rng, size: int) -> np.ndarray:
-    """(size, M) int64 outcomes of one shard of shots drawn from omap.
+    """(size, M) outcomes of one shard of shots drawn from omap, in the
+    smallest unsigned dtype that holds d - 1.
 
     Uniform symbols reach every shot, so their entries scale whole rows of
-    draws; a fired error adds a * (its a symbol's entries) + b * (its b
-    symbol's) to its own shot only.  Both go in chunks of at most
-    SCATTER_ENTRIES products.
+    draws, in blocks of shots; a fired error adds a * (its a symbol's
+    entries) + b * (its b symbol's) to its own shot only, in chunks of
+    errors.  Each step takes at most SCATTER_ENTRIES products.
     """
     values, (loc, shot, a, b) = draw_symbols(omap, rng, size)
     d = omap.d
     out = np.empty((len(omap.const), size), dtype=np.int64)
     out[:] = omap.const[:, None]
+    which, slot, coeff = _entries(omap, omap.uniform)
+    order = np.argsort(slot, kind="stable")
+    which, slot, coeff = which[order], slot[order], coeff[order]
+    heads = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
+    step = max(1, SCATTER_ENTRIES // max(1, len(slot)))
+    for lo in range(0, size if len(slot) else 0, step):
+        cols = slice(lo, lo + step)
+        rows = coeff[:, None] * values[which, cols]
+        out[slot[heads], cols] += np.add.reduceat(rows, heads, axis=0) % d
     counts = np.diff(omap.indptr)
-    for part in _chunks(counts[omap.uniform] * size, SCATTER_ENTRIES):
-        which, slot, coeff = _entries(omap, omap.uniform[part])
-        if not len(slot):  # symbols of resets that no outcome reads
-            continue
-        order = np.argsort(slot, kind="stable")
-        which, slot, coeff = which[order], slot[order], coeff[order]
-        heads = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
-        rows = coeff[:, None] * values[part][which]
-        out[slot[heads]] += np.add.reduceat(rows, heads, axis=0) % d
     val = np.column_stack([a, b]).reshape(-1)
     fired = val != 0
     sym, val = omap.noise[loc].reshape(-1)[fired], val[fired]
@@ -231,7 +221,7 @@ def sample_outcomes(omap, rng, size: int) -> np.ndarray:
         np.add.at(flat, slot * size + shot[part][which],
                   val[part][which] * coeff)
     out %= d
-    return out.T
+    return out.astype(np.min_scalar_type(d - 1)).T
 
 
 def reference_run(circuit, rng, initial_tableau: Tableau = None) -> list[MeasurementRecord]:
@@ -241,79 +231,26 @@ def reference_run(circuit, rng, initial_tableau: Tableau = None) -> list[Measure
 
 
 class FrameSimulator:
-    """Samples measurement records of a circuit by Pauli-frame propagation."""
+    """Samples the measurement outcomes of a circuit from its OutcomeMap.
 
-    def __init__(self, circuit, seed=None, initial_tableau: Tableau = None,
-                 shard_size: int = SHARD_SIZE):
-        tab = _start_tableau(circuit, initial_tableau)
-        self.circuit = circuit
-        self.dimension = tab.dimension
-        self.d = tab.d
-        self.n = circuit.num_qudits
-        self.shard_size = int(shard_size)
+    omap holds the slot arrays (qudits, seqs, deterministic).  op_count
+    adds up map entries times shots over every run.
+    """
+
+    def __init__(self, circuit, seed=None, initial_tableau: Tableau = None):
+        omap = compile_circuit(circuit, _start_tableau(circuit, initial_tableau))
+        width = len(omap.const) + len(omap.uniform) + len(omap.noise)
+        self.omap = omap
+        self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // max(1, width))
         self._seedseq = _as_seedseq(seed)
         self.op_count = 0
-        # frame entries live in [0, d); sums of two fit before reduction
-        self._dtype = np.min_scalar_type(2 * self.d - 1)
-
-        # uniform powers of these rows seed each shot's frame
-        self.init_stab_x = tab.X[self.n:].copy()
-        self.init_stab_z = tab.Z[self.n:].copy()
-
-        ref_rng = np.random.Generator(np.random.PCG64(self._seedseq.spawn(1)[0]))
-        self.reference_records = run_tableau(circuit, tab, ref_rng, noise=False)
-        self._ref_outcomes = [r.outcome for r in self.reference_records]
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
-        """Record matrix of shape (shots, num_measurements), dtype int64."""
+        """Outcome matrix of shape (shots, num_measurements), dtype int64."""
         parts = run_shards(self._seedseq, shots, self.shard_size, threads,
-                           self._run_shard)
-        self.op_count += sum(ops for _, ops in parts)
-        return np.concatenate([out.T for out, _ in parts], axis=0,
-                              dtype=np.int64)
-
-    def _run_shard(self, rng: np.random.Generator, size: int):
-        """(M, size) outcomes of one shard and its frame-slot update count."""
-        d, dtype = self.d, self._dtype
-        powers = rng.integers(0, d, (self.n, size))
-        fx = ((self.init_stab_x.T @ powers) % d).astype(dtype)
-        fz = ((self.init_stab_z.T @ powers) % d).astype(dtype)
-        out = np.empty((self.circuit.num_measurements, size), dtype=dtype)
-        mi = 0
-        ops = 0  # frame-slot updates: O(1) per shot per instruction
-        for ins in self.circuit.instructions:
-            name = ins.name
-            if name == "M":
-                j = ins.qudits[0]
-                np.remainder(fx[j] + self._ref_outcomes[mi], d, out=out[mi])
-                mi += 1
-                row = fz[j]
-                row += rng.integers(0, d, size, dtype=dtype)
-                row %= d
-                ops += 2 * size
-            elif name == "RESET":
-                j = ins.qudits[0]
-                fx[j] = 0
-                fz[j] = rng.integers(0, d, size, dtype=dtype)
-                ops += 2 * size
-            elif name == "N1":
-                drawn = sample_noise(ins, d, rng, size)
-                if drawn is not None:
-                    j = ins.qudits[0]
-                    hit, a, b = drawn
-                    fx[j, hit] = (fx[j, hit] + a) % d
-                    fz[j, hit] = (fz[j, hit] + b) % d
-                ops += 2 * size
-            else:
-                gate = GATES[name]
-                if gate.arity == 2:
-                    c, t = ins.qudits
-                    fx[t], fz[c] = gate.cols(fx[c], fz[c], fx[t], fz[t], d)
-                elif gate.cols is not None:  # X and Z powers move only phases
-                    j = ins.qudits[0]
-                    fx[j], fz[j] = gate.cols(fx[j], fz[j], d)
-                ops += gate.arity * size
-        return out, ops
+                           lambda rng, size: sample_outcomes(self.omap, rng, size))
+        self.op_count += len(self.omap.slots) * int(shots)
+        return np.concatenate(parts, axis=0, dtype=np.int64)
 
 
 def run_frames(circuit, shots: int, seed=None, threads: int = None,

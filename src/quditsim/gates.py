@@ -2,11 +2,10 @@
 
 Each gate is a row of GATE_TABLE: its canonical name, the aliases accepted
 on input, its arity, its inverse and its action by conjugation on Pauli
-operators.  The tableau, the Weyl backend, the frame propagator, the
-circuit format and the experiment builders all read their gate semantics
-from here; the dense matrices in statevector.gate_matrix are written out
-independently, because they are the oracle the rules below are tested
-against.
+operators.  The tableau, the Weyl backend, the circuit format and the
+experiment builders all read their gate semantics from here; the dense
+matrices in statevector.gate_matrix are written out independently,
+because they are the oracle the rules below are tested against.
 
 Conventions (see pauli.py and weyl.py):
 
@@ -19,12 +18,12 @@ symplectic matrix.  Given numpy columns reduced mod m, cols(x, z, m)
 returns the new columns reduced mod m as fresh arrays, so that callers may
 pass views and write the results back in either order; cols is None for X
 and Z powers, which move only phases.  No intermediate leaves [0, 2m - 1],
-so the columns may also be unsigned arrays of a dtype that holds 2m - 1, as
-the frame sampler keeps them.  omega(x, z, d) is the increment of
-r (tableau rows) and tau(x, z, d) the increment of f (Weyl coordinates,
-None where f does not move), both computed from the columns before the
-gate.  P and P_INV move the tau phase only for odd d: for even d the phase
-gate is diag(tau^(j^2)), which fixes the Weyl phase.
+so the columns may also be unsigned arrays of a dtype that holds 2m - 1.
+omega(x, z, d) is the increment of r (tableau rows) and tau(x, z, d) the
+increment of f (Weyl coordinates, None where f does not move), both
+computed from the columns before the gate.  P and P_INV move the tau
+phase only for odd d: for even d the phase gate is diag(tau^(j^2)), which
+fixes the Weyl phase.
 
 SUM (control c, target t) maps x_t -> x_t + x_c and z_c -> z_c - z_t,
 SUM_INV the same with the signs flipped; neither moves a phase.  Their

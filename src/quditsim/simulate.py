@@ -6,12 +6,14 @@ Methods:
   kept as affine forms over random symbols, and so compiles every outcome
   into an OutcomeMap (see tableau.py); each shard of shots then draws its
   symbols and fired errors and reads its outcomes off that map
-  (frames.sample_outcomes).  Any other d falls back to the Weyl generator
+  (frames.FrameSimulator).  Any other d falls back to the Weyl generator
   backend automatically.
 - 'weyl': force the Weyl generator backend (any d >= 2), shot-batched:
   each shard shares the generator coordinates and every elimination step,
   and keeps a (rows, shard) tau phase array (see weyl.py).
-- 'frames': Pauli-frame sampler (odd prime d only).
+- 'frames': the same sampler as the odd-prime 'tableau' method, with the
+  same output at the same seed; any d other than an odd prime is a
+  DimensionError rather than a fallback.
 - 'statevector': dense reference simulation.  Circuits whose measurements
   are all terminal, with no noise or resets, are sampled from one joint Born
   distribution over the measured qudits instead of evolving every shot.
@@ -21,16 +23,16 @@ slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact.
-The compiled tableau and the batched Weyl backend read it from the
+The compiled map and the batched Weyl backend read it from the
 coordinates all shots share; the per-shot statevector loop checks that
 every shot agrees with the first.
 
 Statevector shots run one after another on one generator, and their noise
 draws one float and one integer per N1 and shot whether or not it fires
 (noise.sample_error), so their streams stay aligned across circuits that
-differ only in where errors land.  The tableau, Weyl and frame samplers
-shard shots and give each shard its own child seed (frames.run_shards), so
-their output does not depend on the thread count.  The compiled tableau's
+differ only in where errors land.  The compiled and Weyl samplers shard
+shots and give each shard its own child seed (frames.run_shards), so
+their output does not depend on the thread count.  The compiled sampler's
 RNG work is all in the shards: compiling draws nothing.
 """
 
@@ -43,11 +45,11 @@ import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
 from .errors import QuditSimError
-from .frames import (SHARD_SIZE, FrameSimulator, _as_seedseq, _start_tableau,
-                     run_shards, run_tableau, sample_outcomes)
+from .frames import (SHARD_SIZE, FrameSimulator, _as_seedseq, run_shards,
+                     run_tableau)
 from .noise import sample_error
 from .statevector import DenseState
-from .tableau import Tableau, compile_circuit
+from .tableau import Tableau
 from .weyl import WeylTableau
 
 METHODS = ("tableau", "weyl", "frames", "statevector")
@@ -55,12 +57,6 @@ METHODS = ("tableau", "weyl", "frames", "statevector")
 # A batched Weyl shard holds an int64 phase array of at most 2n rows by
 # shard columns; this caps its entries (8 MiB) for wide registers.
 TABLEAU_SHARD_ENTRIES = 1 << 20
-
-# A compiled-tableau shard holds (M, shard) outcomes and (U, shard) uniform
-# symbol draws in int64, for M measurements and U random measurements and
-# resets, and draws its noise over an (L, shard) grid of N1 locations; this
-# caps M + U + L times the shard size.
-OUTCOME_SHARD_ENTRIES = 1 << 20
 
 
 def counts_key(outcomes, d: int) -> str:
@@ -203,19 +199,6 @@ def _run_batched(circuit: Circuit, seed, shots: int, threads) -> tuple:
     return (outcomes, *parts[0][1])
 
 
-def _run_compiled(circuit: Circuit, seed, shots: int, threads,
-                  start: Tableau) -> tuple:
-    """Outcome rows and slot arrays sampled, shard by shard, from the
-    circuit's OutcomeMap compiled from start."""
-    omap = compile_circuit(circuit, start)
-    width = max(1, len(omap.const) + len(omap.uniform) + len(omap.noise))
-    parts = run_shards(_as_seedseq(seed), shots,
-                       max(1, OUTCOME_SHARD_ENTRIES // width), threads,
-                       lambda rng, size: sample_outcomes(omap, rng, size))
-    return (np.concatenate(parts, axis=0), omap.qudits, omap.seqs,
-            omap.deterministic)
-
-
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
     """Sample all terminal measurements from one joint Born distribution.
 
@@ -265,6 +248,8 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
+    if threads is not None and threads < 1:
+        raise ValueError(f"threads must be >= 1, got {threads}")
     d = circuit.dimension.d
     if method == "tableau" and not circuit.dimension.is_odd_prime:
         method_used = "weyl"
@@ -274,12 +259,11 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         raise ValueError("initial_tableau requires the odd-prime tableau or "
                          "frames backend")
 
-    if method_used == "frames":
+    if method_used in ("frames", "tableau"):
         sim = FrameSimulator(circuit, seed, initial_tableau)
-        columns = (sim.run(shots, threads), *_slot_arrays(sim.reference_records))
-    elif method_used == "tableau":
-        columns = _run_compiled(circuit, seed, shots, threads,
-                                _start_tableau(circuit, initial_tableau))
+        omap = sim.omap
+        columns = (sim.run(shots, threads), omap.qudits, omap.seqs,
+                   omap.deterministic)
     elif method_used == "weyl":
         columns = _run_batched(circuit, seed, shots, threads)
     else:

@@ -27,7 +27,7 @@ never flow into a stabilizer row or an outcome, so a column that is zero on
 every stabilizer row stays zero there and is dropped (_drop_dead); the live
 width, not the symbol count, bounds the work.  compile_circuit runs a
 circuit this way once and returns an OutcomeMap, from which
-frames.sample_outcomes draws every shot.
+frames.FrameSimulator draws every shot.
 
 Elementary-operation counters are kept per gate and per measurement so the
 asymptotic costs (linear per gate, quadratic per measurement, independent of

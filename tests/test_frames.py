@@ -146,10 +146,13 @@ class TestDeterminismContract:
         multi = run_frames(c, 3000, seed=21, threads=4)
         assert np.array_equal(single, multi)
 
-    def test_sharding_invariance(self):
+    def test_sharding_invariance(self, monkeypatch):
         c = build_ghz_chain(2, 3, measure=True)
-        small = FrameSimulator(c, seed=9, shard_size=64).run(1000)
-        large = FrameSimulator(c, seed=9, shard_size=100000).run(1000)
+        # 3 map columns per shot: 2 measurements and 1 uniform symbol
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * 3)
+        small = FrameSimulator(c, seed=9).run(1000)
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 100000 * 3)
+        large = FrameSimulator(c, seed=9).run(1000)
         # same ensemble even when shard boundaries differ
         assert hist_tvd(outcome_histogram(small, 3),
                         outcome_histogram(large, 3)) < 0.1
@@ -205,8 +208,10 @@ class TestInputChecks:
         monkeypatch.setattr(frames_module, "ThreadPoolExecutor", Recording)
         monkeypatch.setattr(frames_module.os, "cpu_count", lambda: cpus)
         c = build_ghz_chain(3, 5, measure=True)
-        serial = FrameSimulator(c, seed=4, shard_size=64).run(100)
-        pooled = FrameSimulator(c, seed=4, shard_size=64).run(100, threads=16)
+        # 4 map columns per shot: 3 measurements and 1 uniform symbol
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * 4)
+        serial = FrameSimulator(c, seed=4).run(100)
+        pooled = FrameSimulator(c, seed=4).run(100, threads=16)
         assert started == pools
         assert np.array_equal(serial, pooled)
 

@@ -16,11 +16,11 @@ from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
-from quditsim.frames import SHARD_SIZE, FrameSimulator, draw_symbols, run_tableau
+from quditsim.frames import (OUTCOME_SHARD_ENTRIES, SHARD_SIZE, FrameSimulator,
+                             draw_symbols, run_tableau)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
-from quditsim.simulate import (OUTCOME_SHARD_ENTRIES, _run_shot,
-                               records_to_counts, run_circuit)
+from quditsim.simulate import _run_shot, records_to_counts, run_circuit
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau, compile_circuit
 from quditsim.weyl import WeylTableau
@@ -247,10 +247,10 @@ class TestSlotFlags:
         result = run_circuit(circuit, 300, 9, "frames")
         sim = FrameSimulator(circuit, 9)
         assert np.array_equal(result.outcomes, sim.run(300))
-        refs = sim.reference_records
-        assert result.deterministic.tolist() == [r.deterministic for r in refs]
-        assert result.qudits.tolist() == [r.qudit for r in refs]
-        assert result.seqs.tolist() == [r.seq for r in refs]
+        omap = sim.omap
+        assert result.deterministic.tolist() == omap.deterministic.tolist()
+        assert result.qudits.tolist() == omap.qudits.tolist()
+        assert result.seqs.tolist() == omap.seqs.tolist()
 
 
 class TestColumns:

@@ -8,6 +8,7 @@ from quditsim.builders import (
     build_ghz_chain,
     build_random_clifford_circuit,
 )
+import quditsim.frames as frames_module
 import quditsim.simulate as simulate
 from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError
@@ -311,7 +312,8 @@ class TestBatchedTableau:
         """Make the compiled tableau sample c in shards of `shots` shots."""
         omap = compile_circuit(c, Tableau(c.num_qudits, c.dimension))
         width = len(omap.const) + len(omap.uniform) + len(omap.noise)
-        monkeypatch.setattr(simulate, "OUTCOME_SHARD_ENTRIES", shots * width)
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES",
+                            shots * width)
 
     def test_thread_count_invariance(self, monkeypatch):
         c = self.noisy_circuit()
@@ -324,7 +326,8 @@ class TestBatchedTableau:
         self.check_shard_boundary_determinism(c, "tableau")
 
     @pytest.mark.parametrize("threads", [0, -1])
-    @pytest.mark.parametrize("method", ["tableau", "weyl", "frames"])
+    @pytest.mark.parametrize("method", ["tableau", "weyl", "frames",
+                                        "statevector"])
     def test_nonpositive_threads_rejected(self, method, threads):
         c = self.noisy_circuit()
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
@@ -332,6 +335,11 @@ class TestBatchedTableau:
         if method == "frames":
             with pytest.raises(ValueError, match="threads must be >= 1, got -3"):
                 FrameSimulator(c, 1).run(10, threads=-3)
+        if method == "statevector":  # the dense fast path as well
+            with pytest.raises(ValueError,
+                               match=f"threads must be >= 1, got {threads}"):
+                run_circuit(build_ghz_chain(2, 3, measure=True), 10, 1,
+                            method, threads=threads)
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_thread_count_invariance(self, d, monkeypatch):
@@ -361,3 +369,44 @@ class TestBatchedTableau:
             assert mean_slot_tvd(tab.outcomes, frames.outcomes, 3) < 0.02
         # the start tableau itself is left untouched
         assert np.array_equal(start.to_array(), before)
+
+    @staticmethod
+    def mid_circuit_readout(d):
+        """A noisy random circuit with an M and a RESET after every 15th
+        instruction, and a final readout."""
+        src = build_random_clifford_circuit(3, d, 40, np.random.default_rng(d),
+                                            noise=("d", 0.05))
+        c = Circuit(3, d)
+        for i, ins in enumerate(src.instructions):
+            c.add_gate(ins.name, *ins.qudits, noise_channel=ins.noise_channel,
+                       prob=ins.prob)
+            if i % 15 == 14:
+                c.add_gate("M", i % 3)
+                c.add_gate("RESET", (i + 1) % 3)
+        for j in range(3):
+            c.add_gate("M", j)
+        return c
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("case", ["d3", "d5", "d11", "lrbd"])
+    def test_frames_equal_tableau_at_same_seed(self, case, threads,
+                                               monkeypatch):
+        """frames and the odd-prime tableau are one sampler: same outcomes
+        and flags at one seed, across several shards."""
+        start = None
+        if case == "lrbd":
+            code = qutrit_detection_code()
+            start = code_initial_tableau(code)
+            c = build_lrb_d_circuit(code, 3, 0.05, np.random.default_rng(5))
+        else:
+            c = self.mid_circuit_readout(int(case[1:]))
+        assert {"M", "RESET", "N1"} <= {ins.name for ins in c.instructions}
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 1 << 13)
+        tab = run_circuit(c, 500, 7, "tableau", threads=threads,
+                          initial_tableau=start)
+        frames = run_circuit(c, 500, 7, "frames", threads=threads,
+                             initial_tableau=start)
+        assert np.array_equal(tab.outcomes, frames.outcomes)
+        for name in ("deterministic", "qudits", "seqs"):
+            assert np.array_equal(getattr(tab, name), getattr(frames, name))
+        assert tab.counts == frames.counts
