@@ -268,6 +268,11 @@ def _methods_pair(text: str):
     if len(parts) != 2 or any(p not in METHODS for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected two of {METHODS} separated by a comma, got {text!r}")
+    # 'frames' and odd-prime 'tableau' are one sampler: such a pair passes
+    # whatever that sampler does
+    if parts[0] == parts[1] or set(parts) == {"frames", "tableau"}:
+        raise argparse.ArgumentTypeError(
+            f"{text!r} compares one sampler with itself")
     return parts
 
 

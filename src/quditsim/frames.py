@@ -42,10 +42,6 @@ from .noise import sample_error_batch
 from .pauli import _as_dimension
 from .tableau import Tableau, compile_circuit
 
-# Every Weyl instruction costs a few numpy calls per shard whatever its
-# size, so large shards amortize that.
-SHARD_SIZE = 16384
-
 # A FrameSimulator shard holds (M, shard) outcomes and (U, shard) uniform
 # symbol draws in int64, for M measurements and U random measurements and
 # resets, and draws its noise over an (L, shard) grid of N1 locations; this

@@ -17,13 +17,11 @@ A single-qudit gate maps one qudit's exponent columns (x, z) by a
 symplectic matrix.  Given numpy columns reduced mod m, cols(x, z, m)
 returns the new columns reduced mod m as fresh arrays, so that callers may
 pass views and write the results back in either order; cols is None for X
-and Z powers, which move only phases.  No intermediate leaves [0, 2m - 1],
-so the columns may also be unsigned arrays of a dtype that holds 2m - 1.
-omega(x, z, d) is the increment of r (tableau rows) and tau(x, z, d) the
-increment of f (Weyl coordinates, None where f does not move), both
-computed from the columns before the gate.  P and P_INV move the tau
-phase only for odd d: for even d the phase gate is diag(tau^(j^2)), which
-fixes the Weyl phase.
+and Z powers, which move only phases.  omega(x, z, d) is the increment of
+r (tableau rows) and tau(x, z, d) the increment of f (Weyl coordinates,
+None where f does not move), both computed from the columns before the
+gate.  P and P_INV move the tau phase only for odd d: for even d the phase
+gate is diag(tau^(j^2)), which fixes the Weyl phase.
 
 SUM (control c, target t) maps x_t -> x_t + x_c and z_c -> z_c - z_t,
 SUM_INV the same with the signs flipped; neither moves a phase.  Their

@@ -45,14 +45,17 @@ import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
 from .errors import QuditSimError
-from .frames import (SHARD_SIZE, FrameSimulator, _as_seedseq, run_shards,
-                     run_tableau)
+from .frames import FrameSimulator, _as_seedseq, run_shards, run_tableau
 from .noise import sample_error
 from .statevector import DenseState
 from .tableau import Tableau
 from .weyl import WeylTableau
 
 METHODS = ("tableau", "weyl", "frames", "statevector")
+
+# Every Weyl instruction costs a few numpy calls per shard whatever its
+# size, so large shards amortize that.
+SHARD_SIZE = 16384
 
 # A batched Weyl shard holds an int64 phase array of at most 2n rows by
 # shard columns; this caps its entries (8 MiB) for wide registers.

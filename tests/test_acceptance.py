@@ -101,8 +101,9 @@ def test_criterion_03_tableau_vs_statevector_corpus():
     assert report["all_passed"], report["max_tvd"]
 
 
-def test_criterion_04_frames_vs_tableau_corpus():
-    """20 random circuits, d in {3,5}, n <= 6, depth <= 200: TVD < 0.02."""
+def test_criterion_04_frames_vs_statevector_corpus():
+    """20 random circuits, d in {3,5}, n <= 6, depth <= 200: TVD < 0.02
+    against dense Born sampling."""
     rng = np.random.default_rng(4)
     dims = (3, 5)
     circuits = []
@@ -111,7 +112,7 @@ def test_criterion_04_frames_vs_tableau_corpus():
         depth = int(rng.integers(1, 201))
         circuits.append(build_random_clifford_circuit(n, dims[i % 2], depth,
                                                       rng))
-    report = validate_backend_pair(circuits, "frames", "tableau",
+    report = validate_backend_pair(circuits, "frames", "statevector",
                                    shots=10**4, threshold=0.02, seed=40)
     assert report["all_passed"], report["max_tvd"]
 

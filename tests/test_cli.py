@@ -253,6 +253,15 @@ class TestValidate:
         with open(csv_path) as fh:
             assert len(list(csv.DictReader(fh))) == 4
 
+    @pytest.mark.parametrize("pair", ["tableau,frames", "frames,tableau",
+                                      "weyl,weyl"])
+    def test_one_sampler_pair_rejected(self, pair):
+        proc = run_cli("validate", "--pairs", pair, "--circuits", "1",
+                       "--seed", "3")
+        assert proc.returncode == 4
+        assert "compares one sampler with itself" in proc.stderr
+        assert proc.stdout == ""
+
 
 class TestBenchmarkCommands:
     """quditsim rb / lrbd."""

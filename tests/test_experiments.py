@@ -153,7 +153,9 @@ class TestValidateBackendPair:
         rng = np.random.default_rng(8)
         circuits = [build_random_clifford_circuit(3, 5, 20, rng)
                     for _ in range(3)]
-        report = validate_backend_pair(circuits, "frames", "tableau",
+        # the Weyl generator tableau: odd-prime 'tableau' is the frame
+        # sampler itself
+        report = validate_backend_pair(circuits, "frames", "weyl",
                                        shots=800, threshold=0.2, seed=9)
         assert report["all_passed"]
 

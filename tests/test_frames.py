@@ -23,7 +23,9 @@ def outcome_histogram(matrix, d):
 
 
 def tableau_histogram(circuit, shots, seed):
-    result = run_circuit(circuit, shots=shots, seed=seed, method="tableau")
+    """Joint outcome frequencies from the Weyl generator tableau, which
+    samples without the frame sampler's compiled outcome map."""
+    result = run_circuit(circuit, shots=shots, seed=seed, method="weyl")
     counts = {}
     for recs in result.records:
         key = tuple(r.outcome for r in recs)
@@ -261,7 +263,8 @@ def sample_tvd_bound(pooled, n1, n2, factor=4.0):
 
 
 class TestWideDimensions:
-    """uint8 frames up to d = 127, a wider dtype beyond."""
+    """Wide prime dimensions: a sum of two entries, up to 2d - 2, nearly
+    reaches 255 (d = 127) or passes it (d = 131)."""
 
     @pytest.mark.parametrize("d", [127, 131])
     def test_marginals_match_tableau(self, d):
@@ -272,7 +275,7 @@ class TestWideDimensions:
                                           reset_prob=0.1)
         n_frames, n_tab = 20000, 2000
         fr = run_frames(c, n_frames, seed=1)
-        tab = run_circuit(c, n_tab, seed=2, method="tableau").outcomes
+        tab = run_circuit(c, n_tab, seed=2, method="weyl").outcomes
         m = fr.shape[1]
         # each slot, and the difference of each pair (GHZ-like correlations)
         stats = [(fr[:, i], tab[:, i]) for i in range(m)]

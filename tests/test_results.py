@@ -16,11 +16,12 @@ from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
-from quditsim.frames import (OUTCOME_SHARD_ENTRIES, SHARD_SIZE, FrameSimulator,
+from quditsim.frames import (OUTCOME_SHARD_ENTRIES, FrameSimulator,
                              draw_symbols, run_tableau)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
-from quditsim.simulate import _run_shot, records_to_counts, run_circuit
+from quditsim.simulate import (SHARD_SIZE, _run_shot, records_to_counts,
+                               run_circuit)
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau, compile_circuit
 from quditsim.weyl import WeylTableau

@@ -15,9 +15,10 @@ from quditsim.errors import DimensionError
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
-from quditsim.frames import FrameSimulator
+from quditsim.frames import FrameSimulator, run_tableau
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
 from quditsim.tableau import Tableau, compile_circuit
+from quditsim.weyl import WeylTableau, weyl_from_pauli
 
 
 class TestCountsKeys:
@@ -352,21 +353,26 @@ class TestBatchedTableau:
         self.check_shard_boundary_determinism(self.noisy_circuit(d), "weyl")
 
     def test_initial_tableau_with_resets_matches_frames(self):
-        """The LRB-D circuit (coded start, ancilla resets, noise), tableau
-        vs frames at criterion 04's bar."""
+        """The LRB-D circuit (coded start, ancilla resets, noise), the Weyl
+        generator tableau vs frames at criterion 04's bar."""
         code = qutrit_detection_code()
         start = code_initial_tableau(code)
         before = start.to_array()
+        weyl = WeylTableau(start.n, start.d)
+        weyl._set_rows([weyl_from_pauli(start.stabilizer(i))
+                        for i in range(start.n)])
         rng = np.random.default_rng(33)
         for depth in (2, 6):
             c = build_lrb_d_circuit(code, depth, 0.05, rng)
             assert any(ins.name == "RESET" for ins in c.instructions)
-            tab = run_circuit(c, 10**4, 34 + depth, "tableau",
-                              initial_tableau=start)
+            records = run_tableau(c, weyl.tile_shots(10**4),
+                                  np.random.default_rng(34 + depth))
+            tab = np.array([r.outcome for r in records]).T
             frames = run_circuit(c, 10**4, 44 + depth, "frames",
                                  initial_tableau=start)
-            assert tab.deterministic.tolist() == frames.deterministic.tolist()
-            assert mean_slot_tvd(tab.outcomes, frames.outcomes, 3) < 0.02
+            assert ([r.deterministic for r in records]
+                    == frames.deterministic.tolist())
+            assert mean_slot_tvd(tab, frames.outcomes, 3) < 0.02
         # the start tableau itself is left untouched
         assert np.array_equal(start.to_array(), before)
 
