@@ -2,8 +2,8 @@
 
 Naive repetition re-runs the full tableau simulation once per shot.  The
 frame sampler (run_circuit's 'frames' method, which also serves the
-odd-prime 'tableau' method) runs the tableau once with every phase kept as
-an affine form over random symbols.  The constant terms are a noiseless
+'tableau' and 'weyl' methods on every d) runs the tableau once with every
+phase kept as an affine form over random symbols.  The constant terms are a noiseless
 reference shot, and the symbol entries are the Pauli frame: how each random
 measurement and each noise event moves every outcome.  A shot then costs
 only its symbol draws and the errors that fire.  Both must produce the same

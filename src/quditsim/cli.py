@@ -8,11 +8,10 @@ Commands:
     quditsim rb --depths LIST --circuits N --shots N --p P --seed S ...
     quditsim lrbd --depths LIST --circuits N --shots N --p P --seed S ...
 
-Exit codes: 0 success, 2 circuit parse error, 3 unsupported
-method/dimension combination, 4 usage error, 5 file I/O error, 6 memory cap
-exceeded, 7 internal error.  Results go to stdout; wall-clock timing and
-diagnostics go to stderr so identical inputs and seeds produce byte-identical
-output.
+Exit codes: 0 success, 2 circuit parse error, 4 usage error, 5 file I/O
+error, 6 memory cap exceeded, 7 internal error.  Results go to stdout;
+wall-clock timing and diagnostics go to stderr so identical inputs and
+seeds produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,15 +28,14 @@ from .builders import (build_bernstein_vazirani, build_deutsch_jozsa,
                        build_ghz_chain, build_local_gate_test,
                        build_random_clifford_circuit)
 from .circuit import parse_sdim, serialize_sdim
-from .errors import (DimensionError, MemoryCapError, ParseError,
-                     QuditSimError)
+from .errors import MemoryCapError, ParseError, QuditSimError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
+from .pauli import Dimension
 from .simulate import METHODS, run_circuit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
-EXIT_UNSUPPORTED = 3
 EXIT_USAGE = 4
 EXIT_IO = 5
 EXIT_MEMORY = 6
@@ -213,6 +211,12 @@ def _cmd_gen(args) -> int:
 def _cmd_validate(args) -> int:
     method_a, method_b = args.pairs
     dims = args.d
+    # 'weyl' compiles odd primes on its own tableau; every other d shares
+    # one compiler with 'tableau' and 'frames'
+    shared = [d for d in dims if not Dimension(d).is_odd_prime]
+    if "weyl" in args.pairs and {"tableau", "frames"} & set(args.pairs) and shared:
+        raise _usage_error(f"'{method_a},{method_b}' compares one sampler "
+                           f"with itself on d={','.join(map(str, shared))}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     circuits = []
     for i in range(args.circuits):
@@ -268,8 +272,8 @@ def _methods_pair(text: str):
     if len(parts) != 2 or any(p not in METHODS for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected two of {METHODS} separated by a comma, got {text!r}")
-    # 'frames' and odd-prime 'tableau' are one sampler: such a pair passes
-    # whatever that sampler does
+    # 'frames' and 'tableau' are one sampler: such a pair passes whatever
+    # that sampler does
     if parts[0] == parts[1] or set(parts) == {"frames", "tableau"}:
         raise argparse.ArgumentTypeError(
             f"{text!r} compares one sampler with itself")
@@ -416,9 +420,6 @@ def main(argv=None) -> int:
     except MemoryCapError as exc:
         print(f"memory cap exceeded: {exc}", file=sys.stderr)
         return EXIT_MEMORY
-    except DimensionError as exc:
-        print(f"unsupported method/dimension: {exc}", file=sys.stderr)
-        return EXIT_UNSUPPORTED
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -1,11 +1,12 @@
-"""Pauli-frame sampling for odd prime qudit dimensions.
+"""Pauli-frame sampling for every qudit dimension.
 
 A Pauli frame records how one shot differs from a noiseless reference
 shot: each random measurement or reset and each noise event that fires
 moves the later outcomes by fixed multiples of its value, the same in every
 shot.  FrameSimulator works that map out once.  compile_circuit
-(tableau.py) runs the circuit on symbolic phases and returns an OutcomeMap:
-every outcome is an affine form over random symbols, one uniform symbol per
+(tableau.py) runs the circuit on symbolic phases, on a Tableau for odd
+prime d and a weyl.WeylTableau otherwise, and returns an OutcomeMap: every
+outcome is an affine form over random symbols, one uniform symbol per
 random measurement or reset and the components a and b of each N1
 location's error.  The constant terms are the reference shot and the
 symbol entries are the frame.  A shard of shots then only draws its symbols
@@ -22,11 +23,9 @@ per pair, while the cost follows the events that fire.
 
 Shots are processed in shards, each with its own child of the master seed
 sequence, so results are identical whether shards run serially or across a
-thread pool (run_shards).  simulate.run_circuit samples both the 'frames'
-and the odd-prime 'tableau' methods with FrameSimulator.  The shot-batched
-Weyl backend (method 'weyl') shares the shard scheme, the per-N1 sparse
-draw (sample_noise) and the instruction loop (run_tableau); reference_run
-runs that loop once on a concrete Tableau with noise skipped.
+thread pool (run_shards).  simulate.run_circuit samples the 'frames',
+'tableau' and 'weyl' methods with FrameSimulator.  reference_run runs the
+circuit once on a concrete tableau with noise skipped.
 """
 
 from __future__ import annotations
@@ -41,6 +40,7 @@ from .errors import DimensionError
 from .noise import sample_error_batch
 from .pauli import _as_dimension
 from .tableau import Tableau, compile_circuit
+from .weyl import WeylTableau
 
 # A FrameSimulator shard holds (M, shard) outcomes and (U, shard) uniform
 # symbol draws in int64, for M measurements and U random measurements and
@@ -64,57 +64,16 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
     return np.random.SeedSequence(seed)
 
 
-def _start_tableau(circuit, initial_tableau: Tableau = None) -> Tableau:
+def _start_tableau(circuit, initial_tableau=None):
+    """A copy of initial_tableau, or a fresh register: a Tableau for odd
+    prime d and a WeylTableau otherwise."""
     dim = _as_dimension(circuit.dimension)
-    if not dim.is_odd_prime:
-        raise DimensionError(
-            f"frame sampling requires an odd prime dimension, got d={dim.d}")
     if initial_tableau is None:
-        return Tableau(circuit.num_qudits, dim)
+        kind = Tableau if dim.is_odd_prime else WeylTableau
+        return kind(circuit.num_qudits, dim)
     if initial_tableau.n != circuit.num_qudits or initial_tableau.d != dim.d:
         raise DimensionError("initial tableau does not match the circuit")
     return initial_tableau.copy()
-
-
-def sample_noise(ins, d: int, rng, size: int):
-    """Sparse errors of one N1 over a batch of size shots.
-
-    Bernoulli(prob) per shot: a binomial count of firing shots, a uniform
-    subset of that size, then errors from the channel's support.  Returns
-    (shot indices, a, b), or None when no shot fires.
-    """
-    k = rng.binomial(size, ins.prob)
-    if not k:
-        return None
-    hit = rng.choice(size, k, replace=False, shuffle=False)
-    a, b = sample_error_batch(ins.noise_channel, 1.0, d, rng, k)
-    return hit, a, b
-
-
-def run_tableau(circuit, tab, rng, noise: bool = True) -> list[MeasurementRecord]:
-    """Run circuit on tab, a Tableau or a WeylTableau; its MeasurementRecords
-    in program order.
-
-    With a shot axis on a WeylTableau's phase array the outcomes are
-    per-shot arrays, with a 1-D one (a single shot) they are ints.
-    noise=False skips N1; noise needs the shot axis.
-    """
-    records = []
-    for ins in circuit.instructions:
-        name = ins.name
-        if name == "M":
-            records.append(tab.measure_z(ins.qudits[0], rng))
-        elif name == "RESET":
-            tab.reset(ins.qudits[0], rng)
-        elif name == "N1":
-            if noise:
-                drawn = sample_noise(ins, tab.d, rng, tab.num_shots)
-                if drawn is not None:
-                    hit, a, b = drawn
-                    tab.apply_pauli_error(ins.qudits[0], a, b, hit)
-        else:
-            tab.apply_gate(name, *ins.qudits)
-    return records
 
 
 def run_shards(seedseq, shots: int, shard_size: int, threads, run_shard) -> list:
@@ -220,10 +179,20 @@ def sample_outcomes(omap, rng, size: int) -> np.ndarray:
     return out.astype(np.min_scalar_type(d - 1)).T
 
 
-def reference_run(circuit, rng, initial_tableau: Tableau = None) -> list[MeasurementRecord]:
-    """One noiseless tableau execution; returns its MeasurementRecords."""
-    return run_tableau(circuit, _start_tableau(circuit, initial_tableau), rng,
-                       noise=False)
+def reference_run(circuit, rng, initial_tableau=None) -> list[MeasurementRecord]:
+    """One noiseless execution on a concrete tableau; its MeasurementRecords
+    in program order."""
+    tab = _start_tableau(circuit, initial_tableau)
+    records = []
+    for ins in circuit.instructions:
+        name = ins.name
+        if name == "M":
+            records.append(tab.measure_z(ins.qudits[0], rng))
+        elif name == "RESET":
+            tab.reset(ins.qudits[0], rng)
+        elif name != "N1":
+            tab.apply_gate(name, *ins.qudits)
+    return records
 
 
 class FrameSimulator:
@@ -233,7 +202,7 @@ class FrameSimulator:
     adds up map entries times shots over every run.
     """
 
-    def __init__(self, circuit, seed=None, initial_tableau: Tableau = None):
+    def __init__(self, circuit, seed=None, initial_tableau=None):
         omap = compile_circuit(circuit, _start_tableau(circuit, initial_tableau))
         width = len(omap.const) + len(omap.uniform) + len(omap.noise)
         self.omap = omap
@@ -250,5 +219,5 @@ class FrameSimulator:
 
 
 def run_frames(circuit, shots: int, seed=None, threads: int = None,
-               initial_tableau: Tableau = None) -> np.ndarray:
+               initial_tableau=None) -> np.ndarray:
     return FrameSimulator(circuit, seed, initial_tableau).run(shots, threads)

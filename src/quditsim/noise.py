@@ -10,10 +10,9 @@ otherwise applies a uniformly random nonidentity error from its support:
 sample_error and sample_error_batch consume one uniform float and one
 integer draw per event, whether or not an error fires, so the per-shot
 stream of the statevector backend stays aligned across circuits that only
-differ in where errors land.  The shot-batched samplers draw the firing
-events themselves, Weyl per N1 (frames.sample_noise) and the frame sampler
-per group of N1 locations (frames.draw_symbols), and call
-sample_error_batch with prob 1.0 for those events only, so their draws
+differ in where errors land.  The compiled sampler draws the firing events
+itself, per group of N1 locations (frames.draw_symbols), and calls
+sample_error_batch with prob 1.0 for those events only, so its draws
 follow the events that fire.
 """
 

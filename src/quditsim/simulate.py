@@ -2,18 +2,16 @@
 
 Methods:
 
-- 'tableau': odd prime d runs the destabilizer tableau once, with phases
-  kept as affine forms over random symbols, and so compiles every outcome
-  into an OutcomeMap (see tableau.py); each shard of shots then draws its
-  symbols and fired errors and reads its outcomes off that map
-  (frames.FrameSimulator).  Any other d falls back to the Weyl generator
-  backend automatically.
-- 'weyl': force the Weyl generator backend (any d >= 2), shot-batched:
-  each shard shares the generator coordinates and every elimination step,
-  and keeps a (rows, shard) tau phase array (see weyl.py).
-- 'frames': the same sampler as the odd-prime 'tableau' method, with the
-  same output at the same seed; any d other than an odd prime is a
-  DimensionError rather than a fallback.
+- 'tableau': runs the circuit once with phases kept as affine forms over
+  random symbols, on the destabilizer Tableau for odd prime d and on the
+  Weyl generator tableau otherwise, and so compiles every outcome into an
+  OutcomeMap (see tableau.py and weyl.py); each shard of shots then draws
+  its symbols and fired errors and reads its outcomes off that map
+  (frames.FrameSimulator).
+- 'weyl': the same sampler, compiled on the Weyl generator tableau on every
+  d, odd primes included.
+- 'frames': the same sampler as 'tableau', with the same output at the same
+  seed.
 - 'statevector': dense reference simulation.  Circuits whose measurements
   are all terminal, with no noise or resets, are sampled from one joint Born
   distribution over the measured qudits instead of evolving every shot.
@@ -23,17 +21,16 @@ slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact.
-The compiled map and the batched Weyl backend read it from the
-coordinates all shots share; the per-shot statevector loop checks that
-every shot agrees with the first.
+The compiled map reads it from the coordinates all shots share; the
+per-shot statevector loop checks that every shot agrees with the first.
 
 Statevector shots run one after another on one generator, and their noise
 draws one float and one integer per N1 and shot whether or not it fires
 (noise.sample_error), so their streams stay aligned across circuits that
-differ only in where errors land.  The compiled and Weyl samplers shard
-shots and give each shard its own child seed (frames.run_shards), so
-their output does not depend on the thread count.  The compiled sampler's
-RNG work is all in the shards: compiling draws nothing.
+differ only in where errors land.  The compiled sampler shards shots and
+gives each shard its own child seed (frames.run_shards), so its output
+does not depend on the thread count.  Its RNG work is all in the shards:
+compiling draws nothing.
 """
 
 from __future__ import annotations
@@ -45,21 +42,12 @@ import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
 from .errors import QuditSimError
-from .frames import FrameSimulator, _as_seedseq, run_shards, run_tableau
+from .frames import FrameSimulator, _as_seedseq
 from .noise import sample_error
 from .statevector import DenseState
-from .tableau import Tableau
 from .weyl import WeylTableau
 
 METHODS = ("tableau", "weyl", "frames", "statevector")
-
-# Every Weyl instruction costs a few numpy calls per shard whatever its
-# size, so large shards amortize that.
-SHARD_SIZE = 16384
-
-# A batched Weyl shard holds an int64 phase array of at most 2n rows by
-# shard columns; this caps its entries (8 MiB) for wide registers.
-TABLEAU_SHARD_ENTRIES = 1 << 20
 
 
 def counts_key(outcomes, d: int) -> str:
@@ -102,8 +90,8 @@ class SimulationResult:
     """Sampled outcomes with one description per measurement slot.
 
     outcomes has shape (shots, M); qudits, seqs and deterministic have
-    shape (M,).  records and outcome_tuples() are per-shot views built on
-    first use.
+    shape (M,).  counts, records and outcome_tuples() are built from
+    outcomes on first use.
     """
 
     dimension: int
@@ -115,7 +103,11 @@ class SimulationResult:
     qudits: np.ndarray
     seqs: np.ndarray
     deterministic: np.ndarray
-    counts: dict = field(default_factory=dict)
+
+    @cached_property
+    def counts(self) -> dict:
+        """Tally of the outcome rows, keys ordered by numeric outcome."""
+        return records_to_counts(self.outcomes, self.dimension)
 
     @cached_property
     def records(self) -> list:
@@ -185,23 +177,6 @@ def _run_per_shot(circuit: Circuit, shots: int, rng) -> tuple:
     return (outcomes, *_slot_arrays(first))
 
 
-def _run_batched(circuit: Circuit, seed, shots: int, threads) -> tuple:
-    """Outcome rows and slot arrays from one shot-batched WeylTableau per
-    shard."""
-    shard_size = max(1, min(SHARD_SIZE,
-                            TABLEAU_SHARD_ENTRIES // (2 * circuit.num_qudits)))
-    start = WeylTableau(circuit.num_qudits, circuit.dimension)
-
-    def run_shard(rng, size):
-        records = run_tableau(circuit, start.tile_shots(size), rng)
-        outcomes = np.array([r.outcome for r in records], dtype=np.int64)
-        return outcomes.reshape(-1, size), _slot_arrays(records)
-
-    parts = run_shards(_as_seedseq(seed), shots, shard_size, threads, run_shard)
-    outcomes = np.concatenate([out.T for out, _ in parts], axis=0)
-    return (outcomes, *parts[0][1])
-
-
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
     """Sample all terminal measurements from one joint Born distribution.
 
@@ -245,41 +220,36 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
 
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 method: str = "tableau", threads: int = None,
-                initial_tableau: Tableau = None) -> SimulationResult:
-    """Sample measurement outcomes and tallied counts for a circuit."""
+                initial_tableau=None) -> SimulationResult:
+    """Sample measurement outcomes for a circuit."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    d = circuit.dimension.d
-    if method == "tableau" and not circuit.dimension.is_odd_prime:
-        method_used = "weyl"
-    else:
-        method_used = method
-    if initial_tableau is not None and method_used in ("weyl", "statevector"):
-        raise ValueError("initial_tableau requires the odd-prime tableau or "
-                         "frames backend")
+    if initial_tableau is not None and method in ("weyl", "statevector"):
+        raise ValueError("initial_tableau requires the tableau or frames "
+                         "method")
 
-    if method_used in ("frames", "tableau"):
-        sim = FrameSimulator(circuit, seed, initial_tableau)
-        omap = sim.omap
-        columns = (sim.run(shots, threads), omap.qudits, omap.seqs,
-                   omap.deterministic)
-    elif method_used == "weyl":
-        columns = _run_batched(circuit, seed, shots, threads)
-    else:
+    if method == "statevector":
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
         measured = _terminal_measurement_plan(circuit)
         if measured is not None:
             columns = _run_dense_fast(circuit, measured, shots, rng)
         else:
             columns = _run_per_shot(circuit, shots, rng)
+    else:
+        if method == "weyl":
+            initial_tableau = WeylTableau(circuit.num_qudits, circuit.dimension)
+        sim = FrameSimulator(circuit, seed, initial_tableau)
+        omap = sim.omap
+        columns = (sim.run(shots, threads), omap.qudits, omap.seqs,
+                   omap.deterministic)
 
     outcomes, qudits, seqs, deterministic = columns
     return SimulationResult(
-        dimension=d,
+        dimension=circuit.dimension.d,
         num_qudits=circuit.num_qudits,
         shots=shots,
         seed=seed,
@@ -288,5 +258,4 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         qudits=qudits,
         seqs=seqs,
         deterministic=deterministic,
-        counts=records_to_counts(outcomes, d),
     )

@@ -25,8 +25,9 @@ its error components a and b.  Outcomes then come out as forms
 (constant, symbol ids, coefficients) instead of ints.  Destabilizer phases
 never flow into a stabilizer row or an outcome, so a column that is zero on
 every stabilizer row stays zero there and is dropped (_drop_dead); the live
-width, not the symbol count, bounds the work.  compile_circuit runs a
-circuit this way once and returns an OutcomeMap, from which
+width, not the symbol count, bounds the work.  SymbolicPhases holds this
+bookkeeping for both Tableau and weyl.WeylTableau.  compile_circuit runs a
+circuit this way once, on either, and returns an OutcomeMap, from which
 frames.FrameSimulator draws every shot.
 
 Elementary-operation counters are kept per gate and per measurement so the
@@ -80,7 +81,100 @@ def solve_mod_prime(a, b, p: int):
     return u
 
 
-class Tableau:
+class SymbolicPhases:
+    """Phase bookkeeping and measurement records shared by Tableau and
+    weyl.WeylTableau.
+
+    A subclass keeps its phases in r, whose rows _live (a slice) are the
+    ones that reach an outcome, and a _collapse(j, rng) that measures Z_j
+    and returns (deterministic, outcome k mod d).  symbolic() turns r into
+    affine forms [constant | live symbol columns]; symbols holds the id of
+    each symbol column.
+    """
+
+    symbols = None  # ids of r's symbol columns once symbolic()
+    num_symbols = 0
+    _pending = ()
+
+    def symbolic(self):
+        """A copy whose phases are affine forms over random symbols, starting
+        as the constant column alone."""
+        out = self.copy()
+        out.r = self.r[:, None].copy()
+        out.symbols = np.zeros(0, dtype=np.int64)
+        out.num_symbols = 0
+        out._pending = []
+        return out
+
+    def _const(self, a):
+        """View of the constant part of a, one phase or an array of them."""
+        return a if self.symbols is None else a[..., 0]
+
+    def _new_symbols(self, *cols) -> list:
+        """Ids of fresh symbols whose phase columns are cols, each one entry
+        per row of r.
+
+        Gates move only the constant column, so the columns wait in a list
+        until the next measurement or reset needs them (_flush)."""
+        ids = list(range(self.num_symbols, self.num_symbols + len(cols)))
+        self.num_symbols += len(cols)
+        self._pending.extend(cols)
+        return ids
+
+    def _flush(self) -> None:
+        """Append the waiting symbol columns to r, except those zero on
+        every live row, which are dead at birth."""
+        if not self._pending:
+            return
+        cols = np.stack(self._pending, axis=1)
+        ids = np.arange(self.num_symbols - len(self._pending), self.num_symbols)
+        self._pending = []
+        live = cols[self._live].any(axis=0)
+        self.r = np.concatenate([self.r, cols[:, live]], axis=1)
+        self.symbols = np.concatenate([self.symbols, ids[live]])
+
+    def _fresh_symbol(self) -> np.ndarray:
+        """A new uniform symbol, a column of r that is 0 on every row for
+        now; returns the form that is that symbol alone."""
+        self.r = np.concatenate(
+            [self.r, np.zeros((len(self.r), 1), dtype=np.int64)], axis=1)
+        self.symbols = np.concatenate([self.symbols, [self.num_symbols]])
+        self.num_symbols += 1
+        unit = np.zeros(self.r.shape[1], dtype=np.int64)
+        unit[-1] = 1
+        return unit
+
+    def _drop_dead(self) -> None:
+        """Drop the symbol columns that are zero on every live row."""
+        live = self.r[self._live, 1:].any(axis=0)
+        if not live.all():
+            self.r = self.r[:, np.r_[True, live]]
+            self.symbols = self.symbols[live]
+
+    def _check_qudit(self, j: int) -> None:
+        if not 0 <= j < self.n:
+            raise ShapeError(f"qudit index {j} out of range for n={self.n}")
+
+    def measure_z(self, j: int, rng: np.random.Generator = None) -> MeasurementRecord:
+        """Z-basis measurement of qudit j; outcome k is the eigenvalue
+        exponent of Z_j, matching dense Born sampling.
+
+        A random outcome is drawn from rng, or with symbolic phases is
+        built on a fresh uniform symbol; symbolic outcomes are forms
+        (constant, symbol ids, nonzero coefficients).
+        """
+        seq = self.measurements_done
+        deterministic, k = self._collapse(j, rng)
+        self.measurements_done += 1
+        if self.symbols is None:
+            return MeasurementRecord(j, seq, deterministic, int(k))
+        live = np.flatnonzero(k[1:])
+        form = (int(k[0]), self.symbols[live], k[1 + live])
+        self._drop_dead()
+        return MeasurementRecord(j, seq, deterministic, form)
+
+
+class Tableau(SymbolicPhases):
     """Destabilizer/stabilizer tableau for n qudits of odd prime dimension d."""
 
     def __init__(self, n: int, d):
@@ -100,9 +194,6 @@ class Tableau:
             self.X[j, j] = 1
             self.Z[n + j, j] = 1
         self.lam = np.ones(n, dtype=np.int64)
-        self.symbols = None  # ids of r's symbol columns once symbolic()
-        self.num_symbols = 0
-        self._pending = []
         self.measurements_done = 0
         self.gate_op_log: list[int] = []
         self.measure_op_log: list[int] = []
@@ -157,61 +248,17 @@ class Tableau:
 
     def copy(self) -> "Tableau":
         out = Tableau.__new__(Tableau)
-        out.dimension = self.dimension
-        out.d = self.d
-        out.n = self.n
-        out.X = self.X.copy()
-        out.Z = self.Z.copy()
-        out.r = self.r.copy()
-        out.lam = self.lam.copy()
-        out.symbols = None if self.symbols is None else self.symbols.copy()
-        out.num_symbols = self.num_symbols
-        out._pending = list(self._pending)
-        out.measurements_done = self.measurements_done
-        out.gate_op_log = list(self.gate_op_log)
-        out.measure_op_log = list(self.measure_op_log)
+        out.__dict__.update(
+            self.__dict__, X=self.X.copy(), Z=self.Z.copy(), r=self.r.copy(),
+            lam=self.lam.copy(), _pending=list(self._pending),
+            gate_op_log=list(self.gate_op_log),
+            measure_op_log=list(self.measure_op_log))
         return out
 
-    def symbolic(self) -> "Tableau":
-        """A copy whose phases are affine forms over random symbols, starting
-        as the constant column alone."""
-        out = self.copy()
-        out.r = self.r[:, None].copy()
-        out.symbols = np.zeros(0, dtype=np.int64)
-        return out
-
-    def _const(self, a):
-        """View of the constant part of a, one phase or an array of them."""
-        return a if self.symbols is None else a[..., 0]
-
-    def _new_symbols(self, *cols) -> list:
-        """Ids of fresh symbols whose phase columns are cols, each (2n,).
-
-        Gates move only the constant column, so the columns wait in a list
-        until the next measurement or reset needs them (_flush)."""
-        ids = list(range(self.num_symbols, self.num_symbols + len(cols)))
-        self.num_symbols += len(cols)
-        self._pending.extend(cols)
-        return ids
-
-    def _flush(self) -> None:
-        """Append the waiting symbol columns to r, except those zero on
-        every stabilizer row, which are dead at birth."""
-        if not self._pending:
-            return
-        cols = np.stack(self._pending, axis=1)
-        ids = np.arange(self.num_symbols - len(self._pending), self.num_symbols)
-        self._pending = []
-        live = cols[self.n:].any(axis=0)
-        self.r = np.concatenate([self.r, cols[:, live]], axis=1)
-        self.symbols = np.concatenate([self.symbols, ids[live]])
-
-    def _drop_dead(self) -> None:
-        """Drop the symbol columns that are zero on every stabilizer row."""
-        live = self.r[self.n:, 1:].any(axis=0)
-        if not live.all():
-            self.r = self.r[:, np.r_[True, live]]
-            self.symbols = self.symbols[live]
+    @property
+    def _live(self) -> slice:
+        """Stabilizer rows: destabilizer phases never reach an outcome."""
+        return slice(self.n, None)
 
     # -- row access ----------------------------------------------------------
 
@@ -270,34 +317,12 @@ class Tableau:
         self._check_qudit(j)
         return self._new_symbols((-self.Z[:, j]) % self.d, self.X[:, j].copy())
 
-    def _check_qudit(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise ShapeError(f"qudit index {j} out of range for n={self.n}")
-
     # -- measurement -----------------------------------------------------------
-
-    def measure_z(self, j: int, rng: np.random.Generator = None) -> MeasurementRecord:
-        """Z-basis measurement of qudit j; outcome k collapses onto w^(-k) Z_j.
-
-        The outcome is the eigenvalue exponent: the post-measurement state is
-        stabilized by w^(-k) Z_j, so Z_j has eigenvalue w^k, matching dense
-        Born sampling.  A random outcome is drawn from rng, or with symbolic
-        phases is a fresh symbol; symbolic outcomes are forms (constant,
-        symbol ids, nonzero coefficients).
-        """
-        seq = self.measurements_done
-        deterministic, k = self._collapse(j, rng)
-        self.measurements_done += 1
-        if self.symbols is None:
-            return MeasurementRecord(j, seq, deterministic, int(k))
-        live = np.flatnonzero(k[1:])
-        form = (int(k[0]), self.symbols[live], k[1 + live])
-        self._drop_dead()
-        return MeasurementRecord(j, seq, deterministic, form)
 
     def _collapse(self, j: int, rng):
         """Measure Z_j: (deterministic, outcome k mod d), k an int or, with
-        symbolic phases, a vector over r's columns."""
+        symbolic phases, a vector over r's columns.  Outcome k collapses
+        onto w^(-k) Z_j; a random one is the pivot row's fresh symbol."""
         d, n = self.d, self.n
         self._check_qudit(j)
         self._flush()
@@ -313,15 +338,8 @@ class Tableau:
             self.X[p] = 0
             self.Z[p] = 0
             self.Z[p, j] = 1
-            if self.symbols is None:
-                k = int(rng.integers(0, d))
-            else:
-                fresh = np.zeros(2 * n, dtype=np.int64)
-                fresh[p] = d - 1
-                self._new_symbols(fresh)
-                self._flush()
-                k = np.zeros(self.r.shape[1], dtype=np.int64)
-                k[-1] = 1
+            k = (int(rng.integers(0, d)) if self.symbols is None
+                 else self._fresh_symbol())
             self.r[p] = (-k) % d
             ops += 2 * (2 * n + 1) + 1
             self.measure_op_log.append(ops)
@@ -425,8 +443,9 @@ class OutcomeMap:
     noise_groups: list
 
 
-def compile_circuit(circuit, start: Tableau) -> OutcomeMap:
-    """Run circuit once on symbolic phases from start; no randomness used."""
+def compile_circuit(circuit, start: SymbolicPhases) -> OutcomeMap:
+    """Run circuit once on symbolic phases from start, a Tableau or a
+    WeylTableau; no randomness used."""
     tab = start.symbolic()
     records, noise, groups = [], [], {}
     for ins in circuit.instructions:

@@ -25,15 +25,17 @@ Echeloned mod d' with the W_(d e_i), column j last, its last pivot is the
 smallest Z_j power in the group and fixes the outcome support; the other
 pivots plus the measured tau^(-2k) Z_j are echeloned into the new list.
 
-Shot batching: gates, noise and measurement outcomes only move the tau
-phases, and every row operation above reads only the coordinates, so the
-coordinates evolve the same way in every shot.  phases may therefore carry
-a trailing shot axis, shape (rows, shots): one tableau then runs a whole
-batch, every elimination step is shared and only the phases are per shot.
-The last pivot's Z_j power t, and so the support size and the
-deterministic flag, are shared too; each shot's support is the coset of
-its own phase f.  With a 1-D phase vector outcomes are ints, with a shot
-axis they are int64 arrays.
+Symbolic phases: the coordinates evolve the same way in every shot, since
+gates, noise and outcomes only move the tau phases and every row operation
+above reads only the coordinates.  So symbolic() (tableau.SymbolicPhases)
+gives r a trailing axis [constant | live symbol columns], as on Tableau:
+gates and the bracket term of weyl_mul move the constant only, an N1 adds
+the columns -2 z_j (its a) and 2 x_j (its b), and a random measurement adds
+one fresh uniform symbol to k0 with coefficient d/m.  k0 is taken
+coefficient-wise, which is exact because every coefficient of the pivot's
+phase f is divisible by g.  Every symbol coefficient of a phase is even, so
+symbol values only matter mod d.  compile_circuit (tableau.py) then
+compiles a circuit on any d into an OutcomeMap.
 """
 
 from __future__ import annotations
@@ -42,20 +44,24 @@ from math import gcd
 
 import numpy as np
 
-from .circuit import MeasurementRecord
 from .errors import ShapeError
 from .gates import resolve
 from .pauli import Dimension, PauliString, _as_dimension
 # measurement uses neither; tracers and tests patch these names here
 from .snf import kernel_mod, solve_mod  # noqa: F401
+from .tableau import SymbolicPhases
 
 
 def weyl_mul(f1: int, v1: np.ndarray, f2: int, v2: np.ndarray, dim: Dimension):
-    """Product of two phase-tracked Weyl elements on the same register."""
+    """Product of two phase-tracked Weyl elements on the same register.
+
+    A phase may be an affine form [constant | symbol coefficients]; the
+    bracket term moves its constant only."""
     dp = dim.d_prime
     n = len(v1) // 2
-    bracket = int(v1[:n] @ v2[n:]) - int(v2[:n] @ v1[n:])
-    return (f1 + f2 + bracket) % dp, (v1 + v2) % dp
+    f = np.array(np.add(f1, f2))
+    f.flat[0] += int(v1[:n] @ v2[n:]) - int(v2[:n] @ v1[n:])
+    return f % dp, (v1 + v2) % dp
 
 
 def weyl_pow(f: int, v: np.ndarray, k: int, dim: Dimension):
@@ -100,8 +106,14 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-class WeylTableau:
-    """Phase-tracked stabilizer generators for any qudit dimension d >= 2."""
+class WeylTableau(SymbolicPhases):
+    """Phase-tracked stabilizer generators for any qudit dimension d >= 2.
+
+    Row i is tau^r[i] W_coords[i]; every row is a stabilizer generator, so
+    every row's phase can reach an outcome.
+    """
+
+    _live = slice(None)
 
     def __init__(self, n: int, d):
         dim = _as_dimension(d)
@@ -113,31 +125,20 @@ class WeylTableau:
         self.n = n
         # rows start as the Z_j generators of |0...0>
         self.coords = np.eye(n, 2 * n, dtype=np.int64)
-        self.phases = np.zeros(n, dtype=np.int64)
+        self.r = np.zeros(n, dtype=np.int64)
         self.measurements_done = 0
 
     def copy(self) -> "WeylTableau":
         out = WeylTableau.__new__(WeylTableau)
         out.__dict__.update(self.__dict__, coords=self.coords.copy(),
-                            phases=self.phases.copy())
+                            r=self.r.copy(), _pending=list(self._pending))
         return out
-
-    def tile_shots(self, shots: int) -> "WeylTableau":
-        """A copy whose 1-D phase vector is repeated over `shots` shots."""
-        out = self.copy()
-        out.phases = np.repeat(self.phases[:, None], shots, axis=1)
-        return out
-
-    @property
-    def num_shots(self) -> int:
-        """Length of the phases' trailing shot axis."""
-        return self.phases.shape[1]
 
     def to_array(self) -> np.ndarray:
         """Debug dump of a 1-D phase vector: phase row, then Z block, then
         X block, one generator per column."""
         n = self.n
-        return np.vstack([self.phases[None, :],
+        return np.vstack([self.r[None, :],
                           self.coords[:, :n].T,
                           self.coords[:, n:].T])
 
@@ -159,9 +160,9 @@ class WeylTableau:
             x, z = C[:, n + j], C[:, j]
             df = gate.tau(x, z, self.d)
             if df is not None:
-                pt = self.phases.T
-                pt += df
-                pt %= dp
+                rc = self._const(self.r)
+                rc += df
+                rc %= dp
             if gate.cols is not None:
                 C[:, n + j], C[:, j] = gate.cols(x, z, dp)
         else:
@@ -169,18 +170,17 @@ class WeylTableau:
             C[:, n + t], C[:, c] = gate.cols(C[:, n + c], C[:, c],
                                              C[:, n + t], C[:, t], dp)
 
-    def apply_pauli_error(self, j: int, a, b, shots=...) -> None:
-        """Conjugate every generator by X^a Z^b on qudit j.
-
-        With a shot axis, shots selects the columns to update (all by
-        default) and a, b are scalars or per-shot arrays for them.
-        """
+    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
+        """Conjugate every generator by X^a Z^b on qudit j."""
+        self._check_qudit(j)
         n, C = self.n, self.coords
-        if not 0 <= j < n:
-            raise ShapeError(f"qudit index {j} out of range for n={n}")
-        pt = self.phases.T
-        pt[shots] = (pt[shots] + 2 * (np.multiply.outer(b, C[:, n + j])
-                                      - np.multiply.outer(a, C[:, j]))) % self.dp
+        self.r = (self.r + 2 * (b * C[:, n + j] - a * C[:, j])) % self.dp
+
+    def add_noise_symbols(self, j: int) -> list:
+        """Symbolic X^a Z^b on qudit j: the ids of fresh symbols a and b."""
+        self._check_qudit(j)
+        n, dp, C = self.n, self.dp, self.coords
+        return self._new_symbols((-2 * C[:, j]) % dp, (2 * C[:, n + j]) % dp)
 
     # -- measurement -----------------------------------------------------------
 
@@ -188,7 +188,7 @@ class WeylTableau:
         """Phase and coordinates of prod_i generator_i^y_i, in row order."""
         f, v = 0, np.zeros(2 * self.n, dtype=np.int64)
         for i, yi in enumerate(y):
-            gf, gv = weyl_pow(int(self.phases[i]), self.coords[i], int(yi),
+            gf, gv = weyl_pow(int(self.r[i]), self.coords[i], int(yi),
                               self.dimension)
             f, v = weyl_mul(f, v, gf, gv, self.dimension)
         return f, v
@@ -237,61 +237,64 @@ class WeylTableau:
         powers in the group, so m = gcd(d, t) is the smallest one, and
         outcome k is in the support when tau^(2kt + f) = 1.  That holds for
         g = gcd(2t, d') dividing f and k = k0 mod d/m (d/m = d'/g), so the
-        support is k0 + i*d/m for i < m, with k0 per shot on a shot axis.
+        support is k0 + i*d/m for i < m; with symbolic phases, k0 is a form.
         """
         d, dp, n = self.d, self.dp, self.n
-        if not 0 <= j < n:
-            raise ShapeError(f"qudit index {j} out of range for n={n}")
-        rows = list(zip(self.phases, self.coords))
+        self._check_qudit(j)
+        rows = list(zip(self.r, self.coords))
         _, rows = self._eliminate(rows, n + j, d)
         rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
         *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
         f, t = (0, d) if last is None else (last[0], int(last[1][j]))
         # a pivot built from the identity rows alone has a scalar phase
-        f = np.broadcast_to(f, self.phases.shape[1:])
+        f = np.broadcast_to(f, self.r.shape[1:])
         m, g = gcd(d, t), gcd(2 * t, dp)
         assert not np.any(f % g), "the pivot's phase leaves no outcome"
         k0 = (-(f // g) * pow(2 * t // g, -1, d // m)) % (d // m)
         return [p for p in others if p is not None], m, k0
 
     def _z_support(self, j: int):
-        """Outcome support of a Z measurement on qudit j, with its size m:
-        a list for a 1-D phase vector, one list per shot on a shot axis."""
+        """Outcome support of a Z measurement on qudit j, with its size m."""
         _, m, k0 = self._commutant(j)
-        return m, (k0[..., None] + self.d // m * np.arange(m)).tolist()
+        return m, (k0 + self.d // m * np.arange(m)).tolist()
 
     def outcome_distribution(self, j: int) -> dict:
         m, support = self._z_support(j)
         return {k: 1.0 / m for k in support}
 
-    def measure_z(self, j: int, rng: np.random.Generator) -> MeasurementRecord:
-        """Z-basis measurement of qudit j; outcome k collapses onto
-        tau^(-2k) Z_j.  A random measurement draws one index into the
-        support per shot; a deterministic one draws nothing."""
+    def _collapse(self, j: int, rng):
+        """Measure Z_j: (deterministic, outcome k mod d), k an int or, with
+        symbolic phases, a vector over r's columns.  Outcome k collapses onto
+        tau^(-2k) Z_j; a random one adds d/m times a uniform draw, or a fresh
+        symbol, to k0.  A deterministic measurement draws nothing."""
         d, dp, n = self.d, self.dp, self.n
+        self._flush()
         others, m, k = self._commutant(j)
-        seq = self.measurements_done
-        self.measurements_done += 1
-        if m > 1:
-            k = k + d // m * rng.integers(m, size=self.phases.shape[1:] or None)
+        if m > 1 and self.symbols is not None:
+            # the fresh symbol's column is 0 on every row so far
+            others = [(np.append(f, 0) if np.ndim(f) else f, v)
+                      for f, v in others]
+            k = np.append(k, 0) + d // m * self._fresh_symbol()
+        elif m > 1:
+            k = k + d // m * rng.integers(m)
         z_j = ((-2 * k) % dp, np.eye(2 * n, dtype=np.int64)[j])
         pivots = self._echelon(others + [z_j], range(2 * n))
         # a pivot that is 0 mod d is the identity: the group has no -1
         self._set_rows([p for p in pivots if p is not None and (p[1] % d).any()])
-        return MeasurementRecord(j, seq, m == 1,
-                                 int(k) if self.phases.ndim == 1 else k)
+        return m == 1, k
 
     def _set_rows(self, rows) -> None:
-        # every kept row has a per-shot phase: a pivot built from the
-        # identity rows alone is 0 mod d, and measure_z drops it
+        # every kept row has a full phase: a pivot built from the identity
+        # rows alone is 0 mod d, and _collapse drops it
         self.coords = np.array([v for _, v in rows], dtype=np.int64).reshape(
             len(rows), 2 * self.n)
-        self.phases = np.array([f for f, _ in rows], dtype=np.int64).reshape(
-            len(rows), *self.phases.shape[1:])
+        self.r = np.array([f for f, _ in rows], dtype=np.int64).reshape(
+            len(rows), *self.r.shape[1:])
 
-    def reset(self, j: int, rng: np.random.Generator) -> None:
-        """Measure qudit j and shift it back to |0> with an X correction."""
-        rec = self.measure_z(j, rng)
-        self.measurements_done -= 1  # resets do not occupy a record slot
-        if np.count_nonzero(rec.outcome):
-            self.apply_pauli_error(j, (-rec.outcome) % self.d, 0)
+    def reset(self, j: int, rng: np.random.Generator = None) -> None:
+        """Measure qudit j and shift it back to |0> with an X^-k correction,
+        which adds 2k z_j to the phases."""
+        _, k = self._collapse(j, rng)
+        self.r = (self.r + 2 * np.multiply.outer(self.coords[:, j], k)) % self.dp
+        if self.symbols is not None:
+            self._drop_dead()

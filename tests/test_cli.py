@@ -96,12 +96,19 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
-    def test_unsupported_combination_is_3(self, tmp_path):
+    def test_frames_on_composite_is_0(self, tmp_path):
+        """frames runs on every d, as the same sampler as tableau."""
         path = tmp_path / "d4.sdim"
-        path.write_text("DIM 4\nQUDITS 1\nM 0\n")
-        proc = run_cli("run", str(path), "--shots", "1", "--seed", "0",
-                       "--method", "frames")
-        assert proc.returncode == 3
+        path.write_text("DIM 4\nQUDITS 2\nF 0\nSUM 0 1\nM 0\nM 1\n")
+        procs = [run_cli("run", str(path), "--shots", "50", "--seed", "0",
+                         "--method", method, "--out", "csv")
+                 for method in ("frames", "tableau")]
+        assert [proc.returncode for proc in procs] == [0, 0]
+        assert procs[0].stdout == procs[1].stdout
+        proc = run_cli("rb", "--d", "4", "--depths", "0,2", "--circuits", "2",
+                       "--shots", "100", "--p", "0.1", "--seed", "1")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["method"] == "frames"
 
     def test_usage_error_is_4(self, ghz_file):
         assert run_cli("run", ghz_file, "--shots", "1").returncode == 4
@@ -177,8 +184,7 @@ class TestExitCodes:
         ["gen", "bv", "--d", "0", "--secret", "0"],
     ])
     def test_dimension_below_two_is_4(self, argv):
-        """A bad --d is a usage error; an unsupported method/dimension pair
-        still exits 3 (test_unsupported_combination_is_3)."""
+        """A bad --d is a usage error."""
         proc = run_cli(*argv)
         assert proc.returncode == 4
         assert proc.stdout == ""
@@ -261,6 +267,26 @@ class TestValidate:
         assert proc.returncode == 4
         assert "compares one sampler with itself" in proc.stderr
         assert proc.stdout == ""
+
+    @pytest.mark.parametrize("pair, dims, shared", [
+        ("weyl,tableau", "4", "4"), ("frames,weyl", "3,2,9", "2,9")])
+    def test_weyl_pair_on_shared_dimension_rejected(self, pair, dims, shared):
+        """weyl, tableau and frames compile every d that is not an odd
+        prime on the same Weyl tableau."""
+        proc = run_cli("validate", "--pairs", pair, "--d", dims,
+                       "--circuits", "1", "--seed", "3")
+        assert proc.returncode == 4
+        assert proc.stderr == (f"quditsim: error: '{pair}' compares one "
+                               f"sampler with itself on d={shared}\n")
+        assert proc.stdout == ""
+
+    def test_weyl_pair_on_odd_primes(self):
+        """On odd primes weyl and tableau are two compilers."""
+        proc = run_cli("validate", "--pairs", "weyl,tableau", "--d", "3,5",
+                       "--circuits", "2", "--shots", "400", "--max-qudits",
+                       "3", "--max-depth", "20", "--seed", "3")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["all_passed"]
 
 
 class TestBenchmarkCommands:

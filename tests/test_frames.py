@@ -6,7 +6,6 @@ import pytest
 import quditsim.frames as frames_module
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
-from quditsim.errors import DimensionError
 from quditsim.frames import FrameSimulator, reference_run, run_frames
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import run_circuit
@@ -55,11 +54,15 @@ class TestReferenceRun:
         assert [r.seq for r in recs] == [0, 1, 2]
         assert [r.qudit for r in recs] == [0, 1, 2]
 
-    def test_rejects_composite_dimension(self):
-        c = Circuit(1, 4)
-        c.add_gate("M", 0)
-        with pytest.raises(DimensionError):
-            reference_run(c, np.random.default_rng(0))
+    def test_composite_dimension(self):
+        # a WeylTableau serves every d that is not an odd prime
+        c = build_ghz_chain(3, 4, measure=True)
+        recs = reference_run(c, np.random.default_rng(2))
+        assert [r.deterministic for r in recs] == [False, True, True]
+        assert len({r.outcome for r in recs}) == 1
+        mat = run_frames(c, 2000, seed=4)
+        assert (mat == mat[:, :1]).all()
+        assert len(np.unique(mat[:, 0])) == 4
 
 
 class TestFrameSampling:

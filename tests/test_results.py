@@ -17,14 +17,12 @@ from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
 from quditsim.frames import (OUTCOME_SHARD_ENTRIES, FrameSimulator,
-                             draw_symbols, run_tableau)
+                             _start_tableau, draw_symbols, sample_outcomes)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
-from quditsim.simulate import (SHARD_SIZE, _run_shot, records_to_counts,
-                               run_circuit)
+from quditsim.simulate import _run_shot, records_to_counts, run_circuit
 from quditsim.statevector import DenseState
-from quditsim.tableau import Tableau, compile_circuit
-from quditsim.weyl import WeylTableau
+from quditsim.tableau import compile_circuit
 
 
 def corpus(seed: int, dims, count: int, max_qudits: int, max_depth: int):
@@ -45,81 +43,67 @@ def per_shot_records(circuit, shots: int, seed, new_state) -> list:
     return [_run_shot(circuit, new_state(), rng) for _ in range(shots)]
 
 
-class RecordingRNG:
-    """A generator that logs every integers() draw it hands out."""
-
-    def __init__(self, rng):
-        self.rng = rng
-        self.draws = []
-
-    def integers(self, *args, **kwargs):
-        out = self.rng.integers(*args, **kwargs)
-        self.draws.append(out)
-        return out
-
-    def __getattr__(self, name):
-        return getattr(self.rng, name)
-
-
 class ReplayRNG:
-    """Hands one shot's column of a batch's logged draws, in order."""
+    """Hands a concrete tableau one shot's random outcomes, in order.
 
-    def __init__(self, draws, shot: int):
-        self._values = iter([int(v[shot]) for v in draws])
+    A Tableau draws integers(0, d) and takes it as the outcome; a
+    WeylTableau draws integers(m) and adds d/m times it to its k0 < d/m.
+    Either way the draw k // (d/m) gives outcome k when k is in the
+    support.
+    """
+
+    def __init__(self, outcomes, d: int):
+        self._values = iter(outcomes.tolist())
+        self.d = d
 
     def integers(self, low, high=None, size=None):
-        return next(self._values)
+        return next(self._values) // (self.d // (low if high is None else high))
 
     def exhausted(self) -> bool:
         return next(self._values, None) is None
 
 
-def replay_batch(circuit, shots: int, rng):
-    """Run circuit shot-batched on a WeylTableau with rng, then replay every
-    shot's random outcomes (measurements and resets) on its own per-shot
-    WeylTableau.  Returns the batch outcomes, the per-shot records and the
-    batch tableau.
-    """
-    n, dim = circuit.num_qudits, circuit.dimension
-    recording = RecordingRNG(rng)
-    tab = WeylTableau(n, dim).tile_shots(shots)
-    batch = run_tableau(circuit, tab, recording)
-    outcomes = np.array([r.outcome for r in batch],
-                        dtype=np.int64).reshape(-1, shots).T
-    records = [_run_shot(circuit, WeylTableau(n, dim),
-                         ReplayRNG(recording.draws, s))
-               for s in range(shots)]
-    for shot in records:
-        assert [r.deterministic for r in shot] == [r.deterministic
-                                                   for r in batch]
-    return outcomes, records, tab
+def with_reset_readout(circuit) -> Circuit:
+    """circuit with an M ahead of every RESET.  Its map has the same symbols
+    as circuit's, and its random slots read every random M and RESET."""
+    out = Circuit(circuit.num_qudits, circuit.dimension)
+    for ins in circuit.instructions:
+        if ins.name == "RESET":
+            out.add_gate("M", *ins.qudits)
+        out.add_gate(ins.name, *ins.qudits, noise_channel=ins.noise_channel,
+                     prob=ins.prob)
+    return out
 
 
 def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
     """Replay run_circuit(method="tableau") shot by shot.
 
     Draws the symbols of run_circuit's one shard from the first child of
-    its seed, then runs each shot on its own concrete 1-D Tableau: its
-    random measurements and resets read that shot's uniform symbol values
-    in order, and each N1 applies the error that fired there in that shot,
-    if any.  Returns the result, the per-shot records, the per-shot final
-    tableaus and the number of fired errors.
+    its seed, then runs each shot on its own concrete tableau (a Tableau
+    for odd prime d, a WeylTableau otherwise): its random measurements and
+    resets take that shot's compiled outcomes in order, read off
+    with_reset_readout's map with the same draws, and each N1 applies the
+    error that fired there in that shot, if any.  Returns the result, the
+    per-shot records, the per-shot final tableaus and the number of fired
+    errors.
     """
-    n, dim = circuit.num_qudits, circuit.dimension
-    start = initial_tableau or Tableau(n, dim)
+    start = initial_tableau or _start_tableau(circuit)
     omap = compile_circuit(circuit, start)
     width = len(omap.const) + len(omap.uniform) + len(omap.noise)
     assert shots <= OUTCOME_SHARD_ENTRIES // max(1, width)  # one shard
     result = run_circuit(circuit, shots, seed, "tableau",
                          initial_tableau=initial_tableau)
     child = np.random.SeedSequence(seed).spawn(1)[0]
-    values, (loc, shot, a, b) = draw_symbols(
+    _, (loc, shot, a, b) = draw_symbols(
         omap, np.random.Generator(np.random.PCG64(child)), shots)
+    probe = compile_circuit(with_reset_readout(circuit), start)
+    random = sample_outcomes(probe, np.random.Generator(np.random.PCG64(child)),
+                             shots)[:, ~probe.deterministic]
     fired = {(int(l), int(s)): (int(x), int(z))
              for l, s, x, z in zip(loc, shot, a, b)}
     records, tabs = [], []
     for s in range(shots):
-        tab, rng = start.copy(), ReplayRNG(values, s)
+        tab, rng = start.copy(), ReplayRNG(random[s], start.d)
         shot_records, location = [], 0
         for ins in circuit.instructions:
             q = ins.qudits[0]
@@ -207,22 +191,19 @@ class TestSlotFlags:
 
     @pytest.mark.parametrize("d", [2, 4, 6, 8, 9])
     def test_weyl_flags(self, d):
-        """Exact replay: each shot of a shot-batched Weyl run, replayed on
-        its own per-shot WeylTableau with its recorded draws, gives the same
+        """Exact replay of the sampler compiled on the Weyl tableau: each
+        shot, replayed on its own per-shot WeylTableau, gives the same
         outcome and flag at every slot, mid-circuit M and RESET included."""
         random_slots = 0
         for i in range(10):
             circuit = reset_corpus_circuit(d, np.random.default_rng(200 + 10 * d + i))
-            result = run_circuit(circuit, 30, i, "weyl")
-            # run_circuit's one shard draws from the first child of its seed
-            child = np.random.SeedSequence(i).spawn(1)[0]
-            outcomes, records, _ = replay_batch(
-                circuit, 30, np.random.Generator(np.random.PCG64(child)))
-            assert np.array_equal(result.outcomes, outcomes)
-            assert np.array_equal(outcomes, record_outcomes(records))
+            result, records, _, _ = replay_compiled(circuit, 30, i)
+            assert np.array_equal(result.outcomes, record_outcomes(records))
             for shot in records:
                 assert result.deterministic.tolist() == [r.deterministic
                                                          for r in shot]
+            weyl = run_circuit(circuit, 30, i, "weyl")
+            assert np.array_equal(weyl.outcomes, result.outcomes)
             random_slots += int((~result.deterministic).sum())
         assert random_slots >= 10
 
@@ -409,8 +390,8 @@ def noiseless(n, d, depth, seed):
 
 
 BYTE_CASES = {
-    # name: (circuit, method, shots); frames crosses a chunk boundary
-    "frames": (lambda: noisy(4, 3, 60, 1), "frames", SHARD_SIZE + 37),
+    # name: (circuit, method, shots); frames crosses chunk boundaries
+    "frames": (lambda: noisy(4, 3, 60, 1), "frames", 4 * cli.CHUNK_SHOTS + 37),
     "tableau": (lambda: noisy(3, 5, 40, 2), "tableau", 150),
     "weyl_d4": (lambda: noiseless(3, 4, 30, 3), "tableau", 80),
     "statevector_fast": (lambda: build_ghz_chain(2, 3, measure=True),

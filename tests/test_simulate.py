@@ -11,13 +11,12 @@ from quditsim.builders import (
 import quditsim.frames as frames_module
 import quditsim.simulate as simulate
 from quditsim.circuit import Circuit
-from quditsim.errors import DimensionError
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
-from quditsim.frames import FrameSimulator, run_tableau
+from quditsim.frames import FrameSimulator, _start_tableau
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
-from quditsim.tableau import Tableau, compile_circuit
+from quditsim.tableau import compile_circuit
 from quditsim.weyl import WeylTableau, weyl_from_pauli
 
 
@@ -60,11 +59,14 @@ class TestMethodRouting:
         assert result.method == "tableau"
         assert all(rec[0].outcome in range(4) for rec in result.records)
 
-    def test_frames_rejects_composite(self):
+    def test_frames_on_composite(self):
         c = Circuit(1, 4)
+        c.add_gate("F", 0)
         c.add_gate("M", 0)
-        with pytest.raises(DimensionError):
-            run_circuit(c, shots=5, seed=0, method="frames")
+        result = run_circuit(c, shots=20, seed=0, method="frames")
+        tableau = run_circuit(c, shots=20, seed=0, method="tableau")
+        assert result.method == "frames"
+        assert np.array_equal(result.outcomes, tableau.outcomes)
 
     def test_unknown_method(self):
         c = build_ghz_chain(2, 3, measure=True)
@@ -311,7 +313,7 @@ class TestBatchedTableau:
     @staticmethod
     def outcome_shards_of(monkeypatch, c, shots):
         """Make the compiled tableau sample c in shards of `shots` shots."""
-        omap = compile_circuit(c, Tableau(c.num_qudits, c.dimension))
+        omap = compile_circuit(c, _start_tableau(c))
         width = len(omap.const) + len(omap.uniform) + len(omap.noise)
         monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES",
                             shots * width)
@@ -344,17 +346,19 @@ class TestBatchedTableau:
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_thread_count_invariance(self, d, monkeypatch):
-        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
-        self.check_thread_count_invariance(self.noisy_circuit(d), "weyl")
+        c = self.noisy_circuit(d)
+        self.outcome_shards_of(monkeypatch, c, 100)
+        self.check_thread_count_invariance(c, "weyl")
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_shard_boundary_determinism(self, d, monkeypatch):
-        monkeypatch.setattr(simulate, "TABLEAU_SHARD_ENTRIES", 800)
-        self.check_shard_boundary_determinism(self.noisy_circuit(d), "weyl")
+        c = self.noisy_circuit(d)
+        self.outcome_shards_of(monkeypatch, c, 100)
+        self.check_shard_boundary_determinism(c, "weyl")
 
     def test_initial_tableau_with_resets_matches_frames(self):
-        """The LRB-D circuit (coded start, ancilla resets, noise), the Weyl
-        generator tableau vs frames at criterion 04's bar."""
+        """The LRB-D circuit (coded start, ancilla resets, noise), compiled
+        on the Weyl generator tableau vs frames at criterion 04's bar."""
         code = qutrit_detection_code()
         start = code_initial_tableau(code)
         before = start.to_array()
@@ -365,13 +369,11 @@ class TestBatchedTableau:
         for depth in (2, 6):
             c = build_lrb_d_circuit(code, depth, 0.05, rng)
             assert any(ins.name == "RESET" for ins in c.instructions)
-            records = run_tableau(c, weyl.tile_shots(10**4),
-                                  np.random.default_rng(34 + depth))
-            tab = np.array([r.outcome for r in records]).T
+            sim = FrameSimulator(c, 34 + depth, initial_tableau=weyl)
+            tab = sim.run(10**4)
             frames = run_circuit(c, 10**4, 44 + depth, "frames",
                                  initial_tableau=start)
-            assert ([r.deterministic for r in records]
-                    == frames.deterministic.tolist())
+            assert np.array_equal(sim.omap.deterministic, frames.deterministic)
             assert mean_slot_tvd(tab, frames.outcomes, 3) < 0.02
         # the start tableau itself is left untouched
         assert np.array_equal(start.to_array(), before)
@@ -394,11 +396,11 @@ class TestBatchedTableau:
         return c
 
     @pytest.mark.parametrize("threads", [1, 2])
-    @pytest.mark.parametrize("case", ["d3", "d5", "d11", "lrbd"])
+    @pytest.mark.parametrize("case", ["d3", "d4", "d5", "d11", "lrbd"])
     def test_frames_equal_tableau_at_same_seed(self, case, threads,
                                                monkeypatch):
-        """frames and the odd-prime tableau are one sampler: same outcomes
-        and flags at one seed, across several shards."""
+        """frames and tableau are one sampler: same outcomes and flags at
+        one seed, across several shards."""
         start = None
         if case == "lrbd":
             code = qutrit_detection_code()

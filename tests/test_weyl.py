@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import quditsim.weyl as weyl
+from quditsim.circuit import Circuit
 from quditsim.errors import ShapeError
 from quditsim.pauli import Dimension, PauliString
 from quditsim.snf import kernel_mod, solve_mod
 from quditsim.statevector import DenseState
+from quditsim.tableau import compile_circuit
 from quditsim.weyl import (
     WeylTableau,
     weyl_canonical,
@@ -233,17 +235,29 @@ class TestMeasurement:
             assert rec.deterministic and rec.outcome == 0
 
     @pytest.mark.parametrize("d", [4, 6])
-    def test_batched_reset(self, d):
-        """A reset on a shot axis corrects each shot by its own outcome."""
-        tab = WeylTableau(2, d)
-        tab.apply_gate("F", 0)
-        tab.apply_gate("SUM", 0, 1)
-        batch = tab.tile_shots(200)
-        batch.reset(0, np.random.default_rng(1))
-        after = batch.measure_z(0, np.random.default_rng(2))
-        assert after.deterministic and not after.outcome.any()
-        partner = batch.measure_z(1, np.random.default_rng(3))
-        assert partner.deterministic and len(set(partner.outcome.tolist())) > 1
+    def test_compiled_reset(self, d):
+        """A compiled reset corrects each shot by its own outcome."""
+        c = Circuit(2, d)
+        for name, *qudits in [("F", 0), ("SUM", 0, 1), ("RESET", 0),
+                              ("M", 0), ("M", 1)]:
+            c.add_gate(name, *qudits)
+        omap = compile_circuit(c, WeylTableau(2, d))
+        assert omap.deterministic.tolist() == [True, True]
+        # the partner reads the reset's uniform symbol
+        assert omap.const.tolist() == [0, 0] and len(omap.uniform) == 1
+        assert omap.slots.tolist() == [1] and omap.coeffs.tolist() == [1]
+
+    def test_compiled_half_support(self):
+        # F 0; SUM 0 1; SUM 0 1 at d=4 leaves qudit 1 on {0, 2}: its
+        # outcome is 2 times a fresh uniform symbol
+        c = Circuit(2, 4)
+        for name, *qudits in [("F", 0), ("SUM", 0, 1), ("SUM", 0, 1),
+                              ("M", 1), ("M", 1)]:
+            c.add_gate(name, *qudits)
+        omap = compile_circuit(c, WeylTableau(2, 4))
+        assert omap.deterministic.tolist() == [False, True]
+        assert omap.const.tolist() == [0, 0]
+        assert omap.slots.tolist() == [0, 1] and omap.coeffs.tolist() == [2, 2]
 
     def test_index_range(self):
         tab = WeylTableau(1, 4)
@@ -283,7 +297,7 @@ class TestPauliErrors:
         tab = WeylTableau(2, 4)
         with pytest.raises(ShapeError, match="out of range for n=2"):
             tab.apply_pauli_error(j, 1, 0)
-        assert not tab.phases.any()
+        assert not tab.r.any()
 
 
 def divisor_search_support(tab, j):
