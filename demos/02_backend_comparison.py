@@ -2,9 +2,10 @@
 
 A four-qutrit GHZ chain has exactly three outcomes (0000, 1111, 2222), each
 with probability 1/3.  The tableau, statevector, and frame backends must all
-reproduce that distribution; the frame backend does it with a single
-symbolic tableau run that compiles every outcome into an affine map over
-random symbols, then draws only those symbols per shot.
+reproduce that distribution; the frame backend compiles every outcome
+into an affine map over random symbols, from one noiseless reference run
+and one backward pass over the circuit, then draws only those symbols per
+shot.
 """
 
 from quditsim import build_ghz_chain, run_circuit, serialize_sdim

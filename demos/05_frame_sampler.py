@@ -2,10 +2,12 @@
 
 Naive repetition re-runs the full tableau simulation once per shot.  The
 frame sampler (run_circuit's 'frames' method, which also serves the
-'tableau' and 'weyl' methods on every d) runs the tableau once with every
-phase kept as an affine form over random symbols.  The constant terms are a noiseless
-reference shot, and the symbol entries are the Pauli frame: how each random
-measurement and each noise event moves every outcome.  A shot then costs
+'tableau' and 'weyl' methods on every d) runs the tableau once, as a
+noiseless reference shot, and then carries every measured Z back through
+the circuit once.  That gives each outcome as an affine form over random
+symbols: the constant terms are the reference shot, and the symbol entries
+are the Pauli frame, how each random measurement and each noise event
+moves every outcome.  A shot then costs
 only its symbol draws and the errors that fire.  Both must produce the same
 outcome distribution; the frame sampler touches the quadratic-cost tableau
 machinery once.

@@ -22,7 +22,9 @@ class PauliMatchError(QuditSimError):
 
 
 class MemoryCapError(QuditSimError):
-    """Raised when a dense statevector would exceed the amplitude cap."""
+    """Raised before a run allocates past a size cap: a dense statevector
+    over the amplitude cap, or an outcome matrix of more shots x
+    measurements than frames.MAX_OUTCOME_ENTRIES."""
 
 
 class SupportMismatchError(QuditSimError):

@@ -3,14 +3,15 @@
 A Pauli frame records how one shot differs from a noiseless reference
 shot: each random measurement or reset and each noise event that fires
 moves the later outcomes by fixed multiples of its value, the same in every
-shot.  FrameSimulator works that map out once.  compile_circuit
-(tableau.py) runs the circuit on symbolic phases, on a Tableau for odd
-prime d and a weyl.WeylTableau otherwise, and returns an OutcomeMap: every
-outcome is an affine form over random symbols, one uniform symbol per
-random measurement or reset and the components a and b of each N1
-location's error.  The constant terms are the reference shot and the
-symbol entries are the frame.  A shard of shots then only draws its symbols
-and adds their entries to the constants (sample_outcomes), so no
+shot.  FrameSimulator works that map out once.  compile_circuit returns
+it as an OutcomeMap: every outcome is an affine form over random symbols,
+one uniform symbol per random measurement or reset and the components a
+and b of each N1 location's error.  Its constant terms come from one
+reference run on a concrete tableau (a Tableau for odd prime d, a
+weyl.WeylTableau otherwise) and its symbol entries, the frame, from one
+pass that carries every measured Z back through the circuit, after Stim's
+error analysis (Gidney 2021).  A shard of shots then only draws its
+symbols and adds their entries to the constants (sample_outcomes), so no
 instruction is replayed per shot.
 
 Noise is sampled sparsely, after Stim's frame simulator (Gidney 2021): per
@@ -25,28 +26,40 @@ Shots are processed in shards, each with its own child of the master seed
 sequence, so results are identical whether shards run serially or across a
 thread pool (run_shards).  simulate.run_circuit samples the 'frames',
 'tableau' and 'weyl' methods with FrameSimulator.  reference_run runs the
-circuit once on a concrete tableau with noise skipped.
+circuit once on a concrete tableau with noise skipped, the same loop the
+compile starts from.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
+from math import gcd
 
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import DimensionError
+from .errors import DimensionError, MemoryCapError
+from .gates import GATES
 from .noise import sample_error_batch
 from .pauli import _as_dimension
-from .tableau import Tableau, compile_circuit
+from .tableau import Tableau
 from .weyl import WeylTableau
+
+# No run builds an outcome matrix of more shots x max(1, measurements)
+# entries than this (2 GiB of int64); check_outcome_entries refuses it first.
+MAX_OUTCOME_ENTRIES = 1 << 28
 
 # A FrameSimulator shard holds (M, shard) outcomes and (U, shard) uniform
 # symbol draws in int64, for M measurements and U random measurements and
 # resets, and draws its noise over an (L, shard) grid of N1 locations; this
 # caps M + U + L times the shard size.
 OUTCOME_SHARD_ENTRIES = 1 << 20
+
+# compile_circuit buffers at most this many symbol entries (8 MiB of int64)
+# before compressing them to the nonzero ones.
+COMPILE_BUFFER_ENTRIES = 1 << 20
 
 # sample_outcomes scatters symbol entries times shots in steps of at most
 # this many products (32 KiB of int64), so its index and value arrays stay
@@ -62,6 +75,15 @@ def _as_seedseq(seed) -> np.random.SeedSequence:
             seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
             n_children_spawned=seed.n_children_spawned)
     return np.random.SeedSequence(seed)
+
+
+def check_outcome_entries(shots: int, num_slots: int) -> None:
+    """Raise MemoryCapError if a (shots, num_slots) outcome matrix would
+    exceed MAX_OUTCOME_ENTRIES."""
+    if int(shots) * max(1, num_slots) > MAX_OUTCOME_ENTRIES:
+        raise MemoryCapError(
+            f"{shots} shots x {num_slots} measurements exceeds the outcome "
+            f"cap of {MAX_OUTCOME_ENTRIES} entries")
 
 
 def _start_tableau(circuit, initial_tableau=None):
@@ -179,20 +201,175 @@ def sample_outcomes(omap, rng, size: int) -> np.ndarray:
     return out.astype(np.min_scalar_type(d - 1)).T
 
 
-def reference_run(circuit, rng, initial_tableau=None) -> list[MeasurementRecord]:
-    """One noiseless execution on a concrete tableau; its MeasurementRecords
-    in program order."""
-    tab = _start_tableau(circuit, initial_tableau)
-    records = []
+def _reference(circuit, tab, rng):
+    """Run circuit once on tab with noise skipped: its MeasurementRecords in
+    program order and, per M and RESET, tab.pivot after it."""
+    records, pivots = [], []
     for ins in circuit.instructions:
         name = ins.name
         if name == "M":
             records.append(tab.measure_z(ins.qudits[0], rng))
         elif name == "RESET":
             tab.reset(ins.qudits[0], rng)
-        elif name != "N1":
-            tab.apply_gate(name, *ins.qudits)
-    return records
+        else:
+            if name != "N1":
+                tab.apply_gate(name, *ins.qudits)
+            continue
+        pivots.append(tab.pivot)
+    return records, pivots
+
+
+def reference_run(circuit, rng, initial_tableau=None) -> list[MeasurementRecord]:
+    """One noiseless execution on a concrete tableau; its MeasurementRecords
+    in program order."""
+    return _reference(circuit, _start_tableau(circuit, initial_tableau), rng)[0]
+
+
+@dataclass(eq=False)
+class OutcomeMap:
+    """Every measurement outcome of a circuit as an affine form over symbols.
+
+    Slot m reads (const[m] + sum of coeff * value over its entries) mod d.
+    Symbols are numbered in program order: a random M or RESET adds one,
+    uniform on Z_d (listed in uniform), and each N1 location two, its error
+    components a and b (the rows of noise), which are 0 unless it fires.
+    Symbol s's entries, sorted by slot, are slots[indptr[s]:indptr[s+1]]
+    with their coeffs.  noise_groups lists, per (channel, prob), the N1
+    locations (rows of noise) that share it.
+    """
+
+    d: int
+    const: np.ndarray
+    qudits: np.ndarray
+    seqs: np.ndarray
+    deterministic: np.ndarray
+    indptr: np.ndarray
+    slots: np.ndarray
+    coeffs: np.ndarray
+    uniform: np.ndarray
+    noise: np.ndarray
+    noise_groups: list
+
+
+class _SymbolRows:
+    """One row over the slots per symbol, added in descending symbol order,
+    kept as sparse (slot, coeff) entries.
+
+    Rows wait in a buffer of at most COMPILE_BUFFER_ENTRIES, filled from
+    the bottom, and are compressed to their nonzero entries when it is
+    full; read back to front, the chunks are in ascending symbol order.
+    """
+
+    def __init__(self, size: int, num_slots: int, d: int):
+        rows = min(size, COMPILE_BUFFER_ENTRIES // max(1, num_slots))
+        self.buf = np.zeros((max(1, rows), num_slots), dtype=np.int64)
+        self.free = len(self.buf)
+        self.d = d
+        self.chunks = []
+
+    def add(self, row, lo: int) -> None:
+        """The next symbol's row: row on the slots from lo, 0 before."""
+        if not self.free:
+            self._compress()
+        self.free -= 1
+        self.buf[self.free, :lo] = 0
+        self.buf[self.free, lo:] = row
+
+    def _compress(self) -> None:
+        rows = self.buf[self.free:] % self.d
+        which, slot = np.nonzero(rows)
+        self.chunks.append((np.bincount(which, minlength=len(rows)),
+                            slot.astype(np.int32),
+                            rows[which, slot].astype(np.min_scalar_type(self.d - 1))))
+        self.free = len(self.buf)
+
+    def finish(self):
+        """(indptr, slots, coeffs) of every symbol, in symbol order."""
+        self._compress()
+        counts, slots, coeffs = (np.concatenate(part, dtype=np.int64)
+                                 for part in zip(*self.chunks[::-1]))
+        return np.r_[0, np.cumsum(counts)], slots, coeffs
+
+
+def compile_circuit(circuit, start) -> OutcomeMap:
+    """The OutcomeMap of circuit run from start, a Tableau or a WeylTableau;
+    no randomness used.
+
+    A reference run on a copy of start, every random outcome at the lowest
+    value its support allows, gives the constants, the flags and the pivot
+    (px, pz) of each random M and RESET.  One pass in reverse program order
+    then carries every measured Z_j back to the start, as the columns of x
+    and z (qudits x slots, mod d): a gate applies its inverse's column map,
+    an N1's a gets the entries z[j] and its b -x[j], an M sets z[j, slot]
+    and a RESET clears row j.  A random M or RESET gets row = px.z - pz.x;
+    if px[j] is a unit, row is scaled by its inverse and taken off z[j],
+    which zeroes the slot's own column, so a random outcome is its symbol
+    alone (Symphase's gauge, Fang & Ying 2024).  Partial support on
+    composite d keeps row as it is.  Cost: O(instructions x slots).
+    """
+    d, n = start.d, start.n
+    records, pivots = _reference(circuit, start.copy(), None)
+    num_slots = len(records)
+    ops = circuit.instructions
+    num_noise = sum(ins.name == "N1" for ins in ops)
+    sym = sum(p is not None for p in pivots) + 2 * num_noise
+    rows = _SymbolRows(sym, num_slots, d)
+    x = np.zeros((n, num_slots), dtype=np.int64)
+    z = np.zeros((n, num_slots), dtype=np.int64)
+    noise = np.zeros((num_noise, 2), dtype=np.int64)
+    uniform = []
+    loc, slot, piv = num_noise, num_slots, len(pivots)
+    for ins in reversed(ops):
+        name, j = ins.name, ins.qudits[0]
+        if name == "N1":
+            loc -= 1
+            sym -= 2
+            noise[loc] = sym, sym + 1
+            rows.add(-x[j, slot:], slot)
+            rows.add(z[j, slot:], slot)
+            continue
+        if name not in ("M", "RESET"):
+            gate = GATES[GATES[name].inverse]
+            if gate.arity == 2:
+                c, t = ins.qudits
+                x[t, slot:], z[c, slot:] = gate.cols(
+                    x[c, slot:], z[c, slot:], x[t, slot:], z[t, slot:], d)
+            elif gate.cols is not None:
+                x[j, slot:], z[j, slot:] = gate.cols(x[j, slot:], z[j, slot:], d)
+            continue
+        if name == "M":
+            slot -= 1
+            z[j, slot] = 1
+        else:
+            x[j, slot:] = z[j, slot:] = 0
+        piv -= 1
+        if pivots[piv] is None:
+            continue
+        px, pz = pivots[piv]
+        sym -= 1
+        uniform.append(sym)
+        row = (px @ z[:, slot:] - pz @ x[:, slot:]) % d
+        if gcd(int(px[j]), d) == 1:
+            row = row * pow(int(px[j]), -1, d) % d
+            z[j, slot:] = (z[j, slot:] - row) % d
+        rows.add(row, slot)
+    indptr, slots, coeffs = rows.finish()
+    groups = {}
+    for k, ins in enumerate(ins for ins in ops if ins.name == "N1"):
+        groups.setdefault((ins.noise_channel, ins.prob), []).append(k)
+    return OutcomeMap(
+        d=d,
+        const=np.array([r.outcome for r in records], dtype=np.int64),
+        qudits=np.array([r.qudit for r in records], dtype=np.int64),
+        seqs=np.array([r.seq for r in records], dtype=np.int64),
+        deterministic=np.array([r.deterministic for r in records], dtype=bool),
+        indptr=indptr,
+        slots=slots,
+        coeffs=coeffs,
+        uniform=np.array(uniform[::-1], dtype=np.int64),
+        noise=noise,
+        noise_groups=[(key, np.array(locs)) for key, locs in groups.items()],
+    )
 
 
 class FrameSimulator:
@@ -212,6 +389,7 @@ class FrameSimulator:
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
         """Outcome matrix of shape (shots, num_measurements), dtype int64."""
+        check_outcome_entries(shots, len(self.omap.const))
         parts = run_shards(self._seedseq, shots, self.shard_size, threads,
                            lambda rng, size: sample_outcomes(self.omap, rng, size))
         self.op_count += len(self.omap.slots) * int(shots)

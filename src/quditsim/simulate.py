@@ -2,11 +2,11 @@
 
 Methods:
 
-- 'tableau': runs the circuit once with phases kept as affine forms over
-  random symbols, on the destabilizer Tableau for odd prime d and on the
-  Weyl generator tableau otherwise, and so compiles every outcome into an
-  OutcomeMap (see tableau.py and weyl.py); each shard of shots then draws
-  its symbols and fired errors and reads its outcomes off that map
+- 'tableau': compiles every outcome into an affine OutcomeMap over random
+  symbols, from one reference run on the destabilizer Tableau for odd
+  prime d and on the Weyl generator tableau otherwise, and one backward
+  pass over the circuit (frames.compile_circuit); each shard of shots then
+  draws its symbols and fired errors and reads its outcomes off that map
   (frames.FrameSimulator).
 - 'weyl': the same sampler, compiled on the Weyl generator tableau on every
   d, odd primes included.
@@ -21,7 +21,7 @@ slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact.
-The compiled map reads it from the coordinates all shots share; the
+The compiled map reads it off its one reference run; the
 per-shot statevector loop checks that every shot agrees with the first.
 
 Statevector shots run one after another on one generator, and their noise
@@ -42,7 +42,7 @@ import numpy as np
 
 from .circuit import Circuit, MeasurementRecord
 from .errors import QuditSimError
-from .frames import FrameSimulator, _as_seedseq
+from .frames import FrameSimulator, _as_seedseq, check_outcome_entries
 from .noise import sample_error
 from .statevector import DenseState
 from .weyl import WeylTableau
@@ -221,7 +221,11 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 method: str = "tableau", threads: int = None,
                 initial_tableau=None) -> SimulationResult:
-    """Sample measurement outcomes for a circuit."""
+    """Sample measurement outcomes for a circuit.
+
+    Raises MemoryCapError, before compiling or sampling anything, when the
+    (shots, measurements) outcome matrix would exceed
+    frames.MAX_OUTCOME_ENTRIES."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     if shots < 1:
@@ -231,6 +235,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     if initial_tableau is not None and method in ("weyl", "statevector"):
         raise ValueError("initial_tableau requires the tableau or frames "
                          "method")
+    check_outcome_entries(shots, circuit.num_measurements)
 
     if method == "statevector":
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))

@@ -12,23 +12,10 @@ at all ones and only changes when a measurement swaps an unnormalized pivot
 row into the destabilizer block; the deterministic-measurement exponents
 divide by lam to compensate.
 
-Symbolic phases: the X-block, Z-block and lam evolve the same way in every
-shot, because gates, pivot choice and row elimination never read the phase
-vector, while noise and measurement outcomes only move it, and every update
-of it is affine.  So symbolic() gives r a trailing axis [constant | live
-symbol columns]: each phase is an affine form c + L @ s over random symbols
-s (after Symphase, Fang & Ying 2024).  Gates and the quadratic terms of
-elimination move the constant column only, a pivot row operation moves
-every column, a random measurement or reset sets its pivot row to a fresh
-uniform symbol and an N1 location (add_noise_symbols) adds the columns of
-its error components a and b.  Outcomes then come out as forms
-(constant, symbol ids, coefficients) instead of ints.  Destabilizer phases
-never flow into a stabilizer row or an outcome, so a column that is zero on
-every stabilizer row stays zero there and is dropped (_drop_dead); the live
-width, not the symbol count, bounds the work.  SymbolicPhases holds this
-bookkeeping for both Tableau and weyl.WeylTableau.  compile_circuit runs a
-circuit this way once, on either, and returns an OutcomeMap, from which
-frames.FrameSimulator draws every shot.
+A random measurement or reset records its pivot, the stabilizer row that
+did not commute with Z_j, before eliminating with it.  frames.compile_circuit
+reads the outcome map of a whole circuit off one run that takes every random
+outcome as 0 and these pivots.
 
 Elementary-operation counters are kept per gate and per measurement so the
 asymptotic costs (linear per gate, quadratic per measurement, independent of
@@ -36,8 +23,6 @@ d) can be checked directly.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,75 +66,18 @@ def solve_mod_prime(a, b, p: int):
     return u
 
 
-class SymbolicPhases:
-    """Phase bookkeeping and measurement records shared by Tableau and
+class TableauBase:
+    """Measurement records and qudit checks shared by Tableau and
     weyl.WeylTableau.
 
-    A subclass keeps its phases in r, whose rows _live (a slice) are the
-    ones that reach an outcome, and a _collapse(j, rng) that measures Z_j
-    and returns (deterministic, outcome k mod d).  symbolic() turns r into
-    affine forms [constant | live symbol columns]; symbols holds the id of
-    each symbol column.
+    A subclass keeps its phases in r and has a _collapse(j, rng) that
+    measures Z_j and returns (deterministic, outcome k mod d).  After a
+    random measurement or reset, pivot is the stabilizer (x, z) mod d that
+    the measured Z_j did not commute with; it is None after a deterministic
+    one.
     """
 
-    symbols = None  # ids of r's symbol columns once symbolic()
-    num_symbols = 0
-    _pending = ()
-
-    def symbolic(self):
-        """A copy whose phases are affine forms over random symbols, starting
-        as the constant column alone."""
-        out = self.copy()
-        out.r = self.r[:, None].copy()
-        out.symbols = np.zeros(0, dtype=np.int64)
-        out.num_symbols = 0
-        out._pending = []
-        return out
-
-    def _const(self, a):
-        """View of the constant part of a, one phase or an array of them."""
-        return a if self.symbols is None else a[..., 0]
-
-    def _new_symbols(self, *cols) -> list:
-        """Ids of fresh symbols whose phase columns are cols, each one entry
-        per row of r.
-
-        Gates move only the constant column, so the columns wait in a list
-        until the next measurement or reset needs them (_flush)."""
-        ids = list(range(self.num_symbols, self.num_symbols + len(cols)))
-        self.num_symbols += len(cols)
-        self._pending.extend(cols)
-        return ids
-
-    def _flush(self) -> None:
-        """Append the waiting symbol columns to r, except those zero on
-        every live row, which are dead at birth."""
-        if not self._pending:
-            return
-        cols = np.stack(self._pending, axis=1)
-        ids = np.arange(self.num_symbols - len(self._pending), self.num_symbols)
-        self._pending = []
-        live = cols[self._live].any(axis=0)
-        self.r = np.concatenate([self.r, cols[:, live]], axis=1)
-        self.symbols = np.concatenate([self.symbols, ids[live]])
-
-    def _fresh_symbol(self) -> np.ndarray:
-        """A new uniform symbol, a column of r that is 0 on every row for
-        now; returns the form that is that symbol alone."""
-        self.r = np.concatenate(
-            [self.r, np.zeros((len(self.r), 1), dtype=np.int64)], axis=1)
-        self.symbols = np.concatenate([self.symbols, [self.num_symbols]])
-        self.num_symbols += 1
-        unit = np.zeros(self.r.shape[1], dtype=np.int64)
-        unit[-1] = 1
-        return unit
-
-    def _drop_dead(self) -> None:
-        """Drop the symbol columns that are zero on every live row."""
-        live = self.r[self._live, 1:].any(axis=0)
-        if not live.all():
-            self.r = self.r[:, np.r_[True, live]]
-            self.symbols = self.symbols[live]
+    pivot = None
 
     def _check_qudit(self, j: int) -> None:
         if not 0 <= j < self.n:
@@ -159,22 +87,16 @@ class SymbolicPhases:
         """Z-basis measurement of qudit j; outcome k is the eigenvalue
         exponent of Z_j, matching dense Born sampling.
 
-        A random outcome is drawn from rng, or with symbolic phases is
-        built on a fresh uniform symbol; symbolic outcomes are forms
-        (constant, symbol ids, nonzero coefficients).
+        A random outcome is drawn from rng, or is the lowest one its support
+        allows (0 on full support) without one.
         """
         seq = self.measurements_done
         deterministic, k = self._collapse(j, rng)
         self.measurements_done += 1
-        if self.symbols is None:
-            return MeasurementRecord(j, seq, deterministic, int(k))
-        live = np.flatnonzero(k[1:])
-        form = (int(k[0]), self.symbols[live], k[1 + live])
-        self._drop_dead()
-        return MeasurementRecord(j, seq, deterministic, form)
+        return MeasurementRecord(j, seq, deterministic, int(k))
 
 
-class Tableau(SymbolicPhases):
+class Tableau(TableauBase):
     """Destabilizer/stabilizer tableau for n qudits of odd prime dimension d."""
 
     def __init__(self, n: int, d):
@@ -250,15 +172,9 @@ class Tableau(SymbolicPhases):
         out = Tableau.__new__(Tableau)
         out.__dict__.update(
             self.__dict__, X=self.X.copy(), Z=self.Z.copy(), r=self.r.copy(),
-            lam=self.lam.copy(), _pending=list(self._pending),
-            gate_op_log=list(self.gate_op_log),
+            lam=self.lam.copy(), gate_op_log=list(self.gate_op_log),
             measure_op_log=list(self.measure_op_log))
         return out
-
-    @property
-    def _live(self) -> slice:
-        """Stabilizer rows: destabilizer phases never reach an outcome."""
-        return slice(self.n, None)
 
     # -- row access ----------------------------------------------------------
 
@@ -297,9 +213,8 @@ class Tableau(SymbolicPhases):
         if gate.arity == 1:
             (j,) = qudits
             x, z = X[:, j], Z[:, j]
-            rc = self._const(self.r)
-            rc += gate.omega(x, z, d)
-            rc %= d
+            self.r += gate.omega(x, z, d)
+            self.r %= d
             if gate.cols is not None:
                 X[:, j], Z[:, j] = gate.cols(x, z, d)
         else:
@@ -312,23 +227,18 @@ class Tableau(SymbolicPhases):
         self._check_qudit(j)
         self.r = (self.r + b * self.X[:, j] - a * self.Z[:, j]) % self.d
 
-    def add_noise_symbols(self, j: int) -> list:
-        """Symbolic X^a Z^b on qudit j: the ids of fresh symbols a and b."""
-        self._check_qudit(j)
-        return self._new_symbols((-self.Z[:, j]) % self.d, self.X[:, j].copy())
-
     # -- measurement -----------------------------------------------------------
 
     def _collapse(self, j: int, rng):
-        """Measure Z_j: (deterministic, outcome k mod d), k an int or, with
-        symbolic phases, a vector over r's columns.  Outcome k collapses
-        onto w^(-k) Z_j; a random one is the pivot row's fresh symbol."""
+        """Measure Z_j: (deterministic, outcome k mod d).  Outcome k
+        collapses onto w^(-k) Z_j; a random one is drawn from rng, or is 0
+        without one."""
         d, n = self.d, self.n
         self._check_qudit(j)
-        self._flush()
         hits = np.flatnonzero(self.X[n:, j])
         if len(hits):
             p = n + int(hits[0])
+            self.pivot = (self.X[p].copy(), self.Z[p].copy())
             ops = 2 * n
             ops += self._eliminate_column(j, p) * (2 * n + 1)
             self.lam[p - n] = int(self.X[p, j])
@@ -338,8 +248,7 @@ class Tableau(SymbolicPhases):
             self.X[p] = 0
             self.Z[p] = 0
             self.Z[p, j] = 1
-            k = (int(rng.integers(0, d)) if self.symbols is None
-                 else self._fresh_symbol())
+            k = 0 if rng is None else int(rng.integers(0, d))
             self.r[p] = (-k) % d
             ops += 2 * (2 * n + 1) + 1
             self.measure_op_log.append(ops)
@@ -357,11 +266,10 @@ class Tableau(SymbolicPhases):
         cross = np.triu((y[:, None] * sz) @ (y[:, None] * sx).T, 1).sum()
         assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
-        k = np.array(-(y @ self.r[n:]))
-        kc = self._const(k)
-        kc -= (y * (y - 1) // 2) @ (sx * sz).sum(axis=1) + cross
+        k = -(y @ self.r[n:]) - (y * (y - 1) // 2) @ (sx * sz).sum(axis=1) - cross
+        self.pivot = None
         self.measure_op_log.append(2 * n + n + n * (2 * n + 1))
-        return True, k % d
+        return True, int(k % d)
 
     def deterministic_outcome_gaussian(self, j: int):
         """Branch decision and outcome by direct linear solving; never mutates.
@@ -400,10 +308,9 @@ class Tableau(SymbolicPhases):
         zp = self.Z[p].copy()
         inv = pow(int(col[p]), -1, d)
         h = (-(col[rows]) * inv) % d
-        moved = self.r[rows] + np.multiply.outer(h, self.r[p])
-        mc = self._const(moved)
-        mc += (h * (h - 1) // 2) * int(xp @ zp) + h * (self.Z[rows] @ xp)
-        self.r[rows] = moved % d
+        self.r[rows] = (self.r[rows] + h * self.r[p]
+                        + (h * (h - 1) // 2) * int(xp @ zp)
+                        + h * (self.Z[rows] @ xp)) % d
         self.X[rows] = (self.X[rows] + h[:, None] * xp) % d
         self.Z[rows] = (self.Z[rows] + h[:, None] * zp) % d
         return int(len(rows))
@@ -412,71 +319,4 @@ class Tableau(SymbolicPhases):
         """Measure qudit j and shift it back to |0> with an X^-k correction,
         which adds k Z[:, j] to the phases."""
         _, k = self._collapse(j, rng)
-        self.r = (self.r + np.multiply.outer(self.Z[:, j], k)) % self.d
-        if self.symbols is not None:
-            self._drop_dead()
-
-
-@dataclass(eq=False)
-class OutcomeMap:
-    """Every measurement outcome of a circuit as an affine form over symbols.
-
-    Slot m reads (const[m] + sum of coeff * value over its entries) mod d.
-    Symbols are numbered in program order: a random M or RESET adds one,
-    uniform on Z_d (listed in uniform), and each N1 location two, its error
-    components a and b (the rows of noise), which are 0 unless it fires.
-    Symbol s's entries, sorted by slot, are slots[indptr[s]:indptr[s+1]]
-    with their coeffs.  noise_groups lists, per (channel, prob), the N1
-    locations (rows of noise) that share it.
-    """
-
-    d: int
-    const: np.ndarray
-    qudits: np.ndarray
-    seqs: np.ndarray
-    deterministic: np.ndarray
-    indptr: np.ndarray
-    slots: np.ndarray
-    coeffs: np.ndarray
-    uniform: np.ndarray
-    noise: np.ndarray
-    noise_groups: list
-
-
-def compile_circuit(circuit, start: SymbolicPhases) -> OutcomeMap:
-    """Run circuit once on symbolic phases from start, a Tableau or a
-    WeylTableau; no randomness used."""
-    tab = start.symbolic()
-    records, noise, groups = [], [], {}
-    for ins in circuit.instructions:
-        name = ins.name
-        if name == "M":
-            records.append(tab.measure_z(ins.qudits[0]))
-        elif name == "RESET":
-            tab.reset(ins.qudits[0])
-        elif name == "N1":
-            groups.setdefault((ins.noise_channel, ins.prob), []).append(len(noise))
-            noise.append(tab.add_noise_symbols(ins.qudits[0]))
-        else:
-            tab.apply_gate(name, *ins.qudits)
-    forms = [rec.outcome for rec in records]
-    ids = np.concatenate([f[1] for f in forms] + [np.zeros(0, np.int64)])
-    order = np.argsort(ids, kind="stable")
-    slots = np.repeat(np.arange(len(forms)), [len(f[1]) for f in forms])
-    noise = np.array(noise, dtype=np.int64).reshape(-1, 2)
-    uniform = np.ones(tab.num_symbols, dtype=bool)
-    uniform[noise] = False
-    return OutcomeMap(
-        d=tab.d,
-        const=np.array([f[0] for f in forms], dtype=np.int64),
-        qudits=np.array([r.qudit for r in records], dtype=np.int64),
-        seqs=np.array([r.seq for r in records], dtype=np.int64),
-        deterministic=np.array([r.deterministic for r in records], dtype=bool),
-        indptr=np.r_[0, np.cumsum(np.bincount(ids, minlength=tab.num_symbols))],
-        slots=slots[order],
-        coeffs=np.concatenate([f[2] for f in forms]
-                              + [np.zeros(0, np.int64)])[order],
-        uniform=np.flatnonzero(uniform),
-        noise=noise,
-        noise_groups=[(key, np.array(locs)) for key, locs in groups.items()],
-    )
+        self.r = (self.r + k * self.Z[:, j]) % self.d

@@ -25,17 +25,10 @@ Echeloned mod d' with the W_(d e_i), column j last, its last pivot is the
 smallest Z_j power in the group and fixes the outcome support; the other
 pivots plus the measured tau^(-2k) Z_j are echeloned into the new list.
 
-Symbolic phases: the coordinates evolve the same way in every shot, since
-gates, noise and outcomes only move the tau phases and every row operation
-above reads only the coordinates.  So symbolic() (tableau.SymbolicPhases)
-gives r a trailing axis [constant | live symbol columns], as on Tableau:
-gates and the bracket term of weyl_mul move the constant only, an N1 adds
-the columns -2 z_j (its a) and 2 x_j (its b), and a random measurement adds
-one fresh uniform symbol to k0 with coefficient d/m.  k0 is taken
-coefficient-wise, which is exact because every coefficient of the pivot's
-phase f is divisible by g.  Every symbol coefficient of a phase is even, so
-symbol values only matter mod d.  compile_circuit (tableau.py) then
-compiles a circuit on any d into an OutcomeMap.
+A deterministic measurement leaves the generators as they are.  A random
+one records as pivot the row that eliminating qudit j's X column built,
+mod d; frames.compile_circuit reads the outcome map off these pivots and
+one run that draws every random outcome as the lowest one in its support.
 """
 
 from __future__ import annotations
@@ -49,18 +42,14 @@ from .gates import resolve
 from .pauli import Dimension, PauliString, _as_dimension
 # measurement uses neither; tracers and tests patch these names here
 from .snf import kernel_mod, solve_mod  # noqa: F401
-from .tableau import SymbolicPhases
+from .tableau import TableauBase
 
 
 def weyl_mul(f1: int, v1: np.ndarray, f2: int, v2: np.ndarray, dim: Dimension):
-    """Product of two phase-tracked Weyl elements on the same register.
-
-    A phase may be an affine form [constant | symbol coefficients]; the
-    bracket term moves its constant only."""
+    """Product of two phase-tracked Weyl elements on the same register."""
     dp = dim.d_prime
     n = len(v1) // 2
-    f = np.array(np.add(f1, f2))
-    f.flat[0] += int(v1[:n] @ v2[n:]) - int(v2[:n] @ v1[n:])
+    f = f1 + f2 + int(v1[:n] @ v2[n:]) - int(v2[:n] @ v1[n:])
     return f % dp, (v1 + v2) % dp
 
 
@@ -106,14 +95,11 @@ def _ext_gcd(a: int, b: int):
     return old_r, old_x, old_y
 
 
-class WeylTableau(SymbolicPhases):
+class WeylTableau(TableauBase):
     """Phase-tracked stabilizer generators for any qudit dimension d >= 2.
 
-    Row i is tau^r[i] W_coords[i]; every row is a stabilizer generator, so
-    every row's phase can reach an outcome.
+    Row i is tau^r[i] W_coords[i]; every row is a stabilizer generator.
     """
-
-    _live = slice(None)
 
     def __init__(self, n: int, d):
         dim = _as_dimension(d)
@@ -131,12 +117,12 @@ class WeylTableau(SymbolicPhases):
     def copy(self) -> "WeylTableau":
         out = WeylTableau.__new__(WeylTableau)
         out.__dict__.update(self.__dict__, coords=self.coords.copy(),
-                            r=self.r.copy(), _pending=list(self._pending))
+                            r=self.r.copy())
         return out
 
     def to_array(self) -> np.ndarray:
-        """Debug dump of a 1-D phase vector: phase row, then Z block, then
-        X block, one generator per column."""
+        """Debug dump: phase row, then Z block, then X block, one generator
+        per column."""
         n = self.n
         return np.vstack([self.r[None, :],
                           self.coords[:, :n].T,
@@ -160,9 +146,8 @@ class WeylTableau(SymbolicPhases):
             x, z = C[:, n + j], C[:, j]
             df = gate.tau(x, z, self.d)
             if df is not None:
-                rc = self._const(self.r)
-                rc += df
-                rc %= dp
+                self.r += df
+                self.r %= dp
             if gate.cols is not None:
                 C[:, n + j], C[:, j] = gate.cols(x, z, dp)
         else:
@@ -175,12 +160,6 @@ class WeylTableau(SymbolicPhases):
         self._check_qudit(j)
         n, C = self.n, self.coords
         self.r = (self.r + 2 * (b * C[:, n + j] - a * C[:, j])) % self.dp
-
-    def add_noise_symbols(self, j: int) -> list:
-        """Symbolic X^a Z^b on qudit j: the ids of fresh symbols a and b."""
-        self._check_qudit(j)
-        n, dp, C = self.n, self.dp, self.coords
-        return self._new_symbols((-2 * C[:, j]) % dp, (2 * C[:, n + j]) % dp)
 
     # -- measurement -----------------------------------------------------------
 
@@ -231,31 +210,30 @@ class WeylTableau(SymbolicPhases):
         return pivots
 
     def _commutant(self, j: int):
-        """Echelon of the subgroup commuting with Z_j: (other pivots, m, k0).
+        """Echelon of the subgroup commuting with Z_j: (other pivots, m, k0,
+        the pivot of qudit j's X column or None).
 
         The last pivot tau^f W_(t e_j) (t = d, f = 0 if none) spans the Z_j
         powers in the group, so m = gcd(d, t) is the smallest one, and
         outcome k is in the support when tau^(2kt + f) = 1.  That holds for
         g = gcd(2t, d') dividing f and k = k0 mod d/m (d/m = d'/g), so the
-        support is k0 + i*d/m for i < m; with symbolic phases, k0 is a form.
+        support is k0 + i*d/m for i < m.
         """
         d, dp, n = self.d, self.dp, self.n
         self._check_qudit(j)
         rows = list(zip(self.r, self.coords))
-        _, rows = self._eliminate(rows, n + j, d)
+        pivot, rows = self._eliminate(rows, n + j, d)
         rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
         *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
-        f, t = (0, d) if last is None else (last[0], int(last[1][j]))
-        # a pivot built from the identity rows alone has a scalar phase
-        f = np.broadcast_to(f, self.r.shape[1:])
+        f, t = (0, d) if last is None else (int(last[0]), int(last[1][j]))
         m, g = gcd(d, t), gcd(2 * t, dp)
-        assert not np.any(f % g), "the pivot's phase leaves no outcome"
+        assert not f % g, "the pivot's phase leaves no outcome"
         k0 = (-(f // g) * pow(2 * t // g, -1, d // m)) % (d // m)
-        return [p for p in others if p is not None], m, k0
+        return [p for p in others if p is not None], m, k0, pivot
 
     def _z_support(self, j: int):
         """Outcome support of a Z measurement on qudit j, with its size m."""
-        _, m, k0 = self._commutant(j)
+        _, m, k0, _ = self._commutant(j)
         return m, (k0 + self.d // m * np.arange(m)).tolist()
 
     def outcome_distribution(self, j: int) -> dict:
@@ -263,38 +241,31 @@ class WeylTableau(SymbolicPhases):
         return {k: 1.0 / m for k in support}
 
     def _collapse(self, j: int, rng):
-        """Measure Z_j: (deterministic, outcome k mod d), k an int or, with
-        symbolic phases, a vector over r's columns.  Outcome k collapses onto
-        tau^(-2k) Z_j; a random one adds d/m times a uniform draw, or a fresh
-        symbol, to k0.  A deterministic measurement draws nothing."""
+        """Measure Z_j: (deterministic, outcome k mod d).  Outcome k
+        collapses onto tau^(-2k) Z_j; a random one adds d/m times a uniform
+        draw from rng (0 without one) to k0.  A deterministic measurement
+        draws nothing and leaves the generators as they are."""
         d, dp, n = self.d, self.dp, self.n
-        self._flush()
-        others, m, k = self._commutant(j)
-        if m > 1 and self.symbols is not None:
-            # the fresh symbol's column is 0 on every row so far
-            others = [(np.append(f, 0) if np.ndim(f) else f, v)
-                      for f, v in others]
-            k = np.append(k, 0) + d // m * self._fresh_symbol()
-        elif m > 1:
-            k = k + d // m * rng.integers(m)
+        others, m, k, pivot = self._commutant(j)
+        if m == 1:
+            self.pivot = None
+            return True, k
+        self.pivot = (pivot[1][n:] % d, pivot[1][:n] % d)
+        if rng is not None:
+            k += d // m * int(rng.integers(m))
         z_j = ((-2 * k) % dp, np.eye(2 * n, dtype=np.int64)[j])
         pivots = self._echelon(others + [z_j], range(2 * n))
         # a pivot that is 0 mod d is the identity: the group has no -1
         self._set_rows([p for p in pivots if p is not None and (p[1] % d).any()])
-        return m == 1, k
+        return False, k
 
     def _set_rows(self, rows) -> None:
-        # every kept row has a full phase: a pivot built from the identity
-        # rows alone is 0 mod d, and _collapse drops it
         self.coords = np.array([v for _, v in rows], dtype=np.int64).reshape(
             len(rows), 2 * self.n)
-        self.r = np.array([f for f, _ in rows], dtype=np.int64).reshape(
-            len(rows), *self.r.shape[1:])
+        self.r = np.array([f for f, _ in rows], dtype=np.int64)
 
     def reset(self, j: int, rng: np.random.Generator = None) -> None:
         """Measure qudit j and shift it back to |0> with an X^-k correction,
         which adds 2k z_j to the phases."""
         _, k = self._collapse(j, rng)
-        self.r = (self.r + 2 * np.multiply.outer(self.coords[:, j], k)) % self.dp
-        if self.symbols is not None:
-            self._drop_dead()
+        self.r = (self.r + 2 * k * self.coords[:, j]) % self.dp

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import resource
 import subprocess
 import sys
 
@@ -109,6 +110,22 @@ class TestExitCodes:
                        "--shots", "100", "--p", "0.1", "--seed", "1")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "frames"
+
+    @pytest.mark.parametrize("method", ["tableau", "statevector"])
+    def test_huge_shots_are_6(self, ghz_file, method):
+        """10**12 shots exceed the outcome cap before anything is built;
+        the child's address space is capped so that a missing check fails
+        the test instead of exhausting memory."""
+        cap = 1 << 31
+        proc = subprocess.run(
+            CLI + ["run", ghz_file, "--shots", str(10**12), "--seed", "1",
+                   "--method", method],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert proc.returncode == 6
+        assert proc.stdout == ""
+        assert "outcome cap" in proc.stderr
 
     def test_usage_error_is_4(self, ghz_file):
         assert run_cli("run", ghz_file, "--shots", "1").returncode == 4

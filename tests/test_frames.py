@@ -6,6 +6,7 @@ import pytest
 import quditsim.frames as frames_module
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
+from quditsim.errors import MemoryCapError
 from quditsim.frames import FrameSimulator, reference_run, run_frames
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import run_circuit
@@ -200,6 +201,19 @@ class TestInputChecks:
                 FrameSimulator(c, 0).run(shots)
             with pytest.raises(ValueError, match=f"got {shots}"):
                 run_frames(c, shots, seed=0)
+
+    def test_huge_shots_hit_the_outcome_cap(self, monkeypatch):
+        """10**12 shots fail before any shard is spawned or compiled."""
+        spawned = []
+        monkeypatch.setattr(frames_module, "run_shards",
+                            lambda *args: spawned.append(args))
+        c = build_ghz_chain(2, 3, measure=True)
+        with pytest.raises(MemoryCapError, match="outcome cap"):
+            FrameSimulator(c, 0).run(10**12)
+        for method in ("tableau", "weyl", "frames", "statevector"):
+            with pytest.raises(MemoryCapError, match="outcome cap"):
+                run_circuit(c, 10**12, 0, method)
+        assert spawned == []
 
     @pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, [])])
     def test_workers_capped_by_shards_and_cpus(self, monkeypatch, cpus, pools):

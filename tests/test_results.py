@@ -5,11 +5,13 @@ rebuild each output the way it used to be written, from the per-shot record
 view, and require the streamed text to match it exactly.
 """
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import quditsim.frames as frames_module
 from quditsim import cli
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit, serialize_sdim
@@ -17,12 +19,13 @@ from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
 from quditsim.frames import (OUTCOME_SHARD_ENTRIES, FrameSimulator,
-                             _start_tableau, draw_symbols, sample_outcomes)
+                             _start_tableau, compile_circuit, draw_symbols,
+                             sample_outcomes)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
 from quditsim.simulate import _run_shot, records_to_counts, run_circuit
 from quditsim.statevector import DenseState
-from quditsim.tableau import compile_circuit
+from quditsim.weyl import WeylTableau
 
 
 def corpus(seed: int, dims, count: int, max_qudits: int, max_depth: int):
@@ -193,19 +196,25 @@ class TestSlotFlags:
     def test_weyl_flags(self, d):
         """Exact replay of the sampler compiled on the Weyl tableau: each
         shot, replayed on its own per-shot WeylTableau, gives the same
-        outcome and flag at every slot, mid-circuit M and RESET included."""
-        random_slots = 0
-        for i in range(10):
-            circuit = reset_corpus_circuit(d, np.random.default_rng(200 + 10 * d + i))
-            result, records, _, _ = replay_compiled(circuit, 30, i)
+        outcome and flag at every slot, mid-circuit M and RESET included,
+        with and without noise."""
+        random_slots = fired = 0
+        clean = [(reset_corpus_circuit(d, np.random.default_rng(200 + 10 * d + i)),
+                  30, i) for i in range(10)]
+        noisy = [(reset_corpus_circuit(d, np.random.default_rng(100 * d + i),
+                                       (NOISE_KINDS[i % 3], 0.1)), 40, i)
+                 for i in range(12)]
+        for circuit, shots, seed in clean + noisy:
+            result, records, _, events = replay_compiled(circuit, shots, seed)
             assert np.array_equal(result.outcomes, record_outcomes(records))
             for shot in records:
                 assert result.deterministic.tolist() == [r.deterministic
                                                          for r in shot]
-            weyl = run_circuit(circuit, 30, i, "weyl")
+            weyl = run_circuit(circuit, shots, seed, "weyl")
             assert np.array_equal(weyl.outcomes, result.outcomes)
             random_slots += int((~result.deterministic).sum())
-        assert random_slots >= 10
+            fired += events
+        assert random_slots >= 10 and fired >= 100
 
     def test_statevector_per_shot_flags(self):
         circuit = reset_circuit()
@@ -233,6 +242,79 @@ class TestSlotFlags:
         assert result.deterministic.tolist() == omap.deterministic.tolist()
         assert result.qudits.tolist() == omap.qudits.tolist()
         assert result.seqs.tolist() == omap.seqs.tolist()
+
+
+class TestMapDigests:
+    """The compiled maps of fixed circuits, pinned by digest.
+
+    compile_circuit draws nothing, so these hold on any numpy whose
+    Generator builds the same circuits.  A change to any digest is a
+    change to the map, and so to the compiled samplers' output streams.
+    """
+
+    FIELDS = ("const", "qudits", "seqs", "deterministic", "indptr", "slots",
+              "coeffs", "uniform", "noise")
+
+    DIGESTS = {
+        "north_star":
+            "f1ba303c7cb59fba0d864cdee43bcc6abc0676269daf8f684d211896b5bd84b9",
+        "reset_corpus_d5":
+            "c1a3bc3192fb4ee4dad2af7a4c18d0ca7b0c68f78449335d0a6d4dfc7635c17e",
+        "lrbd_depth8":
+            "67d44b56db972f5efec457d3c5a5ef6609839b3d79cd77a09752b98a85a5e60a",
+        "reset_corpus_d2":
+            "93ab1dae43a3b6e4cb384e90037d1209f200aa2a66d635deca6d5d003fa23d1f",
+        "weyl_d3":
+            "8b3aaed597fd7a075e56964c88cc8fb2809553b3cd2c6fa692c14aadb24503cd",
+        # two of its four random M and RESET have partial support
+        "reset_corpus_d4":
+            "a313572b3bdd5aed640d527a93d42930784c649f0252e8f6eddf1f5141f26c2b",
+    }
+
+    @staticmethod
+    def cases() -> dict:
+        """name -> (circuit, start tableau or None for the default)."""
+        code = qutrit_detection_code()
+        north = build_random_clifford_circuit(
+            6, 3, 200, np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(1))), noise=("d", 0.01))
+        weyl_d3 = reset_corpus_circuit(3, np.random.default_rng(307), ("p", 0.1))
+        return {
+            "north_star": (north, None),
+            "reset_corpus_d5": (reset_corpus_circuit(
+                5, np.random.default_rng(505), ("d", 0.1)), None),
+            "lrbd_depth8": (build_lrb_d_circuit(
+                code, 8, 0.05, np.random.default_rng(8)),
+                code_initial_tableau(code)),
+            "reset_corpus_d2": (reset_corpus_circuit(
+                2, np.random.default_rng(201), ("f", 0.1)), None),
+            "weyl_d3": (weyl_d3, WeylTableau(weyl_d3.num_qudits, 3)),
+            "reset_corpus_d4": (reset_corpus_circuit(
+                4, np.random.default_rng(404), ("d", 0.1)), None),
+        }
+
+    @classmethod
+    def digest(cls, omap) -> str:
+        h = hashlib.sha256()
+        for name in cls.FIELDS:
+            a = np.ascontiguousarray(getattr(omap, name), dtype=np.int64)
+            h.update(f"{name}{a.shape}".encode())
+            h.update(a.tobytes())
+        for (kind, prob), locs in omap.noise_groups:
+            h.update(f"{kind}{prob!r}".encode())
+            h.update(np.ascontiguousarray(locs, dtype=np.int64).tobytes())
+        return h.hexdigest()
+
+    # one buffered row at a time, and chunks of a few rows
+    @pytest.mark.parametrize("buffer_entries", [None, 1, 40])
+    def test_digests(self, monkeypatch, buffer_entries):
+        if buffer_entries is not None:
+            monkeypatch.setattr(frames_module, "COMPILE_BUFFER_ENTRIES",
+                                buffer_entries)
+        digests = {name: self.digest(compile_circuit(
+                       circuit, start or _start_tableau(circuit)))
+                   for name, (circuit, start) in self.cases().items()}
+        assert digests == self.DIGESTS
 
 
 class TestColumns:

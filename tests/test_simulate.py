@@ -14,9 +14,8 @@ from quditsim.circuit import Circuit
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
-from quditsim.frames import FrameSimulator, _start_tableau
+from quditsim.frames import FrameSimulator, _start_tableau, compile_circuit
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
-from quditsim.tableau import compile_circuit
 from quditsim.weyl import WeylTableau, weyl_from_pauli
 
 

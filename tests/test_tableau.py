@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from quditsim.builders import build_random_clifford_circuit
-from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError, ShapeError
 from quditsim.pauli import Dimension, PauliString
 from quditsim.statevector import DenseState, stabilizer_check
@@ -380,38 +378,6 @@ class TestPauliError:
         with pytest.raises(ShapeError, match="out of range for n=2"):
             tab.apply_pauli_error(j, 1, 0)
         assert not tab.r.any()
-
-
-class TestSymbolicPhases:
-    """compile_circuit's symbol columns."""
-
-    def test_dead_columns_are_dropped(self):
-        """Measuring every qudit at random leaves one live symbol per
-        stabilizer row."""
-        rng = np.random.default_rng(12)
-        for d in (3, 5):
-            c = build_random_clifford_circuit(5, d, 120, rng, noise=("d", 0.05),
-                                              mid_measure_prob=0.1,
-                                              reset_prob=0.05)
-            for j in range(5):  # F on a Z eigenstate: the last M is random
-                c.add_gate("M", j)
-                c.add_gate("F", j)
-                c.add_gate("M", j)
-            tab = Tableau(5, d).symbolic()
-            flags = []
-            for ins in c.instructions:
-                if ins.name == "M":
-                    flags.append(tab.measure_z(ins.qudits[0]).deterministic)
-                elif ins.name == "RESET":
-                    tab.reset(ins.qudits[0])
-                elif ins.name == "N1":
-                    tab.add_noise_symbols(ins.qudits[0])
-                else:
-                    tab.apply_gate(ins.name, *ins.qudits)
-            assert not any(flags[-9::2])
-            assert tab.num_symbols > 200
-            assert tab.r.shape[1] <= 5 + 1
-            assert len(tab.symbols) == tab.r.shape[1] - 1
 
 
 class TestOperationCounters:

@@ -6,10 +6,10 @@ import pytest
 import quditsim.weyl as weyl
 from quditsim.circuit import Circuit
 from quditsim.errors import ShapeError
+from quditsim.frames import compile_circuit
 from quditsim.pauli import Dimension, PauliString
 from quditsim.snf import kernel_mod, solve_mod
 from quditsim.statevector import DenseState
-from quditsim.tableau import compile_circuit
 from quditsim.weyl import (
     WeylTableau,
     weyl_canonical,
