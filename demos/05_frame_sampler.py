@@ -2,7 +2,7 @@
 
 Naive repetition re-runs the full tableau simulation once per shot.  The
 frame sampler (run_circuit's 'frames' method, which also serves the
-'tableau' and 'weyl' methods on every d) runs the tableau once, as a
+'tableau' method on every d) runs the tableau once, as a
 noiseless reference shot, and then carries every measured Z back through
 the circuit once.  That gives each outcome as an affine form over random
 symbols: the constant terms are the reference shot, and the symbol entries

@@ -31,7 +31,6 @@ from .circuit import parse_sdim, serialize_sdim
 from .errors import MemoryCapError, ParseError, QuditSimError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
-from .pauli import Dimension
 from .simulate import METHODS, run_circuit
 
 EXIT_OK = 0
@@ -211,12 +210,6 @@ def _cmd_gen(args) -> int:
 def _cmd_validate(args) -> int:
     method_a, method_b = args.pairs
     dims = args.d
-    # 'weyl' compiles odd primes on its own tableau; every other d shares
-    # one compiler with 'tableau' and 'frames'
-    shared = [d for d in dims if not Dimension(d).is_odd_prime]
-    if "weyl" in args.pairs and {"tableau", "frames"} & set(args.pairs) and shared:
-        raise _usage_error(f"'{method_a},{method_b}' compares one sampler "
-                           f"with itself on d={','.join(map(str, shared))}")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
     circuits = []
     for i in range(args.circuits):

@@ -673,7 +673,7 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
             if survivors.shape[0] == 0:
                 continue
             logical = (survivors @ weights) % code.d
-            dist = OutcomeDistribution.from_outcomes(logical, code.d)
+            dist = per_slot_distributions(logical[:, None], code.d)[0]
             fidelities.append(rb_fidelity(dist))
         arr = np.array(fidelities)
         per_depth.append({

@@ -24,8 +24,8 @@ per pair, while the cost follows the events that fire.
 
 Shots are processed in shards, each with its own child of the master seed
 sequence, so results are identical whether shards run serially or across a
-thread pool (run_shards).  simulate.run_circuit samples the 'frames',
-'tableau' and 'weyl' methods with FrameSimulator.  reference_run runs the
+thread pool (run_shards).  simulate.run_circuit samples the 'frames' and
+'tableau' methods with FrameSimulator.  reference_run runs the
 circuit once on a concrete tableau with noise skipped, the same loop the
 compile starts from.
 """

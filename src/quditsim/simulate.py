@@ -1,4 +1,4 @@
-"""Shot sampling across the four simulation backends.
+"""Shot sampling across the three simulation methods.
 
 Methods:
 
@@ -7,9 +7,9 @@ Methods:
   prime d and on the Weyl generator tableau otherwise, and one backward
   pass over the circuit (frames.compile_circuit); each shard of shots then
   draws its symbols and fired errors and reads its outcomes off that map
-  (frames.FrameSimulator).
-- 'weyl': the same sampler, compiled on the Weyl generator tableau on every
-  d, odd primes included.
+  (frames.FrameSimulator).  An initial_tableau starts the reference run
+  from a given state; a WeylTableau(n, d) compiles an odd-prime circuit on
+  the Weyl tableau into the same map.
 - 'frames': the same sampler as 'tableau', with the same output at the same
   seed.
 - 'statevector': dense reference simulation.  Circuits whose measurements
@@ -45,9 +45,8 @@ from .errors import QuditSimError
 from .frames import FrameSimulator, _as_seedseq, check_outcome_entries
 from .noise import sample_error
 from .statevector import DenseState
-from .weyl import WeylTableau
 
-METHODS = ("tableau", "weyl", "frames", "statevector")
+METHODS = ("tableau", "frames", "statevector")
 
 
 def counts_key(outcomes, d: int) -> str:
@@ -232,7 +231,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         raise ValueError(f"shots must be >= 1, got {shots}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if initial_tableau is not None and method in ("weyl", "statevector"):
+    if initial_tableau is not None and method == "statevector":
         raise ValueError("initial_tableau requires the tableau or frames "
                          "method")
     check_outcome_entries(shots, circuit.num_measurements)
@@ -245,8 +244,6 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         else:
             columns = _run_per_shot(circuit, shots, rng)
     else:
-        if method == "weyl":
-            initial_tableau = WeylTableau(circuit.num_qudits, circuit.dimension)
         sim = FrameSimulator(circuit, seed, initial_tableau)
         omap = sim.omap
         columns = (sim.run(shots, threads), omap.qudits, omap.seqs,

@@ -21,9 +21,12 @@ is unimodular gcd row reduction over Z_d with Howell's completion (each
 column's pivot leaves behind its smallest power that is 0 there, so the
 echelon form spans every element that is 0 in the eliminated columns).
 Eliminating qudit j's X column mod d leaves the subgroup commuting with Z_j.
-Echeloned mod d' with the W_(d e_i), column j last, its last pivot is the
-smallest Z_j power in the group and fixes the outcome support; the other
-pivots plus the measured tau^(-2k) Z_j are echeloned into the new list.
+If the pivot's X_j entry is a unit mod d, the support is all of Z_d and the
+rows left are that subgroup.  Otherwise they are echeloned mod d' with the
+W_(d e_i), column j last: the last pivot is the smallest Z_j power in the
+group and fixes the outcome support, and the other pivots span the rest.
+A random outcome k keeps those rows that are not the identity and adds
+tau^(-2k) Z_j.
 
 A deterministic measurement leaves the generators as they are.  A random
 one records as pivot the row that eliminating qudit j's X column built,
@@ -210,19 +213,25 @@ class WeylTableau(TableauBase):
         return pivots
 
     def _commutant(self, j: int):
-        """Echelon of the subgroup commuting with Z_j: (other pivots, m, k0,
-        the pivot of qudit j's X column or None).
+        """Rows spanning the subgroup commuting with Z_j, apart from its Z_j
+        powers: (rows, m, k0, the pivot of qudit j's X column or None).
 
-        The last pivot tau^f W_(t e_j) (t = d, f = 0 if none) spans the Z_j
-        powers in the group, so m = gcd(d, t) is the smallest one, and
-        outcome k is in the support when tau^(2kt + f) = 1.  That holds for
-        g = gcd(2t, d') dividing f and k = k0 mod d/m (d/m = d'/g), so the
-        support is k0 + i*d/m for i < m.
+        A pivot whose X_j entry is a unit leaves no Z_j power but the
+        identity, so m = d and k0 = 0.  Otherwise the last pivot
+        tau^f W_(t e_j) (t = d, f = 0 if none) spans the Z_j powers in the
+        group, so m = gcd(d, t) is the smallest one, and outcome k is in the
+        support when tau^(2kt + f) = 1.  That holds for g = gcd(2t, d')
+        dividing f and k = k0 mod d/m (d/m = d'/g), so the support is
+        k0 + i*d/m for i < m.
         """
         d, dp, n = self.d, self.dp, self.n
         self._check_qudit(j)
         rows = list(zip(self.r, self.coords))
         pivot, rows = self._eliminate(rows, n + j, d)
+        if pivot is not None and gcd(int(pivot[1][n + j]), d) == 1:
+            # full support: the rows left already span the commutant, since
+            # the pivot's power among them is W_(d v), the identity
+            return rows, d, 0, pivot
         rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
         *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
         f, t = (0, d) if last is None else (int(last[0]), int(last[1][j]))
@@ -254,9 +263,8 @@ class WeylTableau(TableauBase):
         if rng is not None:
             k += d // m * int(rng.integers(m))
         z_j = ((-2 * k) % dp, np.eye(2 * n, dtype=np.int64)[j])
-        pivots = self._echelon(others + [z_j], range(2 * n))
-        # a pivot that is 0 mod d is the identity: the group has no -1
-        self._set_rows([p for p in pivots if p is not None and (p[1] % d).any()])
+        # a row that is 0 mod d is the identity: the group has no -1
+        self._set_rows([p for p in others if (p[1] % d).any()] + [z_j])
         return False, k
 
     def _set_rows(self, rows) -> None:

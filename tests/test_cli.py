@@ -277,7 +277,7 @@ class TestValidate:
             assert len(list(csv.DictReader(fh))) == 4
 
     @pytest.mark.parametrize("pair", ["tableau,frames", "frames,tableau",
-                                      "weyl,weyl"])
+                                      "statevector,statevector"])
     def test_one_sampler_pair_rejected(self, pair):
         proc = run_cli("validate", "--pairs", pair, "--circuits", "1",
                        "--seed", "3")
@@ -285,25 +285,14 @@ class TestValidate:
         assert "compares one sampler with itself" in proc.stderr
         assert proc.stdout == ""
 
-    @pytest.mark.parametrize("pair, dims, shared", [
-        ("weyl,tableau", "4", "4"), ("frames,weyl", "3,2,9", "2,9")])
-    def test_weyl_pair_on_shared_dimension_rejected(self, pair, dims, shared):
-        """weyl, tableau and frames compile every d that is not an odd
-        prime on the same Weyl tableau."""
-        proc = run_cli("validate", "--pairs", pair, "--d", dims,
-                       "--circuits", "1", "--seed", "3")
+    def test_weyl_pair_rejected(self):
+        """weyl is not a method; run_circuit's initial_tableau compiles on
+        the Weyl tableau."""
+        proc = run_cli("validate", "--pairs", "weyl,statevector",
+                       "--seed", "1")
         assert proc.returncode == 4
-        assert proc.stderr == (f"quditsim: error: '{pair}' compares one "
-                               f"sampler with itself on d={shared}\n")
+        assert "expected two of" in proc.stderr
         assert proc.stdout == ""
-
-    def test_weyl_pair_on_odd_primes(self):
-        """On odd primes weyl and tableau are two compilers."""
-        proc = run_cli("validate", "--pairs", "weyl,tableau", "--d", "3,5",
-                       "--circuits", "2", "--shots", "400", "--max-qudits",
-                       "3", "--max-depth", "20", "--seed", "3")
-        assert proc.returncode == 0
-        assert json.loads(proc.stdout)["all_passed"]
 
 
 class TestBenchmarkCommands:

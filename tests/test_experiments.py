@@ -149,13 +149,11 @@ class TestValidateBackendPair:
         assert set(rows[0]) == {"index", "family", "dimension", "qudits",
                                 "tvd", "passed"}
 
-    def test_frames_versus_tableau(self):
+    def test_frames_versus_statevector(self):
         rng = np.random.default_rng(8)
         circuits = [build_random_clifford_circuit(3, 5, 20, rng)
                     for _ in range(3)]
-        # the Weyl generator tableau: odd-prime 'tableau' is the frame
-        # sampler itself
-        report = validate_backend_pair(circuits, "frames", "weyl",
+        report = validate_backend_pair(circuits, "frames", "statevector",
                                        shots=800, threshold=0.2, seed=9)
         assert report["all_passed"]
 

@@ -9,7 +9,7 @@ from quditsim.circuit import Circuit
 from quditsim.errors import MemoryCapError
 from quditsim.frames import FrameSimulator, reference_run, run_frames
 from quditsim.noise import NOISE_KINDS, error_distribution
-from quditsim.simulate import run_circuit
+from quditsim.simulate import _run_shot, run_circuit
 from quditsim.tableau import Tableau
 
 
@@ -22,10 +22,10 @@ def outcome_histogram(matrix, d):
     return {k: v / total for k, v in counts.items()}
 
 
-def tableau_histogram(circuit, shots, seed):
-    """Joint outcome frequencies from the Weyl generator tableau, which
-    samples without the frame sampler's compiled outcome map."""
-    result = run_circuit(circuit, shots=shots, seed=seed, method="weyl")
+def statevector_histogram(circuit, shots, seed):
+    """Joint outcome frequencies from dense Born sampling, which shares no
+    code with the frame sampler's compiled outcome map."""
+    result = run_circuit(circuit, shots=shots, seed=seed, method="statevector")
     counts = {}
     for recs in result.records:
         key = tuple(r.outcome for r in recs)
@@ -67,7 +67,7 @@ class TestReferenceRun:
 
 
 class TestFrameSampling:
-    """Distributional equivalence with the tableau backend."""
+    """Sampled distributions against exact values and dense sampling."""
 
     def test_shape(self):
         c = build_ghz_chain(3, 3, measure=True)
@@ -94,7 +94,7 @@ class TestFrameSampling:
         assert (np.abs(freqs - 0.2) < 0.05).all()
 
     @pytest.mark.parametrize("d", [3, 5])
-    def test_matches_tableau_joint_distribution(self, d):
+    def test_matches_statevector_joint_distribution(self, d):
         # wrong propagation rules produce TVD well above the noise floor
         for seed in range(4):
             rng = np.random.default_rng(seed)
@@ -102,8 +102,8 @@ class TestFrameSampling:
             for j in range(3):
                 c.add_gate("M", j)
             frames = outcome_histogram(run_frames(c, 20000, seed=seed + 50), d)
-            tab = tableau_histogram(c, 6000, seed + 90)
-            assert hist_tvd(frames, tab) < 0.1, (d, seed)
+            dense = statevector_histogram(c, 6000, seed + 90)
+            assert hist_tvd(frames, dense) < 0.1, (d, seed)
 
     def test_noise_shifts_distribution(self):
         c = Circuit(1, 3)
@@ -210,7 +210,7 @@ class TestInputChecks:
         c = build_ghz_chain(2, 3, measure=True)
         with pytest.raises(MemoryCapError, match="outcome cap"):
             FrameSimulator(c, 0).run(10**12)
-        for method in ("tableau", "weyl", "frames", "statevector"):
+        for method in ("tableau", "frames", "statevector"):
             with pytest.raises(MemoryCapError, match="outcome cap"):
                 run_circuit(c, 10**12, 0, method)
         assert spawned == []
@@ -285,6 +285,7 @@ class TestWideDimensions:
 
     @pytest.mark.parametrize("d", [127, 131])
     def test_marginals_match_tableau(self, d):
+        """Against per-shot Tableau runs, which never compile a map."""
         rng = np.random.default_rng(d)
         c = build_random_clifford_circuit(3, d, 40, rng, two_qudit_prob=0.5,
                                           noise=("d", 0.05),
@@ -292,7 +293,9 @@ class TestWideDimensions:
                                           reset_prob=0.1)
         n_frames, n_tab = 20000, 2000
         fr = run_frames(c, n_frames, seed=1)
-        tab = run_circuit(c, n_tab, seed=2, method="weyl").outcomes
+        tab_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
+        tab = np.array([[r.outcome for r in _run_shot(c, Tableau(3, d), tab_rng)]
+                        for _ in range(n_tab)], dtype=np.int64)
         m = fr.shape[1]
         # each slot, and the difference of each pair (GHZ-like correlations)
         stats = [(fr[:, i], tab[:, i]) for i in range(m)]

@@ -96,20 +96,28 @@ class TestOracle:
                 assert omega_image(gate, p) == q
 
 
-class TestUnsignedColumns:
-    """The frame sampler's unsigned columns give the int64 results."""
+class TestColumnWriteBack:
+    """cols returns fresh arrays, so a caller that passes views of one array
+    (Tableau.apply_gate, the Weyl tableau, compile_circuit's backward pass)
+    may write the results back over its inputs in either order."""
 
     @pytest.mark.parametrize("m", [2, 3, 5, 7, 127])
     @pytest.mark.parametrize("name", [g.name for g in GATE_TABLE
                                       if g.cols is not None])
-    def test_uint8_matches_int64(self, name, m):
+    def test_write_back_in_either_order(self, name, m):
         gate = GATES[name]
         u, v = np.array(list(itertools.product(range(m), repeat=2))).T
         # SUM's new x_t depends on (x_c, x_t) and its new z_c on (z_c, z_t),
         # so (u, u, v, v) covers every input pair of both outputs
-        args = (u, v) if gate.arity == 1 else (u, u, v, v)
-        wide = gate.cols(*(a.astype(np.int64) for a in args), m)
-        narrow = gate.cols(*(a.astype(np.uint8) for a in args), m)
-        for w, n in zip(wide, narrow):
-            assert n.dtype == np.uint8
-            assert np.array_equal(n.astype(np.int64), w)
+        inputs = np.stack((u, v) if gate.arity == 1 else (u, u, v, v), axis=1)
+        # the columns the results replace: (x, z), or SUM's (x_t, z_c)
+        targets = (0, 1) if gate.arity == 1 else (2, 1)
+        pure = gate.cols(*inputs.T.copy(), m)
+        for order in (targets, targets[::-1]):
+            cols = inputs.copy()
+            out = gate.cols(*cols.T, m)
+            assert not any(np.shares_memory(o, cols) for o in out)
+            for c in order:
+                cols[:, c] = out[targets.index(c)]
+            for c, expected in zip(targets, pure):
+                assert np.array_equal(cols[:, c], expected)

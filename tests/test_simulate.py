@@ -16,7 +16,6 @@ from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.frames import FrameSimulator, _start_tableau, compile_circuit
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
-from quditsim.weyl import WeylTableau, weyl_from_pauli
 
 
 class TestCountsKeys:
@@ -281,7 +280,7 @@ class TestBatchedTableau:
     @pytest.mark.parametrize("read", ["x", "z"])
     def test_weyl_single_channel_matches_error_distribution(self, kind, d,
                                                             prob, read):
-        self.check_single_channel(kind, d, prob, read, "weyl")
+        self.check_single_channel(kind, d, prob, read, "tableau")
 
     @staticmethod
     def noisy_circuit(d=3):
@@ -328,8 +327,7 @@ class TestBatchedTableau:
         self.check_shard_boundary_determinism(c, "tableau")
 
     @pytest.mark.parametrize("threads", [0, -1])
-    @pytest.mark.parametrize("method", ["tableau", "weyl", "frames",
-                                        "statevector"])
+    @pytest.mark.parametrize("method", ["tableau", "frames", "statevector"])
     def test_nonpositive_threads_rejected(self, method, threads):
         c = self.noisy_circuit()
         with pytest.raises(ValueError, match=f"threads must be >= 1, got {threads}"):
@@ -347,32 +345,34 @@ class TestBatchedTableau:
     def test_weyl_thread_count_invariance(self, d, monkeypatch):
         c = self.noisy_circuit(d)
         self.outcome_shards_of(monkeypatch, c, 100)
-        self.check_thread_count_invariance(c, "weyl")
+        self.check_thread_count_invariance(c, "tableau")
 
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_shard_boundary_determinism(self, d, monkeypatch):
         c = self.noisy_circuit(d)
         self.outcome_shards_of(monkeypatch, c, 100)
-        self.check_shard_boundary_determinism(c, "weyl")
+        self.check_shard_boundary_determinism(c, "tableau")
 
     def test_initial_tableau_with_resets_matches_frames(self):
-        """The LRB-D circuit (coded start, ancilla resets, noise), compiled
-        on the Weyl generator tableau vs frames at criterion 04's bar."""
+        """The LRB-D circuit (coded start, ancilla resets, noise): per-shot
+        Tableau runs from copies of the coded start, which never compile a
+        map, vs frames at criterion 04's bar."""
         code = qutrit_detection_code()
         start = code_initial_tableau(code)
         before = start.to_array()
-        weyl = WeylTableau(start.n, start.d)
-        weyl._set_rows([weyl_from_pauli(start.stabilizer(i))
-                        for i in range(start.n)])
         rng = np.random.default_rng(33)
         for depth in (2, 6):
             c = build_lrb_d_circuit(code, depth, 0.05, rng)
             assert any(ins.name == "RESET" for ins in c.instructions)
-            sim = FrameSimulator(c, 34 + depth, initial_tableau=weyl)
-            tab = sim.run(10**4)
+            shot_rng = np.random.default_rng(34 + depth)
+            shots = [simulate._run_shot(c, start.copy(), shot_rng)
+                     for _ in range(2000)]
+            tab = np.array([[r.outcome for r in shot] for shot in shots])
             frames = run_circuit(c, 10**4, 44 + depth, "frames",
                                  initial_tableau=start)
-            assert np.array_equal(sim.omap.deterministic, frames.deterministic)
+            for shot in shots:
+                assert [r.deterministic for r in shot] == \
+                    frames.deterministic.tolist()
             assert mean_slot_tvd(tab, frames.outcomes, 3) < 0.02
         # the start tableau itself is left untouched
         assert np.array_equal(start.to_array(), before)
