@@ -19,11 +19,10 @@ def main() -> None:
         for constant in (True, False):
             circuit = build_deutsch_jozsa(d, constant=constant)
             result = run_circuit(circuit, shots=20, seed=3, method="tableau")
-            outcomes = {rec[0].outcome for rec in result.records}
-            flags = {rec[0].deterministic for rec in result.records}
+            outcomes = set(result.outcomes[:, 0].tolist())
             kind = "constant" if constant else "balanced"
             print(f"  d={d} {kind:8s} -> outcomes {sorted(outcomes)}, "
-                  f"deterministic={flags == {True}}")
+                  f"deterministic={bool(result.deterministic[0])}")
 
     print("\nBernstein-Vazirani, one line per recovered secret:")
     rng = np.random.default_rng(5)

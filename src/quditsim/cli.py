@@ -389,6 +389,9 @@ def _check_values(args) -> None:
         if value is not None and not 0.0 <= value <= 1.0:
             raise _usage_error(f"--{attr.replace('_', '-')} must lie in "
                                f"[0, 1], got {value}")
+    threshold = getattr(args, "threshold", None)
+    if threshold is not None and not 0.0 < threshold <= 1.0:
+        raise _usage_error(f"--threshold must lie in (0, 1], got {threshold}")
     depths = getattr(args, "depths", ())
     if any(depth < 0 for depth in depths):
         raise _usage_error(f"--depths must be >= 0, got "

@@ -22,9 +22,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .circuit import Circuit, MeasurementRecord
+from .circuit import Circuit
 from .errors import DimensionError, ShapeError, SupportMismatchError
-from .frames import FrameSimulator
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import run_circuit
@@ -56,14 +55,6 @@ class OutcomeDistribution:
             raise ShapeError("counts are empty")
         return cls(d, {k: v / total for k, v in counts.items() if v})
 
-    @classmethod
-    def from_outcomes(cls, outcomes, d: int) -> "OutcomeDistribution":
-        counts = {}
-        for k in outcomes:
-            key = int(k) if not isinstance(k, tuple) else k
-            counts[key] = counts.get(key, 0) + 1
-        return cls.from_counts(counts, d)
-
     def prob(self, label) -> float:
         return self.probs.get(label, 0.0)
 
@@ -91,17 +82,10 @@ def tvd(p: OutcomeDistribution, q: OutcomeDistribution) -> float:
     return 0.5 * sum(abs(p.prob(k) - q.prob(k)) for k in labels)
 
 
-def per_slot_distributions(records, d: int) -> list:
-    """One empirical OutcomeDistribution per measurement slot.
-
-    records is a (shots, M) outcome array or a per-shot sequence of
-    MeasurementRecord tuples or outcome tuples.  Labels keep the order of
-    their first appearance.
-    """
-    if not isinstance(records, np.ndarray):
-        records = [[r.outcome if isinstance(r, MeasurementRecord) else int(r)
-                    for r in shot] for shot in records]
-    outs = np.asarray(records, dtype=np.int64)
+def per_slot_distributions(outcomes, d: int) -> list:
+    """One empirical OutcomeDistribution per column of a (shots, M) outcome
+    array.  Labels keep the order of their first appearance."""
+    outs = np.asarray(outcomes, dtype=np.int64)
     if len(outs) == 0:
         return []
     dists = []
@@ -114,24 +98,14 @@ def per_slot_distributions(records, d: int) -> list:
     return dists
 
 
-def _slot_tvds(records_a, records_b, d: int) -> list:
-    """Per-slot TVDs between two record sets of the same shape."""
-    da = per_slot_distributions(records_a, d)
-    db = per_slot_distributions(records_b, d)
+def mean_slot_tvd(outcomes_a, outcomes_b, d: int) -> float:
+    """Mean per-slot TVD between two outcome arrays with the same slots."""
+    da = per_slot_distributions(outcomes_a, d)
+    db = per_slot_distributions(outcomes_b, d)
     if len(da) != len(db):
         raise SupportMismatchError(
-            f"record shapes differ: {len(da)} vs {len(db)} slots")
-    return [tvd(a, b) for a, b in zip(da, db)]
-
-
-def max_slot_tvd(records_a, records_b, d: int) -> float:
-    """Largest per-slot TVD between two record sets of the same shape."""
-    return max(_slot_tvds(records_a, records_b, d), default=0.0)
-
-
-def mean_slot_tvd(records_a, records_b, d: int) -> float:
-    """Mean per-slot TVD between two record sets of the same shape."""
-    scores = _slot_tvds(records_a, records_b, d)
+            f"outcome shapes differ: {len(da)} vs {len(db)} slots")
+    scores = [tvd(a, b) for a, b in zip(da, db)]
     return float(np.mean(scores)) if scores else 0.0
 
 
@@ -340,30 +314,49 @@ def _write_manifest(path, payload):
         fh.write("\n")
 
 
+def _sweep(cfg: RBConfig, seed, build, score, method: str, threads,
+           initial_tableau=None) -> list:
+    """Per depth, (depth, scores of its cfg.circuits_per_depth circuits).
+
+    Each circuit takes two children of the seed, builds itself as
+    build(depth, rng) from the first, samples cfg.shots shots with the
+    second, and is scored as score(outcomes) before the next is sampled.
+    """
+    ss = np.random.SeedSequence(seed)
+
+    def one(depth):
+        build_child, run_child = ss.spawn(2)
+        circuit = build(depth, np.random.Generator(np.random.PCG64(build_child)))
+        return score(run_circuit(circuit, cfg.shots, run_child, method,
+                                 threads=threads,
+                                 initial_tableau=initial_tableau).outcomes)
+
+    return [(depth, [one(depth) for _ in range(cfg.circuits_per_depth)])
+            for depth in cfg.depths]
+
+
+def _depth_row(depth: int, fidelities) -> dict:
+    """depth with the mean fidelity and its standard error; both are None
+    without fidelities, and the error is 0.0 with one."""
+    arr = np.array(fidelities)
+    return {
+        "depth": depth,
+        "mean_fidelity": float(arr.mean()) if len(arr) else None,
+        "stderr": float(arr.std(ddof=1) / math.sqrt(len(arr)))
+        if len(arr) > 1 else (0.0 if len(arr) else None),
+    }
+
+
 def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
            threads: int = None, csv_path=None, manifest_path=None) -> dict:
     """Mean fidelity per depth plus a decay fit f(D) = B * alpha^D."""
-    ss = np.random.SeedSequence(seed)
-    per_depth = []
-    for depth in cfg.depths:
-        fidelities = []
-        for _ in range(cfg.circuits_per_depth):
-            build_child, run_child = ss.spawn(2)
-            rng = np.random.Generator(np.random.PCG64(build_child))
-            circuit = build_rb_circuit(cfg.d, depth, cfg.p, rng)
-            result = run_circuit(circuit, cfg.shots, run_child, method,
-                                 threads=threads)
-            dist = per_slot_distributions(result.outcomes, cfg.d)[0]
-            fidelities.append(rb_fidelity(dist))
-        arr = np.array(fidelities)
-        per_depth.append({
-            "depth": depth,
-            "mean_fidelity": float(arr.mean()),
-            "stderr": float(arr.std(ddof=1) / math.sqrt(len(arr)))
-            if len(arr) > 1 else 0.0,
-            "survivor_fraction": 1.0,
-            "fidelities": [float(f) for f in arr],
-        })
+    sweep = _sweep(
+        cfg, seed, lambda depth, rng: build_rb_circuit(cfg.d, depth, cfg.p, rng),
+        lambda outcomes: rb_fidelity(per_slot_distributions(outcomes, cfg.d)[0]),
+        method, threads)
+    per_depth = [{**_depth_row(depth, fidelities), "survivor_fraction": 1.0,
+                  "fidelities": [float(f) for f in fidelities]}
+                 for depth, fidelities in sweep]
     fit = _fit_decay([row["depth"] for row in per_depth],
                      [row["mean_fidelity"] for row in per_depth])
     report = {
@@ -380,7 +373,7 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
     if csv_path:
         _write_depth_csv(csv_path, per_depth)
     if manifest_path:
-        _write_manifest(manifest_path, {k: v for k, v in report.items()})
+        _write_manifest(manifest_path, report)
     return report
 
 
@@ -655,34 +648,29 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
         raise DimensionError(f"config d={cfg.d} does not match code d={code.d}")
     num_syndromes = 4 if postselect == "all" else 2
     weights = code.logical_z_powers()
-    initial = code_initial_tableau(code)
-    ss = np.random.SeedSequence(seed)
+
+    def score(outcomes):
+        """(survivor fraction, fidelity of the survivors or None)."""
+        clean = np.all(outcomes[:, :num_syndromes] == 0, axis=1)
+        survivors = outcomes[clean, num_syndromes:]
+        if survivors.shape[0] == 0:
+            return 0.0, None
+        logical = (survivors @ weights) % code.d
+        dist = per_slot_distributions(logical[:, None], code.d)[0]
+        return survivors.shape[0] / cfg.shots, rb_fidelity(dist)
+
+    sweep = _sweep(
+        cfg, seed,
+        lambda depth, rng: build_lrb_d_circuit(code, depth, cfg.p, rng,
+                                               postselect),
+        score, "frames", threads, code_initial_tableau(code))
     per_depth = []
-    for depth in cfg.depths:
-        fidelities = []
-        fractions = []
-        for _ in range(cfg.circuits_per_depth):
-            build_child, run_child = ss.spawn(2)
-            rng = np.random.Generator(np.random.PCG64(build_child))
-            circuit = build_lrb_d_circuit(code, depth, cfg.p, rng, postselect)
-            sim = FrameSimulator(circuit, run_child, initial_tableau=initial)
-            matrix = sim.run(cfg.shots, threads)
-            syndromes = matrix[:, :num_syndromes]
-            survivors = matrix[np.all(syndromes == 0, axis=1), num_syndromes:]
-            fractions.append(survivors.shape[0] / cfg.shots)
-            if survivors.shape[0] == 0:
-                continue
-            logical = (survivors @ weights) % code.d
-            dist = per_slot_distributions(logical[:, None], code.d)[0]
-            fidelities.append(rb_fidelity(dist))
-        arr = np.array(fidelities)
+    for depth, scores in sweep:
+        fidelities = [f for _, f in scores if f is not None]
         per_depth.append({
-            "depth": depth,
-            "mean_fidelity": float(arr.mean()) if len(arr) else None,
-            "stderr": float(arr.std(ddof=1) / math.sqrt(len(arr)))
-            if len(arr) > 1 else (0.0 if len(arr) else None),
-            "survivor_fraction": float(np.mean(fractions)),
-            "surviving_circuits": int(len(arr)),
+            **_depth_row(depth, fidelities),
+            "survivor_fraction": float(np.mean([frac for frac, _ in scores])),
+            "surviving_circuits": len(fidelities),
         })
     report = {
         "experiment": "lrbd",

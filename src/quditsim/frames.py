@@ -394,8 +394,3 @@ class FrameSimulator:
                            lambda rng, size: sample_outcomes(self.omap, rng, size))
         self.op_count += len(self.omap.slots) * int(shots)
         return np.concatenate(parts, axis=0, dtype=np.int64)
-
-
-def run_frames(circuit, shots: int, seed=None, threads: int = None,
-               initial_tableau=None) -> np.ndarray:
-    return FrameSimulator(circuit, seed, initial_tableau).run(shots, threads)

@@ -40,7 +40,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .circuit import Circuit, MeasurementRecord
+from .circuit import Circuit
 from .errors import QuditSimError
 from .frames import FrameSimulator, _as_seedseq, check_outcome_entries
 from .noise import sample_error
@@ -56,15 +56,10 @@ def counts_key(outcomes, d: int) -> str:
     return "-".join(str(int(k)) for k in outcomes)
 
 
-def records_to_counts(records, d: int) -> dict:
-    """Tally outcome rows, keys ordered by numeric outcome.
-
-    records is a (shots, M) outcome array or a sequence of per-shot
-    MeasurementRecord tuples.
-    """
-    if not isinstance(records, np.ndarray):
-        records = [[r.outcome for r in rec] for rec in records]
-    outcomes = np.asarray(records, dtype=np.int64)
+def records_to_counts(outcomes, d: int) -> dict:
+    """Tally the rows of a (shots, M) outcome array, keys ordered by
+    numeric outcome."""
+    outcomes = np.asarray(outcomes, dtype=np.int64)
     if len(outcomes) == 0:
         return {}
     shots, m = outcomes.shape
@@ -89,8 +84,8 @@ class SimulationResult:
     """Sampled outcomes with one description per measurement slot.
 
     outcomes has shape (shots, M); qudits, seqs and deterministic have
-    shape (M,).  counts, records and outcome_tuples() are built from
-    outcomes on first use.
+    shape (M,).  counts is built from outcomes on first use and
+    outcome_tuples() on each call.
     """
 
     dimension: int
@@ -107,15 +102,6 @@ class SimulationResult:
     def counts(self) -> dict:
         """Tally of the outcome rows, keys ordered by numeric outcome."""
         return records_to_counts(self.outcomes, self.dimension)
-
-    @cached_property
-    def records(self) -> list:
-        """Per shot, a tuple of MeasurementRecord in program order."""
-        slots = list(zip(self.qudits.tolist(), self.seqs.tolist(),
-                         self.deterministic.tolist()))
-        return [tuple(MeasurementRecord(q, s, f, k)
-                      for (q, s, f), k in zip(slots, row))
-                for row in self.outcomes.tolist()]
 
     def outcome_tuples(self) -> list:
         return [tuple(row) for row in self.outcomes.tolist()]

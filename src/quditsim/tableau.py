@@ -70,11 +70,11 @@ class TableauBase:
     """Measurement records and qudit checks shared by Tableau and
     weyl.WeylTableau.
 
-    A subclass keeps its phases in r and has a _collapse(j, rng) that
-    measures Z_j and returns (deterministic, outcome k mod d).  After a
-    random measurement or reset, pivot is the stabilizer (x, z) mod d that
-    the measured Z_j did not commute with; it is None after a deterministic
-    one.
+    A subclass keeps its phases in r, has apply_pauli_error(j, a, b) and
+    has a _collapse(j, rng) that measures Z_j and returns (deterministic,
+    outcome k mod d).  After a random measurement or reset, pivot is the
+    stabilizer (x, z) mod d that the measured Z_j did not commute with; it
+    is None after a deterministic one.
     """
 
     pivot = None
@@ -94,6 +94,12 @@ class TableauBase:
         deterministic, k = self._collapse(j, rng)
         self.measurements_done += 1
         return MeasurementRecord(j, seq, deterministic, int(k))
+
+    def reset(self, j: int, rng: np.random.Generator = None) -> None:
+        """Measure qudit j and shift it back to |0> with the correction
+        X^-k for outcome k."""
+        _, k = self._collapse(j, rng)
+        self.apply_pauli_error(j, -k, 0)
 
 
 class Tableau(TableauBase):
@@ -314,9 +320,3 @@ class Tableau(TableauBase):
         self.X[rows] = (self.X[rows] + h[:, None] * xp) % d
         self.Z[rows] = (self.Z[rows] + h[:, None] * zp) % d
         return int(len(rows))
-
-    def reset(self, j: int, rng: np.random.Generator = None) -> None:
-        """Measure qudit j and shift it back to |0> with an X^-k correction,
-        which adds k Z[:, j] to the phases."""
-        _, k = self._collapse(j, rng)
-        self.r = (self.r + k * self.Z[:, j]) % self.d

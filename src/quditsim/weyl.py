@@ -271,9 +271,3 @@ class WeylTableau(TableauBase):
         self.coords = np.array([v for _, v in rows], dtype=np.int64).reshape(
             len(rows), 2 * self.n)
         self.r = np.array([f for f, _ in rows], dtype=np.int64)
-
-    def reset(self, j: int, rng: np.random.Generator = None) -> None:
-        """Measure qudit j and shift it back to |0> with an X^-k correction,
-        which adds 2k z_j to the phases."""
-        _, k = self._collapse(j, rng)
-        self.r = (self.r + 2 * k * self.coords[:, j]) % self.dp

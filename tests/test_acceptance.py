@@ -185,9 +185,8 @@ def test_criterion_07_oracle_algorithms():
         for constant, want in ((True, 0), (False, d - 1)):
             circuit = build_deutsch_jozsa(d, constant=constant)
             result = run_circuit(circuit, shots=50, seed=70, method="tableau")
-            for rec in result.records:
-                assert rec[0].deterministic
-                assert rec[0].outcome == want, (d, constant)
+            assert result.deterministic[0]
+            assert (result.outcomes[:, 0] == want).all(), (d, constant)
     rng = np.random.default_rng(71)
     for d in (2, 3, 5):
         for m in (1, 5, 10):
@@ -207,7 +206,7 @@ def test_criterion_08_nonprime_path_and_snf():
     circuit.add_gate("CNOT", 0, 1)
     circuit.add_gate("M", 1)
     result = run_circuit(circuit, shots=10**4, seed=80, method="tableau")
-    outs = np.array([rec[0].outcome for rec in result.records])
+    outs = result.outcomes[:, 0]
     assert set(outs.tolist()) == {0, 2}
     assert abs((outs == 0).mean() - 0.5) < 0.02
     assert abs((outs == 2).mean() - 0.5) < 0.02

@@ -40,23 +40,21 @@ class TestDeutschJozsa:
     def test_constant_reads_zero(self, d):
         c = build_deutsch_jozsa(d, constant=True)
         result = run_circuit(c, shots=20, seed=1, method="statevector")
-        for rec in result.records:
-            assert rec[0].deterministic
-            assert rec[0].outcome == 0
+        assert result.deterministic[0]
+        assert (result.outcomes[:, 0] == 0).all()
 
     @pytest.mark.parametrize("d", [2, 3, 5, 7])
     def test_identity_reads_d_minus_one(self, d):
         c = build_deutsch_jozsa(d, constant=False)
         result = run_circuit(c, shots=20, seed=2, method="statevector")
-        for rec in result.records:
-            assert rec[0].deterministic
-            assert rec[0].outcome == d - 1
+        assert result.deterministic[0]
+        assert (result.outcomes[:, 0] == d - 1).all()
 
     def test_constant_value_does_not_matter(self):
         for value in range(3):
             c = build_deutsch_jozsa(3, constant=True, constant_value=value)
             result = run_circuit(c, shots=5, seed=3, method="tableau")
-            assert all(rec[0].outcome == 0 for rec in result.records)
+            assert (result.outcomes[:, 0] == 0).all()
 
     def test_constant_value_range(self):
         with pytest.raises(ShapeError):

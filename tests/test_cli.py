@@ -171,6 +171,14 @@ class TestExitCodes:
          "--noise-prob must lie in [0, 1], got 2.0"),
         (["gen", "random", "--n", "2", "--d", "3", "--depth", "2",
           "--noise-prob", "1.5"], "--noise-prob must lie in [0, 1], got 1.5"),
+        (["validate", "--threshold", "-1"],
+         "--threshold must lie in (0, 1], got -1.0"),
+        (["validate", "--threshold", "0"],
+         "--threshold must lie in (0, 1], got 0.0"),
+        (["validate", "--threshold", "1.5"],
+         "--threshold must lie in (0, 1], got 1.5"),
+        (["validate", "--threshold", "nan"],
+         "--threshold must lie in (0, 1], got nan"),
     ])
     def test_out_of_range_values_are_4(self, argv, message):
         proc = run_cli(*argv, "--seed", "0")

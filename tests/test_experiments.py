@@ -1,6 +1,7 @@
 """Tests for validation, channel, benchmarking, and detection-code tooling."""
 
 import csv
+import hashlib
 import json
 
 import numpy as np
@@ -20,7 +21,7 @@ from quditsim.experiments import (
     channel_distribution_test,
     channel_reference_distribution,
     code_initial_tableau,
-    max_slot_tvd,
+    mean_slot_tvd,
     per_slot_distributions,
     qutrit_detection_code,
     rb_fidelity,
@@ -45,10 +46,6 @@ class TestOutcomeDistribution:
         assert dist.prob(0) == pytest.approx(0.75)
         assert dist.prob(2) == pytest.approx(0.25)
         assert dist.prob(1) == 0.0
-
-    def test_from_outcomes(self):
-        dist = OutcomeDistribution.from_outcomes([0, 0, 1, 2], 3)
-        assert dist.prob(0) == pytest.approx(0.5)
 
     def test_rejects_bad_mass(self):
         with pytest.raises(ShapeError):
@@ -102,22 +99,22 @@ class TestTVD:
 
 
 class TestPerSlot:
-    """Slot-wise marginals of record sets."""
+    """Slot-wise marginals of outcome arrays."""
 
     def test_slot_distributions(self):
         c = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(c, shots=900, seed=1, method="tableau")
-        dists = per_slot_distributions(result.records, 3)
+        dists = per_slot_distributions(result.outcomes, 3)
         assert len(dists) == 2
         for dist in dists:
             for k in range(3):
                 assert dist.prob(k) == pytest.approx(1 / 3, abs=0.06)
 
-    def test_max_slot_tvd_same_backend(self):
+    def test_mean_slot_tvd_same_backend(self):
         c = build_ghz_chain(2, 3, measure=True)
         a = run_circuit(c, shots=2000, seed=2, method="tableau")
         b = run_circuit(c, shots=2000, seed=3, method="tableau")
-        assert max_slot_tvd(a.records, b.records, 3) < 0.06
+        assert mean_slot_tvd(a.outcomes, b.outcomes, 3) < 0.06
 
     def test_shape_mismatch(self):
         c1 = build_ghz_chain(2, 3, measure=True)
@@ -125,7 +122,7 @@ class TestPerSlot:
         a = run_circuit(c1, shots=10, seed=4, method="tableau")
         b = run_circuit(c2, shots=10, seed=5, method="tableau")
         with pytest.raises(SupportMismatchError):
-            max_slot_tvd(a.records, b.records, 3)
+            mean_slot_tvd(a.outcomes, b.outcomes, 3)
 
 
 class TestValidateBackendPair:
@@ -450,3 +447,38 @@ class TestLRBD:
         with pytest.raises(ShapeError):
             build_lrb_d_circuit(code, 1, 0.0, np.random.default_rng(19),
                                 postselect="some")
+
+
+class TestReportDigests:
+    """rb and lrbd reports of fixed configs, pinned by the sha256 of their
+    sorted JSON.  A change to any digest is a change to the experiments'
+    output at a seed."""
+
+    LRBD_CFG = RBConfig(d=3, depths=(0, 3, 6, 10), circuits_per_depth=3,
+                        shots=40, p=0.3)
+
+    @staticmethod
+    def digest(report) -> str:
+        return hashlib.sha256(
+            json.dumps(report, sort_keys=True).encode()).hexdigest()
+
+    def test_rb_frames_noisy(self):
+        cfg = RBConfig(d=3, depths=(0, 2, 5), circuits_per_depth=3,
+                       shots=300, p=0.05)
+        report = run_rb(cfg, seed=11, method="frames")
+        assert self.digest(report) == (
+            "0bd51c083aed42042b05c670a6d2e355e3c742f6aad22a54adf80b9680dc1867")
+
+    def test_lrbd_all(self):
+        report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="all")
+        # few survivors at depths 3 and 6, none at depth 10: every stderr
+        # rule (several, one and no surviving circuits) appears
+        assert [row["surviving_circuits"] for row in report["per_depth"]] == \
+            [3, 2, 1, 0]
+        assert self.digest(report) == (
+            "372ac4ae05f81200d9e751d446a0d4f346d61185d18d087448bab84f27aa37af")
+
+    def test_lrbd_x_only(self):
+        report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="x_only")
+        assert self.digest(report) == (
+            "ef2e618b47f662aa62281ceb19cb93f5bd051930cb35ee2f5161e1134b825e12")

@@ -7,7 +7,7 @@ import quditsim.frames as frames_module
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
 from quditsim.errors import MemoryCapError
-from quditsim.frames import FrameSimulator, reference_run, run_frames
+from quditsim.frames import FrameSimulator, reference_run
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import _run_shot, run_circuit
 from quditsim.tableau import Tableau
@@ -27,8 +27,7 @@ def statevector_histogram(circuit, shots, seed):
     code with the frame sampler's compiled outcome map."""
     result = run_circuit(circuit, shots=shots, seed=seed, method="statevector")
     counts = {}
-    for recs in result.records:
-        key = tuple(r.outcome for r in recs)
+    for key in map(tuple, result.outcomes.tolist()):
         counts[key] = counts.get(key, 0) + 1
     return {k: v / shots for k, v in counts.items()}
 
@@ -61,7 +60,7 @@ class TestReferenceRun:
         recs = reference_run(c, np.random.default_rng(2))
         assert [r.deterministic for r in recs] == [False, True, True]
         assert len({r.outcome for r in recs}) == 1
-        mat = run_frames(c, 2000, seed=4)
+        mat = FrameSimulator(c, 4).run(2000)
         assert (mat == mat[:, :1]).all()
         assert len(np.unique(mat[:, 0])) == 4
 
@@ -71,14 +70,14 @@ class TestFrameSampling:
 
     def test_shape(self):
         c = build_ghz_chain(3, 3, measure=True)
-        mat = run_frames(c, 100, seed=7)
+        mat = FrameSimulator(c, 7).run(100)
         assert mat.shape == (100, 3)
         assert mat.dtype == np.int64
         assert ((mat >= 0) & (mat < 3)).all()
 
     def test_ghz_correlations(self):
         c = build_ghz_chain(2, 3, measure=True)
-        mat = run_frames(c, 4000, seed=11)
+        mat = FrameSimulator(c, 11).run(4000)
         # perfectly correlated pair, uniform marginal
         assert (mat[:, 0] == mat[:, 1]).all()
         freqs = np.bincount(mat[:, 0], minlength=3) / 4000
@@ -89,7 +88,7 @@ class TestFrameSampling:
         c = Circuit(1, 5)
         c.add_gate("F", 0)
         c.add_gate("M", 0)
-        mat = run_frames(c, 5000, seed=3)
+        mat = FrameSimulator(c, 3).run(5000)
         freqs = np.bincount(mat[:, 0], minlength=5) / 5000
         assert (np.abs(freqs - 0.2) < 0.05).all()
 
@@ -101,7 +100,7 @@ class TestFrameSampling:
             c = build_random_clifford_circuit(3, d, 30, rng)
             for j in range(3):
                 c.add_gate("M", j)
-            frames = outcome_histogram(run_frames(c, 20000, seed=seed + 50), d)
+            frames = outcome_histogram(FrameSimulator(c, seed + 50).run(20000), d)
             dense = statevector_histogram(c, 6000, seed + 90)
             assert hist_tvd(frames, dense) < 0.1, (d, seed)
 
@@ -109,7 +108,7 @@ class TestFrameSampling:
         c = Circuit(1, 3)
         c.add_gate("N1", 0, noise_channel="f", prob=1.0)
         c.add_gate("M", 0)
-        mat = run_frames(c, 3000, seed=5)
+        mat = FrameSimulator(c, 5).run(3000)
         freqs = np.bincount(mat[:, 0], minlength=3) / 3000
         assert freqs[0] == pytest.approx(0.0, abs=1e-12)
         assert freqs[1] == pytest.approx(0.5, abs=0.05)
@@ -119,7 +118,7 @@ class TestFrameSampling:
         c.add_gate("N1", 0, noise_channel="f", prob=1.0)
         c.add_gate("RESET", 0)
         c.add_gate("M", 0)
-        mat = run_frames(c, 500, seed=6)
+        mat = FrameSimulator(c, 6).run(500)
         assert (mat == 0).all()
 
     def test_measurement_then_remeasure_consistent(self):
@@ -129,7 +128,7 @@ class TestFrameSampling:
         c.add_gate("M", 0)
         c.add_gate("M", 1)
         c.add_gate("M", 0)
-        mat = run_frames(c, 2000, seed=8)
+        mat = FrameSimulator(c, 8).run(2000)
         assert (mat[:, 0] == mat[:, 1]).all()
         assert (mat[:, 0] == mat[:, 2]).all()
 
@@ -139,8 +138,8 @@ class TestDeterminismContract:
 
     def test_same_seed_same_records(self):
         c = build_ghz_chain(3, 3, measure=True)
-        a = run_frames(c, 500, seed=13)
-        b = run_frames(c, 500, seed=13)
+        a = FrameSimulator(c, 13).run(500)
+        b = FrameSimulator(c, 13).run(500)
         assert np.array_equal(a, b)
 
     def test_thread_count_invariance(self):
@@ -148,8 +147,8 @@ class TestDeterminismContract:
         c = build_random_clifford_circuit(4, 5, 40, rng)
         for j in range(4):
             c.add_gate("M", j)
-        single = run_frames(c, 3000, seed=21, threads=1)
-        multi = run_frames(c, 3000, seed=21, threads=4)
+        single = FrameSimulator(c, 21).run(3000, 1)
+        multi = FrameSimulator(c, 21).run(3000, 4)
         assert np.array_equal(single, multi)
 
     def test_sharding_invariance(self, monkeypatch):
@@ -200,7 +199,7 @@ class TestInputChecks:
             with pytest.raises(ValueError, match=f"got {shots}"):
                 FrameSimulator(c, 0).run(shots)
             with pytest.raises(ValueError, match=f"got {shots}"):
-                run_frames(c, shots, seed=0)
+                run_circuit(c, shots, 0, "frames")
 
     def test_huge_shots_hit_the_outcome_cap(self, monkeypatch):
         """10**12 shots fail before any shard is spawned or compiled."""
@@ -262,7 +261,7 @@ class TestChannelSampling:
         if read == "z":
             c.add_gate("F_INV", 0)
         c.add_gate("M", 0)
-        mat = run_frames(c, shots, seed=17)
+        mat = FrameSimulator(c, 17).run(shots)
         freqs = np.bincount(mat[:, 0], minlength=d) / shots
         expected = observed_component(kind, prob, d, read)
         # five binomial standard deviations; exact where expected is 0 or 1
@@ -292,7 +291,7 @@ class TestWideDimensions:
                                           mid_measure_prob=0.2,
                                           reset_prob=0.1)
         n_frames, n_tab = 20000, 2000
-        fr = run_frames(c, n_frames, seed=1)
+        fr = FrameSimulator(c, 1).run(n_frames)
         tab_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
         tab = np.array([[r.outcome for r in _run_shot(c, Tableau(3, d), tab_rng)]
                         for _ in range(n_tab)], dtype=np.int64)
@@ -315,6 +314,6 @@ class TestWideDimensions:
         for name, *qudits in [("F", 0), ("SUM", 0, 1), ("SUM", 0, 1),
                               ("SUM_INV", 0, 1), ("M", 0), ("M", 1)]:
             c.add_gate(name, *qudits)
-        mat = run_frames(c, 20000, seed=3)
+        mat = FrameSimulator(c, 3).run(20000)
         assert (mat[:, 0] == mat[:, 1]).all()
         assert len(np.unique(mat[:, 0])) == d

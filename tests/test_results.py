@@ -133,12 +133,12 @@ def record_outcomes(records) -> np.ndarray:
                     dtype=np.int64).reshape(len(records), -1)
 
 
-def old_tally(records, d: int) -> dict:
-    """Counts as the per-shot tuple tally computed them.  records holds
-    per-shot MeasurementRecord tuples or outcome rows."""
+def old_tally(rows, d: int) -> dict:
+    """Counts as the per-shot tuple tally computed them from outcome
+    rows."""
     tally = {}
-    for shot in records:
-        outs = tuple(getattr(r, "outcome", r) for r in shot)
+    for shot in rows:
+        outs = tuple(shot)
         tally[outs] = tally.get(outs, 0) + 1
     sep = "" if d <= 10 else "-"
     return {sep.join(map(str, outs)): c for outs, c in sorted(tally.items())}
@@ -383,20 +383,20 @@ class TestColumns:
     def test_records_view(self):
         circuit = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(circuit, 5, 3, "frames")
-        assert result.records is result.records
-        assert len(result.records) == 5
-        for shot, row in zip(result.records, result.outcome_tuples()):
-            assert tuple(r.outcome for r in shot) == row
-            assert all(type(r.outcome) is int for r in shot)
-            assert [type(r.deterministic) for r in shot] == [bool, bool]
+        rows = result.outcome_tuples()
+        assert len(rows) == 5
+        for row, shot in zip(rows, result.outcomes):
+            assert row == tuple(shot.tolist())
+            assert all(type(k) is int for k in row)
 
     @pytest.mark.parametrize("method", ["tableau", "frames"])
     def test_counts_match_old_tally(self, method):
         circuit = build_random_clifford_circuit(
             5, 3, 80, np.random.default_rng(2), noise=("d", 0.05))
         result = run_circuit(circuit, 2000, 4, method)
-        assert result.counts == old_tally(result.records, 3)
-        assert list(result.counts) == list(old_tally(result.records, 3))
+        tally = old_tally(result.outcomes.tolist(), 3)
+        assert result.counts == tally
+        assert list(result.counts) == list(tally)
 
     def test_counts_of_wide_rows(self):
         rng = np.random.default_rng(6)
@@ -411,7 +411,7 @@ class TestColumns:
         circuit = build_random_clifford_circuit(
             3, 11, 30, np.random.default_rng(7), noise=("d", 0.05))
         result = run_circuit(circuit, 400, 1, "frames")
-        assert result.counts == old_tally(result.records, 11)
+        assert result.counts == old_tally(result.outcomes.tolist(), 11)
         assert all("-" in key for key in result.counts)
 
     def test_per_slot_distributions_from_array(self):
@@ -419,14 +419,14 @@ class TestColumns:
             4, 5, 50, np.random.default_rng(3), noise=("d", 0.05))
         result = run_circuit(circuit, 600, 2, "frames")
         from_array = per_slot_distributions(result.outcomes, 5)
-        from_records = per_slot_distributions(result.records, 5)
         assert len(from_array) == circuit.num_measurements
-        for i, (a, b) in enumerate(zip(from_array, from_records)):
+        for i, dist in enumerate(from_array):
             # label order feeds rb_fidelity's sum, so it must match too
-            loop = OutcomeDistribution.from_outcomes(
-                [shot[i].outcome for shot in result.records], 5)
-            for dist in (a, b):
-                assert list(dist.probs.items()) == list(loop.probs.items())
+            counts = {}
+            for k in result.outcomes[:, i].tolist():
+                counts[k] = counts.get(k, 0) + 1
+            loop = OutcomeDistribution.from_counts(counts, 5)
+            assert list(dist.probs.items()) == list(loop.probs.items())
 
 
 @pytest.mark.parametrize("shots", [0, -5])
@@ -483,6 +483,9 @@ def reset_circuit() -> Circuit:
 
 def old_output(result, seed: int, out: str) -> str:
     """stdout as the writers built it from per-shot records."""
+    rows = result.outcomes.tolist()
+    slots = list(zip(result.qudits.tolist(), result.seqs.tolist(),
+                     result.deterministic.tolist()))
     if out == "json":
         text = json.dumps({
             "dimension": result.dimension,
@@ -490,21 +493,19 @@ def old_output(result, seed: int, out: str) -> str:
             "shots": result.shots,
             "seed": seed,
             "method": result.method,
-            "records": [[{"qudit": r.qudit, "seq": r.seq,
-                          "deterministic": r.deterministic,
-                          "outcome": r.outcome} for r in shot]
-                        for shot in result.records],
-            "counts": old_tally(result.records, result.dimension),
+            "records": [[{"qudit": q, "seq": seq, "deterministic": f,
+                          "outcome": k} for (q, seq, f), k in zip(slots, row)]
+                        for row in rows],
+            "counts": old_tally(rows, result.dimension),
         }, indent=2)
     elif out == "counts":
         text = "\n".join(f"{key} {count}" for key, count in
-                         old_tally(result.records, result.dimension).items())
+                         old_tally(rows, result.dimension).items())
     else:
         lines = ["shot,qudit,seq,deterministic,outcome"]
-        for s, shot in enumerate(result.records):
-            for r in shot:
-                lines.append(f"{s},{r.qudit},{r.seq},"
-                             f"{int(r.deterministic)},{r.outcome}")
+        for s, row in enumerate(rows):
+            for (q, seq, f), k in zip(slots, row):
+                lines.append(f"{s},{q},{seq},{int(f)},{k}")
         text = "\n".join(lines)
     return text if text.endswith("\n") else text + "\n"
 

@@ -29,12 +29,8 @@ class TestCountsKeys:
         assert counts_key((10, 0, 12), 13) == "10-0-12"
 
     def test_counts_sorted_numerically(self):
-        class Rec:
-            def __init__(self, outcome):
-                self.outcome = outcome
-
-        records = [[Rec(2), Rec(0)], [Rec(0), Rec(1)], [Rec(2), Rec(0)]]
-        counts = records_to_counts(records, 3)
+        outcomes = np.array([[2, 0], [0, 1], [2, 0]])
+        counts = records_to_counts(outcomes, 3)
         assert list(counts) == ["01", "20"]
         assert counts["20"] == 2
 
@@ -55,7 +51,7 @@ class TestMethodRouting:
         result = run_circuit(c, shots=20, seed=0, method="tableau")
         # the requested name is echoed even when the Weyl path serves it
         assert result.method == "tableau"
-        assert all(rec[0].outcome in range(4) for rec in result.records)
+        assert all(k in range(4) for k in result.outcomes[:, 0].tolist())
 
     def test_frames_on_composite(self):
         c = Circuit(1, 4)
@@ -78,21 +74,18 @@ class TestRecords:
     def test_records_shape_and_fields(self):
         c = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(c, shots=10, seed=1, method="tableau")
-        assert len(result.records) == 10
-        for rec in result.records:
-            assert len(rec) == 2
-            assert [r.seq for r in rec] == [0, 1]
-            assert [r.qudit for r in rec] == [0, 1]
-            assert rec[1].deterministic  # second GHZ readout is pinned
-            assert not rec[0].deterministic
+        assert result.outcomes.shape == (10, 2)
+        assert result.seqs.tolist() == [0, 1]
+        assert result.qudits.tolist() == [0, 1]
+        assert result.deterministic[1]  # second GHZ readout is pinned
+        assert not result.deterministic[0]
 
     def test_deterministic_flags_dense(self):
         c = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(c, shots=10, seed=2, method="statevector")
-        for rec in result.records:
-            assert not rec[0].deterministic
-            assert rec[1].deterministic
-            assert rec[0].outcome == rec[1].outcome
+        assert not result.deterministic[0]
+        assert result.deterministic[1]
+        assert np.array_equal(result.outcomes[:, 0], result.outcomes[:, 1])
 
     @pytest.mark.parametrize("d", [3, 4])
     def test_repeated_terminal_measurement_dense(self, d):
@@ -111,10 +104,9 @@ class TestRecords:
     def test_deterministic_flags_frames(self):
         c = build_ghz_chain(2, 3, measure=True)
         result = run_circuit(c, shots=10, seed=3, method="frames")
-        for rec in result.records:
-            assert not rec[0].deterministic
-            assert rec[1].deterministic
-            assert rec[0].outcome == rec[1].outcome
+        assert not result.deterministic[0]
+        assert result.deterministic[1]
+        assert np.array_equal(result.outcomes[:, 0], result.outcomes[:, 1])
 
     def test_reset_not_a_record_slot(self):
         c = Circuit(2, 3)
@@ -124,19 +116,16 @@ class TestRecords:
         c.add_gate("M", 0)
         for method in ("tableau", "statevector", "frames"):
             result = run_circuit(c, shots=5, seed=4, method=method)
-            for rec in result.records:
-                assert [r.seq for r in rec] == [0, 1]
-                assert rec[1].outcome == 0
+            assert result.seqs.tolist() == [0, 1]
+            assert (result.outcomes[:, 1] == 0).all()
 
 
 class TestCrossBackendAgreement:
     """All three backends sample the same distribution."""
 
     def marginals(self, result, slot, d):
-        freqs = np.zeros(d)
-        for rec in result.records:
-            freqs[rec[slot].outcome] += 1
-        return freqs / len(result.records)
+        return np.bincount(result.outcomes[:, slot],
+                           minlength=d) / len(result.outcomes)
 
     @pytest.mark.parametrize("d", [3, 5])
     def test_marginal_agreement(self, d):
@@ -160,9 +149,8 @@ class TestCrossBackendAgreement:
                 want = 0 if constant else d - 1
                 for m in ("tableau", "statevector", "frames"):
                     result = run_circuit(c, shots=30, seed=5, method=m)
-                    for rec in result.records:
-                        assert rec[0].outcome == want, (d, constant, m)
-                        assert rec[0].deterministic
+                    assert (result.outcomes[:, 0] == want).all(), (d, constant, m)
+                    assert result.deterministic[0]
 
 
 class TestDeterminismAndCounts:
@@ -216,7 +204,7 @@ class TestNoiseIntegration:
         c.add_gate("M", 0)
         for m in ("tableau", "statevector", "frames"):
             result = run_circuit(c, shots=400, seed=9, method=m)
-            outs = [rec[0].outcome for rec in result.records]
+            outs = result.outcomes[:, 0]
             assert 0 not in outs, m
             freqs = np.bincount(outs, minlength=3)[1:] / 400
             assert (np.abs(freqs - 0.5) < 0.08).all(), m
@@ -226,7 +214,7 @@ class TestNoiseIntegration:
         c.add_gate("N1", 0, noise_channel="d", prob=0.1)
         c.add_gate("M", 0)
         result = run_circuit(c, shots=20000, seed=10, method="tableau")
-        outs = [rec[0].outcome for rec in result.records]
+        outs = result.outcomes[:, 0]
         freqs = np.bincount(outs, minlength=3) / 20000
         # X^a Z^b errors: 6 of 8 shift the outcome, uniformly over {1, 2}
         assert freqs[0] == pytest.approx(0.925, abs=0.01)
