@@ -21,6 +21,7 @@ import json
 import os
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -207,7 +208,18 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _cmd_validate(args) -> int:
+def _cmd_report(command, args) -> int:
+    """Run command(args, threads), print its elapsed time to stderr and its
+    report to stdout as JSON."""
+    threads = _threads_from(args)
+    started = time.perf_counter()
+    report = command(args, threads)
+    print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    _emit(_report_json(report))
+    return EXIT_OK
+
+
+def _cmd_validate(args, threads) -> dict:
     method_a, method_b = args.pairs
     dims = args.d
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(args.seed)))
@@ -219,45 +231,29 @@ def _cmd_validate(args) -> int:
         noise = ("d", args.noise_prob) if args.noise_prob > 0 else None
         circuits.append(build_random_clifford_circuit(n, d, depth, rng,
                                                       noise=noise))
-    threads = _threads_from(args)
-    started = time.perf_counter()
-    report = validate_backend_pair(circuits, method_a, method_b,
-                                   shots=args.shots, threshold=args.threshold,
-                                   seed=args.seed, threads=threads,
-                                   csv_path=args.csv)
-    elapsed = time.perf_counter() - started
-    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
-    _emit(_report_json(report))
-    return EXIT_OK
+    return validate_backend_pair(circuits, method_a, method_b,
+                                 shots=args.shots, threshold=args.threshold,
+                                 seed=args.seed, threads=threads,
+                                 csv_path=args.csv)
 
 
-def _cmd_rb(args) -> int:
+def _cmd_rb(args, threads) -> dict:
     cfg = RBConfig(d=args.d, depths=args.depths,
                    circuits_per_depth=args.circuits, shots=args.shots,
                    p=args.p)
-    threads = _threads_from(args)
-    started = time.perf_counter()
-    report = run_rb(cfg, seed=args.seed, method=args.method, threads=threads,
-                    csv_path=args.csv, manifest_path=args.manifest)
-    elapsed = time.perf_counter() - started
-    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
-    _emit(_report_json(report))
-    return EXIT_OK
+    return run_rb(cfg, seed=args.seed, method=args.method, threads=threads,
+                  csv_path=args.csv, manifest_path=args.manifest)
 
 
-def _cmd_lrbd(args) -> int:
-    cfg = RBConfig(d=3, depths=args.depths, circuits_per_depth=args.circuits,
-                   shots=args.shots, p=args.p)
-    threads = _threads_from(args)
-    started = time.perf_counter()
-    report = run_lrb_d(cfg, qutrit_detection_code(), seed=args.seed,
-                       postselect=args.postselect.replace("-", "_"),
-                       threads=threads, csv_path=args.csv,
-                       manifest_path=args.manifest)
-    elapsed = time.perf_counter() - started
-    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
-    _emit(_report_json(report))
-    return EXIT_OK
+def _cmd_lrbd(args, threads) -> dict:
+    code = qutrit_detection_code()
+    cfg = RBConfig(d=code.d, depths=args.depths,
+                   circuits_per_depth=args.circuits, shots=args.shots,
+                   p=args.p)
+    return run_lrb_d(cfg, code, seed=args.seed,
+                     postselect=args.postselect.replace("-", "_"),
+                     threads=threads, csv_path=args.csv,
+                     manifest_path=args.manifest)
 
 
 def _methods_pair(text: str):
@@ -292,8 +288,7 @@ def build_parser() -> _Parser:
     run.add_argument("file")
     run.add_argument("--shots", type=int, default=1)
     run.add_argument("--seed", type=int, required=True)
-    run.add_argument("--method", choices=("tableau", "frames", "statevector"),
-                     default="tableau")
+    run.add_argument("--method", choices=METHODS, default="tableau")
     run.add_argument("--out", choices=("json", "counts", "csv"),
                      default="json")
     run.add_argument("--threads", type=int, default=None)
@@ -338,31 +333,25 @@ def build_parser() -> _Parser:
     val.add_argument("--csv", default=None)
     val.add_argument("--threads", type=int, default=None)
 
-    rb = sub.add_parser("rb", help="single-qudit randomized benchmarking")
-    rb.add_argument("--d", type=int, default=3)
-    rb.add_argument("--depths", type=_depths, default=(0, 4, 8, 12, 16, 20))
-    rb.add_argument("--circuits", type=int, default=30)
-    rb.add_argument("--shots", type=int, default=10000)
-    rb.add_argument("--p", type=float, required=True)
-    rb.add_argument("--seed", type=int, required=True)
-    rb.add_argument("--method", choices=("tableau", "frames", "statevector"),
-                    default="frames")
-    rb.add_argument("--csv", default=None)
-    rb.add_argument("--manifest", default=None)
-    rb.add_argument("--threads", type=int, default=None)
+    bench = _Parser(add_help=False)
+    bench.add_argument("--depths", type=_depths, default=(0, 4, 8, 12, 16, 20))
+    bench.add_argument("--circuits", type=int, default=30)
+    bench.add_argument("--shots", type=int, default=10000)
+    bench.add_argument("--p", type=float, required=True)
+    bench.add_argument("--seed", type=int, required=True)
+    bench.add_argument("--csv", default=None)
+    bench.add_argument("--manifest", default=None)
+    bench.add_argument("--threads", type=int, default=None)
 
-    lrbd = sub.add_parser("lrbd",
+    rb = sub.add_parser("rb", parents=[bench],
+                        help="single-qudit randomized benchmarking")
+    rb.add_argument("--d", type=int, default=3)
+    rb.add_argument("--method", choices=METHODS, default="frames")
+
+    lrbd = sub.add_parser("lrbd", parents=[bench],
                           help="logical benchmarking with error detection")
-    lrbd.add_argument("--depths", type=_depths, default=(0, 4, 8, 12, 16, 20))
-    lrbd.add_argument("--circuits", type=int, default=30)
-    lrbd.add_argument("--shots", type=int, default=10000)
-    lrbd.add_argument("--p", type=float, required=True)
-    lrbd.add_argument("--seed", type=int, required=True)
     lrbd.add_argument("--postselect", choices=("all", "x-only", "x_only"),
                       default="all")
-    lrbd.add_argument("--csv", default=None)
-    lrbd.add_argument("--manifest", default=None)
-    lrbd.add_argument("--threads", type=int, default=None)
 
     return parser
 
@@ -398,8 +387,10 @@ def _check_values(args) -> None:
                            f"{','.join(map(str, depths))}")
 
 
-_COMMANDS = {"run": _cmd_run, "gen": _cmd_gen, "validate": _cmd_validate,
-             "rb": _cmd_rb, "lrbd": _cmd_lrbd}
+_COMMANDS = {"run": _cmd_run, "gen": _cmd_gen,
+             "validate": partial(_cmd_report, _cmd_validate),
+             "rb": partial(_cmd_report, _cmd_rb),
+             "lrbd": partial(_cmd_report, _cmd_lrbd)}
 
 
 def main(argv=None) -> int:

@@ -27,7 +27,7 @@ from .errors import DimensionError, ShapeError, SupportMismatchError
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import run_circuit
-from .tableau import Tableau, rref_mod_prime, solve_mod_prime
+from .tableau import Tableau
 
 
 # -- distributions and TVD -----------------------------------------------------
@@ -401,57 +401,23 @@ class DetectionCode:
         if self.logical_x.commutation_exponent(self.logical_z) % self.d != 1:
             raise ShapeError("logical pair must satisfy c(Lx, Lz) = 1")
 
-    def logical_z_powers(self) -> np.ndarray:
-        return self.logical_z.z.copy()
-
 
 def qutrit_detection_code() -> DetectionCode:
-    """Five-qutrit distance-2 detection code: two Z-type and two X-type
-    stabilizers (data qudits indexed 0..4) and the induced logical pair.
-
-    Logical operators are derived from the generators by symplectic
-    elimination with a fixed pivot order: the logical Z is the first kernel
-    vector of the X-type generator matrix that is independent of the Z-type
-    generators, and vice versa, scaled so c(Lx, Lz) = 1.
-    """
-    d = 3
-    dim = Dimension(d)
-    z_rows = [[1, -1, 0, -1, 0], [0, 1, 1, 0, -1]]
-    x_rows = [[1, 1, -1, 0, 0], [0, -1, 0, 1, -1]]
+    """Five-qutrit distance-2 detection code on data qudits 0..4: two Z-type
+    and two X-type stabilizers, logical X = X^2 I I X^2 I and logical
+    Z = Z I Z I I."""
+    zero = [0] * 5
 
     def z_string(z):
-        return PauliString(dim, np.zeros(5, dtype=np.int64),
-                           np.array(z, dtype=np.int64) % d)
+        return PauliString(Dimension(3), zero, z)
 
     def x_string(x):
-        return PauliString(dim, np.array(x, dtype=np.int64) % d,
-                           np.zeros(5, dtype=np.int64))
+        return PauliString(Dimension(3), x, zero)
 
-    stabilizers = (z_string(z_rows[0]), z_string(z_rows[1]),
-                   x_string(x_rows[0]), x_string(x_rows[1]))
-
-    def kernel(rows):
-        red, pivots = rref_mod_prime(rows, d)
-        for f in range(5):
-            if f not in pivots:
-                v = np.zeros(5, dtype=np.int64)
-                v[f] = 1
-                v[pivots] = -red[:len(pivots), f] % d
-                yield v
-
-    def in_span(rows, v):
-        return solve_mod_prime(np.transpose(rows), v, d) is not None
-
-    z_cands = [v for v in kernel(x_rows) if not in_span(z_rows, v)]
-    x_cands = [v for v in kernel(z_rows) if not in_span(x_rows, v)]
-    for u in x_cands:
-        for w in z_cands:
-            lx, lz = x_string(u), z_string(w)
-            c = lx.commutation_exponent(lz) % d
-            if c:
-                lx = lx.pow(pow(c, -1, d))
-                return DetectionCode(5, d, stabilizers, lx, lz)
-    raise ShapeError("no symplectic logical pair found")  # pragma: no cover
+    stabilizers = (z_string([1, -1, 0, -1, 0]), z_string([0, 1, 1, 0, -1]),
+                   x_string([1, 1, -1, 0, 0]), x_string([0, -1, 0, 1, -1]))
+    return DetectionCode(5, 3, stabilizers, x_string([2, 0, 0, 2, 0]),
+                         z_string([1, 0, 1, 0, 0]))
 
 
 def _conjugate_single(name: str, r: int, x: int, z: int, d: int):
@@ -586,14 +552,34 @@ def code_initial_tableau(code: DetectionCode) -> Tableau:
     return Tableau.from_stabilizers(stabs)
 
 
+def _selected_stabilizers(code: DetectionCode, postselect: str) -> tuple:
+    """The stabilizers whose syndromes postselect reads: all of them, or
+    the X-type ones."""
+    if postselect == "all":
+        return code.stabilizers
+    if postselect == "x_only":
+        return tuple(s for s in code.stabilizers if not s.z.any())
+    raise ShapeError(f"postselect must be 'all' or 'x_only', got {postselect!r}")
+
+
+def _logical_pauli(circuit: Circuit, code: DetectionCode, a: int, b: int) -> None:
+    """Append logical X^a, then logical Z^b, as single-qudit X and Z powers
+    (up to a global phase)."""
+    for logical, power in ((code.logical_x, a), (code.logical_z, b)):
+        for gate, inv, exponents in (("X", "X_INV", logical.x),
+                                     ("Z", "Z_INV", logical.z)):
+            for q in range(code.n):
+                _pauli_power_gates(circuit, q, gate, inv,
+                                   power * int(exponents[q]), code.d)
+
+
 def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
                         rng: np.random.Generator,
                         postselect: str = "all") -> Circuit:
     """Random logical-Pauli layers with per-qudit channel events, the
     noiseless inverse, a final channel round, syndrome gadgets on the chosen
     stabilizer subset (ancilla reset before each), and a data readout."""
-    if postselect not in ("all", "x_only"):
-        raise ShapeError(f"postselect must be 'all' or 'x_only', got {postselect!r}")
+    selected = _selected_stabilizers(code, postselect)
     d = code.d
     n = code.n
     anc = n
@@ -603,23 +589,12 @@ def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
         a, b = int(rng.integers(d)), int(rng.integers(d))
         net_a = (net_a + a) % d
         net_b = (net_b + b) % d
-        for q in range(n):
-            _pauli_power_gates(circuit, q, "X", "X_INV",
-                               a * int(code.logical_x.x[q]), d)
-        for q in range(n):
-            _pauli_power_gates(circuit, q, "Z", "Z_INV",
-                               b * int(code.logical_z.z[q]), d)
+        _logical_pauli(circuit, code, a, b)
         for q in range(n):
             circuit.add_gate("N1", q, noise_channel="d", prob=p)
-    for q in range(n):
-        _pauli_power_gates(circuit, q, "X", "X_INV",
-                           -net_a * int(code.logical_x.x[q]), d)
-    for q in range(n):
-        _pauli_power_gates(circuit, q, "Z", "Z_INV",
-                           -net_b * int(code.logical_z.z[q]), d)
+    _logical_pauli(circuit, code, -net_a, -net_b)
     for q in range(n):
         circuit.add_gate("N1", q, noise_channel="d", prob=p)
-    selected = code.stabilizers if postselect == "all" else code.stabilizers[2:]
     for stab in selected:
         circuit.add_gate("RESET", anc)
         gadget = build_syndrome_gadget(stab, ancilla=anc)
@@ -637,7 +612,9 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
               csv_path=None, manifest_path=None) -> dict:
     """Postselected logical fidelity and survivor fraction per depth.
 
-    Shots whose selected syndromes are all zero survive; each circuit's
+    The code may be any odd-prime DetectionCode whose logical Z is Z-type.
+    Shots whose selected syndromes (every stabilizer's for "all", the
+    X-type stabilizers' for "x_only") are all zero survive; each circuit's
     fidelity is computed on the survivors' logical readout (the logical-Z
     weighted sum of data outcomes).  A depth with no surviving shots is
     reported with missing fidelity.
@@ -646,8 +623,11 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
         code = qutrit_detection_code()
     if cfg.d != code.d:
         raise DimensionError(f"config d={cfg.d} does not match code d={code.d}")
-    num_syndromes = 4 if postselect == "all" else 2
-    weights = code.logical_z_powers()
+    if code.logical_z.x.any():
+        raise ShapeError("the data readout is in the Z basis, so logical Z "
+                         "must be Z-type")
+    num_syndromes = len(_selected_stabilizers(code, postselect))
+    weights = code.logical_z.z
 
     def score(outcomes):
         """(survivor fraction, fidelity of the survivors or None)."""

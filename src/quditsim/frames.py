@@ -87,15 +87,18 @@ def check_outcome_entries(shots: int, num_slots: int) -> None:
 
 
 def _start_tableau(circuit, initial_tableau=None):
-    """A copy of initial_tableau, or a fresh register: a Tableau for odd
-    prime d and a WeylTableau otherwise."""
+    """A copy of initial_tableau with no measurements counted, so that seqs
+    start at 0, or a fresh register: a Tableau for odd prime d and a
+    WeylTableau otherwise."""
     dim = _as_dimension(circuit.dimension)
     if initial_tableau is None:
         kind = Tableau if dim.is_odd_prime else WeylTableau
         return kind(circuit.num_qudits, dim)
     if initial_tableau.n != circuit.num_qudits or initial_tableau.d != dim.d:
         raise DimensionError("initial tableau does not match the circuit")
-    return initial_tableau.copy()
+    tab = initial_tableau.copy()
+    tab.measurements_done = 0
+    return tab
 
 
 def run_shards(seedseq, shots: int, shard_size: int, threads, run_shard) -> list:

@@ -448,6 +448,44 @@ class TestLRBD:
             build_lrb_d_circuit(code, 1, 0.0, np.random.default_rng(19),
                                 postselect="some")
 
+    def test_x_only_reads_stabilizer_types_not_positions(self):
+        code = qutrit_detection_code()
+        z1, z2, x1, x2 = code.stabilizers
+        mixed = DetectionCode(5, 3, (x1, z1, x2, z2), code.logical_x,
+                              code.logical_z)
+        cfg = RBConfig(d=3, depths=(0, 4), circuits_per_depth=3, shots=2000,
+                       p=0.1)
+        assert (run_lrb_d(cfg, mixed, seed=1, postselect="x_only")
+                == run_lrb_d(cfg, code, seed=1, postselect="x_only"))
+
+    @pytest.mark.parametrize("postselect", ["all", "x_only"])
+    def test_three_qutrit_code_noiseless(self, postselect):
+        """A [[3,1]] code with Z-type stabilizers only: x_only reads no
+        syndromes at all."""
+        d = Dimension(3)
+        code = DetectionCode(
+            3, 3,
+            (PauliString(d, [0, 0, 0], [1, 2, 0]),
+             PauliString(d, [0, 0, 0], [0, 1, 2])),
+            PauliString(d, [2, 2, 2], [0, 0, 0]),
+            PauliString(d, [0, 0, 0], [1, 0, 0]))
+        cfg = RBConfig(d=3, depths=(0, 3), circuits_per_depth=2, shots=200,
+                       p=0.0)
+        report = run_lrb_d(cfg, code, seed=2, postselect=postselect)
+        for row in report["per_depth"]:
+            assert row["survivor_fraction"] == 1.0
+            assert row["mean_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    def test_logical_z_must_be_z_type(self):
+        # times an X-type stabilizer, logical Z is still a valid logical Z
+        code = qutrit_detection_code()
+        mixed = DetectionCode(5, 3, code.stabilizers, code.logical_x,
+                              code.logical_z * code.stabilizers[2])
+        cfg = RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10,
+                       p=0.0)
+        with pytest.raises(ShapeError, match="Z-type"):
+            run_lrb_d(cfg, mixed, seed=3)
+
 
 class TestReportDigests:
     """rb and lrbd reports of fixed configs, pinned by the sha256 of their

@@ -296,15 +296,27 @@ class TestWideDimensions:
         tab = np.array([[r.outcome for r in _run_shot(c, Tableau(3, d), tab_rng)]
                         for _ in range(n_tab)], dtype=np.int64)
         m = fr.shape[1]
-        # each slot, and the difference of each pair (GHZ-like correlations)
+
+        def peak_k(i, j):
+            """The k in 1..d-1 at which the Tableau sample of
+            (a_i - k * a_j) mod d has the highest peak."""
+            diffs = (tab[:, [i]] - np.arange(1, d) * tab[:, [j]]) % d
+            return 1 + int(np.argmax([np.bincount(col, minlength=d).max()
+                                      for col in diffs.T]))
+
+        # each slot, the difference of each pair (GHZ-like correlations),
+        # and each pair's a_i - k * a_j at its peak k, which catches an
+        # outcome read with a wrong coefficient
+        pairs = [(i, j, k) for i in range(m) for j in range(i + 1, m)
+                 for k in sorted({1, peak_k(i, j)})]
         stats = [(fr[:, i], tab[:, i]) for i in range(m)]
-        stats += [((fr[:, i] - fr[:, j]) % d, (tab[:, i] - tab[:, j]) % d)
-                  for i in range(m) for j in range(i + 1, m)]
-        for k, (a, b) in enumerate(stats):
+        stats += [((fr[:, i] - k * fr[:, j]) % d,
+                   (tab[:, i] - k * tab[:, j]) % d) for i, j, k in pairs]
+        for s, (a, b) in enumerate(stats):
             ca = np.bincount(a, minlength=d)
             cb = np.bincount(b, minlength=d)
             tvd = 0.5 * np.abs(ca / n_frames - cb / n_tab).sum()
-            assert tvd <= sample_tvd_bound(ca + cb, n_frames, n_tab), (d, k)
+            assert tvd <= sample_tvd_bound(ca + cb, n_frames, n_tab), (d, s)
 
     @pytest.mark.parametrize("d", [127, 131])
     def test_entries_up_to_2d_minus_2(self, d):

@@ -16,6 +16,8 @@ from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.frames import FrameSimulator, _start_tableau, compile_circuit
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
+from quditsim.tableau import Tableau
+from quditsim.weyl import WeylTableau
 
 
 class TestCountsKeys:
@@ -118,6 +120,24 @@ class TestRecords:
             result = run_circuit(c, shots=5, seed=4, method=method)
             assert result.seqs.tolist() == [0, 1]
             assert (result.outcomes[:, 1] == 0).all()
+
+    @pytest.mark.parametrize("kind, d", [(Tableau, 3), (WeylTableau, 4)])
+    def test_seqs_start_at_zero_from_a_measured_start(self, kind, d):
+        start = kind(2, d)
+        start.apply_gate("F", 0)
+        start.measure_z(0, np.random.default_rng(1))
+        c = Circuit(2, d)
+        c.add_gate("M", 0)
+        c.add_gate("M", 1)
+        for method in ("tableau", "frames"):
+            result = run_circuit(c, shots=5, seed=2, method=method,
+                                 initial_tableau=start)
+            assert result.seqs.tolist() == [0, 1]
+        records = frames_module.reference_run(c, np.random.default_rng(3),
+                                              initial_tableau=start)
+        assert [r.seq for r in records] == [0, 1]
+        # the caller's tableau keeps its own count
+        assert start.measurements_done == 1
 
 
 class TestCrossBackendAgreement:
