@@ -32,7 +32,7 @@ from .circuit import parse_sdim, serialize_sdim
 from .errors import MemoryCapError, ParseError, QuditSimError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
-from .simulate import METHODS, run_circuit
+from .simulate import METHODS, SAMPLERS, run_circuit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -189,7 +189,8 @@ def _cmd_gen(args) -> int:
         circuit = build_deutsch_jozsa(args.d, constant=args.oracle == "constant",
                                       constant_value=args.value)
     elif args.kind == "bv":
-        if any(not ch.isdigit() or int(ch) >= args.d for ch in args.secret):
+        if not args.secret or any(not ch.isdigit() or int(ch) >= args.d
+                                  for ch in args.secret):
             raise _usage_error(f"--secret must be a string of digits below "
                                f"d={args.d}, got {args.secret!r}")
         circuit = build_bernstein_vazirani(args.d, args.secret)
@@ -261,9 +262,8 @@ def _methods_pair(text: str):
     if len(parts) != 2 or any(p not in METHODS for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected two of {METHODS} separated by a comma, got {text!r}")
-    # 'frames' and 'tableau' are one sampler: such a pair passes whatever
-    # that sampler does
-    if parts[0] == parts[1] or set(parts) == {"frames", "tableau"}:
+    # such a pair passes whatever that sampler does
+    if SAMPLERS[parts[0]] == SAMPLERS[parts[1]]:
         raise argparse.ArgumentTypeError(
             f"{text!r} compares one sampler with itself")
     return parts

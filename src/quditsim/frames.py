@@ -22,9 +22,11 @@ over the channel's support.  Each pair still fires independently with
 probability prob, so the distribution is exactly that of one Bernoulli draw
 per pair, while the cost follows the events that fire.
 
-Shots are processed in shards, each with its own child of the master seed
-sequence, so results are identical whether shards run serially or across a
-thread pool (run_shards).  simulate.run_circuit samples the 'frames' and
+FrameSimulator.run samples shots serially, in shards that each draw from
+their own child of the master seed sequence, and writes each shard into its
+rows of one preallocated result.  Sampling is numpy-bound and ran no faster
+on two threads, so the threads argument is checked but changes nothing;
+output never depended on it.  simulate.run_circuit samples the 'frames' and
 'tableau' methods with FrameSimulator.  reference_run runs the
 circuit once on a concrete tableau with noise skipped, the same loop the
 compile starts from.
@@ -32,8 +34,6 @@ compile starts from.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -99,29 +99,6 @@ def _start_tableau(circuit, initial_tableau=None):
     tab = initial_tableau.copy()
     tab.measurements_done = 0
     return tab
-
-
-def run_shards(seedseq, shots: int, shard_size: int, threads, run_shard) -> list:
-    """run_shard(rng, size) on consecutive shards of at most shard_size shots.
-
-    Each shard gets its own child of seedseq and the results come back in
-    shard order, so they do not depend on whether the shards run serially
-    or on min(threads, shards, CPUs) pool threads.
-    """
-    shots = int(shots)
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
-    sizes = [min(shard_size, shots - start)
-             for start in range(0, shots, shard_size)]
-    jobs = [(np.random.Generator(np.random.PCG64(child)), size)
-            for child, size in zip(seedseq.spawn(len(sizes)), sizes)]
-    workers = min(threads or 1, len(jobs), os.cpu_count() or 1)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(lambda job: run_shard(*job), jobs))
-    return [run_shard(rng, size) for rng, size in jobs]
 
 
 def draw_symbols(omap, rng, size: int):
@@ -391,9 +368,23 @@ class FrameSimulator:
         self.op_count = 0
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
-        """Outcome matrix of shape (shots, num_measurements), dtype int64."""
+        """Outcome matrix of shape (shots, num_measurements), dtype int64.
+
+        Shard k of shard_size shots draws from child k of the seed sequence
+        and fills its rows of the result; threads is checked but changes
+        nothing.
+        """
+        shots = int(shots)
+        if shots < 1:
+            raise ValueError(f"shots must be >= 1, got {shots}")
+        if threads is not None and threads < 1:
+            raise ValueError(f"threads must be >= 1, got {threads}")
         check_outcome_entries(shots, len(self.omap.const))
-        parts = run_shards(self._seedseq, shots, self.shard_size, threads,
-                           lambda rng, size: sample_outcomes(self.omap, rng, size))
-        self.op_count += len(self.omap.slots) * int(shots)
-        return np.concatenate(parts, axis=0, dtype=np.int64)
+        out = np.empty((shots, len(self.omap.const)), dtype=np.int64)
+        starts = range(0, shots, self.shard_size)
+        for lo, child in zip(starts, self._seedseq.spawn(len(starts))):
+            rng = np.random.Generator(np.random.PCG64(child))
+            size = min(self.shard_size, shots - lo)
+            out[lo:lo + size] = sample_outcomes(self.omap, rng, size)
+        self.op_count += len(self.omap.slots) * shots
+        return out

@@ -27,10 +27,10 @@ per-shot statevector loop checks that every shot agrees with the first.
 Statevector shots run one after another on one generator, and their noise
 draws one float and one integer per N1 and shot whether or not it fires
 (noise.sample_error), so their streams stay aligned across circuits that
-differ only in where errors land.  The compiled sampler shards shots and
-gives each shard its own child seed (frames.run_shards), so its output
-does not depend on the thread count.  Its RNG work is all in the shards:
-compiling draws nothing.
+differ only in where errors land.  The compiled sampler runs its shards of
+shots serially, each on its own child seed (FrameSimulator.run), so its
+output never depends on the thread count, which is checked but changes
+nothing.  Its RNG work is all in the shards: compiling draws nothing.
 """
 
 from __future__ import annotations
@@ -46,7 +46,11 @@ from .frames import FrameSimulator, _as_seedseq, check_outcome_entries
 from .noise import sample_error
 from .statevector import DenseState
 
-METHODS = ("tableau", "frames", "statevector")
+# the sampler behind each method: 'tableau' and 'frames' are two names for
+# the compiled Pauli-frame sampler
+SAMPLERS = {"tableau": "frames", "frames": "frames",
+            "statevector": "statevector"}
+METHODS = tuple(SAMPLERS)
 
 
 def counts_key(outcomes, d: int) -> str:
@@ -68,7 +72,9 @@ def records_to_counts(outcomes, d: int) -> dict:
     if d <= 10:
         # each row's digit string as one byte string; byte order is the
         # numeric order of the rows
-        keys = (outcomes + 48).astype(np.uint8, order="C").view(f"S{m}")[:, 0]
+        keys = outcomes.astype(np.uint8, order="C")
+        keys += 48
+        keys = keys.view(f"S{m}")[:, 0]
         keys, counts = np.unique(keys, return_counts=True)
         return dict(zip(keys.astype(str).tolist(), counts.tolist()))
     # lexsort's last key is its primary one; np.unique(axis=0) is slower
@@ -217,12 +223,13 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         raise ValueError(f"shots must be >= 1, got {shots}")
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
-    if initial_tableau is not None and method == "statevector":
+    sampler = SAMPLERS[method]
+    if initial_tableau is not None and sampler == "statevector":
         raise ValueError("initial_tableau requires the tableau or frames "
                          "method")
     check_outcome_entries(shots, circuit.num_measurements)
 
-    if method == "statevector":
+    if sampler == "statevector":
         rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
         measured = _terminal_measurement_plan(circuit)
         if measured is not None:

@@ -196,6 +196,8 @@ class TestExitCodes:
           "--seed", "1"], "--depth must be >= 0, got -1"),
         (["gen", "local", "--n", "3", "--d", "3", "--depth", "-1",
           "--seed", "1"], "--depth must be >= 0, got -1"),
+        (["gen", "bv", "--d", "3", "--secret", ""],
+         "--secret must be a string of digits below d=3, got ''"),
     ])
     def test_bad_gen_values_are_4(self, argv, message):
         proc = run_cli(*argv)

@@ -1,5 +1,7 @@
 """Tests for the Pauli-frame Monte Carlo sampler."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -204,7 +206,7 @@ class TestInputChecks:
     def test_huge_shots_hit_the_outcome_cap(self, monkeypatch):
         """10**12 shots fail before any shard is spawned or compiled."""
         spawned = []
-        monkeypatch.setattr(frames_module, "run_shards",
+        monkeypatch.setattr(frames_module, "sample_outcomes",
                             lambda *args: spawned.append(args))
         c = build_ghz_chain(2, 3, measure=True)
         with pytest.raises(MemoryCapError, match="outcome cap"):
@@ -214,24 +216,20 @@ class TestInputChecks:
                 run_circuit(c, 10**12, 0, method)
         assert spawned == []
 
-    @pytest.mark.parametrize("cpus, pools", [(8, [2]), (1, [])])
-    def test_workers_capped_by_shards_and_cpus(self, monkeypatch, cpus, pools):
-        started = []
+    def test_threads_start_no_thread(self, monkeypatch):
+        """Several shards at threads=4 run serially, as at threads=1."""
+        def refuse(thread):
+            raise AssertionError("a sampler thread was started")
 
-        class Recording(frames_module.ThreadPoolExecutor):
-            def __init__(self, max_workers=None, **kwargs):
-                started.append(max_workers)
-                super().__init__(max_workers=max_workers, **kwargs)
-
-        monkeypatch.setattr(frames_module, "ThreadPoolExecutor", Recording)
-        monkeypatch.setattr(frames_module.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(threading.Thread, "start", refuse)
         c = build_ghz_chain(3, 5, measure=True)
         # 4 map columns per shot: 3 measurements and 1 uniform symbol
         monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * 4)
-        serial = FrameSimulator(c, seed=4).run(100)
-        pooled = FrameSimulator(c, seed=4).run(100, threads=16)
-        assert started == pools
-        assert np.array_equal(serial, pooled)
+        sim = FrameSimulator(c, 4)
+        assert sim.shard_size == 64
+        threaded = sim.run(300, threads=4)
+        assert np.array_equal(FrameSimulator(c, 4).run(300, threads=1),
+                              threaded)
 
 
 def observed_component(kind, prob, d, read):
