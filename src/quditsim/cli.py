@@ -155,15 +155,26 @@ def _write_csv(result) -> None:
         out.write("".join(lines.ravel().tolist()))
 
 
+def _decode(data: bytes) -> str:
+    """data as UTF-8 text; a ParseError, at the line and column that
+    parse_sdim would give it, for the first byte that is not."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lines = (data[:exc.start].decode("utf-8") + "?").splitlines()
+        raise ParseError(len(lines), len(lines[-1]), f"invalid UTF-8 byte "
+                         f"0x{data[exc.start]:02x}") from None
+
+
 def _cmd_run(args) -> int:
     try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(args.file, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         print(f"cannot read {args.file}: {exc}", file=sys.stderr)
         return EXIT_IO
     try:
-        circuit = parse_sdim(text)
+        circuit = parse_sdim(_decode(data))
     except ParseError as exc:
         print(f"parse error at line {exc.line}, column {exc.column}: "
               f"{exc.message}", file=sys.stderr)
@@ -367,9 +378,10 @@ def _check_values(args) -> None:
     d = getattr(args, "d", None)
     if isinstance(d, int) and d < 2:  # validate's --d list checks itself
         raise _usage_error(f"--d must be >= 2, got {d}")
-    depth = getattr(args, "depth", None)
-    if depth is not None and depth < 0:
-        raise _usage_error(f"--depth must be >= 0, got {depth}")
+    for attr in ("depth", "seed"):
+        value = getattr(args, attr, None)
+        if value is not None and value < 0:
+            raise _usage_error(f"--{attr} must be >= 0, got {value}")
     value = getattr(args, "value", None)
     if value is not None and not 0 <= value < d:
         raise _usage_error(f"--value must lie in [0, {d}), got {value}")

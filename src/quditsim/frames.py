@@ -22,14 +22,14 @@ over the channel's support.  Each pair still fires independently with
 probability prob, so the distribution is exactly that of one Bernoulli draw
 per pair, while the cost follows the events that fire.
 
-FrameSimulator.run samples shots serially, in shards that each draw from
-their own child of the master seed sequence, and writes each shard into its
-rows of one preallocated result.  Sampling is numpy-bound and ran no faster
-on two threads, so the threads argument is checked but changes nothing;
-output never depended on it.  simulate.run_circuit samples the 'frames' and
-'tableau' methods with FrameSimulator.  reference_run runs the
-circuit once on a concrete tableau with noise skipped, the same loop the
-compile starts from.
+FrameSimulator makes one generator from its seed, and run samples shots
+serially, in shards that draw from it in order, writing each shard into its
+rows of one preallocated result; a second run continues the stream.
+Sampling is numpy-bound and ran no faster on two threads, so the threads
+argument is checked but changes nothing; output never depended on it.
+simulate.run_circuit samples the 'frames' and 'tableau' methods with
+FrameSimulator.  reference_run runs the circuit once on a concrete tableau
+with noise skipped, the same loop the compile starts from.
 """
 
 from __future__ import annotations
@@ -67,16 +67,6 @@ COMPILE_BUFFER_ENTRIES = 1 << 20
 SCATTER_ENTRIES = 1 << 12
 
 
-def _as_seedseq(seed) -> np.random.SeedSequence:
-    """seed as a SeedSequence; a caller's is copied so spawning never
-    advances it."""
-    if isinstance(seed, np.random.SeedSequence):
-        return np.random.SeedSequence(
-            seed.entropy, spawn_key=seed.spawn_key, pool_size=seed.pool_size,
-            n_children_spawned=seed.n_children_spawned)
-    return np.random.SeedSequence(seed)
-
-
 def check_outcome_entries(shots: int, num_slots: int) -> None:
     """Raise MemoryCapError if a (shots, num_slots) outcome matrix would
     exceed MAX_OUTCOME_ENTRIES."""
@@ -112,15 +102,14 @@ def draw_symbols(omap, rng, size: int):
     probability prob.
     """
     values = rng.integers(0, omap.d, (len(omap.uniform), size))
-    fired = [np.zeros(0, dtype=np.int64)] * 4
+    fired = [(np.zeros(0, dtype=np.int64),) * 4]
     for (kind, prob), locs in omap.noise_groups:
         k = rng.binomial(len(locs) * size, prob)
         if k:
             hit = rng.choice(len(locs) * size, k, replace=False, shuffle=False)
-            a, b = sample_error_batch(kind, 1.0, omap.d, rng, k)
-            fired = [np.concatenate(pair) for pair in
-                     zip(fired, (locs[hit // size], hit % size, a, b))]
-    return values, tuple(fired)
+            fired.append((locs[hit // size], hit % size,
+                          *sample_error_batch(kind, omap.d, rng, k)))
+    return values, tuple(np.concatenate(part) for part in zip(*fired))
 
 
 def _entries(omap, sym):
@@ -364,14 +353,15 @@ class FrameSimulator:
         width = len(omap.const) + len(omap.uniform) + len(omap.noise)
         self.omap = omap
         self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // max(1, width))
-        self._seedseq = _as_seedseq(seed)
+        self._rng = np.random.default_rng(seed)
         self.op_count = 0
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
         """Outcome matrix of shape (shots, num_measurements), dtype int64.
 
-        Shard k of shard_size shots draws from child k of the seed sequence
-        and fills its rows of the result; threads is checked but changes
+        Shards of shard_size shots draw in order from the simulator's one
+        generator, so a later call continues where this one stops, and
+        fill their rows of the result; threads is checked but changes
         nothing.
         """
         shots = int(shots)
@@ -381,10 +371,8 @@ class FrameSimulator:
             raise ValueError(f"threads must be >= 1, got {threads}")
         check_outcome_entries(shots, len(self.omap.const))
         out = np.empty((shots, len(self.omap.const)), dtype=np.int64)
-        starts = range(0, shots, self.shard_size)
-        for lo, child in zip(starts, self._seedseq.spawn(len(starts))):
-            rng = np.random.Generator(np.random.PCG64(child))
+        for lo in range(0, shots, self.shard_size):
             size = min(self.shard_size, shots - lo)
-            out[lo:lo + size] = sample_outcomes(self.omap, rng, size)
+            out[lo:lo + size] = sample_outcomes(self.omap, self._rng, size)
         self.op_count += len(self.omap.slots) * shots
         return out

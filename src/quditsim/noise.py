@@ -7,13 +7,13 @@ otherwise applies a uniformly random nonidentity error from its support:
     'p' (phase):         Z^b, b in 1..d-1
     'd' (depolarizing):  X^a Z^b, (a, b) != (0, 0)
 
-sample_error and sample_error_batch consume one uniform float and one
-integer draw per event, whether or not an error fires, so the per-shot
-stream of the statevector backend stays aligned across circuits that only
-differ in where errors land.  The compiled sampler draws the firing events
-itself, per group of N1 locations (frames.draw_symbols), and calls
-sample_error_batch with prob 1.0 for those events only, so its draws
-follow the events that fire.
+sample_error consumes one uniform float and one integer draw per event,
+whether or not an error fires, so the per-shot stream of the statevector
+backend stays aligned across circuits that only differ in where errors
+land.  The compiled sampler draws the firing events itself, per group of
+N1 locations (frames.draw_symbols), and sample_error_batch draws the
+errors of those events only, one integer each, so its draws follow the
+events that fire.
 """
 
 from __future__ import annotations
@@ -47,14 +47,11 @@ def sample_error(kind: str, prob: float, d: int, rng: np.random.Generator):
     return int(a), int(b)
 
 
-def sample_error_batch(kind: str, prob: float, d: int, rng: np.random.Generator,
-                       size: int):
-    """Vectorized (a, b) arrays of shape (size,) for a batch of shots."""
-    u = rng.random(size)
-    idx = rng.integers(0, d * d - 1, size=size, dtype=np.int64)
-    a, b = _components(kind, idx, d)
-    fire = u < prob
-    return np.where(fire, a, 0), np.where(fire, b, 0)
+def sample_error_batch(kind: str, d: int, rng: np.random.Generator, size: int):
+    """(a, b) arrays of shape (size,) of errors that fire, uniform over the
+    channel's support."""
+    return _components(kind, rng.integers(0, d * d - 1, size=size,
+                                          dtype=np.int64), d)
 
 
 def error_distribution(kind: str, prob: float, d: int) -> dict:

@@ -28,9 +28,11 @@ Statevector shots run one after another on one generator, and their noise
 draws one float and one integer per N1 and shot whether or not it fires
 (noise.sample_error), so their streams stay aligned across circuits that
 differ only in where errors land.  The compiled sampler runs its shards of
-shots serially, each on its own child seed (FrameSimulator.run), so its
-output never depends on the thread count, which is checked but changes
-nothing.  Its RNG work is all in the shards: compiling draws nothing.
+shots serially, drawing them in order from one generator made from the
+seed (FrameSimulator.run), so its output never depends on the thread count,
+which is checked but changes nothing.  It draws only the errors that fire,
+one integer each (noise.sample_error_batch).  Its RNG work is all in the
+shards: compiling draws nothing.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import QuditSimError
-from .frames import FrameSimulator, _as_seedseq, check_outcome_entries
+from .frames import FrameSimulator, check_outcome_entries
 from .noise import sample_error
 from .statevector import DenseState
 
@@ -230,7 +232,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     check_outcome_entries(shots, circuit.num_measurements)
 
     if sampler == "statevector":
-        rng = np.random.Generator(np.random.PCG64(_as_seedseq(seed)))
+        rng = np.random.default_rng(seed)
         measured = _terminal_measurement_plan(circuit)
         if measured is not None:
             columns = _run_dense_fast(circuit, measured, shots, rng)

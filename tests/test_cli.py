@@ -97,6 +97,21 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
+    @pytest.mark.parametrize("text, message", [
+        (b"DIM 3\nQUDITS 1\nM 0\n\xff",
+         "line 4, column 1: invalid UTF-8 byte 0xff"),
+        # columns count characters, as parse_sdim's do
+        (b"DIM 3\r\nQUDITS 1\n# \xc3\xa9 \xfe\nM 0\n",
+         "line 3, column 5: invalid UTF-8 byte 0xfe"),
+    ])
+    def test_non_utf8_file_is_2(self, tmp_path, text, message):
+        path = tmp_path / "bad.sdim"
+        path.write_bytes(text)
+        proc = run_cli("run", str(path), "--shots", "1", "--seed", "1")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"parse error at {message}\n"
+
     def test_frames_on_composite_is_0(self, tmp_path):
         """frames runs on every d, as the same sampler as tableau."""
         path = tmp_path / "d4.sdim"
@@ -146,6 +161,19 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert proc.stdout == ""
         assert option in proc.stderr and len(proc.stderr.splitlines()) == 1
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "GHZ"], ["validate"], ["rb", "--p", "0.1"],
+        ["lrbd", "--p", "0.1"],
+        ["gen", "random", "--n", "2", "--d", "3", "--depth", "2"],
+        ["gen", "local", "--n", "3", "--d", "3", "--depth", "2"],
+    ])
+    def test_negative_seed_is_4(self, ghz_file, argv):
+        argv = [ghz_file if a == "GHZ" else a for a in argv]
+        proc = run_cli(*argv, "--seed", "-1")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr == "quditsim: error: --seed must be >= 0, got -1\n"
 
     @pytest.mark.parametrize("command", [
         ["rb", "--p", "0.1"], ["lrbd", "--p", "0.1"], ["validate"]])

@@ -505,18 +505,18 @@ class TestReportDigests:
                        shots=300, p=0.05)
         report = run_rb(cfg, seed=11, method="frames")
         assert self.digest(report) == (
-            "0bd51c083aed42042b05c670a6d2e355e3c742f6aad22a54adf80b9680dc1867")
+            "0ea5c5232c0ee6f47e1f84d9634d7cdbdbfdbd0213a481449900bff316781e0e")
 
     def test_lrbd_all(self):
         report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="all")
-        # few survivors at depths 3 and 6, none at depth 10: every stderr
-        # rule (several, one and no surviving circuits) appears
+        # all survive at depth 0, none at depths 3 and 6, one at depth 10:
+        # every stderr rule (several, one and no surviving circuits) appears
         assert [row["surviving_circuits"] for row in report["per_depth"]] == \
-            [3, 2, 1, 0]
+            [3, 0, 0, 1]
         assert self.digest(report) == (
-            "372ac4ae05f81200d9e751d446a0d4f346d61185d18d087448bab84f27aa37af")
+            "bad07b3e60b2362a6ac192684508faad409e398fc9982ab3b3c462d513cf1de8")
 
     def test_lrbd_x_only(self):
         report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="x_only")
         assert self.digest(report) == (
-            "ef2e618b47f662aa62281ceb19cb93f5bd051930cb35ee2f5161e1134b825e12")
+            "290933a35f4c66ba4ea1d36849b26e46c986b3a1c1515453e6420123eea6ebc1")

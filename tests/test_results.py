@@ -24,7 +24,8 @@ from quditsim.frames import (OUTCOME_SHARD_ENTRIES, FrameSimulator,
                              draw_symbols, sample_outcomes)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
-from quditsim.simulate import _run_shot, records_to_counts, run_circuit
+from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
+                               records_to_counts, run_circuit)
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau, weyl_from_pauli
@@ -83,8 +84,8 @@ def with_reset_readout(circuit) -> Circuit:
 def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
     """Replay run_circuit(method="tableau") shot by shot.
 
-    Draws the symbols of run_circuit's one shard from the first child of
-    its seed, then runs each shot on its own concrete tableau (a Tableau
+    Draws the symbols of run_circuit's one shard from a generator made
+    from its seed, then runs each shot on its own concrete tableau (a Tableau
     for odd prime d, a WeylTableau otherwise): its random measurements and
     resets take that shot's compiled outcomes in order, read off
     with_reset_readout's map with the same draws, and each N1 applies the
@@ -98,11 +99,10 @@ def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
     assert shots <= OUTCOME_SHARD_ENTRIES // max(1, width)  # one shard
     result = run_circuit(circuit, shots, seed, "tableau",
                          initial_tableau=initial_tableau)
-    child = np.random.SeedSequence(seed).spawn(1)[0]
-    _, (loc, shot, a, b) = draw_symbols(
-        omap, np.random.Generator(np.random.PCG64(child)), shots)
+    _, (loc, shot, a, b) = draw_symbols(omap, np.random.default_rng(seed),
+                                        shots)
     probe = compile_circuit(with_reset_readout(circuit), start)
-    random = sample_outcomes(probe, np.random.Generator(np.random.PCG64(child)),
+    random = sample_outcomes(probe, np.random.default_rng(seed),
                              shots)[:, ~probe.deterministic]
     fired = {(int(l), int(s)): (int(x), int(z))
              for l, s, x, z in zip(loc, shot, a, b)}
@@ -315,6 +315,54 @@ class TestMapDigests:
                        circuit, start or _start_tableau(circuit)))
                    for name, (circuit, start) in self.cases().items()}
         assert digests == self.DIGESTS
+
+
+class TestRunDigests:
+    """run_circuit's outcomes on fixed circuits and seeds, pinned by the
+    sha256 of their shape and int64 bytes.  A change to any digest is a
+    change to that method's output stream at a seed."""
+
+    @staticmethod
+    def digest(outcomes) -> str:
+        a = np.ascontiguousarray(outcomes, dtype=np.int64)
+        h = hashlib.sha256(f"{a.shape}".encode())
+        h.update(a.tobytes())
+        return h.hexdigest()
+
+    def test_frames_north_star(self):
+        """Three full shards."""
+        circuit = TestMapDigests.cases()["north_star"][0]
+        shots = 3 * FrameSimulator(circuit).shard_size
+        result = run_circuit(circuit, shots, 17, "frames")
+        assert self.digest(result.outcomes) == (
+            "e80d31a12ff9175d4be56e7df467a274f0130148c21fb640888317eceb5f4a6b")
+
+    def test_tableau_composite_with_resets(self):
+        circuit = reset_corpus_circuit(4, np.random.default_rng(404),
+                                       ("d", 0.1))
+        names = [ins.name for ins in circuit.instructions]
+        assert "RESET" in names
+        assert any(a == "M" and b != "M" for a, b in zip(names, names[1:]))
+        result = run_circuit(circuit, 2000, 19, "tableau")
+        assert self.digest(result.outcomes) == (
+            "e9fa8daaa6f138b377784374421dfbc210e343c8fecd2967b30671268a974788")
+
+    def test_statevector_per_shot(self):
+        circuit = reset_corpus_circuit(3, np.random.default_rng(303),
+                                       ("d", 0.1))
+        assert _terminal_measurement_plan(circuit) is None
+        result = run_circuit(circuit, 300, 23, "statevector")
+        assert self.digest(result.outcomes) == (
+            "469349fece4a6163305819b41d82bfa7d4119d97f7e3a777333d2ced3292a6d2")
+
+    def test_statevector_dense(self):
+        circuit = build_random_clifford_circuit(4, 5, 40,
+                                                np.random.default_rng(5))
+        assert _terminal_measurement_plan(circuit) is not None
+        result = run_circuit(circuit, 2000, np.random.SeedSequence(29),
+                             "statevector")
+        assert self.digest(result.outcomes) == (
+            "c277abd3b7dbe0733cf67dac8c9b4d13ee5ce2b9ac690364d2c5a4966acb03ae")
 
 
 class TestWeylCompilesTheSameMap:

@@ -311,7 +311,7 @@ class TestBatchedTableau:
         long = run_circuit(c, shots=250, seed=32, method=method).outcomes
         again = run_circuit(c, shots=250, seed=32, method=method).outcomes
         assert np.array_equal(long, again)
-        # shard k draws from child k of the seed, whatever the shot count
+        # shards draw in order from one generator, whatever the shot count
         first = run_circuit(c, shots=100, seed=32, method=method).outcomes
         assert np.array_equal(long[:100], first)
         assert not np.array_equal(long[100:200], first)
@@ -333,6 +333,16 @@ class TestBatchedTableau:
         c = self.noisy_circuit()
         self.outcome_shards_of(monkeypatch, c, 100)
         self.check_shard_boundary_determinism(c, "tableau")
+
+    def test_second_run_continues_the_stream(self, monkeypatch):
+        """Two runs on one simulator read the shots that one longer run
+        on a fresh simulator reads."""
+        c = self.noisy_circuit()
+        s = 100
+        self.outcome_shards_of(monkeypatch, c, s)
+        sim = FrameSimulator(c, 32)
+        both = np.vstack([sim.run(2 * s), sim.run(s + 7)])
+        assert np.array_equal(both, FrameSimulator(c, 32).run(3 * s + 7))
 
     @pytest.mark.parametrize("threads", [0, -1])
     @pytest.mark.parametrize("method", ["tableau", "frames", "statevector"])
