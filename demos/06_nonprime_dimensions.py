@@ -4,8 +4,8 @@ linear algebra.
 For non-prime d a measurement can be neither deterministic nor uniform over
 all d outcomes: the support is a coset of a subgroup of Z_d.  The d=4
 circuit below leaves qudit 1 supported on {0, 2} with probability 1/2 each.
-The backend finds the support with one unimodular gcd row reduction over
-Z_d: its last pivot is the smallest power of the measured qudit's Z in the
+The backend finds the support with one Euclidean row reduction over Z_d:
+its last pivot is the smallest power of the measured qudit's Z in the
 stabilizer group, and that power and its phase fix the coset.  The Smith
 normal form, the textbook tool for such linear algebra over Z_d, is shown
 on its own at the end.

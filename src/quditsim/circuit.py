@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ShapeError
+from .errors import DimensionError, ParseError, ShapeError
 from .gates import GATE_ALIASES, GATE_ARITY, check_qudits, operand_error
 from .noise import NOISE_KINDS
 from .pauli import Dimension, _as_dimension
@@ -178,10 +178,13 @@ def parse_sdim(text: str) -> Circuit:
             value = _parse_int(toks[1][0], line_no, toks[1][1], what)
             if value < low:
                 raise ParseError(line_no, toks[1][1], f"{what} must be >= {low}, got {value}")
-            if dim is None:
-                dim = Dimension(value)
-            else:
+            if dim is not None:
                 circuit = Circuit(value, dim)
+                continue
+            try:
+                dim = Dimension(value)
+            except DimensionError as exc:
+                raise ParseError(line_no, toks[1][1], str(exc))
             continue
 
         operands = [tok for tok, _ in toks[1:]]

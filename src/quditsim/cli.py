@@ -32,6 +32,7 @@ from .circuit import parse_sdim, serialize_sdim
 from .errors import MemoryCapError, ParseError, QuditSimError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
+from .pauli import Dimension
 from .simulate import METHODS, SAMPLERS, run_circuit
 
 EXIT_OK = 0
@@ -285,8 +286,8 @@ def _dim_list(text: str):
         dims = [int(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}")
-    if not dims or any(d < 2 for d in dims):
-        raise argparse.ArgumentTypeError("dimensions must be >= 2")
+    if not dims or any(not 2 <= d <= Dimension.MAX for d in dims):
+        raise argparse.ArgumentTypeError(f"dimensions must lie in [2, {Dimension.MAX}]")
     return dims
 
 
@@ -378,6 +379,8 @@ def _check_values(args) -> None:
     d = getattr(args, "d", None)
     if isinstance(d, int) and d < 2:  # validate's --d list checks itself
         raise _usage_error(f"--d must be >= 2, got {d}")
+    if isinstance(d, int) and d > Dimension.MAX:
+        raise _usage_error(f"--d must be <= {Dimension.MAX}, got {d}")
     for attr in ("depth", "seed"):
         value = getattr(args, attr, None)
         if value is not None and value < 0:

@@ -43,19 +43,21 @@ def is_prime(d: int) -> bool:
 
 @dataclass(frozen=True)
 class Dimension:
-    """A qudit dimension d >= 2 with its derived constants.
+    """A qudit dimension 2 <= d <= MAX with its derived constants.
 
     d_prime is the phase modulus of the Weyl formalism: d for odd d, 2d for
     even d.
     """
 
     d: int
+    MAX = 2 ** 20  # a class constant, not a field: it has no annotation
 
     def __post_init__(self):
         if not isinstance(self.d, (int, np.integer)) or isinstance(self.d, bool):
             raise DimensionError(f"dimension must be an integer, got {self.d!r}")
-        if self.d < 2:
-            raise DimensionError(f"dimension must be >= 2, got {self.d}")
+        # d' <= 2^21 keeps each sum of n < 2^21 products of two residues < 2^63
+        if not 2 <= self.d <= self.MAX:
+            raise DimensionError(f"dimension must lie in [2, {self.MAX}], got {self.d}")
         object.__setattr__(self, "d", int(self.d))
 
     @property

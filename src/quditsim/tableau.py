@@ -269,10 +269,12 @@ class Tableau(TableauBase):
         sx, sz = self.X[n:], self.Z[n:]
         px = (y @ sx) % d
         pz = (y @ sz) % d
-        cross = np.triu((y[:, None] * sz) @ (y[:, None] * sx).T, 1).sum()
+        cross = np.triu((y[:, None] * sz % d) @ (y[:, None] * sx % d).T % d, 1)
         assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
-        k = -(y @ self.r[n:]) - (y * (y - 1) // 2) @ (sx * sz).sum(axis=1) - cross
+        # every factor is reduced mod d first, so no term overflows int64
+        k = (-(y @ self.r[n:]) - cross.sum()
+             - (y * (y - 1) // 2 % d) @ ((sx * sz).sum(axis=1) % d))
         self.pivot = None
         self.measure_op_log.append(2 * n + n + n * (2 * n + 1))
         return True, int(k % d)
@@ -315,8 +317,8 @@ class Tableau(TableauBase):
         inv = pow(int(col[p]), -1, d)
         h = (-(col[rows]) * inv) % d
         self.r[rows] = (self.r[rows] + h * self.r[p]
-                        + (h * (h - 1) // 2) * int(xp @ zp)
-                        + h * (self.Z[rows] @ xp)) % d
+                        + (h * (h - 1) // 2 % d) * (int(xp @ zp) % d)
+                        + h * (self.Z[rows] @ xp % d)) % d
         self.X[rows] = (self.X[rows] + h[:, None] * xp) % d
         self.Z[rows] = (self.Z[rows] + h[:, None] * zp) % d
         return int(len(rows))

@@ -17,9 +17,11 @@ so every W_(d e_i) is the identity.
 The state is at most 2n phase-tracked generators of the stabilizer group:
 composite d may need more than n (for d=4, (|0>+|2>)/sqrt(2) needs both X^2
 and Z^2), so there is no destabilizer pairing.  A Z measurement of qudit j
-is unimodular gcd row reduction over Z_d with Howell's completion (each
-column's pivot leaves behind its smallest power that is 0 there, so the
-echelon form spans every element that is 0 in the eliminated columns).
+is Euclidean row reduction: the row with the smallest entry in a column
+is multiplied into every other row nonzero there at once (Aaronson &
+Gottesman's whole-row update) until one row, the pivot, is left; the pivot
+then becomes its smallest power that is 0 there (Howell's completion), so
+the rows span every element that is 0 in the cleared columns.
 Eliminating qudit j's X column mod d leaves the subgroup commuting with Z_j.
 If the pivot's X_j entry is a unit mod d, the support is all of Z_d and the
 rows left are that subgroup.  Otherwise they are echeloned mod d' with the
@@ -29,9 +31,9 @@ A random outcome k keeps those rows that are not the identity and adds
 tau^(-2k) Z_j.
 
 A deterministic measurement leaves the generators as they are.  A random
-one records as pivot the row that eliminating qudit j's X column built,
-mod d; frames.compile_circuit reads the outcome map off these pivots and
-one run that draws every random outcome as the lowest one in its support.
+one records as pivot the row left nonzero in qudit j's X column, mod d;
+frames.compile_circuit reads the outcome map off these pivots and one run
+that draws every random outcome as the lowest one in its support.
 """
 
 from __future__ import annotations
@@ -83,19 +85,6 @@ def weyl_from_pauli(p: PauliString):
     v = np.concatenate([p.z, p.x]).astype(np.int64)
     f = (2 * p.r - int(p.x @ p.z)) % p.dimension.d_prime
     return f, v % p.dimension.d_prime
-
-
-def _ext_gcd(a: int, b: int):
-    """(g, x, y) with x*a + y*b = g = gcd(a, b)."""
-    old_r, r = a, b
-    old_x, x = 1, 0
-    old_y, y = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_x, x = x, old_x - q * x
-        old_y, y = y, old_y - q * y
-    return old_r, old_x, old_y
 
 
 class WeylTableau(TableauBase):
@@ -175,74 +164,72 @@ class WeylTableau(TableauBase):
             f, v = weyl_mul(f, v, gf, gv, self.dimension)
         return f, v
 
-    def _eliminate(self, rows, c: int, modulus: int):
-        """Gcd-combine the rows nonzero in column c (mod modulus) into one pivot.
+    def _eliminate(self, f, v, c: int, modulus: int):
+        """Reduce rows (phases f, coordinates v) in place until at most one,
+        the pivot, is nonzero in column c mod modulus; return it as
+        (f_p, v_p), or the identity (0, 0) if there is none.
 
-        Returns (pivot or None, rest); rest also gets the pivot's smallest
-        power that is 0 in column c, so it spans every element that is.
+        A Euclidean step multiplies every other hit row by p^q, where p is
+        the hit row with the smallest entry e_p and q = -(e // e_p), so e
+        becomes e mod e_p: v += q*v_p and f += q*(f_p + <v, v_p>), mod d'.
+        The pivot's row then becomes its smallest power that is 0 in
+        column c (Howell's completion): the rows span every element that is.
         """
-        dim = self.dimension
-        pivot, rest = None, []
-        for row in rows:
-            beta = int(row[1][c]) % modulus
-            if not beta:
-                rest.append(row)
-            elif pivot is None:
-                pivot = row
-            else:
-                alpha = int(pivot[1][c]) % modulus
-                g, x, y = _ext_gcd(alpha, beta)
-                rest.append(weyl_mul(*weyl_pow(*pivot, -(beta // g), dim),
-                                     *weyl_pow(*row, alpha // g, dim), dim))
-                pivot = weyl_mul(*weyl_pow(*pivot, x, dim),
-                                 *weyl_pow(*row, y, dim), dim)
-        if pivot is not None:
-            alpha = int(pivot[1][c]) % modulus
-            rest.append(weyl_pow(*pivot, modulus // gcd(modulus, alpha), dim))
-        return pivot, rest
-
-    def _echelon(self, rows, columns):
-        """Eliminate the columns in order mod d'; one pivot (or None) each."""
-        pivots = []
-        for c in columns:
-            pivot, rows = self._eliminate(rows, c, self.dp)
-            pivots.append(pivot)
-        for f, v in rows:
-            assert not v.any() and not np.any(f % self.dp), \
-                "reduction produced a nontrivial phase times identity"
-        return pivots
+        n, dp = self.n, self.dp
+        e = v[:, c] % modulus
+        while np.count_nonzero(e) > 1:
+            hit = np.flatnonzero(e)
+            p = hit[np.argmin(e[hit])]
+            hit = hit[hit != p]
+            q = -(e[hit] // e[p])
+            bracket = (f[p] + v[hit, :n] @ v[p, n:] - v[hit, n:] @ v[p, :n]) % dp
+            f[hit] = (f[hit] + q * bracket) % dp
+            v[hit] = (v[hit] + q[:, None] * v[p]) % dp
+            e = v[:, c] % modulus
+        if not e.any():
+            return 0, np.zeros(2 * n, dtype=np.int64)
+        p = np.flatnonzero(e)[0]
+        pivot = int(f[p]), v[p].copy()
+        k = modulus // gcd(modulus, int(e[p]))
+        f[p], v[p] = k * f[p] % dp, k * v[p] % dp
+        return pivot
 
     def _commutant(self, j: int):
-        """Rows spanning the subgroup commuting with Z_j, apart from its Z_j
-        powers: (rows, m, k0, the pivot of qudit j's X column or None).
+        """Rows (f, v) spanning the subgroup commuting with Z_j, apart from
+        its Z_j powers, then m, k0 and the pivot of qudit j's X column.
 
         A pivot whose X_j entry is a unit leaves no Z_j power but the
         identity, so m = d and k0 = 0.  Otherwise the last pivot
-        tau^f W_(t e_j) (t = d, f = 0 if none) spans the Z_j powers in the
-        group, so m = gcd(d, t) is the smallest one, and outcome k is in the
-        support when tau^(2kt + f) = 1.  That holds for g = gcd(2t, d')
-        dividing f and k = k0 mod d/m (d/m = d'/g), so the support is
-        k0 + i*d/m for i < m.
+        tau^f W_(t e_j) (t = d if it is the identity) spans the Z_j powers
+        in the group, so m = gcd(d, t) is the smallest one, and outcome k is
+        in the support when tau^(2kt + f) = 1.  That holds for
+        g = gcd(2t, d') dividing f and k = k0 mod d/m (d/m = d'/g), so the
+        support is k0 + i*d/m for i < m.
         """
         d, dp, n = self.d, self.dp, self.n
         self._check_qudit(j)
-        rows = list(zip(self.r, self.coords))
-        pivot, rows = self._eliminate(rows, n + j, d)
-        if pivot is not None and gcd(int(pivot[1][n + j]), d) == 1:
+        f, v = self.r.copy(), self.coords.copy()
+        pivot = self._eliminate(f, v, n + j, d)
+        if gcd(int(pivot[1][n + j]), d) == 1:
             # full support: the rows left already span the commutant, since
             # the pivot's power among them is W_(d v), the identity
-            return rows, d, 0, pivot
-        rows += [(0, row) for row in np.eye(2 * n, dtype=np.int64) * d % dp]
-        *others, last = self._echelon(rows, [c for c in range(2 * n) if c != j] + [j])
-        f, t = (0, d) if last is None else (int(last[0]), int(last[1][j]))
+            return f, v, d, 0, pivot
+        # echelon mod d' with the W_(d e_i), one pivot per column, j last
+        f = np.r_[f, np.zeros(2 * n, dtype=np.int64)]
+        v = np.vstack([v, np.eye(2 * n, dtype=np.int64) * d % dp])
+        columns = [c for c in range(2 * n) if c != j] + [j]
+        pf, pv = map(np.array, zip(*[self._eliminate(f, v, c, dp) for c in columns]))
+        assert not v.any() and not f.any(), \
+            "reduction produced a nontrivial phase times identity"
+        t = int(pv[-1, j]) or d
         m, g = gcd(d, t), gcd(2 * t, dp)
-        assert not f % g, "the pivot's phase leaves no outcome"
-        k0 = (-(f // g) * pow(2 * t // g, -1, d // m)) % (d // m)
-        return [p for p in others if p is not None], m, k0, pivot
+        assert not pf[-1] % g, "the pivot's phase leaves no outcome"
+        k0 = (-(int(pf[-1]) // g) * pow(2 * t // g, -1, d // m)) % (d // m)
+        return pf[:-1], pv[:-1], m, k0, pivot
 
     def _z_support(self, j: int):
         """Outcome support of a Z measurement on qudit j, with its size m."""
-        _, m, k0, _ = self._commutant(j)
+        _, _, m, k0, _ = self._commutant(j)
         return m, (k0 + self.d // m * np.arange(m)).tolist()
 
     def outcome_distribution(self, j: int) -> dict:
@@ -255,16 +242,17 @@ class WeylTableau(TableauBase):
         draw from rng (0 without one) to k0.  A deterministic measurement
         draws nothing and leaves the generators as they are."""
         d, dp, n = self.d, self.dp, self.n
-        others, m, k, pivot = self._commutant(j)
+        f, v, m, k, pivot = self._commutant(j)
         if m == 1:
             self.pivot = None
             return True, k
         self.pivot = (pivot[1][n:] % d, pivot[1][:n] % d)
         if rng is not None:
             k += d // m * int(rng.integers(m))
-        z_j = ((-2 * k) % dp, np.eye(2 * n, dtype=np.int64)[j])
         # a row that is 0 mod d is the identity: the group has no -1
-        self._set_rows([p for p in others if (p[1] % d).any()] + [z_j])
+        keep = (v % d).any(axis=1)
+        self.r = np.r_[f[keep], (-2 * k) % dp]
+        self.coords = np.vstack([v[keep], np.eye(1, 2 * n, j, dtype=np.int64)])
         return False, k
 
     def _set_rows(self, rows) -> None:

@@ -97,6 +97,17 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert "line 3" in proc.stderr
 
+    def test_dimension_above_bound_is_2(self, tmp_path):
+        """A DIM too wide for int64 phase sums is a parse error at its
+        value."""
+        path = tmp_path / "wide.sdim"
+        path.write_text("DIM 1048577\nQUDITS 1\nM 0\n")
+        proc = run_cli("run", str(path), "--shots", "1", "--seed", "0")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == ("parse error at line 1, column 5: dimension "
+                               "must lie in [2, 1048576], got 1048577\n")
+
     @pytest.mark.parametrize("text, message", [
         (b"DIM 3\nQUDITS 1\nM 0\n\xff",
          "line 4, column 1: invalid UTF-8 byte 0xff"),
@@ -245,6 +256,26 @@ class TestExitCodes:
         assert proc.stdout == ""
         assert proc.stderr == (f"quditsim: error: --d must be >= 2, "
                                f"got {argv[argv.index('--d') + 1]}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["rb", "--d", "1048577", "--p", "0.1", "--seed", "1"],
+         "quditsim: error: --d must be <= 1048576, got 1048577"),
+        (["gen", "ghz", "--n", "2", "--d", "1048577"],
+         "quditsim: error: --d must be <= 1048576, got 1048577"),
+        (["gen", "random", "--n", "2", "--d", "4294967311", "--depth", "5",
+          "--seed", "1"],
+         "quditsim: error: --d must be <= 1048576, got 4294967311"),
+        (["validate", "--pairs", "tableau,statevector", "--d", "3,1048577",
+          "--seed", "1"],
+         "quditsim validate: error: argument --d: dimensions must lie in "
+         "[2, 1048576]"),
+    ])
+    def test_dimension_above_bound_is_4(self, argv, message):
+        """A --d too wide for int64 phase sums is a usage error."""
+        proc = run_cli(*argv)
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert proc.stderr.endswith(message + "\n")
 
     def test_missing_file_is_5(self):
         proc = run_cli("run", "/nonexistent/x.sdim", "--shots", "1",

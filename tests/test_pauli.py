@@ -35,6 +35,9 @@ class TestDimension:
             Dimension(1)
         with pytest.raises(DimensionError):
             Dimension(0)
+        with pytest.raises(DimensionError, match="lie in"):
+            Dimension(Dimension.MAX + 1)
+        assert Dimension(Dimension.MAX).d_prime == 2 * Dimension.MAX
 
     def test_phases(self):
         d = Dimension(3)

@@ -268,7 +268,7 @@ class TestMapDigests:
             "8b3aaed597fd7a075e56964c88cc8fb2809553b3cd2c6fa692c14aadb24503cd",
         # two of its four random M and RESET have partial support
         "reset_corpus_d4":
-            "a6ab1ba9956dcd63d32ecdcc006cc58def9cf7599183e5364af8429184b36935",
+            "3274b0a1e3a324a34748b795ce58dec2a3517880b6b8b2a8ddadddf8023f21b2",
     }
 
     @staticmethod
@@ -345,7 +345,7 @@ class TestRunDigests:
         assert any(a == "M" and b != "M" for a, b in zip(names, names[1:]))
         result = run_circuit(circuit, 2000, 19, "tableau")
         assert self.digest(result.outcomes) == (
-            "e9fa8daaa6f138b377784374421dfbc210e343c8fecd2967b30671268a974788")
+            "4d4ed5e7fc995b2da9e3b8f101379ce56dc7a33937ac5dd660e115cfc5375ae3")
 
     def test_statevector_per_shot(self):
         circuit = reset_corpus_circuit(3, np.random.default_rng(303),

@@ -3,10 +3,14 @@
 import numpy as np
 import pytest
 
+from quditsim.builders import build_random_clifford_circuit
+from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError, ShapeError
 from quditsim.pauli import Dimension, PauliString
+from quditsim.simulate import run_circuit
 from quditsim.statevector import DenseState, stabilizer_check
 from quditsim.tableau import Tableau
+from quditsim.weyl import WeylTableau
 
 SINGLE_GATES = ["X", "Z", "X_INV", "Z_INV", "F", "F_INV", "P", "P_INV"]
 INVERSE_OF = {"X": "X_INV", "Z": "Z_INV", "F": "F_INV", "P": "P_INV",
@@ -334,6 +338,30 @@ class TestDeterministicPhaseSum:
                     scaled += bool((tab.lam != 1).any())
                 tab.measure_z(j, rng)
         assert checked > 20 and scaled > 5
+
+
+class TestWidePrimePhases:
+    """Phase sums on a wide prime, where a product of four residues would
+    pass 2^63."""
+
+    def test_repeated_measurements_agree(self):
+        """Each qudit measured twice reads the same outcome twice, on
+        Tableau and on WeylTableau alike."""
+        d, n = 65537, 4
+        gates = build_random_clifford_circuit(n, d, 40, np.random.default_rng(22))
+        circuit = Circuit(n, d)
+        for ins in gates.instructions:
+            if ins.name != "M":
+                circuit.add_gate(ins.name, *ins.qudits)
+        for _ in range(2):
+            for j in range(n):
+                circuit.add_gate("M", j)
+        tab = run_circuit(circuit, 3, 22, "tableau")
+        weyl = run_circuit(circuit, 3, 22, "tableau",
+                           initial_tableau=WeylTableau(n, d))
+        assert tab.deterministic[n:].all()
+        assert np.array_equal(tab.outcomes[:, :n], tab.outcomes[:, n:])
+        assert np.array_equal(tab.outcomes, weyl.outcomes)
 
 
 class TestDeterministicOracleEquality:
