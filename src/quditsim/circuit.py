@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import DimensionError, ParseError, ShapeError
+from .errors import DimensionError, ParseError, ShapeError, integral
 from .gates import GATE_ALIASES, GATE_ARITY, check_qudits, operand_error
 from .noise import NOISE_KINDS
 from .pauli import Dimension, _as_dimension
@@ -75,9 +75,10 @@ class Circuit:
 
     def __init__(self, num_qudits: int, dimension):
         dim = _as_dimension(dimension)
+        num_qudits = integral(num_qudits, "qudit count", ShapeError)
         if num_qudits < 1:
             raise ShapeError(f"need at least 1 qudit, got {num_qudits}")
-        self.num_qudits = int(num_qudits)
+        self.num_qudits = num_qudits
         self.dimension = dim
         self.instructions: list[Instruction] = []
         self.metadata: dict = {}
@@ -86,7 +87,7 @@ class Circuit:
                  prob: float = None) -> "Circuit":
         """Append an instruction; accepts gate names, aliases, M, RESET, N1.
 
-        Qudits are converted with int() and the probability with float().
+        Qudits are converted with integral(), probabilities with float().
         A rejected instruction raises ShapeError whose operand attribute
         indexes the token at fault in SDIM order: 0 for the name, then the
         qudits, the noise channel and the probability.
@@ -96,7 +97,7 @@ class Circuit:
             raise operand_error(f"unknown instruction name {name!r}", 0)
         arity = GATE_ARITY.get(name, 1)
         if len(qudits) == arity:  # else check_qudits reports the arity first
-            qudits = tuple(_convert(int, q, k, "qudit index must be an integer")
+            qudits = tuple(_convert(integral, q, k, "qudit index must be an integer")
                            for k, q in enumerate(qudits, 1))
         check_qudits(name, arity, qudits, self.num_qudits)
         if name == "N1":

@@ -11,12 +11,15 @@ Commands:
 Exit codes: 0 success, 2 circuit parse error, 4 usage error, 5 file I/O
 error, 6 memory cap exceeded, 7 internal error.  Results go to stdout;
 wall-clock timing and diagnostics go to stderr so identical inputs and
-seeds produce byte-identical output.
+seeds produce byte-identical output.  The library calls return reports;
+this module writes every file: validate, rb and lrbd write --csv and
+--manifest (the JSON text that stdout gets) before they print anything.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -78,10 +81,6 @@ def _emit(text: str) -> None:
     sys.stdout.write(text)
     if not text.endswith("\n"):
         sys.stdout.write("\n")
-
-
-def _report_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True)
 
 
 def _depths(text: str) -> tuple:
@@ -221,14 +220,36 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _csv_rows(report: dict) -> list:
+    """A header and one row per circuit (validate) or per depth (rb, lrbd);
+    depth rows give values to ten decimals, blank where missing."""
+    if "per_circuit" in report:
+        rows = report["per_circuit"]
+        return [list(rows[0])] + [list(row.values()) for row in rows]
+    columns = ["depth", "mean_fidelity", "stderr", "survivor_fraction"]
+    return [columns] + [
+        [row["depth"]] + ["" if row[c] is None else f"{row[c]:.10f}"
+                          for c in columns[1:]]
+        for row in report["per_depth"]]
+
+
 def _cmd_report(command, args) -> int:
-    """Run command(args, threads), print its elapsed time to stderr and its
-    report to stdout as JSON."""
+    """Run command(args, threads) and write its report as --csv rows and as
+    the --manifest JSON; then print the elapsed time of the run to stderr
+    and the same JSON to stdout."""
     threads = _threads_from(args)
     started = time.perf_counter()
     report = command(args, threads)
-    print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
-    _emit(_report_json(report))
+    elapsed = time.perf_counter() - started
+    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+    if args.csv:
+        with open(args.csv, "w", newline="") as fh:
+            csv.writer(fh).writerows(_csv_rows(report))
+    if getattr(args, "manifest", None):
+        with open(args.manifest, "w") as fh:
+            fh.write(text)
+    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
+    sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -246,16 +267,14 @@ def _cmd_validate(args, threads) -> dict:
                                                       noise=noise))
     return validate_backend_pair(circuits, method_a, method_b,
                                  shots=args.shots, threshold=args.threshold,
-                                 seed=args.seed, threads=threads,
-                                 csv_path=args.csv)
+                                 seed=args.seed, threads=threads)
 
 
 def _cmd_rb(args, threads) -> dict:
     cfg = RBConfig(d=args.d, depths=args.depths,
                    circuits_per_depth=args.circuits, shots=args.shots,
                    p=args.p)
-    return run_rb(cfg, seed=args.seed, method=args.method, threads=threads,
-                  csv_path=args.csv, manifest_path=args.manifest)
+    return run_rb(cfg, seed=args.seed, method=args.method, threads=threads)
 
 
 def _cmd_lrbd(args, threads) -> dict:
@@ -265,8 +284,7 @@ def _cmd_lrbd(args, threads) -> dict:
                    p=args.p)
     return run_lrb_d(cfg, code, seed=args.seed,
                      postselect=args.postselect.replace("-", "_"),
-                     threads=threads, csv_path=args.csv,
-                     manifest_path=args.manifest)
+                     threads=threads)
 
 
 def _methods_pair(text: str):

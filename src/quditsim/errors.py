@@ -1,4 +1,4 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and one integer check."""
 
 
 class QuditSimError(Exception):
@@ -45,3 +45,14 @@ class ParseError(QuditSimError):
         self.column = column
         self.message = message
         super().__init__(f"line {line}, column {column}: {message}")
+
+
+def integral(value, what: str = "value", error=ValueError) -> int:
+    """int(value) for ints, numpy integers, integral floats and integer
+    strings; error(...) for anything that int() would truncate or refuse."""
+    try:
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise error(f"{what} must be an integer, got {value!r}")

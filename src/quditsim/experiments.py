@@ -11,19 +11,20 @@ Four groups of tools:
   decay fit;
 - a five-qutrit distance-2 detection code with syndrome-extraction gadgets
   and a logical benchmarking variant that postselects on clean syndromes.
+
+Every experiment returns its report as a dict and writes no files; the
+command line (cli.py) writes the CSV and manifest files.
 """
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .circuit import Circuit
-from .errors import DimensionError, ShapeError, SupportMismatchError
+from .errors import DimensionError, ShapeError, SupportMismatchError, integral
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import run_circuit
@@ -110,8 +111,8 @@ def mean_slot_tvd(outcomes_a, outcomes_b, d: int) -> float:
 
 
 def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
-                          threshold: float, seed=None, threads: int = None,
-                          csv_path=None) -> dict:
+                          threshold: float, seed=None,
+                          threads: int = None) -> dict:
     """Compare two backends on a circuit corpus by per-slot marginal TVD.
 
     Each circuit is sampled once per backend with independent derived seeds;
@@ -141,7 +142,7 @@ def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
             "tvd": score,
             "passed": bool(score < threshold),
         })
-    report = {
+    return {
         "method_a": method_a,
         "method_b": method_b,
         "shots": shots,
@@ -151,12 +152,6 @@ def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
         "max_tvd": max(r["tvd"] for r in rows),
         "all_passed": all(r["passed"] for r in rows),
     }
-    if csv_path:
-        with open(csv_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-            writer.writeheader()
-            writer.writerows(rows)
-    return report
 
 
 # -- channel distribution tests ------------------------------------------------
@@ -240,18 +235,19 @@ class RBConfig:
     p: float
 
     def __post_init__(self):
-        if len(self.depths) == 0:
+        depths = tuple(integral(D, "depth", ShapeError) for D in self.depths)
+        if len(depths) == 0:
             raise ShapeError("depths must not be empty")
-        if any(int(D) < 0 for D in self.depths):
+        if any(D < 0 for D in depths):
             raise ShapeError("depths must be nonnegative")
-        if self.circuits_per_depth < 1:
-            raise ShapeError(f"circuits_per_depth must be >= 1, got "
-                             f"{self.circuits_per_depth}")
-        if self.shots < 1:
-            raise ShapeError(f"shots must be >= 1, got {self.shots}")
+        object.__setattr__(self, "depths", depths)
+        for name in ("circuits_per_depth", "shots"):
+            value = integral(getattr(self, name), name, ShapeError)
+            if value < 1:
+                raise ShapeError(f"{name} must be >= 1, got {value}")
+            object.__setattr__(self, name, value)
         if not 0.0 <= self.p <= 1.0:
             raise ShapeError("p must lie in [0, 1]")
-        object.__setattr__(self, "depths", tuple(int(D) for D in self.depths))
 
 
 def rb_fidelity(dist: OutcomeDistribution) -> float:
@@ -282,36 +278,19 @@ def build_rb_circuit(d, depth: int, p: float, rng: np.random.Generator) -> Circu
 
 
 def _fit_decay(depths, means):
-    """Log-linear least squares of f(D) = B * alpha^D on positive means."""
+    """Log-linear least squares of f(D) = B * alpha^D on positive means,
+    which needs two distinct depths."""
     usable = [(D, m) for D, m in zip(depths, means)
               if m is not None and m > 1e-3]
-    if len(usable) < 2:
+    distinct = len({D for D, _ in usable})
+    if distinct < 2:
         return {"ok": False, "alpha": None, "B": None,
-                "reason": f"only {len(usable)} usable depths"}
+                "reason": f"only {distinct} usable depths"}
     xs = np.array([D for D, _ in usable], dtype=float)
     ys = np.log(np.array([m for _, m in usable], dtype=float))
     slope, intercept = np.polyfit(xs, ys, 1)
     return {"ok": True, "alpha": float(np.exp(slope)),
             "B": float(np.exp(intercept)), "reason": ""}
-
-
-def _write_depth_csv(path, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "mean_fidelity", "stderr", "survivor_fraction"])
-        for row in rows:
-            writer.writerow([
-                row["depth"],
-                "" if row["mean_fidelity"] is None else f"{row['mean_fidelity']:.10f}",
-                "" if row["stderr"] is None else f"{row['stderr']:.10f}",
-                f"{row['survivor_fraction']:.10f}",
-            ])
-
-
-def _write_manifest(path, payload):
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def _sweep(cfg: RBConfig, seed, build, score, method: str, threads,
@@ -348,7 +327,7 @@ def _depth_row(depth: int, fidelities) -> dict:
 
 
 def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
-           threads: int = None, csv_path=None, manifest_path=None) -> dict:
+           threads: int = None) -> dict:
     """Mean fidelity per depth plus a decay fit f(D) = B * alpha^D."""
     sweep = _sweep(
         cfg, seed, lambda depth, rng: build_rb_circuit(cfg.d, depth, cfg.p, rng),
@@ -359,7 +338,7 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
                  for depth, fidelities in sweep]
     fit = _fit_decay([row["depth"] for row in per_depth],
                      [row["mean_fidelity"] for row in per_depth])
-    report = {
+    return {
         "experiment": "rb",
         "config": asdict(cfg),
         "seed": seed,
@@ -370,11 +349,6 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
         "fit_ok": fit["ok"],
         "fit_reason": fit["reason"],
     }
-    if csv_path:
-        _write_depth_csv(csv_path, per_depth)
-    if manifest_path:
-        _write_manifest(manifest_path, report)
-    return report
 
 
 # -- detection code ------------------------------------------------------------
@@ -608,8 +582,7 @@ def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
 
 
 def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
-              postselect: str = "all", threads: int = None,
-              csv_path=None, manifest_path=None) -> dict:
+              postselect: str = "all", threads: int = None) -> dict:
     """Postselected logical fidelity and survivor fraction per depth.
 
     The code may be any odd-prime DetectionCode whose logical Z is Z-type.
@@ -652,15 +625,10 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
             "survivor_fraction": float(np.mean([frac for frac, _ in scores])),
             "surviving_circuits": len(fidelities),
         })
-    report = {
+    return {
         "experiment": "lrbd",
         "config": asdict(cfg),
         "seed": seed,
         "postselect": postselect,
         "per_depth": per_depth,
     }
-    if csv_path:
-        _write_depth_csv(csv_path, per_depth)
-    if manifest_path:
-        _write_manifest(manifest_path, report)
-    return report

@@ -40,7 +40,7 @@ from math import gcd
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import DimensionError, MemoryCapError
+from .errors import DimensionError, MemoryCapError, integral
 from .gates import GATES
 from .noise import sample_error_batch
 from .pauli import _as_dimension
@@ -364,7 +364,7 @@ class FrameSimulator:
         fill their rows of the result; threads is checked but changes
         nothing.
         """
-        shots = int(shots)
+        shots = integral(shots, "shots")
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
         if threads is not None and threads < 1:

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .circuit import Circuit
-from .errors import QuditSimError
+from .errors import QuditSimError, integral
 from .frames import FrameSimulator, check_outcome_entries
 from .noise import sample_error
 from .statevector import DenseState
@@ -221,6 +221,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     frames.MAX_OUTCOME_ENTRIES."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    shots = integral(shots, "shots")
     if shots < 1:
         raise ValueError(f"shots must be >= 1, got {shots}")
     if threads is not None and threads < 1:

@@ -36,6 +36,23 @@ class TestCircuitBuild:
         with pytest.raises(ShapeError):
             c.add_gate("SUM", 1, 1)
 
+    def test_fractional_qudit_count_rejected(self):
+        with pytest.raises(ShapeError, match="qudit count must be an integer"):
+            Circuit(2.5, 3)
+        for n in (2.0, np.int64(2)):
+            assert type(Circuit(n, 3).num_qudits) is int
+
+    def test_fractional_qudit_index_rejected(self):
+        """1.7 is refused at its operand; integral floats, numpy integers
+        and the parser's integer strings name their qudit."""
+        c = Circuit(2, 3)
+        with pytest.raises(ShapeError, match="qudit index must be an integer") as exc:
+            c.add_gate("M", 1.7)
+        assert exc.value.operand == 1
+        for q in (1.0, np.int64(1), "1"):
+            c.add_gate("M", q)
+        assert [ins.qudits for ins in c.instructions] == [(1,)] * 3
+
     def test_aliases_normalized(self):
         c = Circuit(2, 3)
         c.add_gate("H", 0)

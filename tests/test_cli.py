@@ -343,7 +343,10 @@ class TestValidate:
         assert doc["all_passed"]
         assert doc["circuits"] == 4
         with open(csv_path) as fh:
-            assert len(list(csv.DictReader(fh))) == 4
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4
+        assert set(rows[0]) == {"index", "family", "dimension", "qudits",
+                                "tvd", "passed"}
 
     @pytest.mark.parametrize("pair", ["tableau,frames", "frames,tableau",
                                       "statevector,statevector"])
@@ -376,6 +379,57 @@ class TestBenchmarkCommands:
         doc = json.loads(proc.stdout)
         assert doc["alpha"] == pytest.approx(1.0, abs=1e-6)
         assert json.loads(manifest.read_text())["experiment"] == "rb"
+
+    def test_rb_files(self, tmp_path):
+        """--csv holds a header and one row per depth; --manifest holds the
+        report."""
+        csv_path, manifest = tmp_path / "rb.csv", tmp_path / "rb.json"
+        proc = run_cli("rb", "--d", "3", "--depths", "0,6,12", "--circuits",
+                       "2", "--shots", "200", "--p", "0.1", "--seed", "14",
+                       "--csv", str(csv_path), "--manifest", str(manifest))
+        assert proc.returncode == 0
+        with open(csv_path) as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["depth", "mean_fidelity", "stderr",
+                           "survivor_fraction"]
+        assert len(rows) == 4
+        assert json.loads(manifest.read_text())["config"]["p"] == 0.1
+
+    @pytest.mark.parametrize("argv", [
+        ["rb", "--depths", "0,3", "--p", "0.05"],
+        ["lrbd", "--depths", "0,4,10", "--p", "0.3", "--postselect", "x-only"],
+    ])
+    def test_manifest_is_stdout(self, tmp_path, argv):
+        manifest = tmp_path / "report.json"
+        proc = run_cli(*argv, "--circuits", "2", "--shots", "5", "--seed", "6",
+                       "--manifest", str(manifest))
+        assert proc.returncode == 0
+        assert manifest.read_text() == proc.stdout
+
+    @pytest.mark.parametrize("argv", [
+        ["rb", "--p", "0.05", "--csv"],
+        ["rb", "--p", "0.05", "--manifest"],
+        ["lrbd", "--p", "0.05", "--manifest"],
+        ["validate", "--d", "3", "--max-depth", "5", "--csv"],
+    ])
+    def test_unwritable_file_is_5(self, tmp_path, argv):
+        path = tmp_path / "missing" / "out"
+        *options, flag = argv
+        proc = run_cli(*options, "--circuits", "1", "--shots", "20", "--seed",
+                       "1", flag, str(path))
+        assert proc.returncode == 5
+        assert proc.stdout == ""
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("file error:")
+
+    def test_one_distinct_depth_is_not_fitted(self):
+        """A depth list with one distinct depth gives a report, not a fit."""
+        proc = run_cli("rb", "--d", "3", "--p", "0", "--depths", "0,0,0",
+                       "--circuits", "2", "--shots", "200", "--seed", "5")
+        assert proc.returncode == 0
+        doc = json.loads(proc.stdout)
+        assert doc["fit_ok"] is False
+        assert doc["alpha"] is None
 
     def test_lrbd_runs(self):
         proc = run_cli("lrbd", "--depths", "0", "--circuits", "2",

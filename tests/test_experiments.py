@@ -1,6 +1,5 @@
 """Tests for validation, channel, benchmarking, and detection-code tooling."""
 
-import csv
 import hashlib
 import json
 
@@ -128,23 +127,16 @@ class TestPerSlot:
 class TestValidateBackendPair:
     """Cross-backend corpus validation."""
 
-    def test_small_corpus(self, tmp_path):
+    def test_small_corpus(self):
         rng = np.random.default_rng(6)
         circuits = [build_random_clifford_circuit(2, 3, 15, rng)
                     for _ in range(4)]
-        csv_path = tmp_path / "validate.csv"
         report = validate_backend_pair(circuits, "tableau", "statevector",
-                                       shots=800, threshold=0.2, seed=7,
-                                       csv_path=str(csv_path))
+                                       shots=800, threshold=0.2, seed=7)
         assert report["circuits"] == 4
         assert report["all_passed"]
         assert report["max_tvd"] < 0.2
         assert len(report["per_circuit"]) == 4
-        with open(csv_path) as fh:
-            rows = list(csv.DictReader(fh))
-        assert len(rows) == 4
-        assert set(rows[0]) == {"index", "family", "dimension", "qudits",
-                                "tvd", "passed"}
 
     def test_frames_versus_statevector(self):
         rng = np.random.default_rng(8)
@@ -241,30 +233,46 @@ class TestRB:
         assert report["fit_ok"]
         assert report["alpha"] == pytest.approx(1.0, abs=1e-6)
 
-    def test_decay_with_noise(self, tmp_path):
+    def test_decay_with_noise(self):
         cfg = RBConfig(d=3, depths=(0, 6, 12), circuits_per_depth=6,
                        shots=2000, p=0.1)
-        csv_path = tmp_path / "rb.csv"
-        manifest_path = tmp_path / "rb.json"
-        report = run_rb(cfg, seed=14, method="frames",
-                        csv_path=str(csv_path), manifest_path=str(manifest_path))
+        report = run_rb(cfg, seed=14, method="frames")
         means = [row["mean_fidelity"] for row in report["per_depth"]]
         assert means[0] > means[-1]
         assert report["fit_ok"]
         assert 0.0 < report["alpha"] < 1.0
-        with open(csv_path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["depth", "mean_fidelity", "stderr",
-                           "survivor_fraction"]
-        assert len(rows) == 4
-        manifest = json.loads(manifest_path.read_text())
-        assert manifest["config"]["p"] == 0.1
+
+    def test_one_distinct_depth_is_not_fitted(self):
+        """Two rows at one depth leave the decay rate undetermined."""
+        cfg = RBConfig(d=3, depths=(5, 5), circuits_per_depth=2, shots=200,
+                       p=0.05)
+        report = run_rb(cfg, seed=5, method="frames")
+        assert len(report["per_depth"]) == 2
+        assert not report["fit_ok"]
+        assert report["alpha"] is None and report["B"] is None
+        assert report["fit_reason"] == "only 1 usable depths"
 
     def test_config_validation(self):
         with pytest.raises(ShapeError):
             RBConfig(d=3, depths=(-1,), circuits_per_depth=1, shots=10, p=0.0)
         with pytest.raises(ShapeError):
             RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=1.5)
+
+    @pytest.mark.parametrize("field, value", [
+        ("depths", (1.5,)), ("circuits_per_depth", 1.5), ("shots", 2.5),
+    ])
+    def test_config_rejects_fractional_counts(self, field, value):
+        kwargs = dict(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=0.0)
+        kwargs[field] = value
+        with pytest.raises(ShapeError, match="must be an integer"):
+            RBConfig(**kwargs)
+
+    def test_config_takes_integral_counts(self):
+        cfg = RBConfig(d=3, depths=(2.0, np.int64(3)),
+                       circuits_per_depth=np.int64(2), shots=10.0, p=0.0)
+        counts = cfg.depths + (cfg.circuits_per_depth, cfg.shots)
+        assert counts == (2, 3, 2, 10)
+        assert all(type(v) is int for v in counts)
 
     @pytest.mark.parametrize("field, value", [
         ("circuits_per_depth", 0), ("circuits_per_depth", -1),

@@ -203,6 +203,13 @@ class TestInputChecks:
             with pytest.raises(ValueError, match=f"got {shots}"):
                 run_circuit(c, shots, 0, "frames")
 
+    def test_fractional_shots_rejected(self):
+        """Integral floats and numpy integers count; 2.5 is not truncated."""
+        sim = FrameSimulator(build_ghz_chain(2, 3, measure=True), 0)
+        with pytest.raises(ValueError, match="shots must be an integer, got 2.5"):
+            sim.run(2.5)
+        assert sim.run(3.0).shape == sim.run(np.int64(3)).shape == (3, 2)
+
     def test_huge_shots_hit_the_outcome_cap(self, monkeypatch):
         """10**12 shots fail before any shard is spawned or compiled."""
         spawned = []

@@ -344,6 +344,18 @@ class TestBatchedTableau:
         both = np.vstack([sim.run(2 * s), sim.run(s + 7)])
         assert np.array_equal(both, FrameSimulator(c, 32).run(3 * s + 7))
 
+    @pytest.mark.parametrize("method", ["tableau", "frames", "statevector"])
+    def test_fractional_shots_rejected(self, method):
+        """Every method refuses 2.5 shots with one ValueError and stores an
+        integral count as an int."""
+        c = build_ghz_chain(2, 3, measure=True)
+        with pytest.raises(ValueError, match="shots must be an integer, got 2.5"):
+            run_circuit(c, 2.5, 1, method)
+        for shots in (4.0, np.int64(4)):
+            result = run_circuit(c, shots, 1, method)
+            assert type(result.shots) is int and result.shots == 4
+            assert result.outcomes.shape == (4, 2)
+
     @pytest.mark.parametrize("threads", [0, -1])
     @pytest.mark.parametrize("method", ["tableau", "frames", "statevector"])
     def test_nonpositive_threads_rejected(self, method, threads):
