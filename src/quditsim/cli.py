@@ -12,8 +12,8 @@ Exit codes: 0 success, 2 circuit parse error, 4 usage error, 5 file I/O
 error, 6 memory cap exceeded, 7 internal error.  Results go to stdout;
 wall-clock timing and diagnostics go to stderr so identical inputs and
 seeds produce byte-identical output.  The library calls return reports;
-this module writes every file: validate, rb and lrbd write --csv and
---manifest (the JSON text that stdout gets) before they print anything.
+this module writes every file: validate, rb and lrbd open --csv and
+--manifest (stdout's JSON text) before the run and fill them before output.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import json
 import os
 import sys
 import time
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
@@ -234,20 +235,21 @@ def _csv_rows(report: dict) -> list:
 
 
 def _cmd_report(command, args) -> int:
-    """Run command(args, threads) and write its report as --csv rows and as
-    the --manifest JSON; then print the elapsed time of the run to stderr
-    and the same JSON to stdout."""
+    """Open --csv and --manifest, so that an unwritable path fails first; run
+    command(args, threads), write its report there as CSV rows and as JSON,
+    then print the run's elapsed time to stderr and the JSON to stdout."""
     threads = _threads_from(args)
-    started = time.perf_counter()
-    report = command(args, threads)
-    elapsed = time.perf_counter() - started
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if args.csv:
-        with open(args.csv, "w", newline="") as fh:
-            csv.writer(fh).writerows(_csv_rows(report))
-    if getattr(args, "manifest", None):
-        with open(args.manifest, "w") as fh:
-            fh.write(text)
+    manifest = getattr(args, "manifest", None)
+    with (open(args.csv, "w", newline="") if args.csv else nullcontext()) as table, \
+            (open(manifest, "w") if manifest else nullcontext()) as saved:
+        started = time.perf_counter()
+        report = command(args, threads)
+        elapsed = time.perf_counter() - started
+        text = json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if table:
+            csv.writer(table).writerows(_csv_rows(report))
+        if saved:
+            saved.write(text)
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
     sys.stdout.write(text)
     return EXIT_OK

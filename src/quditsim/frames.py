@@ -14,19 +14,14 @@ error analysis (Gidney 2021).  A shard of shots then only draws its
 symbols and adds their entries to the constants (sample_outcomes), so no
 instruction is replayed per shot.
 
-Noise is sampled sparsely, after Stim's frame simulator (Gidney 2021): per
-(channel, prob) group of N1 locations, the number of firing (location,
-shot) pairs is drawn from Binomial(locations x shots, prob), that many
-distinct pairs are chosen uniformly, and only those get an error, uniform
-over the channel's support.  Each pair still fires independently with
-probability prob, so the distribution is exactly that of one Bernoulli draw
-per pair, while the cost follows the events that fire.
-
-FrameSimulator makes one generator from its seed, and run samples shots
-serially, in shards that draw from it in order, writing each shard into its
-rows of one preallocated result; a second run continues the stream.
-Sampling is numpy-bound and ran no faster on two threads, so the threads
-argument is checked but changes nothing; output never depended on it.
+FrameSimulator makes one generator from its seed and works out once what
+every shard reads; run draws shards of shard_size shots from it in order,
+each adding into its rows of one preallocated int64 result, so a second run
+continues the stream.  Noise is sparse, after Stim's frame simulator: the
+(location, shot) pairs that fire come from geometric gaps between them
+(fired_positions), one Bernoulli(prob) draw per pair at the cost of the
+events that fire.  Threads ran no faster, so the threads argument is
+checked but changes nothing; output never depended on it.
 simulate.run_circuit samples the 'frames' and 'tableau' methods with
 FrameSimulator.  reference_run runs the circuit once on a concrete tableau
 with noise skipped, the same loop the compile starts from.
@@ -35,7 +30,7 @@ with noise skipped, the same loop the compile starts from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import ceil, gcd
 
 import numpy as np
 
@@ -51,20 +46,14 @@ from .weyl import WeylTableau
 # entries than this (2 GiB of int64); check_outcome_entries refuses it first.
 MAX_OUTCOME_ENTRIES = 1 << 28
 
-# A FrameSimulator shard holds (M, shard) outcomes and (U, shard) uniform
-# symbol draws in int64, for M measurements and U random measurements and
-# resets, and draws its noise over an (L, shard) grid of N1 locations; this
-# caps M + U + L times the shard size.
-OUTCOME_SHARD_ENTRIES = 1 << 20
+# A FrameSimulator shard touches at most this many int64 entries, shard_width
+# per shot (512 KiB per temporary): glibc then reuses one shard's freed
+# temporaries for the next instead of trimming the heap and re-faulting them.
+OUTCOME_SHARD_ENTRIES = 1 << 16
 
 # compile_circuit buffers at most this many symbol entries (8 MiB of int64)
 # before compressing them to the nonzero ones.
 COMPILE_BUFFER_ENTRIES = 1 << 20
-
-# sample_outcomes scatters symbol entries times shots in steps of at most
-# this many products (32 KiB of int64), so its index and value arrays stay
-# small next to the shard's outcomes.
-SCATTER_ENTRIES = 1 << 12
 
 
 def check_outcome_entries(shots: int, num_slots: int) -> None:
@@ -91,83 +80,94 @@ def _start_tableau(circuit, initial_tableau=None):
     return tab
 
 
+def fired_positions(rng, count: int, prob: float) -> np.ndarray:
+    """Sorted positions in range(count), each present independently with
+    probability prob.  The gaps between them are geometric, so they are
+    cumulative sums of rng.geometric draws, taken in batches of a little
+    over the expected count until they pass count; prob 0 draws nothing and
+    prob 1 gives every position."""
+    if prob >= 1:
+        return np.arange(count)
+    parts, last, mean = [np.zeros(0, dtype=np.int64)], -1, count * prob
+    while prob > 0 and last + 1 < count:
+        gaps = rng.geometric(prob, int(mean + 4 * mean ** 0.5) + 8)
+        # a gap of count + 1 passes count from any start; the cap keeps the
+        # sums in int64
+        parts.append(last + np.cumsum(np.minimum(gaps, count + 1)))
+        last = parts[-1][-1]
+    pos = np.concatenate(parts)
+    return pos[:np.searchsorted(pos, count)]
+
+
 def draw_symbols(omap, rng, size: int):
     """One shard's symbol values for omap: uniform draws, shape
-    (len(omap.uniform), size), and the fired N1 events as arrays
-    (location, shot, a, b).
-
-    Per (channel, prob) group of locations, a binomial count over the
-    (locations x shots) grid, a uniform subset of that size and errors from
-    the channel's support: each (location, shot) fires independently with
-    probability prob.
-    """
+    (len(omap.uniform), size), and the fired N1 events as arrays (location,
+    shot, a, b): per (channel, prob) group, the fired positions of its
+    location-major (locations x shots) grid and their errors."""
     values = rng.integers(0, omap.d, (len(omap.uniform), size))
     fired = [(np.zeros(0, dtype=np.int64),) * 4]
     for (kind, prob), locs in omap.noise_groups:
-        k = rng.binomial(len(locs) * size, prob)
-        if k:
-            hit = rng.choice(len(locs) * size, k, replace=False, shuffle=False)
-            fired.append((locs[hit // size], hit % size,
-                          *sample_error_batch(kind, omap.d, rng, k)))
+        row, shot = np.divmod(fired_positions(rng, len(locs) * size, prob), size)
+        fired.append((locs[row], shot,
+                      *sample_error_batch(kind, omap.d, rng, len(row))))
     return values, tuple(np.concatenate(part) for part in zip(*fired))
 
 
-def _entries(omap, sym):
-    """(position in sym, slot, coeff) of every entry of the symbols sym."""
-    start = omap.indptr[sym]
-    count = omap.indptr[sym + 1] - start
-    which = np.repeat(np.arange(len(sym)), count)
-    pos = np.arange(len(which)) + np.repeat(start - np.cumsum(count) + count,
-                                            count)
-    return which, omap.slots[pos], omap.coeffs[pos]
+def _ranges(start, count):
+    """The concatenated ranges start[i] .. start[i] + count[i] - 1."""
+    return np.arange(count.sum()) + np.repeat(start - np.cumsum(count) + count,
+                                              count)
 
 
-def _chunks(weights, cap: int):
-    """Consecutive slices of weights, each summing to at most cap unless it
-    is a single element."""
-    ends = np.cumsum(weights)
-    lo = 0
-    while lo < len(ends):
-        base = ends[lo - 1] if lo else 0
-        hi = max(lo + 1, int(np.searchsorted(ends, base + cap, side="right")))
-        yield slice(lo, hi)
-        lo = hi
+class _Layout:
+    """What every shard of an OutcomeMap reads, worked out once: the uniform
+    symbols' entries (draw row, slot, coeff) and, per N1 location, its first
+    entry and how many its a and b symbols have.  A location's two symbols
+    are consecutive, so its entries are too: a's, then b's.  width: int64
+    entries per shot, for outcomes, uniform entries and expected noise."""
+
+    def __init__(self, omap):
+        self.omap = omap
+        start, count = omap.indptr[:-1], np.diff(omap.indptr)
+        uniform = count[omap.uniform]
+        self.which = np.repeat(np.arange(len(uniform)), uniform)
+        pos = _ranges(start[omap.uniform], uniform)
+        self.slot, self.coeff = omap.slots[pos, None], omap.coeffs[pos, None]
+        self.noise_start = start[omap.noise[:, 0]]
+        self.noise_count = count[omap.noise]
+        self.noise_total = self.noise_count.sum(axis=1)
+        fired = sum(prob * self.noise_total[locs].sum()
+                    for (_, prob), locs in omap.noise_groups)
+        self.width = max(1, len(omap.const) + len(self.which) + ceil(fired))
+
+    def sample(self, rng, out) -> None:
+        """Draw len(out) shots into out, C-contiguous (shots, M) int64 rows:
+        each uniform entry adds coeff times its symbol's draw to its slot in
+        every shot, each fired error adds a times its a symbol's entries and
+        b times its b symbol's in its own shot, and out is reduced mod d."""
+        omap = self.omap
+        size, num_slots = out.shape
+        values, (loc, shot, a, b) = draw_symbols(omap, rng, size)
+        flat = out.reshape(-1)
+        out[:] = omap.const
+        cell = self.slot + num_slots * np.arange(size)
+        np.add.at(flat, cell.reshape(-1),
+                  (values[self.which] * self.coeff).reshape(-1))
+        total = self.noise_total[loc]
+        pos = _ranges(self.noise_start[loc], total)
+        cell = np.repeat(shot * num_slots, total) + omap.slots[pos]
+        value = np.repeat(np.column_stack((a, b)).reshape(-1),
+                          self.noise_count[loc].reshape(-1))
+        np.add.at(flat, cell, value * omap.coeffs[pos])
+        # numpy vectorizes integer division by a scalar but not remainder
+        out -= out // omap.d * omap.d
 
 
 def sample_outcomes(omap, rng, size: int) -> np.ndarray:
-    """(size, M) outcomes of one shard of shots drawn from omap, in the
-    smallest unsigned dtype that holds d - 1.
-
-    Uniform symbols reach every shot, so their entries scale whole rows of
-    draws, in blocks of shots; a fired error adds a * (its a symbol's
-    entries) + b * (its b symbol's) to its own shot only, in chunks of
-    errors.  Each step takes at most SCATTER_ENTRIES products.
-    """
-    values, (loc, shot, a, b) = draw_symbols(omap, rng, size)
-    d = omap.d
-    out = np.empty((len(omap.const), size), dtype=np.int64)
-    out[:] = omap.const[:, None]
-    which, slot, coeff = _entries(omap, omap.uniform)
-    order = np.argsort(slot, kind="stable")
-    which, slot, coeff = which[order], slot[order], coeff[order]
-    heads = np.flatnonzero(np.r_[True, slot[1:] != slot[:-1]])
-    step = max(1, SCATTER_ENTRIES // max(1, len(slot)))
-    for lo in range(0, size if len(slot) else 0, step):
-        cols = slice(lo, lo + step)
-        rows = coeff[:, None] * values[which, cols]
-        out[slot[heads], cols] += np.add.reduceat(rows, heads, axis=0) % d
-    counts = np.diff(omap.indptr)
-    val = np.column_stack([a, b]).reshape(-1)
-    fired = val != 0
-    sym, val = omap.noise[loc].reshape(-1)[fired], val[fired]
-    shot = np.repeat(shot, 2)[fired]
-    flat = out.reshape(-1)
-    for part in _chunks(counts[sym], SCATTER_ENTRIES):
-        which, slot, coeff = _entries(omap, sym[part])
-        np.add.at(flat, slot * size + shot[part][which],
-                  val[part][which] * coeff)
-    out %= d
-    return out.astype(np.min_scalar_type(d - 1)).T
+    """(size, M) int64 outcomes of one shard of shots drawn from omap."""
+    out = np.empty((size, len(omap.const)), dtype=np.int64)
+    _Layout(omap).sample(rng, out)
+    return out
 
 
 def _reference(circuit, tab, rng):
@@ -344,26 +344,25 @@ def compile_circuit(circuit, start) -> OutcomeMap:
 class FrameSimulator:
     """Samples the measurement outcomes of a circuit from its OutcomeMap.
 
-    omap holds the slot arrays (qudits, seqs, deterministic).  op_count
-    adds up map entries times shots over every run.
+    omap holds the slot arrays (qudits, seqs, deterministic).  A shard
+    holds shard_size shots of shard_width int64 entries each (_Layout).
+    op_count adds up map entries times shots over every run.
     """
 
     def __init__(self, circuit, seed=None, initial_tableau=None):
-        omap = compile_circuit(circuit, _start_tableau(circuit, initial_tableau))
-        width = len(omap.const) + len(omap.uniform) + len(omap.noise)
-        self.omap = omap
-        self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // max(1, width))
+        self.omap = compile_circuit(circuit,
+                                    _start_tableau(circuit, initial_tableau))
+        self._layout = _Layout(self.omap)
+        self.shard_width = self._layout.width
+        self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // self.shard_width)
         self._rng = np.random.default_rng(seed)
         self.op_count = 0
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
-        """Outcome matrix of shape (shots, num_measurements), dtype int64.
-
-        Shards of shard_size shots draw in order from the simulator's one
-        generator, so a later call continues where this one stops, and
-        fill their rows of the result; threads is checked but changes
-        nothing.
-        """
+        """Outcome matrix of shape (shots, num_measurements), dtype int64,
+        drawn in shards from the simulator's one generator, so a later call
+        continues where this one stops; threads is checked but changes
+        nothing."""
         shots = integral(shots, "shots")
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")
@@ -372,7 +371,6 @@ class FrameSimulator:
         check_outcome_entries(shots, len(self.omap.const))
         out = np.empty((shots, len(self.omap.const)), dtype=np.int64)
         for lo in range(0, shots, self.shard_size):
-            size = min(self.shard_size, shots - lo)
-            out[lo:lo + size] = sample_outcomes(self.omap, self._rng, size)
+            self._layout.sample(self._rng, out[lo:lo + self.shard_size])
         self.op_count += len(self.omap.slots) * shots
         return out

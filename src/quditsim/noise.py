@@ -10,10 +10,10 @@ otherwise applies a uniformly random nonidentity error from its support:
 sample_error consumes one uniform float and one integer draw per event,
 whether or not an error fires, so the per-shot stream of the statevector
 backend stays aligned across circuits that only differ in where errors
-land.  The compiled sampler draws the firing events itself, per group of
-N1 locations (frames.draw_symbols), and sample_error_batch draws the
-errors of those events only, one integer each, so its draws follow the
-events that fire.
+land.  The compiled sampler takes the firing (location, shot) pairs of
+each group of N1 locations from geometric gaps (frames.fired_positions),
+and sample_error_batch draws the errors of those events only, one integer
+each, so every draw follows the events that fire.
 """
 
 from __future__ import annotations

@@ -9,6 +9,8 @@ import sys
 
 import pytest
 
+from quditsim import cli
+
 CLI = [sys.executable, "-m", "quditsim"]
 
 GHZ_TEXT = "DIM 3\nQUDITS 2\nH 0\nCNOT 0 1\nM 0\nM 1\n"
@@ -421,6 +423,18 @@ class TestBenchmarkCommands:
         assert proc.stdout == ""
         assert len(proc.stderr.splitlines()) == 1
         assert proc.stderr.startswith("file error:")
+
+    def test_unwritable_path_fails_before_the_run(self, tmp_path,
+                                                  monkeypatch, capsys):
+        """An unwritable --csv exits 5 without running the experiment."""
+        calls = []
+        monkeypatch.setattr(cli, "run_rb", lambda *a, **k: calls.append(a))
+        path = tmp_path / "missing" / "x.csv"
+        assert cli.main(["rb", "--p", "0.05", "--seed", "1", "--csv",
+                         str(path)]) == 5
+        out, err = capsys.readouterr()
+        assert calls == [] and out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("file error:")
 
     def test_one_distinct_depth_is_not_fitted(self):
         """A depth list with one distinct depth gives a report, not a fit."""

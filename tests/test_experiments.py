@@ -28,6 +28,7 @@ from quditsim.experiments import (
     run_rb,
     tvd,
     validate_backend_pair,
+    _depth_row,
     _v_word,
 )
 from quditsim.pauli import Dimension, PauliString
@@ -495,6 +496,28 @@ class TestLRBD:
             run_lrb_d(cfg, mixed, seed=3)
 
 
+class TestDepthRow:
+    """A depth row's stderr rules: None without fidelities, 0.0 with one,
+    the sample standard error with several."""
+
+    def test_no_fidelities(self):
+        assert _depth_row(4, []) == {"depth": 4, "mean_fidelity": None,
+                                     "stderr": None}
+
+    def test_one_fidelity(self):
+        row = _depth_row(4, [0.75])
+        assert row == {"depth": 4, "mean_fidelity": 0.75, "stderr": 0.0}
+        assert type(row["stderr"]) is float
+
+    def test_several_fidelities(self):
+        row = _depth_row(4, [0.5, 0.75, 1.0])
+        assert row["depth"] == 4
+        assert row["mean_fidelity"] == pytest.approx(0.75)
+        assert row["stderr"] == pytest.approx(0.25 / np.sqrt(3))
+        assert type(row["mean_fidelity"]) is float
+        assert type(row["stderr"]) is float
+
+
 class TestReportDigests:
     """rb and lrbd reports of fixed configs, pinned by the sha256 of their
     sorted JSON.  A change to any digest is a change to the experiments'
@@ -513,18 +536,18 @@ class TestReportDigests:
                        shots=300, p=0.05)
         report = run_rb(cfg, seed=11, method="frames")
         assert self.digest(report) == (
-            "0ea5c5232c0ee6f47e1f84d9634d7cdbdbfdbd0213a481449900bff316781e0e")
+            "33a9a25e5a05e013a520035bc11be0a3348109082387aa1e86fbbebf96c8c2a3")
 
     def test_lrbd_all(self):
         report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="all")
-        # all survive at depth 0, none at depths 3 and 6, one at depth 10:
-        # every stderr rule (several, one and no surviving circuits) appears
+        # surviving circuits per depth at this seed; TestDepthRow checks the
+        # stderr rule for each count
         assert [row["surviving_circuits"] for row in report["per_depth"]] == \
-            [3, 0, 0, 1]
+            [3, 2, 0, 1]
         assert self.digest(report) == (
-            "bad07b3e60b2362a6ac192684508faad409e398fc9982ab3b3c462d513cf1de8")
+            "b20d5b8cd700259f98901f1d2fc021fec56bfd3380bd320866101b87f1b1ed9c")
 
     def test_lrbd_x_only(self):
         report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="x_only")
         assert self.digest(report) == (
-            "290933a35f4c66ba4ea1d36849b26e46c986b3a1c1515453e6420123eea6ebc1")
+            "dd238b6b38af30465bbe7916806427ae846737043883de0b89debb0a8193b105")

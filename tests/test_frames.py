@@ -155,10 +155,11 @@ class TestDeterminismContract:
 
     def test_sharding_invariance(self, monkeypatch):
         c = build_ghz_chain(2, 3, measure=True)
-        # 3 map columns per shot: 2 measurements and 1 uniform symbol
-        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * 3)
+        width = FrameSimulator(c).shard_width
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * width)
         small = FrameSimulator(c, seed=9).run(1000)
-        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 100000 * 3)
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES",
+                            100000 * width)
         large = FrameSimulator(c, seed=9).run(1000)
         # same ensemble even when shard boundaries differ
         assert hist_tvd(outcome_histogram(small, 3),
@@ -213,7 +214,7 @@ class TestInputChecks:
     def test_huge_shots_hit_the_outcome_cap(self, monkeypatch):
         """10**12 shots fail before any shard is spawned or compiled."""
         spawned = []
-        monkeypatch.setattr(frames_module, "sample_outcomes",
+        monkeypatch.setattr(frames_module, "draw_symbols",
                             lambda *args: spawned.append(args))
         c = build_ghz_chain(2, 3, measure=True)
         with pytest.raises(MemoryCapError, match="outcome cap"):
@@ -230,8 +231,8 @@ class TestInputChecks:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         c = build_ghz_chain(3, 5, measure=True)
-        # 4 map columns per shot: 3 measurements and 1 uniform symbol
-        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * 4)
+        width = FrameSimulator(c).shard_width
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 64 * width)
         sim = FrameSimulator(c, 4)
         assert sim.shard_size == 64
         threaded = sim.run(300, threads=4)
@@ -272,6 +273,76 @@ class TestChannelSampling:
         # five binomial standard deviations; exact where expected is 0 or 1
         bound = 5 * np.sqrt(expected * (1 - expected) / shots) + 1e-12
         assert (np.abs(freqs - expected) <= bound).all(), (freqs, expected)
+
+
+class TestFiredPositions:
+    """frames.fired_positions: each position of range(count) present
+    independently with probability prob, drawn from geometric gaps."""
+
+    @pytest.mark.parametrize("count", [0, 1, 37, 5000])
+    def test_prob_zero_and_one_draw_nothing(self, count):
+        rng = np.random.default_rng(1)
+        state = rng.bit_generator.state
+        assert frames_module.fired_positions(rng, count, 0.0).tolist() == []
+        assert frames_module.fired_positions(rng, count, 1.0).tolist() == \
+            list(range(count))
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("prob", [1e-300, 1e-4, 0.02, 0.5, 0.999])
+    @pytest.mark.parametrize("count", [1, 2, 50, 100000])
+    def test_sorted_distinct_in_range(self, count, prob):
+        rng = np.random.default_rng(2)
+        for _ in range(20):
+            pos = frames_module.fired_positions(rng, count, prob)
+            assert pos.dtype == np.int64
+            assert (np.diff(pos) > 0).all()
+            assert len(pos) == 0 or (pos[0] >= 0 and pos[-1] < count)
+
+    @pytest.mark.parametrize("count,prob", [(1000, 0.05), (40, 0.5),
+                                            (3000, 0.002), (10, 0.1)])
+    def test_count_and_positions_follow_bernoulli(self, count, prob):
+        """Over 4000 draws: the fired count's mean and variance match
+        Binomial(count, prob) within five standard errors (normal
+        approximation), and every
+        position fires within five binomial standard deviations of
+        4000 * prob."""
+        reps = 4000
+        rng = np.random.default_rng(3)
+        hits = np.zeros(count, dtype=np.int64)
+        sizes = np.empty(reps)
+        for r in range(reps):
+            pos = frames_module.fired_positions(rng, count, prob)
+            hits[pos] += 1
+            sizes[r] = len(pos)
+        mean, var = count * prob, count * prob * (1 - prob)
+        assert abs(sizes.mean() - mean) <= 5 * np.sqrt(var / reps)
+        assert abs(sizes.var(ddof=1) - var) <= 5 * var * np.sqrt(2 / (reps - 1))
+        spread = np.sqrt(reps * prob * (1 - prob))
+        assert np.abs(hits - reps * prob).max() <= 5 * spread
+
+    def test_noise_fires_evenly_across_shard_boundaries(self, monkeypatch):
+        """Two N1 locations read by their own M, in shards of 7 shots:
+        each (location, shot within the shard) fires at prob, and the two
+        locations fire together at prob**2, within five binomial standard
+        deviations."""
+        prob, size, shards = 0.2, 7, 6000
+        c = Circuit(2, 3)
+        for j in range(2):
+            c.add_gate("N1", j, noise_channel="f", prob=prob)
+        for j in range(2):
+            c.add_gate("M", j)
+        width = FrameSimulator(c).shard_width
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES",
+                            size * width)
+        sim = FrameSimulator(c, 5)
+        assert sim.shard_size == size
+        fired = (sim.run(size * shards) != 0).reshape(shards, size, 2)
+        freq = fired.mean(axis=0)
+        assert np.abs(freq - prob).max() <= 5 * np.sqrt(
+            prob * (1 - prob) / shards)
+        both = fired.all(axis=2).mean()
+        assert abs(both - prob ** 2) <= 5 * np.sqrt(
+            prob ** 2 * (1 - prob ** 2) / (size * shards))
 
 
 def sample_tvd_bound(pooled, n1, n2, factor=4.0):

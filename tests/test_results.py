@@ -19,9 +19,8 @@ from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
-from quditsim.frames import (OUTCOME_SHARD_ENTRIES, FrameSimulator,
-                             OutcomeMap, _start_tableau, compile_circuit,
-                             draw_symbols, sample_outcomes)
+from quditsim.frames import (FrameSimulator, OutcomeMap, _start_tableau,
+                             compile_circuit, draw_symbols, sample_outcomes)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
 from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
@@ -95,8 +94,8 @@ def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
     """
     start = initial_tableau or _start_tableau(circuit)
     omap = compile_circuit(circuit, start)
-    width = len(omap.const) + len(omap.uniform) + len(omap.noise)
-    assert shots <= OUTCOME_SHARD_ENTRIES // max(1, width)  # one shard
+    assert shots <= FrameSimulator(
+        circuit, initial_tableau=initial_tableau).shard_size  # one shard
     result = run_circuit(circuit, shots, seed, "tableau",
                          initial_tableau=initial_tableau)
     _, (loc, shot, a, b) = draw_symbols(omap, np.random.default_rng(seed),
@@ -335,7 +334,7 @@ class TestRunDigests:
         shots = 3 * FrameSimulator(circuit).shard_size
         result = run_circuit(circuit, shots, 17, "frames")
         assert self.digest(result.outcomes) == (
-            "e80d31a12ff9175d4be56e7df467a274f0130148c21fb640888317eceb5f4a6b")
+            "1a0af6b05fbda7d523c0704709d9c55f91f6706d258122a09f21280f4353bae7")
 
     def test_tableau_composite_with_resets(self):
         circuit = reset_corpus_circuit(4, np.random.default_rng(404),
@@ -345,7 +344,7 @@ class TestRunDigests:
         assert any(a == "M" and b != "M" for a, b in zip(names, names[1:]))
         result = run_circuit(circuit, 2000, 19, "tableau")
         assert self.digest(result.outcomes) == (
-            "4d4ed5e7fc995b2da9e3b8f101379ce56dc7a33937ac5dd660e115cfc5375ae3")
+            "a9b088ee9ed53cee0b0130b806e42f0c4b4415b9172cd0e8593f51bd9882cd85")
 
     def test_statevector_per_shot(self):
         circuit = reset_corpus_circuit(3, np.random.default_rng(303),

@@ -14,7 +14,7 @@ from quditsim.circuit import Circuit
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
-from quditsim.frames import FrameSimulator, _start_tableau, compile_circuit
+from quditsim.frames import FrameSimulator
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau
@@ -319,10 +319,8 @@ class TestBatchedTableau:
     @staticmethod
     def outcome_shards_of(monkeypatch, c, shots):
         """Make the compiled tableau sample c in shards of `shots` shots."""
-        omap = compile_circuit(c, _start_tableau(c))
-        width = len(omap.const) + len(omap.uniform) + len(omap.noise)
         monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES",
-                            shots * width)
+                            shots * FrameSimulator(c).shard_width)
 
     def test_thread_count_invariance(self, monkeypatch):
         c = self.noisy_circuit()
