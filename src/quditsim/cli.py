@@ -13,7 +13,7 @@ error, 6 memory cap exceeded, 7 internal error.  Results go to stdout;
 wall-clock timing and diagnostics go to stderr so identical inputs and
 seeds produce byte-identical output.  The library calls return reports;
 this module writes every file: validate, rb and lrbd open --csv and
---manifest (stdout's JSON text) before the run and fill them before output.
+--manifest (stdout's JSON text) before the run and fill them after it.
 """
 
 from __future__ import annotations
@@ -184,8 +184,7 @@ def _cmd_run(args) -> int:
     started = time.perf_counter()
     result = run_circuit(circuit, shots=args.shots, seed=args.seed,
                          method=args.method, threads=threads)
-    elapsed = time.perf_counter() - started
-    print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
+    print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     if args.out == "json":
         _write_json(result, args.seed)
     elif args.out == "counts":
@@ -235,20 +234,23 @@ def _csv_rows(report: dict) -> list:
 
 
 def _cmd_report(command, args) -> int:
-    """Open --csv and --manifest, so that an unwritable path fails first; run
-    command(args, threads), write its report there as CSV rows and as JSON,
-    then print the run's elapsed time to stderr and the JSON to stdout."""
+    """Run command(args, threads); overwrite --csv and --manifest with its
+    report as CSV rows and JSON, print the elapsed time to stderr and the
+    JSON to stdout.  The files are opened to append first: an unwritable
+    path fails before the run, and a failed run leaves them as they were."""
     threads = _threads_from(args)
     manifest = getattr(args, "manifest", None)
-    with (open(args.csv, "w", newline="") if args.csv else nullcontext()) as table, \
-            (open(manifest, "w") if manifest else nullcontext()) as saved:
+    with (open(args.csv, "a", newline="") if args.csv else nullcontext()) as table, \
+            (open(manifest, "a") if manifest else nullcontext()) as saved:
         started = time.perf_counter()
         report = command(args, threads)
         elapsed = time.perf_counter() - started
         text = json.dumps(report, indent=2, sort_keys=True) + "\n"
         if table:
+            table.truncate(0)
             csv.writer(table).writerows(_csv_rows(report))
         if saved:
+            saved.truncate(0)
             saved.write(text)
     print(f"elapsed {elapsed:.3f}s", file=sys.stderr)
     sys.stdout.write(text)

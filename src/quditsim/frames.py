@@ -11,8 +11,8 @@ reference run on a concrete tableau (a Tableau for odd prime d, a
 weyl.WeylTableau otherwise) and its symbol entries, the frame, from one
 pass that carries every measured Z back through the circuit, after Stim's
 error analysis (Gidney 2021).  A shard of shots then only draws its
-symbols and adds their entries to the constants (sample_outcomes), so no
-instruction is replayed per shot.
+symbols and adds their entries to the constants (_Layout.sample), so no
+instruction is replayed per shot.  sample_outcomes samples one shard.
 
 FrameSimulator makes one generator from its seed and works out once what
 every shard reads; run draws shards of shard_size shots from it in order,
@@ -46,7 +46,7 @@ from .weyl import WeylTableau
 # entries than this (2 GiB of int64); check_outcome_entries refuses it first.
 MAX_OUTCOME_ENTRIES = 1 << 28
 
-# A FrameSimulator shard touches at most this many int64 entries, shard_width
+# A FrameSimulator shard allocates about this many int64 entries, shard_width
 # per shot (512 KiB per temporary): glibc then reuses one shard's freed
 # temporaries for the next instead of trimming the heap and re-faulting them.
 OUTCOME_SHARD_ENTRIES = 1 << 16
@@ -91,8 +91,7 @@ def fired_positions(rng, count: int, prob: float) -> np.ndarray:
     parts, last, mean = [np.zeros(0, dtype=np.int64)], -1, count * prob
     while prob > 0 and last + 1 < count:
         gaps = rng.geometric(prob, int(mean + 4 * mean ** 0.5) + 8)
-        # a gap of count + 1 passes count from any start; the cap keeps the
-        # sums in int64
+        # capped at count + 1, a gap still passes count; sums stay in int64
         parts.append(last + np.cumsum(np.minimum(gaps, count + 1)))
         last = parts[-1][-1]
     pos = np.concatenate(parts)
@@ -122,9 +121,8 @@ def _ranges(start, count):
 class _Layout:
     """What every shard of an OutcomeMap reads, worked out once: the uniform
     symbols' entries (draw row, slot, coeff) and, per N1 location, its first
-    entry and how many its a and b symbols have.  A location's two symbols
-    are consecutive, so its entries are too: a's, then b's.  width: int64
-    entries per shot, for outcomes, uniform entries and expected noise."""
+    entry and how many its a and b symbols have (its entries run a's, then
+    b's).  width: the int64 entries a shard allocates per shot."""
 
     def __init__(self, omap):
         self.omap = omap
@@ -136,9 +134,10 @@ class _Layout:
         self.noise_start = start[omap.noise[:, 0]]
         self.noise_count = count[omap.noise]
         self.noise_total = self.noise_count.sum(axis=1)
-        fired = sum(prob * self.noise_total[locs].sum()
+        fired = sum(prob * (len(locs) + self.noise_total[locs].sum())
                     for (_, prob), locs in omap.noise_groups)
-        self.width = max(1, len(omap.const) + len(self.which) + ceil(fired))
+        self.width = max(1, len(omap.const) + len(omap.uniform)
+                         + len(self.which) + ceil(fired))
 
     def sample(self, rng, out) -> None:
         """Draw len(out) shots into out, C-contiguous (shots, M) int64 rows:
@@ -359,10 +358,9 @@ class FrameSimulator:
         self.op_count = 0
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
-        """Outcome matrix of shape (shots, num_measurements), dtype int64,
-        drawn in shards from the simulator's one generator, so a later call
-        continues where this one stops; threads is checked but changes
-        nothing."""
+        """(shots, num_measurements) int64 outcomes, drawn in shards from the
+        simulator's one generator, so a later call continues where this one
+        stops; threads is checked but changes nothing."""
         shots = integral(shots, "shots")
         if shots < 1:
             raise ValueError(f"shots must be >= 1, got {shots}")

@@ -10,6 +10,7 @@ import sys
 import pytest
 
 from quditsim import cli
+from quditsim.errors import MemoryCapError
 
 CLI = [sys.executable, "-m", "quditsim"]
 
@@ -435,6 +436,30 @@ class TestBenchmarkCommands:
         out, err = capsys.readouterr()
         assert calls == [] and out == ""
         assert len(err.splitlines()) == 1 and err.startswith("file error:")
+
+    def test_failed_run_leaves_files_and_a_run_replaces_them(
+            self, tmp_path, monkeypatch, capsys):
+        """A run that fails keeps an existing --csv and --manifest as they
+        were; a run that succeeds replaces their contents."""
+        table, saved = tmp_path / "x.csv", tmp_path / "x.json"
+        argv = ["rb", "--p", "0.05", "--depths", "0,2", "--circuits", "1",
+                "--shots", "20", "--seed", "1", "--csv", str(table),
+                "--manifest", str(saved)]
+        table.write_text("old table, much longer than the new one\n" * 50)
+        saved.write_text("old manifest\n")
+
+        def fail(*args, **kwargs):
+            raise MemoryCapError("too big")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "run_rb", fail)
+            assert cli.main(argv) == 6
+        assert table.read_text().startswith("old table")
+        assert saved.read_text() == "old manifest\n"
+        capsys.readouterr()
+        assert cli.main(argv) == 0
+        assert saved.read_text() == capsys.readouterr().out
+        assert table.read_text().startswith("depth,")
 
     def test_one_distinct_depth_is_not_fitted(self):
         """A depth list with one distinct depth gives a report, not a fit."""

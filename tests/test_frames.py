@@ -1,6 +1,7 @@
 """Tests for the Pauli-frame Monte Carlo sampler."""
 
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -238,6 +239,47 @@ class TestInputChecks:
         threaded = sim.run(300, threads=4)
         assert np.array_equal(FrameSimulator(c, 4).run(300, threads=1),
                               threaded)
+
+
+def resets_then_m(pairs):
+    """H, RESET pairs on one qutrit, then M: every RESET is random and its
+    uniform symbol has no entries."""
+    c = Circuit(1, 3)
+    for _ in range(pairs):
+        c.add_gate("H", 0)
+        c.add_gate("RESET", 0)
+    c.add_gate("M", 0)
+    return c
+
+
+def noise_after_m(locations):
+    """M on one qutrit, then N1 locations at p = 0.5 that no slot reads."""
+    c = Circuit(1, 3)
+    c.add_gate("M", 0)
+    for _ in range(locations):
+        c.add_gate("N1", 0, noise_channel="d", prob=0.5)
+    return c
+
+
+class TestShardMemory:
+    """A shard allocates about OUTCOME_SHARD_ENTRIES int64 entries per
+    array, also for symbols and locations that reach no slot."""
+
+    @pytest.mark.parametrize("circuit", [resets_then_m(500),
+                                         noise_after_m(1000),
+                                         build_ghz_chain(6, 3, measure=True)])
+    def test_shard_peak_stays_near_the_budget(self, circuit, monkeypatch):
+        entries = 1 << 12
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", entries)
+        sim = FrameSimulator(circuit, 1)
+        tracemalloc.start()
+        try:
+            sim.run(3 * sim.shard_size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # sizing by outcomes and entries alone gave 500x and 4500x here
+        assert peak <= 16 * 8 * entries
 
 
 def observed_component(kind, prob, d, read):

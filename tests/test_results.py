@@ -334,7 +334,7 @@ class TestRunDigests:
         shots = 3 * FrameSimulator(circuit).shard_size
         result = run_circuit(circuit, shots, 17, "frames")
         assert self.digest(result.outcomes) == (
-            "1a0af6b05fbda7d523c0704709d9c55f91f6706d258122a09f21280f4353bae7")
+            "45c011c7bcffbf2080997d777238ea5925ce5e99b528b22b91b219a8c3a2b6eb")
 
     def test_tableau_composite_with_resets(self):
         circuit = reset_corpus_circuit(4, np.random.default_rng(404),
@@ -344,7 +344,7 @@ class TestRunDigests:
         assert any(a == "M" and b != "M" for a, b in zip(names, names[1:]))
         result = run_circuit(circuit, 2000, 19, "tableau")
         assert self.digest(result.outcomes) == (
-            "a9b088ee9ed53cee0b0130b806e42f0c4b4415b9172cd0e8593f51bd9882cd85")
+            "7ad99b9ae1edd02780c396fb7d85e4b25b2f0b01e02434ada353e0225d5eaaab")
 
     def test_statevector_per_shot(self):
         circuit = reset_corpus_circuit(3, np.random.default_rng(303),
