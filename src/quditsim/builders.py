@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import Circuit
-from .errors import ShapeError
+from .errors import ShapeError, integral
 from .gates import SINGLE_QUDIT_GATES
 from .noise import NOISE_KINDS
 from .pauli import _as_dimension
@@ -88,11 +88,10 @@ def build_bernstein_vazirani(d, secret) -> Circuit:
 def build_local_gate_test(n: int = 7, *, d, depth: int,
                           rng: np.random.Generator) -> Circuit:
     """depth random single-qudit gates per qudit, a SUM chain, measure all."""
-    if depth < 0:
-        raise ShapeError(f"depth must be nonnegative, got {depth}")
+    depth = integral(depth, "depth", ShapeError, minimum=0)
     circuit = Circuit(n, d)
     for j in range(n):
-        for name in rng.choice(SINGLE_QUDIT_GATES, size=int(depth)):
+        for name in rng.choice(SINGLE_QUDIT_GATES, size=depth):
             circuit.add_gate(str(name), j)
     for j in range(n - 1):
         circuit.add_gate("SUM", j, j + 1)
@@ -113,10 +112,11 @@ def build_random_clifford_circuit(n: int, d, depth: int, rng: np.random.Generato
     noise, when given, is a (kind, prob) pair appended as N1 after every gate
     on each touched qudit.
     """
+    depth = integral(depth, "depth", ShapeError, minimum=0)
     circuit = Circuit(n, d)
     if noise is not None and noise[0] not in NOISE_KINDS:
         raise ShapeError(f"noise kind must be one of {NOISE_KINDS}")
-    for _ in range(int(depth)):
+    for _ in range(depth):
         touched = []
         if n >= 2 and rng.random() < two_qudit_prob:
             c, t = rng.choice(n, size=2, replace=False)

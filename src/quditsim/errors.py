@@ -47,12 +47,17 @@ class ParseError(QuditSimError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def integral(value, what: str = "value", error=ValueError) -> int:
+def integral(value, what: str = "value", error=ValueError,
+             minimum: int = None) -> int:
     """int(value) for ints, numpy integers, integral floats and integer
-    strings; error(...) for anything that int() would truncate or refuse."""
+    strings; error(...) for anything that int() would truncate or refuse,
+    and for a value below minimum when one is given."""
     try:
-        if isinstance(value, str) or int(value) == value:
-            return int(value)
+        number = int(value)
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise error(f"{what} must be an integer, got {value!r}")
+        number = None
+    if number is None or not isinstance(value, str) and number != value:
+        raise error(f"{what} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise error(f"{what} must be >= {minimum}, got {number}")
+    return number

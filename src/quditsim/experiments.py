@@ -235,17 +235,14 @@ class RBConfig:
     p: float
 
     def __post_init__(self):
-        depths = tuple(integral(D, "depth", ShapeError) for D in self.depths)
+        depths = tuple(integral(D, "depth", ShapeError, minimum=0)
+                       for D in self.depths)
         if len(depths) == 0:
             raise ShapeError("depths must not be empty")
-        if any(D < 0 for D in depths):
-            raise ShapeError("depths must be nonnegative")
         object.__setattr__(self, "depths", depths)
         for name in ("circuits_per_depth", "shots"):
-            value = integral(getattr(self, name), name, ShapeError)
-            if value < 1:
-                raise ShapeError(f"{name} must be >= 1, got {value}")
-            object.__setattr__(self, name, value)
+            object.__setattr__(self, name, integral(getattr(self, name), name,
+                                                    ShapeError, minimum=1))
         if not 0.0 <= self.p <= 1.0:
             raise ShapeError("p must lie in [0, 1]")
 
@@ -264,8 +261,9 @@ def rb_fidelity(dist: OutcomeDistribution) -> float:
 def build_rb_circuit(d, depth: int, p: float, rng: np.random.Generator) -> Circuit:
     """depth random generator gates with a channel event after each, the
     noiseless reversed-inverse block, one more channel event, and a readout."""
+    depth = integral(depth, "depth", ShapeError, minimum=0)
     circuit = Circuit(1, d)
-    names = [str(g) for g in rng.choice(SINGLE_QUDIT_GATES, size=int(depth))]
+    names = [str(g) for g in rng.choice(SINGLE_QUDIT_GATES, size=depth)]
     for name in names:
         circuit.add_gate(name, 0)
         circuit.add_gate("N1", 0, noise_channel="d", prob=p)
@@ -364,6 +362,14 @@ class DetectionCode:
     logical_z: PauliString
 
     def __post_init__(self):
+        fields = [(f"stabilizers[{i}]", g)
+                  for i, g in enumerate(self.stabilizers)]
+        for name, p in fields + [("logical_x", self.logical_x),
+                                 ("logical_z", self.logical_z)]:
+            if p.n != self.n or p.dimension.d != self.d:
+                raise ShapeError(
+                    f"{name} acts on {p.n} qudits of dimension "
+                    f"{p.dimension.d}, but the code has n={self.n}, d={self.d}")
         for i, gi in enumerate(self.stabilizers):
             for gj in self.stabilizers[i + 1:]:
                 c = gi.commutation_exponent(gj)
@@ -394,97 +400,54 @@ def qutrit_detection_code() -> DetectionCode:
                          z_string([1, 0, 1, 0, 0]))
 
 
-def _conjugate_single(name: str, r: int, x: int, z: int, d: int):
-    """Image of omega^r X^x Z^z under conjugation by one generator gate."""
-    gate = GATES[name]
-    r = (r + gate.omega(x, z, d)) % d
-    if gate.cols is not None:
-        x, z = gate.cols(np.int64(x), np.int64(z), d)
-    return r, int(x), int(z)
-
-
-_V_WORD_CACHE = {}
-
-
-def _v_word(d: int, a: int, b: int) -> tuple:
-    """Shortest gate word V (instruction order) with V X V^dagger = X^a Z^b,
-    phase exponent exactly zero."""
-    a, b = a % d, b % d
-    if (a, b) == (0, 0):
-        raise ShapeError("identity factor has no conjugating word")
-    key = (d, a, b)
-    if key in _V_WORD_CACHE:
-        return _V_WORD_CACHE[key]
-    start = (0, 1, 0)
-    seen = {start: ()}
-    frontier = [start]
-    target = None
-    while frontier and target is None:
-        nxt = []
-        for state in frontier:
-            for gate in SINGLE_QUDIT_GATES:
-                new = _conjugate_single(gate, *state, d)
-                if new in seen:
-                    continue
-                seen[new] = seen[state] + (gate,)
-                if new[1] == a and new[2] == b:
-                    target = new
-                    break
-                nxt.append(new)
-            if target is not None:
-                break
-        frontier = nxt
-    if target is None:
-        raise ShapeError(f"factor X^{a} Z^{b} not reachable for d={d}")
-    word = list(seen[target])
-    r = target[0]
-    if r:
-        # cancel the leftover phase with appended X or Z powers
-        if b:
-            s = (r * pow(b, -1, d)) % d
-            word.extend(["X"] * s)
-        else:
-            t = (-r * pow(a, -1, d)) % d
-            word.extend(["Z"] * t)
-    check = (0, 1, 0)
-    for gate in word:
-        check = _conjugate_single(gate, *check, d)
-    assert check == (0, a, b), "phase fix failed"
-    _V_WORD_CACHE[key] = tuple(word)
-    return tuple(word)
+def _pauli_power_gates(circuit: Circuit, gate: str, inv: str, power: int,
+                       d: int, *qudits) -> None:
+    """Append gate^power on qudits, or inv^(d - power) when that is shorter."""
+    power %= d
+    name, count = (gate, power) if power <= d - power else (inv, d - power)
+    for _ in range(count):
+        circuit.add_gate(name, *qudits)
 
 
 def build_syndrome_gadget(pauli: PauliString, ancilla: int = None) -> Circuit:
-    """Non-destructive eigenvalue-exponent readout of a phase-free Pauli.
+    """Non-destructive eigenvalue-exponent readout of a Pauli Q = w^r X^x Z^z.
 
     The ancilla (default: one fresh qudit appended after the data register)
-    is prepared with F, coupled to each non-identity factor by a SUM
-    conjugated through the basis change mapping X to that factor, rotated
-    back with F_INV, and measured.  On a stabilized input the outcome is 0
-    and the data state is untouched.
+    is prepared with F, controls Q, is rotated back with F_INV and measured;
+    on an eigenstate of Q with eigenvalue w^s it reads s, and the data
+    state is untouched.  The controlled Pauli sum_k |k><k| (x) Q^k is
+    written factor by factor in closed form.  On qudit q with factor
+    X^a Z^b, in this order:
+
+    - controlled Z^b is SUM(anc, q)^b conjugated by the Fourier gate
+      (F_INV q, the SUM power, F q);
+    - controlled X^a is SUM(anc, q)^a;
+    - P^(ab) on the ancilla, because these two give X^(ak) Z^(bk) on
+      control value k, while (X^a Z^b)^k = w^(ab k(k-1)/2) X^(ak) Z^(bk)
+      and P = diag(w^(k(k-1)/2)).
+
+    Z^r on the ancilla then adds the phase w^(rk).  Every power is written
+    as gate^m or as the inverse gate^(d-m), whichever is shorter.
     """
     dim = pauli.dimension
     if not dim.is_odd_prime:
         raise DimensionError(
             f"syndrome gadgets require an odd prime dimension, got d={dim.d}")
-    n = pauli.n
-    anc = n if ancilla is None else int(ancilla)
+    d, n = dim.d, pauli.n
+    anc = n if ancilla is None else integral(ancilla, "ancilla", ShapeError)
     if anc < n:
         raise ShapeError(f"ancilla index {anc} collides with the data register")
     circuit = Circuit(anc + 1, dim)
     circuit.add_gate("F", anc)
     for q in range(n):
-        a, b = int(pauli.x[q]) % dim.d, int(pauli.z[q]) % dim.d
-        if a == 0 and b == 0:
-            continue
-        word = _v_word(dim.d, a, b)
-        for gate in reversed(word):
-            circuit.add_gate(GATES[gate].inverse, q)
-        circuit.add_gate("SUM", anc, q)
-        for gate in word:
-            circuit.add_gate(gate, q)
-    for _ in range(int(pauli.r) % dim.d):
-        circuit.add_gate("Z", anc)
+        a, b = int(pauli.x[q]), int(pauli.z[q])
+        if b % d:
+            circuit.add_gate("F_INV", q)
+            _pauli_power_gates(circuit, "SUM", "SUM_INV", b, d, anc, q)
+            circuit.add_gate("F", q)
+        _pauli_power_gates(circuit, "SUM", "SUM_INV", a, d, anc, q)
+        _pauli_power_gates(circuit, "P", "P_INV", a * b, d, anc)
+    _pauli_power_gates(circuit, "Z", "Z_INV", int(pauli.r), d, anc)
     circuit.add_gate("F_INV", anc)
     circuit.add_gate("M", anc)
     circuit.metadata["family"] = f"syndrome_gadget_{pauli}"
@@ -499,19 +462,6 @@ def _pad_pauli(p: PauliString, n: int) -> PauliString:
     x[:p.n] = p.x
     z[:p.n] = p.z
     return PauliString(p.dimension, x, z, int(p.r))
-
-
-def _pauli_power_gates(circuit: Circuit, qudit: int, gate: str, inv: str,
-                       power: int, d: int) -> None:
-    power %= d
-    if power == 0:
-        return
-    if power <= d - power:
-        for _ in range(power):
-            circuit.add_gate(gate, qudit)
-    else:
-        for _ in range(d - power):
-            circuit.add_gate(inv, qudit)
 
 
 def code_initial_tableau(code: DetectionCode) -> Tableau:
@@ -543,8 +493,8 @@ def _logical_pauli(circuit: Circuit, code: DetectionCode, a: int, b: int) -> Non
         for gate, inv, exponents in (("X", "X_INV", logical.x),
                                      ("Z", "Z_INV", logical.z)):
             for q in range(code.n):
-                _pauli_power_gates(circuit, q, gate, inv,
-                                   power * int(exponents[q]), code.d)
+                _pauli_power_gates(circuit, gate, inv,
+                                   power * int(exponents[q]), code.d, q)
 
 
 def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
@@ -554,12 +504,13 @@ def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
     noiseless inverse, a final channel round, syndrome gadgets on the chosen
     stabilizer subset (ancilla reset before each), and a data readout."""
     selected = _selected_stabilizers(code, postselect)
+    depth = integral(depth, "depth", ShapeError, minimum=0)
     d = code.d
     n = code.n
     anc = n
     circuit = Circuit(n + 1, d)
     net_a = net_b = 0
-    for _ in range(int(depth)):
+    for _ in range(depth):
         a, b = int(rng.integers(d)), int(rng.integers(d))
         net_a = (net_a + a) % d
         net_b = (net_b + b) % d
@@ -571,10 +522,8 @@ def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
         circuit.add_gate("N1", q, noise_channel="d", prob=p)
     for stab in selected:
         circuit.add_gate("RESET", anc)
-        gadget = build_syndrome_gadget(stab, ancilla=anc)
-        for ins in gadget.instructions:
-            circuit.add_gate(ins.name, *ins.qudits,
-                             noise_channel=ins.noise_channel, prob=ins.prob)
+        for ins in build_syndrome_gadget(stab, ancilla=anc).instructions:
+            circuit.add_gate(ins.name, *ins.qudits)
     for q in range(n):
         circuit.add_gate("M", q)
     circuit.metadata["family"] = f"lrbd_depth{depth}_{postselect}"

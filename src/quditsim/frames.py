@@ -361,9 +361,7 @@ class FrameSimulator:
         """(shots, num_measurements) int64 outcomes, drawn in shards from the
         simulator's one generator, so a later call continues where this one
         stops; threads is checked but changes nothing."""
-        shots = integral(shots, "shots")
-        if shots < 1:
-            raise ValueError(f"shots must be >= 1, got {shots}")
+        shots = integral(shots, "shots", minimum=1)
         if threads is not None and threads < 1:
             raise ValueError(f"threads must be >= 1, got {threads}")
         check_outcome_entries(shots, len(self.omap.const))

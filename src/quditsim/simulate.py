@@ -221,9 +221,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     frames.MAX_OUTCOME_ENTRIES."""
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    shots = integral(shots, "shots")
-    if shots < 1:
-        raise ValueError(f"shots must be >= 1, got {shots}")
+    shots = integral(shots, "shots", minimum=1)
     if threads is not None and threads < 1:
         raise ValueError(f"threads must be >= 1, got {threads}")
     sampler = SAMPLERS[method]

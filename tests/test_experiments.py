@@ -6,7 +6,8 @@ import json
 import numpy as np
 import pytest
 
-from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
+from quditsim.builders import (build_ghz_chain, build_local_gate_test,
+                               build_random_clifford_circuit)
 from quditsim.circuit import Circuit
 from quditsim.errors import ShapeError, SupportMismatchError
 from quditsim.experiments import (
@@ -29,7 +30,6 @@ from quditsim.experiments import (
     tvd,
     validate_backend_pair,
     _depth_row,
-    _v_word,
 )
 from quditsim.pauli import Dimension, PauliString
 from quditsim.simulate import run_circuit
@@ -286,6 +286,28 @@ class TestRB:
             RBConfig(**kwargs)
 
 
+_BUILDERS = {
+    "rb": lambda depth: build_rb_circuit(3, depth, 0.0,
+                                         np.random.default_rng(1)),
+    "lrbd": lambda depth: build_lrb_d_circuit(qutrit_detection_code(), depth,
+                                              0.0, np.random.default_rng(1)),
+    "random_clifford": lambda depth: build_random_clifford_circuit(
+        2, 3, depth, np.random.default_rng(1)),
+    "local_gate_test": lambda depth: build_local_gate_test(
+        2, d=3, depth=depth, rng=np.random.default_rng(1)),
+}
+
+
+@pytest.mark.parametrize("builder", sorted(_BUILDERS))
+@pytest.mark.parametrize("depth, match", [
+    (2.5, "depth must be an integer, got 2.5"),
+    (-1, "depth must be >= 0, got -1"),
+], ids=["fractional", "negative"])
+def test_builders_reject_bad_depth(builder, depth, match):
+    with pytest.raises(ShapeError, match=match):
+        _BUILDERS[builder](depth)
+
+
 class TestDetectionCode:
     """Five-qutrit detection code and its derived logicals."""
 
@@ -333,6 +355,18 @@ class TestDetectionCode:
         tab.check_invariants()
         assert tab.n == 6
 
+    @pytest.mark.parametrize("n, d, logical_n, field", [
+        (4, 3, 4, r"stabilizers\[0\] acts on 5 qudits of dimension 3"),
+        (5, 5, 5, r"stabilizers\[0\] acts on 5 qudits of dimension 3"),
+        (5, 3, 6, r"logical_x acts on 6 qudits"),
+    ], ids=["n", "d", "logical"])
+    def test_paulis_must_match_n_and_d(self, n, d, logical_n, field):
+        code = qutrit_detection_code()
+        logical_x = PauliString(Dimension(3), [2, 0, 0, 2, 0, 0][:logical_n],
+                                [0] * logical_n)
+        with pytest.raises(ShapeError, match=field):
+            DetectionCode(n, d, code.stabilizers, logical_x, code.logical_z)
+
     def test_bad_code_rejected(self):
         d = Dimension(3)
         x = PauliString.single(2, d, 0, x=1)
@@ -344,20 +378,36 @@ class TestDetectionCode:
 class TestSyndromeGadget:
     """Ancilla-coupled eigenvalue readout."""
 
-    @pytest.mark.parametrize("d", [3, 5])
-    def test_basis_change_words(self, d):
-        # each word W, applied in instruction order, maps X to X^a Z^b
-        # with no leftover phase
-        x = pauli_matrix(PauliString.single(1, Dimension(d), 0, x=1))
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_controlled_pauli(self, d):
+        # between the ancilla's F and F_INV, the gadget of w^r X^a Z^b on
+        # qudit 0 (ancilla 1) is sum_k |k><k| (x) (w^r X^a Z^b)^k exactly;
+        # the dense basis is ancilla-major, so SUM(1, 0) is gate_matrix("SUM")
+        eye = np.eye(d)
         for a in range(d):
             for b in range(d):
                 if (a, b) == (0, 0):
                     continue
-                u = np.eye(d)
-                for gate in _v_word(d, a, b):
-                    u = gate_matrix(gate, d) @ u
-                want = pauli_matrix(PauliString.single(1, Dimension(d), 0, a, b))
-                assert np.allclose(u @ x @ u.conj().T, want), (a, b)
+                for r in range(d):
+                    pauli = PauliString(Dimension(d), [a], [b], r)
+                    gadget = build_syndrome_gadget(pauli).instructions
+                    assert [ins.name for ins in gadget[:1] + gadget[-2:]] \
+                        == ["F", "F_INV", "M"]
+                    u = np.eye(d * d)
+                    for ins in gadget[1:-2]:
+                        g = gate_matrix(ins.name, d)
+                        if ins.qudits == (1, 0):
+                            u = g @ u
+                        elif ins.qudits == (1,):
+                            u = np.kron(g, eye) @ u
+                        else:
+                            u = np.kron(eye, g) @ u
+                    m = pauli_matrix(pauli)
+                    want = np.zeros((d * d, d * d), dtype=complex)
+                    for k in range(d):
+                        want[k * d:(k + 1) * d, k * d:(k + 1) * d] = \
+                            np.linalg.matrix_power(m, k)
+                    assert np.allclose(u, want, atol=1e-9), (a, b, r)
 
     def gadget_outcome(self, prep, stab, seed=0):
         """Measure a stabilizer eigenvalue after prep errors on the code state."""
@@ -402,16 +452,27 @@ class TestSyndromeGadget:
 
     def test_gadget_shape(self):
         code = qutrit_detection_code()
-        gadget = build_syndrome_gadget(code.stabilizers[0], ancilla=5)
-        names = [ins.name for ins in gadget.instructions]
-        assert names[0] == "F"
-        assert names[-1] == "M"
-        assert names.count("SUM") == 3  # one per non-identity factor
+        for stab in code.stabilizers:
+            gadget = build_syndrome_gadget(stab, ancilla=5)
+            names = [ins.name for ins in gadget.instructions]
+            assert names[0] == "F"
+            assert names[-2:] == ["F_INV", "M"]
+            # one SUM or SUM_INV per non-identity factor
+            factors = sum(1 for x, z in zip(stab.x, stab.z) if x or z)
+            assert names.count("SUM") + names.count("SUM_INV") == factors
 
     def test_requires_room_for_ancilla(self):
         with pytest.raises(ShapeError):
             build_syndrome_gadget(
                 PauliString.single(2, Dimension(3), 0, z=1), ancilla=1)
+
+    @pytest.mark.parametrize("ancilla, match", [
+        (2.5, "ancilla must be an integer"), (-1, "collides")],
+        ids=["fractional", "negative"])
+    def test_rejects_bad_ancilla(self, ancilla, match):
+        with pytest.raises(ShapeError, match=match):
+            build_syndrome_gadget(
+                PauliString.single(2, Dimension(3), 0, z=1), ancilla=ancilla)
 
 
 class TestLRBD:
