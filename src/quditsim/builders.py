@@ -32,14 +32,15 @@ def build_deutsch_jozsa(d, constant: bool = True, constant_value: int = 0) -> Ci
     constant=False it encodes the balanced f(x) = x and reads d-1.
     """
     dim = _as_dimension(d)
-    if constant and not 0 <= int(constant_value) < dim.d:
+    value = integral(constant_value, "constant_value", ShapeError) if constant else 0
+    if not 0 <= value < dim.d:
         raise ShapeError(f"constant_value must lie in [0, {dim.d})")
     circuit = Circuit(2, dim)
     circuit.add_gate("F", 0)
     circuit.add_gate("X", 1)
     circuit.add_gate("F", 1)
     if constant:
-        for _ in range(int(constant_value)):
+        for _ in range(value):
             circuit.add_gate("X", 1)
     else:
         circuit.add_gate("SUM", 0, 1)

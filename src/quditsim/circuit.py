@@ -75,9 +75,7 @@ class Circuit:
 
     def __init__(self, num_qudits: int, dimension):
         dim = _as_dimension(dimension)
-        num_qudits = integral(num_qudits, "qudit count", ShapeError)
-        if num_qudits < 1:
-            raise ShapeError(f"need at least 1 qudit, got {num_qudits}")
+        num_qudits = integral(num_qudits, "qudit count", ShapeError, minimum=1)
         self.num_qudits = num_qudits
         self.dimension = dim
         self.instructions: list[Instruction] = []

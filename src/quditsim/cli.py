@@ -37,7 +37,7 @@ from .errors import MemoryCapError, ParseError, QuditSimError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
 from .pauli import Dimension
-from .simulate import METHODS, SAMPLERS, run_circuit
+from .simulate import METHODS, _check_method_pair, run_circuit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -296,10 +296,10 @@ def _methods_pair(text: str):
     if len(parts) != 2 or any(p not in METHODS for p in parts):
         raise argparse.ArgumentTypeError(
             f"expected two of {METHODS} separated by a comma, got {text!r}")
-    # such a pair passes whatever that sampler does
-    if SAMPLERS[parts[0]] == SAMPLERS[parts[1]]:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} compares one sampler with itself")
+    try:
+        _check_method_pair(*parts)
+    except ValueError as err:
+        raise argparse.ArgumentTypeError(str(err)) from None
     return parts
 
 

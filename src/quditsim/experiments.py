@@ -10,7 +10,8 @@ Four groups of tools:
   sequences, noiseless inversion, omega-weighted fidelity, and a log-linear
   decay fit;
 - a five-qutrit distance-2 detection code with syndrome-extraction gadgets
-  and a logical benchmarking variant that postselects on clean syndromes.
+  and a logical benchmarking variant: rounds of Pauli noise on the encoded
+  state, postselected on clean syndromes.
 
 Every experiment returns its report as a dict and writes no files; the
 command line (cli.py) writes the CSV and manifest files.
@@ -27,7 +28,7 @@ from .circuit import Circuit
 from .errors import DimensionError, ShapeError, SupportMismatchError, integral
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
-from .simulate import run_circuit
+from .simulate import _check_method_pair, run_circuit
 from .tableau import Tableau
 
 
@@ -121,7 +122,10 @@ def validate_backend_pair(circuits, method_a: str, method_b: str, shots: int,
     budgets the max over many uniform slots sits on the sampling noise floor
     even for identical distributions, while any real propagation bug corrupts
     most slots and moves the mean far above any plausible threshold.
+    A pair that names one sampler twice (tableau and frames) raises
+    ValueError, since it passes whatever that sampler does.
     """
+    _check_method_pair(method_a, method_b)
     if len(circuits) == 0:
         raise ShapeError("validate_backend_pair needs at least one circuit")
     ss = np.random.SeedSequence(seed)
@@ -486,43 +490,22 @@ def _selected_stabilizers(code: DetectionCode, postselect: str) -> tuple:
     raise ShapeError(f"postselect must be 'all' or 'x_only', got {postselect!r}")
 
 
-def _logical_pauli(circuit: Circuit, code: DetectionCode, a: int, b: int) -> None:
-    """Append logical X^a, then logical Z^b, as single-qudit X and Z powers
-    (up to a global phase)."""
-    for logical, power in ((code.logical_x, a), (code.logical_z, b)):
-        for gate, inv, exponents in (("X", "X_INV", logical.x),
-                                     ("Z", "Z_INV", logical.z)):
-            for q in range(code.n):
-                _pauli_power_gates(circuit, gate, inv,
-                                   power * int(exponents[q]), code.d, q)
-
-
 def build_lrb_d_circuit(code: DetectionCode, depth: int, p: float,
-                        rng: np.random.Generator,
                         postselect: str = "all") -> Circuit:
-    """Random logical-Pauli layers with per-qudit channel events, the
-    noiseless inverse, a final channel round, syndrome gadgets on the chosen
-    stabilizer subset (ancilla reset before each), and a data readout."""
+    """depth + 1 rounds of one depolarizing event per data qudit, syndrome
+    gadgets on the chosen stabilizers (ancilla reset before each) and a data
+    readout.  It holds no logical gates: a logical Pauli passes a Pauli
+    channel up to a phase, so logical Pauli layers would cancel."""
     selected = _selected_stabilizers(code, postselect)
     depth = integral(depth, "depth", ShapeError, minimum=0)
-    d = code.d
     n = code.n
-    anc = n
-    circuit = Circuit(n + 1, d)
-    net_a = net_b = 0
-    for _ in range(depth):
-        a, b = int(rng.integers(d)), int(rng.integers(d))
-        net_a = (net_a + a) % d
-        net_b = (net_b + b) % d
-        _logical_pauli(circuit, code, a, b)
+    circuit = Circuit(n + 1, code.d)
+    for _ in range(depth + 1):
         for q in range(n):
             circuit.add_gate("N1", q, noise_channel="d", prob=p)
-    _logical_pauli(circuit, code, -net_a, -net_b)
-    for q in range(n):
-        circuit.add_gate("N1", q, noise_channel="d", prob=p)
     for stab in selected:
-        circuit.add_gate("RESET", anc)
-        for ins in build_syndrome_gadget(stab, ancilla=anc).instructions:
+        circuit.add_gate("RESET", n)
+        for ins in build_syndrome_gadget(stab, ancilla=n).instructions:
             circuit.add_gate(ins.name, *ins.qudits)
     for q in range(n):
         circuit.add_gate("M", q)
@@ -539,7 +522,8 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     X-type stabilizers' for "x_only") are all zero survive; each circuit's
     fidelity is computed on the survivors' logical readout (the logical-Z
     weighted sum of data outcomes).  A depth with no surviving shots is
-    reported with missing fidelity.
+    reported with missing fidelity.  All circuits at one depth are alike,
+    so build ignores the generator that _sweep still spawns for it.
     """
     if code is None:
         code = qutrit_detection_code()
@@ -563,8 +547,8 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
 
     sweep = _sweep(
         cfg, seed,
-        lambda depth, rng: build_lrb_d_circuit(code, depth, cfg.p, rng,
-                                               postselect),
+        lambda depth, _rng: build_lrb_d_circuit(code, depth, cfg.p,
+                                                postselect),
         score, "frames", threads, code_initial_tableau(code))
     per_depth = []
     for depth, scores in sweep:

@@ -30,6 +30,7 @@ cols(x_c, z_c, x_t, z_t, m) returns the new (x_t, z_c).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -96,14 +97,19 @@ def operand_error(message: str, operand: int) -> ShapeError:
 
 
 def check_qudits(name: str, arity: int, qudits, n: int) -> None:
-    """Raise an operand_error unless qudits are arity distinct indices < n."""
+    """Raise an operand_error unless qudits are arity distinct integer
+    indices < n."""
     if len(qudits) != arity:
         raise operand_error(
             f"{name} takes {arity} qudit(s), got {len(qudits)}", 0)
     for k, q in enumerate(qudits, 1):
-        if not 0 <= q < n:
+        try:
+            in_range = 0 <= operator.index(q) < n
+        except TypeError:
             raise operand_error(
-                f"qudit index {q} out of range for {n} qudits", k)
+                f"qudit index must be an integer, got {q!r}", k) from None
+        if not in_range:
+            raise operand_error(f"qudit index {q} out of range for n={n}", k)
     if arity == 2 and qudits[0] == qudits[1]:
         raise operand_error(f"{name} needs two distinct qudits", 2)
 

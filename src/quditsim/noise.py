@@ -37,8 +37,16 @@ def _components(kind: str, idx, d: int):
     raise ShapeError(f"unknown noise kind {kind!r}")
 
 
+def _check_channel(kind: str, prob: float) -> None:
+    if kind not in NOISE_KINDS:
+        raise ShapeError(f"unknown noise kind {kind!r}")
+    if not 0.0 <= prob <= 1.0:
+        raise ShapeError(f"noise probability must lie in [0, 1], got {prob!r}")
+
+
 def sample_error(kind: str, prob: float, d: int, rng: np.random.Generator):
     """One (a, b) error draw; (0, 0) when the channel does not fire."""
+    _check_channel(kind, prob)
     u = rng.random()
     idx = int(rng.integers(0, d * d - 1))
     if u >= prob:
@@ -56,14 +64,13 @@ def sample_error_batch(kind: str, d: int, rng: np.random.Generator, size: int):
 
 def error_distribution(kind: str, prob: float, d: int) -> dict:
     """Exact probability of each (a, b) error the channel can produce."""
+    _check_channel(kind, prob)
     if kind == "f":
         support = [(a, 0) for a in range(1, d)]
     elif kind == "p":
         support = [(0, b) for b in range(1, d)]
-    elif kind == "d":
-        support = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
     else:
-        raise ShapeError(f"unknown noise kind {kind!r}")
+        support = [(a, b) for a in range(d) for b in range(d) if (a, b) != (0, 0)]
     out = {(0, 0): 1.0 - prob}
     for pair in support:
         out[pair] = prob / len(support)

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BlockFormatError, DimensionError, ShapeError
+from .gates import check_qudits
 
 
 def is_prime(d: int) -> bool:
@@ -141,8 +142,7 @@ class PauliString:
     def single(cls, n: int, d, j: int, x: int = 0, z: int = 0, r: int = 0) -> "PauliString":
         """String that is X^x Z^z on qudit j and identity elsewhere."""
         dim = _as_dimension(d)
-        if not 0 <= j < n:
-            raise ShapeError(f"qudit index {j} out of range for n={n}")
+        check_qudits("qudit", 1, (j,), n)
         xs = np.zeros(n, dtype=np.int64)
         zs = np.zeros(n, dtype=np.int64)
         xs[j] = x % dim.d

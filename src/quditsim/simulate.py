@@ -55,6 +55,17 @@ SAMPLERS = {"tableau": "frames", "frames": "frames",
 METHODS = tuple(SAMPLERS)
 
 
+def _check_method_pair(method_a: str, method_b: str) -> None:
+    """Raise ValueError unless the two methods name two different samplers;
+    a pair of one sampler passes whatever that sampler does."""
+    for method in (method_a, method_b):
+        if method not in METHODS:
+            raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
+    if SAMPLERS[method_a] == SAMPLERS[method_b]:
+        pair = f"{method_a},{method_b}"
+        raise ValueError(f"{pair!r} compares one sampler with itself")
+
+
 def counts_key(outcomes, d: int) -> str:
     """Digit string for d <= 10, dash-separated decimal otherwise."""
     if d <= 10:

@@ -27,8 +27,8 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import MemoryCapError, PauliMatchError, ShapeError
-from .gates import lookup, resolve
+from .errors import MemoryCapError, PauliMatchError, ShapeError, integral
+from .gates import check_qudits, lookup, resolve
 from .pauli import PauliString, _as_dimension
 
 #: Largest number of amplitudes a DenseState will allocate.
@@ -92,8 +92,7 @@ class DenseState:
 
     def __init__(self, n: int, d):
         dim = _as_dimension(d)
-        if n < 1:
-            raise ShapeError(f"need at least 1 qudit, got n={n}")
+        n = integral(n, "qudit count", ShapeError, minimum=1)
         if dim.d ** n > DEFAULT_AMPLITUDE_CAP:
             raise MemoryCapError(f"d^n = {dim.d}^{n} exceeds the amplitude cap "
                                  f"{DEFAULT_AMPLITUDE_CAP}")
@@ -161,8 +160,7 @@ class DenseState:
 
     def outcome_distribution(self, j: int) -> np.ndarray:
         """Born probabilities for a Z-basis measurement of qudit j."""
-        if not 0 <= j < self.n:
-            raise ShapeError(f"qudit index {j} out of range for n={self.n}")
+        check_qudits("qudit", 1, (j,), self.n)
         probs = np.abs(self.psi) ** 2
         axes = tuple(k for k in range(self.n) if k != j)
         return probs.sum(axis=axes)

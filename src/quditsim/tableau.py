@@ -27,8 +27,8 @@ from __future__ import annotations
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import DimensionError, ShapeError
-from .gates import resolve
+from .errors import DimensionError, ShapeError, integral
+from .gates import check_qudits, resolve
 from .pauli import PauliString, _as_dimension
 
 
@@ -80,8 +80,7 @@ class TableauBase:
     pivot = None
 
     def _check_qudit(self, j: int) -> None:
-        if not 0 <= j < self.n:
-            raise ShapeError(f"qudit index {j} out of range for n={self.n}")
+        check_qudits("qudit", 1, (j,), self.n)
 
     def measure_z(self, j: int, rng: np.random.Generator = None) -> MeasurementRecord:
         """Z-basis measurement of qudit j; outcome k is the eigenvalue
@@ -110,8 +109,7 @@ class Tableau(TableauBase):
         if not dim.is_odd_prime:
             raise DimensionError(
                 f"tableau backend requires an odd prime dimension, got d={dim.d}")
-        if n < 1:
-            raise ShapeError(f"need at least 1 qudit, got n={n}")
+        n = integral(n, "qudit count", ShapeError, minimum=1)
         self.dimension = dim
         self.d = dim.d
         self.n = n
@@ -289,9 +287,8 @@ class Tableau(TableauBase):
         measurement would be random.  Serves as an independent check of
         measure_z's pivot scan and phase accumulation.
         """
+        self._check_qudit(j)
         d, n = self.d, self.n
-        if not 0 <= j < n:
-            raise ShapeError(f"qudit index {j} out of range for n={n}")
         a = np.hstack([self.X[n:], self.Z[n:]]).T  # (2n, n): column i = generator i
         b = np.zeros(2 * n, dtype=np.int64)
         b[n + j] = 1

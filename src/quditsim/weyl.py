@@ -42,7 +42,7 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, integral
 from .gates import resolve
 from .pauli import Dimension, PauliString, _as_dimension
 # measurement uses neither; tracers and tests patch these names here
@@ -95,8 +95,7 @@ class WeylTableau(TableauBase):
 
     def __init__(self, n: int, d):
         dim = _as_dimension(d)
-        if n < 1:
-            raise ShapeError(f"need at least 1 qudit, got n={n}")
+        n = integral(n, "qudit count", ShapeError, minimum=1)
         self.dimension = dim
         self.d = dim.d
         self.dp = dim.d_prime

@@ -178,6 +178,20 @@ class TestParse:
             parse_sdim("DIM 3\nQUDITS 2\n" + line + "\n")
         assert (err.value.line, err.value.column) == (3, column)
 
+    @pytest.mark.parametrize("text, position, match", [
+        ("DIM 3 4\nQUDITS 1\n", (1, 1), "DIM takes exactly one value"),
+        ("DIM x\nQUDITS 1\n", (1, 5), "dimension must be an integer"),
+        ("DIM 2000000\nQUDITS 1\n", (1, 5), "2000000"),
+        ("DIM 3\nQUDITS 1\nN1 0 d\n", (3, 1),
+         "N1 takes qudit, channel and probability"),
+        ("# only a comment\nDIM 3\n", (1, 1), "missing QUDITS header"),
+    ], ids=["two_values", "not_integer", "too_large", "short_n1",
+            "no_qudits"])
+    def test_header_and_n1_errors(self, text, position, match):
+        with pytest.raises(ParseError, match=match) as err:
+            parse_sdim(text)
+        assert (err.value.line, err.value.column) == position
+
     def test_bad_probability(self):
         with pytest.raises(ParseError):
             parse_sdim("DIM 3\nQUDITS 1\nN1 0 d 1.5\n")

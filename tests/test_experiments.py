@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import pytest
 from quditsim.builders import (build_ghz_chain, build_local_gate_test,
                                build_random_clifford_circuit)
 from quditsim.circuit import Circuit
-from quditsim.errors import ShapeError, SupportMismatchError
+from quditsim.errors import DimensionError, ShapeError, SupportMismatchError
 from quditsim.experiments import (
     DetectionCode,
     OutcomeDistribution,
@@ -31,6 +32,7 @@ from quditsim.experiments import (
     validate_backend_pair,
     _depth_row,
 )
+from quditsim.frames import OutcomeMap, compile_circuit
 from quditsim.pauli import Dimension, PauliString
 from quditsim.simulate import run_circuit
 from quditsim.statevector import (DenseState, gate_matrix, pauli_matrix,
@@ -151,6 +153,20 @@ class TestValidateBackendPair:
         with pytest.raises(ShapeError, match="at least one circuit"):
             validate_backend_pair([], "tableau", "statevector", shots=10,
                                   threshold=0.2, seed=0)
+
+    @pytest.mark.parametrize("pair, match", [
+        (("tableau", "frames"), "one sampler with itself"),
+        (("statevector", "statevector"), "one sampler with itself"),
+        (("tableau", "weyl"), "unknown method")])
+    def test_pair_of_one_sampler_rejected(self, pair, match, monkeypatch):
+        """tableau and frames are one sampler, so the pair would compare it
+        with itself; it is refused before anything runs."""
+        monkeypatch.setattr("quditsim.experiments.run_circuit", None)
+        circuits = [build_random_clifford_circuit(2, 3, 5,
+                                                  np.random.default_rng(1))]
+        with pytest.raises(ValueError, match=match):
+            validate_backend_pair(circuits, *pair, shots=10, threshold=0.2,
+                                  seed=0)
 
 
 class TestChannels:
@@ -290,7 +306,7 @@ _BUILDERS = {
     "rb": lambda depth: build_rb_circuit(3, depth, 0.0,
                                          np.random.default_rng(1)),
     "lrbd": lambda depth: build_lrb_d_circuit(qutrit_detection_code(), depth,
-                                              0.0, np.random.default_rng(1)),
+                                              0.0),
     "random_clifford": lambda depth: build_random_clifford_circuit(
         2, 3, depth, np.random.default_rng(1)),
     "local_gate_test": lambda depth: build_local_gate_test(
@@ -366,6 +382,21 @@ class TestDetectionCode:
                                 [0] * logical_n)
         with pytest.raises(ShapeError, match=field):
             DetectionCode(n, d, code.stabilizers, logical_x, code.logical_z)
+
+    def test_logical_must_commute_with_stabilizers(self):
+        code = qutrit_detection_code()
+        x0 = PauliString.single(5, Dimension(3), 0, x=1)
+        with pytest.raises(ShapeError, match="commute with stabilizers"):
+            DetectionCode(5, 3, code.stabilizers, x0, code.logical_z)
+
+    def test_logical_pair_must_pair_to_one(self):
+        # logical_x squared still commutes with every stabilizer, but
+        # c(Lx^2, Lz) = 2
+        code = qutrit_detection_code()
+        squared = code.logical_x * code.logical_x
+        assert squared.commutation_exponent(code.logical_z) % 3 == 2
+        with pytest.raises(ShapeError, match=r"c\(Lx, Lz\) = 1"):
+            DetectionCode(5, 3, code.stabilizers, squared, code.logical_z)
 
     def test_bad_code_rejected(self):
         d = Dimension(3)
@@ -461,6 +492,11 @@ class TestSyndromeGadget:
             factors = sum(1 for x, z in zip(stab.x, stab.z) if x or z)
             assert names.count("SUM") + names.count("SUM_INV") == factors
 
+    @pytest.mark.parametrize("d", [2, 4])
+    def test_rejects_non_odd_prime(self, d):
+        with pytest.raises(DimensionError, match="odd prime"):
+            build_syndrome_gadget(PauliString.single(2, Dimension(d), 0, z=1))
+
     def test_requires_room_for_ancilla(self):
         with pytest.raises(ShapeError):
             build_syndrome_gadget(
@@ -480,8 +516,7 @@ class TestLRBD:
 
     def test_circuit_ends_with_data_readout(self):
         code = qutrit_detection_code()
-        rng = np.random.default_rng(15)
-        c = build_lrb_d_circuit(code, 2, 0.05, rng)
+        c = build_lrb_d_circuit(code, 2, 0.05)
         measures = [ins.qudits[0] for ins in c.instructions if ins.name == "M"]
         # 4 syndrome reads on the ancilla, then the 5 data qudits
         assert measures[:4] == [5, 5, 5, 5]
@@ -512,11 +547,72 @@ class TestLRBD:
         assert (xonly["per_depth"][0]["survivor_fraction"]
                 >= full["per_depth"][0]["survivor_fraction"])
 
+    @staticmethod
+    def with_logical_paulis(code, depth, p, rng, postselect):
+        """The LRB-D circuit with a random logical X^a Z^b, as single-qudit
+        X and Z powers, before each of the first depth noise rounds and
+        their inverse before the last."""
+        d, n = code.d, code.n
+        c = Circuit(n + 1, d)
+        net = np.zeros(2, dtype=np.int64)
+        for layer in range(depth + 1):
+            powers = rng.integers(d, size=2) if layer < depth else -net
+            net = (net + powers) % d
+            for logical, power in zip((code.logical_x, code.logical_z), powers):
+                for gate, exponents in (("X", logical.x), ("Z", logical.z)):
+                    for q in range(n):
+                        for _ in range(int(power * exponents[q]) % d):
+                            c.add_gate(gate, q)
+            for q in range(n):
+                c.add_gate("N1", q, noise_channel="d", prob=p)
+        selected = [s for s in code.stabilizers
+                    if postselect == "all" or not s.z.any()]
+        for stab in selected:
+            c.add_gate("RESET", n)
+            for ins in build_syndrome_gadget(stab, ancilla=n).instructions:
+                c.add_gate(ins.name, *ins.qudits)
+        for q in range(n):
+            c.add_gate("M", q)
+        return c
+
+    @pytest.mark.parametrize("postselect", ["all", "x_only"])
+    def test_logical_paulis_do_not_change_the_map(self, postselect):
+        """Logical Paulis pass the Pauli channels up to a phase, so random
+        layers and their inverse compile to the same OutcomeMap as the
+        circuit without them."""
+        code = qutrit_detection_code()
+        start = code_initial_tableau(code)
+        rng = np.random.default_rng(23)
+        paulis = 0
+        for depth in range(9):
+            plain = compile_circuit(
+                build_lrb_d_circuit(code, depth, 0.05, postselect), start)
+            for _ in range(3):
+                layered = self.with_logical_paulis(code, depth, 0.05, rng,
+                                                   postselect)
+                paulis += sum(ins.name in ("X", "Z")
+                              for ins in layered.instructions)
+                omap = compile_circuit(layered, start)
+                for f in fields(OutcomeMap):
+                    if f.name != "noise_groups":
+                        assert np.array_equal(getattr(omap, f.name),
+                                              getattr(plain, f.name)), \
+                            (depth, f.name)
+                assert ([(key, locs.tolist()) for key, locs in omap.noise_groups]
+                        == [(key, locs.tolist())
+                            for key, locs in plain.noise_groups])
+        assert paulis > 100
+
+    def test_config_must_match_code_dimension(self):
+        cfg = RBConfig(d=5, depths=(0,), circuits_per_depth=1, shots=10,
+                       p=0.0)
+        with pytest.raises(DimensionError, match="d=5 does not match code d=3"):
+            run_lrb_d(cfg, seed=1)
+
     def test_bad_postselect_value(self):
         code = qutrit_detection_code()
         with pytest.raises(ShapeError):
-            build_lrb_d_circuit(code, 1, 0.0, np.random.default_rng(19),
-                                postselect="some")
+            build_lrb_d_circuit(code, 1, 0.0, postselect="some")
 
     def test_x_only_reads_stabilizer_types_not_positions(self):
         code = qutrit_detection_code()

@@ -86,3 +86,23 @@ class TestSampling:
         values, counts = np.unique(xs, return_counts=True)
         assert set(values.tolist()) == {1, 2, 3, 4}
         assert (np.abs(counts / len(xs) - 0.25) < 0.02).all()
+
+
+class TestInputChecks:
+    """A bad kind or probability fails before anything is drawn."""
+
+    BAD = [("f", -0.5), ("d", 2.0), ("p", float("nan")), ("x", 0.0),
+           ("x", 0.5)]
+
+    @pytest.mark.parametrize("kind, prob", BAD)
+    def test_error_distribution_rejects(self, kind, prob):
+        with pytest.raises(ShapeError, match="noise kind|noise probability"):
+            error_distribution(kind, prob, 3)
+
+    @pytest.mark.parametrize("kind, prob", BAD)
+    def test_sample_error_rejects_before_drawing(self, kind, prob):
+        rng = np.random.default_rng(5)
+        state = rng.bit_generator.state
+        with pytest.raises(ShapeError, match="noise kind|noise probability"):
+            sample_error(kind, prob, 3, rng)
+        assert rng.bit_generator.state == state

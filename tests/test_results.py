@@ -188,7 +188,7 @@ class TestSlotFlags:
         """The LRB-D circuit: coded start, ancilla resets and noise."""
         code = qutrit_detection_code()
         start = code_initial_tableau(code)
-        circuit = build_lrb_d_circuit(code, 4, 0.05, np.random.default_rng(5))
+        circuit = build_lrb_d_circuit(code, 4, 0.05)
         result, records, _, events = replay_compiled(circuit, 60, 6, start)
         assert np.array_equal(result.outcomes, record_outcomes(records))
         assert events > 0
@@ -282,9 +282,8 @@ class TestMapDigests:
             "north_star": (north, None),
             "reset_corpus_d5": (reset_corpus_circuit(
                 5, np.random.default_rng(505), ("d", 0.1)), None),
-            "lrbd_depth8": (build_lrb_d_circuit(
-                code, 8, 0.05, np.random.default_rng(8)),
-                code_initial_tableau(code)),
+            "lrbd_depth8": (build_lrb_d_circuit(code, 8, 0.05),
+                            code_initial_tableau(code)),
             "reset_corpus_d2": (reset_corpus_circuit(
                 2, np.random.default_rng(201), ("f", 0.1)), None),
             "weyl_d3": (weyl_d3, WeylTableau(weyl_d3.num_qudits, 3)),
@@ -378,8 +377,7 @@ class TestWeylCompilesTheSameMap:
             weyl = WeylTableau(start.n, start.d)
             weyl._set_rows([weyl_from_pauli(start.stabilizer(i))
                             for i in range(start.n)])
-            return [(build_lrb_d_circuit(code, depth, 0.05,
-                                         np.random.default_rng(depth), post),
+            return [(build_lrb_d_circuit(code, depth, 0.05, post),
                      start, weyl)
                     for post in ("all", "x_only") for depth in range(9)]
         if name == "criterion_03":

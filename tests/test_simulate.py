@@ -11,6 +11,7 @@ from quditsim.builders import (
 import quditsim.frames as frames_module
 import quditsim.simulate as simulate
 from quditsim.circuit import Circuit
+from quditsim.errors import DimensionError
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
@@ -63,6 +64,19 @@ class TestMethodRouting:
         tableau = run_circuit(c, shots=20, seed=0, method="tableau")
         assert result.method == "frames"
         assert np.array_equal(result.outcomes, tableau.outcomes)
+
+    @pytest.mark.parametrize("start", [Tableau(3, 3), Tableau(2, 5)],
+                             ids=["n", "d"])
+    def test_initial_tableau_must_match_circuit(self, start):
+        c = build_ghz_chain(2, 3, measure=True)
+        with pytest.raises(DimensionError, match="does not match the circuit"):
+            run_circuit(c, shots=1, seed=0, initial_tableau=start)
+
+    def test_initial_tableau_needs_the_compiled_sampler(self):
+        c = build_ghz_chain(2, 3, measure=True)
+        with pytest.raises(ValueError, match="requires the tableau or frames"):
+            run_circuit(c, shots=1, seed=0, method="statevector",
+                        initial_tableau=Tableau(2, 3))
 
     def test_unknown_method(self):
         c = build_ghz_chain(2, 3, measure=True)
@@ -388,9 +402,8 @@ class TestBatchedTableau:
         code = qutrit_detection_code()
         start = code_initial_tableau(code)
         before = start.to_array()
-        rng = np.random.default_rng(33)
         for depth in (2, 6):
-            c = build_lrb_d_circuit(code, depth, 0.05, rng)
+            c = build_lrb_d_circuit(code, depth, 0.05)
             assert any(ins.name == "RESET" for ins in c.instructions)
             shot_rng = np.random.default_rng(34 + depth)
             shots = [simulate._run_shot(c, start.copy(), shot_rng)
@@ -432,7 +445,7 @@ class TestBatchedTableau:
         if case == "lrbd":
             code = qutrit_detection_code()
             start = code_initial_tableau(code)
-            c = build_lrb_d_circuit(code, 3, 0.05, np.random.default_rng(5))
+            c = build_lrb_d_circuit(code, 3, 0.05)
         else:
             c = self.mid_circuit_readout(int(case[1:]))
         assert {"M", "RESET", "N1"} <= {ins.name for ins in c.instructions}

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from quditsim.builders import build_random_clifford_circuit
+from quditsim.builders import build_deutsch_jozsa, build_random_clifford_circuit
 from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError, ShapeError
 from quditsim.pauli import Dimension, PauliString
@@ -406,6 +406,70 @@ class TestPauliError:
         with pytest.raises(ShapeError, match="out of range for n=2"):
             tab.apply_pauli_error(j, 1, 0)
         assert not tab.r.any()
+
+
+class TestFromStabilizersRejects:
+    """from_stabilizers refuses rows that do not fix one state."""
+
+    @staticmethod
+    def single(n, d=3, **exponents):
+        return PauliString.single(n, Dimension(d), 0, **exponents)
+
+    @pytest.mark.parametrize("case, match", [
+        ("empty", "at least one stabilizer"),
+        ("count", r"exactly n=2 stabilizers, got 1"),
+        ("mixed_n", "disagree on qudit count or dimension"),
+        ("mixed_d", "disagree on qudit count or dimension"),
+        ("non_commuting", "do not commute"),
+        ("dependent", "not independent"),
+    ])
+    def test_rejected(self, case, match):
+        z0, x0 = self.single(2, z=1), self.single(2, x=1)
+        rows = {
+            "empty": [],
+            "count": [z0],
+            "mixed_n": [z0, self.single(3, z=1)],
+            "mixed_d": [z0, self.single(2, d=5, z=1)],
+            "non_commuting": [z0, x0],
+            "dependent": [z0, self.single(2, z=2)],
+        }[case]
+        with pytest.raises(ShapeError, match=match):
+            Tableau.from_stabilizers(rows)
+
+
+class TestIntegerOperands:
+    """Non-integer qudit counts and indices fail with ShapeError before
+    any array is touched."""
+
+    CASES = {
+        "tableau_count": lambda: Tableau(2.5, 3),
+        "weyl_count": lambda: WeylTableau(2.5, 4),
+        "dense_count": lambda: DenseState(2.5, 3),
+        "measure": lambda: Tableau(2, 3).measure_z(1.5),
+        "reset": lambda: Tableau(2, 3).reset(1.5),
+        "pauli_error": lambda: Tableau(2, 3).apply_pauli_error(1.5, 1, 0),
+        "gate": lambda: Tableau(2, 3).apply_gate("F", 1.0),
+        "sum": lambda: Tableau(2, 3).apply_gate("SUM", 0, np.float64(1)),
+        "weyl_measure": lambda: WeylTableau(2, 4).measure_z(1.5),
+        "weyl_gate": lambda: WeylTableau(2, 4).apply_gate("P", 0.0),
+        "dense_gate": lambda: DenseState(2, 3).apply_gate("F", 1.0),
+        "dense_measure": lambda: DenseState(2, 3).measure_z(
+            1.5, np.random.default_rng(0)),
+        "dense_pauli_error": lambda: DenseState(2, 3).apply_pauli_error(
+            0.5, 1, 0),
+        "constant_value": lambda: build_deutsch_jozsa(3, True, 2.5),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected(self, case):
+        with pytest.raises(ShapeError, match="must be an integer"):
+            self.CASES[case]()
+
+    def test_integers_of_any_kind_pass(self):
+        tab = Tableau(np.int64(2), 3)
+        tab.apply_gate("SUM", np.int64(0), 1)
+        assert tab.measure_z(np.int32(1)).qudit == 1
+        assert Tableau(2.0, 3).n == 2
 
 
 class TestOperationCounters:
