@@ -33,7 +33,7 @@ from .builders import (build_bernstein_vazirani, build_deutsch_jozsa,
                        build_ghz_chain, build_local_gate_test,
                        build_random_clifford_circuit)
 from .circuit import parse_sdim, serialize_sdim
-from .errors import MemoryCapError, ParseError, QuditSimError
+from .errors import MemoryCapError, ParseError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
 from .pauli import Dimension
@@ -447,9 +447,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except QuditSimError as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     except Exception as exc:  # noqa: BLE001 - last-resort exit code mapping
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

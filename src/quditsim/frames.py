@@ -362,8 +362,8 @@ class FrameSimulator:
         simulator's one generator, so a later call continues where this one
         stops; threads is checked but changes nothing."""
         shots = integral(shots, "shots", minimum=1)
-        if threads is not None and threads < 1:
-            raise ValueError(f"threads must be >= 1, got {threads}")
+        if threads is not None:
+            integral(threads, "threads", minimum=1)
         check_outcome_entries(shots, len(self.omap.const))
         out = np.empty((shots, len(self.omap.const)), dtype=np.int64)
         for lo in range(0, shots, self.shard_size):

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import BlockFormatError, DimensionError, ShapeError
+from .errors import BlockFormatError, DimensionError, ShapeError, integral
 from .gates import check_qudits
 
 
@@ -88,11 +88,14 @@ def _as_dimension(d) -> Dimension:
     return d if isinstance(d, Dimension) else Dimension(d)
 
 
-def _frozen_vector(values, n: int, d: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=np.int64)
-    if arr.shape != (n,):
-        raise ShapeError(f"{what} must have shape ({n},), got {arr.shape}")
-    arr = np.mod(arr, d)
+def _frozen_vector(values, d: int, what: str) -> np.ndarray:
+    """values mod d as a read-only int64 array; ShapeError for an entry
+    that is not an integer."""
+    arr = np.atleast_1d(np.asarray(values))
+    if arr.dtype.kind not in "biu":
+        arr = np.array([integral(v, what, ShapeError) % d for v in arr.ravel()],
+                       dtype=np.int64).reshape(arr.shape)
+    arr = np.mod(arr.astype(np.int64), d)
     arr.flags.writeable = False
     return arr
 
@@ -122,14 +125,14 @@ class PauliString:
     def __post_init__(self):
         dim = _as_dimension(self.dimension)
         object.__setattr__(self, "dimension", dim)
-        x = np.atleast_1d(np.asarray(self.x, dtype=np.int64))
-        z = np.atleast_1d(np.asarray(self.z, dtype=np.int64))
+        x = _frozen_vector(self.x, dim.d, "x")
+        z = _frozen_vector(self.z, dim.d, "z")
         if x.shape != z.shape or x.ndim != 1:
             raise ShapeError(f"x and z must be equal-length vectors, got {x.shape} and {z.shape}")
         object.__setattr__(self, "n", int(x.shape[0]))
-        object.__setattr__(self, "x", _frozen_vector(x, self.n, dim.d, "x"))
-        object.__setattr__(self, "z", _frozen_vector(z, self.n, dim.d, "z"))
-        object.__setattr__(self, "r", int(self.r) % dim.d)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "r", integral(self.r, "r", ShapeError) % dim.d)
 
     # -- constructors ------------------------------------------------------
 
@@ -145,8 +148,8 @@ class PauliString:
         check_qudits("qudit", 1, (j,), n)
         xs = np.zeros(n, dtype=np.int64)
         zs = np.zeros(n, dtype=np.int64)
-        xs[j] = x % dim.d
-        zs[j] = z % dim.d
+        xs[j] = integral(x, "x", ShapeError) % dim.d
+        zs[j] = integral(z, "z", ShapeError) % dim.d
         return cls(dim, xs, zs, r)
 
     # -- algebra -----------------------------------------------------------

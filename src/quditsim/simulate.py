@@ -233,8 +233,8 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     shots = integral(shots, "shots", minimum=1)
-    if threads is not None and threads < 1:
-        raise ValueError(f"threads must be >= 1, got {threads}")
+    if threads is not None:
+        integral(threads, "threads", minimum=1)
     sampler = SAMPLERS[method]
     if initial_tableau is not None and sampler == "statevector":
         raise ValueError("initial_tableau requires the tableau or frames "

@@ -177,6 +177,10 @@ class DenseState:
 
     def project(self, j: int, k: int) -> float:
         """Collapse qudit j to |k> and renormalize; returns the branch weight."""
+        check_qudits("qudit", 1, (j,), self.n)
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < self.dimension.d:
+            raise ShapeError(f"outcome must be an integer in [0, "
+                             f"{self.dimension.d}), got {k!r}")
         idx = [slice(None)] * self.n
         sel = np.zeros(self.dimension.d, dtype=bool)
         sel[k] = True

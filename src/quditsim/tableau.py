@@ -12,6 +12,13 @@ at all ones and only changes when a measurement swaps an unnormalized pivot
 row into the destabilizer block; the deterministic-measurement exponents
 divide by lam to compensate.
 
+Tableau.from_stabilizers completes stabilizer rows S in closed form: one
+elimination of [Sz | -Sx | I] gives rows U with commutation exponents
+c(S_k, U_i) = delta_ki; D = U - triu(C, 1) S, C_im = c(U_i, U_m), commutes.
+Completions differ by rows in the span of S and stay so; a stabilizer is
+only updated from a stabilizer pivot, and a deterministic outcome reads
+X[k, j] / lam[k], fixed by c(D_k, Z_j), so outcomes do not depend on it.
+
 A random measurement or reset records its pivot, the stabilizer row that
 did not commute with Z_j, before eliminating with it.  frames.compile_circuit
 reads the outcome map of a whole circuit off one run that takes every random
@@ -53,17 +60,6 @@ def rref_mod_prime(a, p: int):
             a[others] = (a[others] - np.outer(a[others, c], a[rank])) % p
         pivots.append(c)
     return a, pivots
-
-
-def solve_mod_prime(a, b, p: int):
-    """One solution of a @ u = b (mod prime p), or None if inconsistent."""
-    cols = np.shape(a)[1]
-    red, pivots = rref_mod_prime(np.column_stack([a, b]), p)
-    if pivots and pivots[-1] == cols:
-        return None
-    u = np.zeros(cols, dtype=np.int64)
-    u[pivots] = red[:len(pivots), cols]
-    return u
 
 
 class TableauBase:
@@ -129,8 +125,8 @@ class Tableau(TableauBase):
         """Tableau for the joint +1-ish eigenstate of n given stabilizer rows.
 
         The rows must be independent and mutually commuting; phases are kept
-        as given.  Destabilizers are completed by solving the symplectic
-        pairing conditions over F_d, so lam starts at all ones.
+        as given.  Destabilizers, with phase 0, come in closed form (see the
+        module docstring), so lam starts at all ones.
         """
         stabs = list(stabilizers)
         if not stabs:
@@ -149,26 +145,20 @@ class Tableau(TableauBase):
                     raise ShapeError(f"stabilizers do not commute: {s} vs {t}")
 
         tab = cls(n, dim)
-        for i, s in enumerate(stabs):
-            tab.X[n + i] = s.x
-            tab.Z[n + i] = s.z
-            tab.r[n + i] = s.r
+        for i, s in enumerate(stabs, n):
+            tab.X[i], tab.Z[i], tab.r[i] = s.x, s.z, s.r
+        sx, sz = tab.X[n:], tab.Z[n:]
 
-        # Destabilizer i solves c(S_k, u) = delta_ki and c(D_m, u) = 0 for
-        # m < i, where c((x,z),(x',z')) = z.x' - x.z' is the symplectic form.
-        constraint_rows = [np.concatenate([tab.Z[n + k], (-tab.X[n + k]) % d])
-                           for k in range(n)]
-        for i in range(n):
-            a = np.array(constraint_rows, dtype=np.int64)
-            b = np.zeros(len(constraint_rows), dtype=np.int64)
-            b[i] = 1
-            u = solve_mod_prime(a, b, d)
-            if u is None:
-                raise ShapeError("stabilizer rows are not independent")
-            tab.X[i] = u[:n] % d
-            tab.Z[i] = u[n:] % d
-            tab.r[i] = 0
-            constraint_rows.append(np.concatenate([tab.Z[i], (-tab.X[i]) % d]))
+        red, pivots = rref_mod_prime(
+            np.hstack([sz, -sx, np.eye(n, dtype=np.int64)]), d)
+        if pivots[-1] >= 2 * n:
+            raise ShapeError("stabilizer rows are not independent")
+        u = np.zeros((n, 2 * n), dtype=np.int64)
+        u[:, pivots] = red[:, 2 * n:].T
+        ux, uz = u[:, :n], u[:, n:]
+        c = np.triu((uz @ ux.T - ux @ uz.T) % d, 1)
+        tab.X[:n] = (ux - c @ sx) % d
+        tab.Z[:n] = (uz - c @ sz) % d
         tab.check_invariants()
         return tab
 
@@ -290,11 +280,11 @@ class Tableau(TableauBase):
         self._check_qudit(j)
         d, n = self.d, self.n
         a = np.hstack([self.X[n:], self.Z[n:]]).T  # (2n, n): column i = generator i
-        b = np.zeros(2 * n, dtype=np.int64)
-        b[n + j] = 1
-        y = solve_mod_prime(a, b, d)
-        if y is None:
+        b = np.eye(2 * n, dtype=np.int64)[n + j]  # Z_j
+        red, pivots = rref_mod_prime(np.column_stack([a, b]), d)
+        if pivots[-1] == n:
             return False, None
+        y = red[:n, n]  # the n generators are independent: pivots 0..n-1
         prod = PauliString.identity(n, self.dimension)
         for i in range(n):
             prod = prod * self.stabilizer(i).pow(int(y[i]))

@@ -348,14 +348,15 @@ class TestDetectionCode:
                                              [1, 0, 1, 0, 0], 0)
 
     def test_initial_tableau_pinned(self):
-        # destabilizers come from the mod-3 RREF solve in from_stabilizers
+        # destabilizers come from the closed-form mod-3 completion in
+        # from_stabilizers (one RREF, then a triangular correction)
         got = code_initial_tableau(qutrit_detection_code()).to_array()
         assert got.tolist() == [
             [0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-            [0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0],
-            [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0],
-            [0, 2, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0],
+            [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 0, 0, 0],
+            [1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 1, 2, 0, 2, 0, 0, 0],
             [0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 2, 0, 0],

@@ -235,6 +235,38 @@ class TestBlockForm:
         assert PauliString.decode_block(p.encode_block(), d) == p
 
 
+class TestIntegerExponents:
+    """Exponents and phases are refused, not truncated, unless they are
+    integers."""
+
+    CASES = {
+        "x": lambda: PauliString(Dimension(3), [1.5, 0], [0, 0]),
+        "z": lambda: PauliString(Dimension(3), [1, 0], [0, 2.7]),
+        "z_array": lambda: PauliString(Dimension(3), [0], np.array([0.5])),
+        "z_nan": lambda: PauliString(Dimension(3), [0], [np.nan]),
+        "x_text": lambda: PauliString(Dimension(3), ["one"], [0]),
+        "r": lambda: PauliString(Dimension(3), [1, 0], [0, 0], 1.5),
+        "single_x": lambda: PauliString.single(2, Dimension(3), 0, x=1.5),
+        "single_z": lambda: PauliString.single(2, Dimension(3), 0, z=0.5),
+        "single_r": lambda: PauliString.single(2, Dimension(3), 0, r=2.5),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rejected(self, case):
+        with pytest.raises(ShapeError, match="must be an integer"):
+            self.CASES[case]()
+
+    def test_integers_of_any_kind_pass(self):
+        d = Dimension(3)
+        want = PauliString(d, [1, 0], [0, 2], 1)
+        assert PauliString(d, np.array([1, 0], dtype=np.int8),
+                           np.array([0, 2], dtype=np.uint16), np.int64(1)) == want
+        assert PauliString(d, [1.0, 0.0], [0, np.int32(2)], 1.0) == want
+        assert PauliString(d, np.array([True, False]), [0, 5], -2) == want
+        assert PauliString(d, [1e30, 0], [3 ** 60, 2], 1) == want
+        assert PauliString.single(2, d, 0, x=np.int64(4)) == PauliString(d, [1, 0], [0, 0])
+
+
 class TestRendering:
     """Debug text forms."""
 

@@ -383,6 +383,22 @@ class TestBatchedTableau:
                 run_circuit(build_ghz_chain(2, 3, measure=True), 10, 1,
                             method, threads=threads)
 
+    @pytest.mark.parametrize("threads", [2.5, "2.5", "two", [2]],
+                             ids=["float", "float_text", "word", "list"])
+    def test_non_integer_threads_rejected(self, threads):
+        """threads is refused unless it is an integer, on every method and
+        on FrameSimulator.run; an integral value of any type runs."""
+        c = self.noisy_circuit()
+        for method in ("tableau", "frames", "statevector"):
+            with pytest.raises(ValueError, match="threads must be an integer"):
+                run_circuit(c, 5, 1, method, threads=threads)
+        with pytest.raises(ValueError, match="threads must be an integer"):
+            FrameSimulator(c, 1).run(5, threads)
+        expected = run_circuit(c, 5, 1, "frames", threads=2).outcomes
+        for ok in (2.0, np.int64(2), "2"):
+            got = run_circuit(c, 5, 1, "frames", threads=ok).outcomes
+            assert np.array_equal(got, expected)
+
     @pytest.mark.parametrize("d", [4, 6])
     def test_weyl_thread_count_invariance(self, d, monkeypatch):
         c = self.noisy_circuit(d)

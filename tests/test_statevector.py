@@ -128,6 +128,23 @@ class TestConjugation:
 class TestDenseState:
     """State evolution and measurement."""
 
+    @pytest.mark.parametrize("j, k, match", [
+        (-1, 0, "out of range for n=2"),
+        (5, 0, "out of range for n=2"),
+        (1.5, 0, "qudit index must be an integer"),
+        (0, 5, r"outcome must be an integer in \[0, 3\), got 5"),
+        (0, -1, r"outcome must be an integer in \[0, 3\), got -1"),
+        (0, 1.5, r"outcome must be an integer in \[0, 3\), got 1.5"),
+    ], ids=["negative_j", "big_j", "float_j", "big_k", "negative_k", "float_k"])
+    def test_project_checks_operands(self, j, k, match):
+        state = DenseState(2, 3)
+        state.apply_gate("F", 1)
+        before = state.vector.copy()
+        with pytest.raises(ShapeError, match=match):
+            state.project(j, k)
+        assert np.array_equal(state.vector, before)
+        assert np.isclose(state.project(np.int64(1), np.int64(2)), 1 / 3)
+
     def test_initial_state(self):
         state = DenseState(2, 3)
         vec = state.vector

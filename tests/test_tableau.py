@@ -437,6 +437,53 @@ class TestFromStabilizersRejects:
             Tableau.from_stabilizers(rows)
 
 
+class TestFromStabilizersRoundTrip:
+    """A tableau rebuilt from the stabilizers of an arbitrary state fixes
+    the same state: its destabilizers may differ, its outcomes may not."""
+
+    @staticmethod
+    def walk(tab, rng, depth):
+        """Random gates with a measurement of a random qudit after about
+        one gate in six; returns the (deterministic, outcome) records."""
+        records = []
+        for _ in range(depth):
+            random_gate_walk(tab, rng, 1)
+            if rng.random() < 1 / 6:
+                rec = tab.measure_z(int(rng.integers(tab.n)), rng)
+                records.append((rec.deterministic, rec.outcome))
+        return records
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 65537])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_round_trip(self, n, d):
+        rng = np.random.default_rng(100 * n + d)
+        tab = Tableau(n, d)
+        self.walk(tab, rng, 12 * n)
+        rebuilt = Tableau.from_stabilizers([tab.stabilizer(i) for i in range(n)])
+        rebuilt.check_invariants()
+        for block in ("X", "Z", "r"):
+            assert np.array_equal(getattr(rebuilt, block)[n:],
+                                  getattr(tab, block)[n:])
+        for j in range(n):
+            a, b = tab.copy().measure_z(j), rebuilt.copy().measure_z(j)
+            assert (a.qudit, a.deterministic, a.outcome) == \
+                   (b.qudit, b.deterministic, b.outcome)
+        # the same later gates and measurements read the same records
+        seed = int(rng.integers(2 ** 32))
+        assert self.walk(tab, np.random.default_rng(seed), 12 * n) == \
+               self.walk(rebuilt, np.random.default_rng(seed), 12 * n)
+        assert np.array_equal(tab.to_array()[n:], rebuilt.to_array()[n:])
+
+    @pytest.mark.parametrize("d", [3, 5, 7, 65537])
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_computational_basis_is_the_fresh_tableau(self, n, d):
+        zs = [PauliString.single(n, Dimension(d), j, z=1) for j in range(n)]
+        rebuilt = Tableau.from_stabilizers(zs)
+        fresh = Tableau(n, d)
+        assert np.array_equal(rebuilt.to_array(), fresh.to_array())
+        assert np.array_equal(rebuilt.lam, fresh.lam)
+
+
 class TestIntegerOperands:
     """Non-integer qudit counts and indices fail with ShapeError before
     any array is touched."""
