@@ -177,8 +177,10 @@ class PauliString:
         return self.mul(other)
 
     def pow(self, k: int) -> "PauliString":
-        """k-th power; the slot-reordering phases telescope to k(k-1)/2 * x.z."""
+        """k-th power; the slot-reordering phases telescope to k(k-1)/2 * x.z.
+        k is taken mod d', which the order of every string divides."""
         d = self.dimension.d
+        k = integral(k, "k", ShapeError) % self.dimension.d_prime
         quad = (k * (k - 1) // 2) * int(np.dot(self.x, self.z))
         return PauliString(
             self.dimension,

@@ -7,17 +7,16 @@ omega phase rules of gates.py on the X-block, Z-block and phase vector;
 measurement uses the destabilizer block to avoid searching the full group.
 
 Row pairing invariant: the commutation exponent of stabilizer i with
-destabilizer k is lam[k] * delta_ik with lam[k] != 0.  The lam vector starts
-at all ones and only changes when a measurement swaps an unnormalized pivot
-row into the destabilizer block; the deterministic-measurement exponents
-divide by lam to compensate.
+destabilizer k is delta_ik.  A random measurement of Z_j keeps it by moving
+its pivot row P into the destabilizer block as P^u, u = P.x[j]^-1 mod d, so
+a deterministic outcome reads the exponents y = X[:n, j] directly.
 
 Tableau.from_stabilizers completes stabilizer rows S in closed form: one
 elimination of [Sz | -Sx | I] gives rows U with commutation exponents
 c(S_k, U_i) = delta_ki; D = U - triu(C, 1) S, C_im = c(U_i, U_m), commutes.
 Completions differ by rows in the span of S and stay so; a stabilizer is
 only updated from a stabilizer pivot, and a deterministic outcome reads
-X[k, j] / lam[k], fixed by c(D_k, Z_j), so outcomes do not depend on it.
+X[k, j], fixed by c(D_k, Z_j), so outcomes do not depend on it.
 
 A random measurement or reset records its pivot, the stabilizer row that
 did not commute with Z_j, before eliminating with it.  frames.compile_circuit
@@ -63,8 +62,8 @@ def rref_mod_prime(a, p: int):
 
 
 class TableauBase:
-    """Measurement records and qudit checks shared by Tableau and
-    weyl.WeylTableau.
+    """Copying, measurement records and operand checks shared by Tableau
+    and weyl.WeylTableau.
 
     A subclass keeps its phases in r, has apply_pauli_error(j, a, b) and
     has a _collapse(j, rng) that measures Z_j and returns (deterministic,
@@ -75,8 +74,21 @@ class TableauBase:
 
     pivot = None
 
+    def copy(self):
+        """An independent copy: every array and list attribute is copied."""
+        out = object.__new__(type(self))
+        out.__dict__.update({k: v.copy() if isinstance(v, (np.ndarray, list)) else v
+                             for k, v in self.__dict__.items()})
+        return out
+
     def _check_qudit(self, j: int) -> None:
         check_qudits("qudit", 1, (j,), self.n)
+
+    def _error_exponents(self, j: int, a, b):
+        """Check qudit j; the exponents of an X^a Z^b error on it, mod d."""
+        self._check_qudit(j)
+        return (integral(a, "X exponent", ShapeError) % self.d,
+                integral(b, "Z exponent", ShapeError) % self.d)
 
     def measure_z(self, j: int, rng: np.random.Generator = None) -> MeasurementRecord:
         """Z-basis measurement of qudit j; outcome k is the eigenvalue
@@ -115,7 +127,6 @@ class Tableau(TableauBase):
         for j in range(n):
             self.X[j, j] = 1
             self.Z[n + j, j] = 1
-        self.lam = np.ones(n, dtype=np.int64)
         self.measurements_done = 0
         self.gate_op_log: list[int] = []
         self.measure_op_log: list[int] = []
@@ -126,7 +137,7 @@ class Tableau(TableauBase):
 
         The rows must be independent and mutually commuting; phases are kept
         as given.  Destabilizers, with phase 0, come in closed form (see the
-        module docstring), so lam starts at all ones.
+        module docstring), and destabilizer k pairs with stabilizer k alone.
         """
         stabs = list(stabilizers)
         if not stabs:
@@ -162,22 +173,19 @@ class Tableau(TableauBase):
         tab.check_invariants()
         return tab
 
-    def copy(self) -> "Tableau":
-        out = Tableau.__new__(Tableau)
-        out.__dict__.update(
-            self.__dict__, X=self.X.copy(), Z=self.Z.copy(), r=self.r.copy(),
-            lam=self.lam.copy(), gate_op_log=list(self.gate_op_log),
-            measure_op_log=list(self.measure_op_log))
-        return out
-
     # -- row access ----------------------------------------------------------
 
     def destabilizer(self, k: int) -> PauliString:
-        return PauliString(self.dimension, self.X[k], self.Z[k], int(self.r[k]))
+        return self._row("destabilizer", k, 0)
 
     def stabilizer(self, i: int) -> PauliString:
-        return PauliString(self.dimension, self.X[self.n + i], self.Z[self.n + i],
-                           int(self.r[self.n + i]))
+        return self._row("stabilizer", i, self.n)
+
+    def _row(self, what: str, i, offset: int) -> PauliString:
+        if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n:
+            raise ShapeError(f"{what} index must be an integer in [0, {self.n}), got {i!r}")
+        k = offset + int(i)
+        return PauliString(self.dimension, self.X[k], self.Z[k], int(self.r[k]))
 
     def to_array(self) -> np.ndarray:
         """Block matrix [X | Z | r] of shape (2n, 2n+1)."""
@@ -195,8 +203,7 @@ class Tableau(TableauBase):
         if np.any(comm):
             raise ShapeError("destabilizer rows do not mutually commute")
         pair = (sz @ dx.T - sx @ dz.T) % d
-        expect = np.diag(self.lam % d)
-        if np.any(pair != expect) or np.any(self.lam % d == 0):
+        if np.any(pair != np.eye(n, dtype=np.int64)):
             raise ShapeError("stabilizer/destabilizer pairing is broken")
 
     # -- gates -----------------------------------------------------------------
@@ -218,7 +225,7 @@ class Tableau(TableauBase):
 
     def apply_pauli_error(self, j: int, a: int, b: int) -> None:
         """Conjugate every row by X^a Z^b on qudit j."""
-        self._check_qudit(j)
+        a, b = self._error_exponents(j, a, b)
         self.r = (self.r + b * self.X[:, j] - a * self.Z[:, j]) % self.d
 
     # -- measurement -----------------------------------------------------------
@@ -235,10 +242,10 @@ class Tableau(TableauBase):
             self.pivot = (self.X[p].copy(), self.Z[p].copy())
             ops = 2 * n
             ops += self._eliminate_column(j, p) * (2 * n + 1)
-            self.lam[p - n] = int(self.X[p, j])
-            self.X[p - n] = self.X[p]
-            self.Z[p - n] = self.Z[p]
-            self.r[p - n] = self.r[p]
+            u = pow(int(self.X[p, j]), -1, d)  # P^u pairs with Z_j
+            self.X[p - n] = self.X[p] * u % d
+            self.Z[p - n] = self.Z[p] * u % d
+            self.r[p - n] = self.r[p]  # free: no outcome reads a destabilizer phase
             self.X[p] = 0
             self.Z[p] = 0
             self.Z[p, j] = 1
@@ -248,12 +255,11 @@ class Tableau(TableauBase):
             self.measure_op_log.append(ops)
             return False, k
 
-        # Z_j = prod_k S_k^y_k with y = X[:n, j] / lam.  Multiplying the
+        # Z_j = prod_k S_k^y_k with y = X[:n, j].  Multiplying the
         # powers in order k = 0..n-1 gives the phase sum below: each power
         # contributes y_k r_k + C(y_k, 2) (x_k . z_k), and each earlier
         # factor k' < k contributes y_k' y_k (z_k' . x_k).
-        lam_inv = np.array([pow(int(v), -1, d) for v in self.lam], dtype=np.int64)
-        y = (self.X[:n, j] * lam_inv) % d
+        y = self.X[:n, j]
         sx, sz = self.X[n:], self.Z[n:]
         px = (y @ sx) % d
         pz = (y @ sz) % d

@@ -105,12 +105,6 @@ class WeylTableau(TableauBase):
         self.r = np.zeros(n, dtype=np.int64)
         self.measurements_done = 0
 
-    def copy(self) -> "WeylTableau":
-        out = WeylTableau.__new__(WeylTableau)
-        out.__dict__.update(self.__dict__, coords=self.coords.copy(),
-                            r=self.r.copy())
-        return out
-
     def to_array(self) -> np.ndarray:
         """Debug dump: phase row, then Z block, then X block, one generator
         per column."""
@@ -148,7 +142,7 @@ class WeylTableau(TableauBase):
 
     def apply_pauli_error(self, j: int, a: int, b: int) -> None:
         """Conjugate every generator by X^a Z^b on qudit j."""
-        self._check_qudit(j)
+        a, b = self._error_exponents(j, a, b)
         n, C = self.n, self.coords
         self.r = (self.r + 2 * (b * C[:, n + j] - a * C[:, j])) % self.dp
 

@@ -78,7 +78,8 @@ def test_criterion_02_measurement_worked_example():
         first = tab.measure_z(1, rng)
         assert not first.deterministic
         arr = tab.to_array()
-        assert arr[0].tolist() == [2, 2, 0, 0, 0]  # destabilizer swap
+        # destabilizer swap: (X^2 X^2)^(2^-1 mod 3) = X X pairs with Z_1
+        assert arr[0].tolist() == [1, 1, 0, 0, 0]
         assert arr[2].tolist() == [0, 0, 0, 1, (-first.outcome) % 3]
         assert arr[3].tolist() == [0, 0, 2, 1, 0]
         second = tab.measure_z(0, rng)

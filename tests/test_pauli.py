@@ -123,6 +123,17 @@ class TestPow:
         ident = PauliString.identity(3, Dimension(3))
         assert ident.pow(7) == ident
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_integers_of_any_kind(self, d):
+        """Any integral k, however large or negative, gives the product of
+        k mod d' copies: d' is a multiple of every string's order."""
+        p = PauliString(Dimension(d), [1, 1], [1, 0], 1)
+        for k in (2.0, np.int64(5), 3 ** 60, -(3 ** 60) + 1, -1):
+            want = PauliString.identity(2, Dimension(d))
+            for _ in range(int(k) % Dimension(d).d_prime):
+                want = want.mul(p)
+            assert p.pow(k) == want, k
+
     @given(st.integers(0, 10**6), st.sampled_from([3, 5]), st.integers(0, 9))
     @settings(max_examples=40, deadline=None)
     def test_pow_matches_repeated_mul(self, seed, d, k):

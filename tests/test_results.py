@@ -89,8 +89,9 @@ def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
     resets take that shot's compiled outcomes in order, read off
     with_reset_readout's map with the same draws, and each N1 applies the
     error that fired there in that shot, if any.  Returns the result, the
-    per-shot records, the per-shot final tableaus and the number of fired
-    errors.
+    per-shot records, the number of random measurements and resets over all
+    shots whose pivot's X entry on the measured qudit is not 1, and the
+    number of fired errors.
     """
     start = initial_tableau or _start_tableau(circuit)
     omap = compile_circuit(circuit, start)
@@ -105,7 +106,7 @@ def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
                              shots)[:, ~probe.deterministic]
     fired = {(int(l), int(s)): (int(x), int(z))
              for l, s, x, z in zip(loc, shot, a, b)}
-    records, tabs = [], []
+    records, scaled = [], 0
     for s in range(shots):
         tab, rng = start.copy(), ReplayRNG(random[s], start.d)
         shot_records, location = [], 0
@@ -121,10 +122,11 @@ def replay_compiled(circuit, shots: int, seed, initial_tableau=None):
                 location += 1
             else:
                 tab.apply_gate(ins.name, *ins.qudits)
+            if ins.name in ("M", "RESET") and tab.pivot is not None:
+                scaled += int(tab.pivot[0][q]) != 1
         assert rng.exhausted()
         records.append(tuple(shot_records))
-        tabs.append(tab)
-    return result, records, tabs, len(fired)
+    return result, records, scaled, len(fired)
 
 
 def record_outcomes(records) -> np.ndarray:
@@ -167,18 +169,20 @@ class TestSlotFlags:
     @pytest.mark.parametrize("d", [3, 5, 7])
     def test_replay_with_resets_and_rescaled_pairs(self, d):
         """Exact replay of the compiled sampler with noise, mid-circuit M
-        and RESET; some shots end with lam != 1."""
+        and RESET; some random measurements and resets have a pivot whose X
+        entry on the measured qudit is not 1, so the swapped-in destabilizer
+        is a proper power of it."""
         rescaled = fired = random_slots = 0
         for i in range(12):
             noise = (NOISE_KINDS[i % 3], 0.1)
             circuit = reset_corpus_circuit(d, np.random.default_rng(100 * d + i),
                                            noise)
-            result, records, tabs, events = replay_compiled(circuit, 40, i)
+            result, records, scaled, events = replay_compiled(circuit, 40, i)
             assert np.array_equal(result.outcomes, record_outcomes(records))
             for shot in records:
                 assert result.deterministic.tolist() == [r.deterministic
                                                          for r in shot]
-            rescaled += sum(bool((tab.lam != 1).any()) for tab in tabs)
+            rescaled += scaled
             fired += events
             random_slots += int((~result.deterministic).sum())
         assert rescaled >= 3 * 40

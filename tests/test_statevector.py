@@ -106,6 +106,21 @@ class TestMatchPauli:
         with pytest.raises(PauliMatchError):
             match_pauli(gate_matrix("F", 3), 1, 3)
 
+    @pytest.mark.parametrize("matrix, error, match", [
+        (np.eye(4), ShapeError, r"does not match d\^n = 3"),
+        (np.array([[1, 1, 0], [0, 1, 0], [0, 0, 1]]) / np.array([1, np.sqrt(2), 1]),
+         PauliMatchError, "column 1 does not have exactly one nonzero entry"),
+        (np.diag([1, 1j, 1]), PauliMatchError,
+         "column phase ratio is not a power of omega"),
+        (np.exp(0.1j) * np.eye(3), PauliMatchError,
+         "global phase is not a power of tau"),
+        (np.array([[1, 0, 1], [0, 1, 0], [0, 0, 0]]), PauliMatchError,
+         "matrix is not a phase times a Pauli string"),
+    ], ids=["shape", "column", "ratio", "phase", "not_pauli"])
+    def test_each_rejection(self, matrix, error, match):
+        with pytest.raises(error, match=match):
+            match_pauli(matrix, 1, 3)
+
 
 class TestConjugation:
     """Clifford conjugation of Pauli strings via the oracle."""
@@ -123,6 +138,10 @@ class TestConjugation:
             assert tau_pow == 0  # odd d phases stay omega powers
             assert np.allclose(pauli_matrix(got),
                                u @ pauli_matrix(p) @ u.conj().T)
+
+    def test_arity_mismatch(self):
+        with pytest.raises(ShapeError, match="SUM acts on 2 qudit"):
+            conjugate_pauli("SUM", PauliString.single(1, Dimension(3), 0, x=1))
 
 
 class TestDenseState:
@@ -239,3 +258,15 @@ class TestDenseState:
         p = PauliString.single(1, Dimension(3), 0, x=2)
         state.apply_pauli(p)
         assert np.isclose(state.vector[2], 1)
+
+    @pytest.mark.parametrize("n, d", [(3, 3), (2, 5)])
+    def test_apply_pauli_shape_mismatch(self, n, d):
+        with pytest.raises(ShapeError, match="does not match state shape"):
+            DenseState(2, 3).apply_pauli(PauliString.identity(n, Dimension(d)))
+
+    def test_project_onto_an_absent_outcome(self):
+        state = DenseState(2, 3)
+        before = state.vector.copy()
+        with pytest.raises(ShapeError, match=r"onto \|1> has zero weight"):
+            state.project(0, 1)
+        assert np.array_equal(state.vector, before)

@@ -219,6 +219,110 @@ class TestMeasurement:
             state.project(1, rec.outcome)
             assert stabilizer_check(tab, state)
 
+    def test_stabilizer_check_rejects_a_wrong_state(self):
+        gates = [("F", (0,)), ("SUM", (0, 1))]
+        tab = Tableau(2, 3)
+        for name, qs in gates:
+            tab.apply_gate(name, *qs)
+        assert stabilizer_check(tab, dense_twin(2, 3, gates))
+        assert not stabilizer_check(tab, DenseState(2, 3))
+        with pytest.raises(ShapeError, match="disagree on shape"):
+            stabilizer_check(tab, DenseState(3, 3))
+
+
+def measured_ghz():
+    """GHZ pair at d=3 after M 1 with outcome 0: destabilizers X X and
+    X^2 I, stabilizers I Z and Z^2 Z."""
+    tab = Tableau(2, 3)
+    tab.apply_gate("F", 0)
+    tab.apply_gate("SUM", 0, 1)
+    tab.measure_z(1)
+    tab.check_invariants()
+    return tab
+
+
+def _stabilizers_anticommute(tab):
+    tab.X[3], tab.Z[3] = [0, 1], [0, 0]  # X_1 against stabilizer Z_1
+
+
+def _destabilizers_anticommute(tab):
+    tab.X[1], tab.Z[1] = [0, 0], [1, 0]  # Z_0 against destabilizer X X
+
+
+def _destabilizer_scaled_by_two(tab):
+    tab.X[0] = tab.X[0] * 2 % 3  # (X X)^2 pairs with Z_1 by exponent 2
+
+
+class TestInvariantChecks:
+    """check_invariants names each kind of corruption it finds."""
+
+    @pytest.mark.parametrize("corrupt, match", [
+        (_stabilizers_anticommute, "stabilizer rows do not mutually commute"),
+        (_destabilizers_anticommute, "destabilizer rows do not mutually commute"),
+        (_destabilizer_scaled_by_two, "stabilizer/destabilizer pairing is broken"),
+    ], ids=["stabilizers", "destabilizers", "pairing"])
+    def test_tableau(self, corrupt, match):
+        tab = measured_ghz()
+        corrupt(tab)
+        with pytest.raises(ShapeError, match=match):
+            tab.check_invariants()
+
+    def test_weyl(self):
+        tab = WeylTableau(2, 4)
+        tab.check_invariants()
+        tab.coords[1] = [0, 0, 1, 0]  # X_0 against generator Z_0
+        with pytest.raises(ShapeError, match="generators do not commute"):
+            tab.check_invariants()
+
+
+class TestRowAccess:
+    """stabilizer(i) and destabilizer(k) read their own block for an
+    integer index in [0, n), and refuse any other index."""
+
+    @pytest.mark.parametrize("block, index", [
+        ("destabilizer", 2), ("destabilizer", 3), ("destabilizer", -1),
+        ("stabilizer", -1), ("stabilizer", 2), ("stabilizer", 1.0),
+    ])
+    def test_rejected(self, block, index):
+        tab = Tableau(2, 3)
+        tab.apply_gate("F", 0)
+        with pytest.raises(ShapeError,
+                           match=rf"{block} index must be an integer in \[0, 2\)"):
+            getattr(tab, block)(index)
+
+    def test_rows_come_from_their_block(self):
+        tab = measured_ghz()
+        arr = tab.to_array()
+        for k in range(2):
+            assert tab.destabilizer(np.int64(k)).encode_block().tolist() == \
+                arr[k].tolist()
+            assert tab.stabilizer(np.int64(k)).encode_block().tolist() == \
+                arr[2 + k].tolist()
+
+
+class TestPauliErrorExponents:
+    """apply_pauli_error takes integer exponents of any kind, reduced mod d,
+    and keeps the phases int64."""
+
+    MAKERS = {"tableau": lambda: Tableau(2, 3), "weyl": lambda: WeylTableau(2, 4)}
+
+    def make(self, kind):
+        tab = self.MAKERS[kind]()
+        tab.apply_gate("F", 0)
+        tab.apply_gate("SUM", 0, 1)
+        return tab
+
+    @pytest.mark.parametrize("kind", list(MAKERS))
+    @pytest.mark.parametrize("a, b", [(2.0, 1), (1, np.float64(2.0)),
+                                      (np.int64(2), np.int32(1)),
+                                      (3 ** 60 + 1, -(3 ** 60) - 1)],
+                             ids=["float", "numpy_float", "numpy_int", "huge"])
+    def test_integers_of_any_kind(self, kind, a, b):
+        tab, ref = self.make(kind), self.make(kind)
+        tab.apply_pauli_error(0, a, b)
+        ref.apply_pauli_error(0, int(a) % tab.d, int(b) % tab.d)
+        assert tab.r.dtype == np.int64 and np.array_equal(tab.r, ref.r)
+
 
 class TestGHZWorkedExample:
     """GHZ pair at d=3: the canonical measurement walk-through."""
@@ -244,8 +348,9 @@ class TestGHZWorkedExample:
         rec = tab.measure_z(1, rng)
         assert not rec.deterministic
         arr = tab.to_array()
-        # destabilizer 0 receives the old stabilizer row X^2 X^2
-        assert arr[0].tolist() == [2, 2, 0, 0, 0]
+        # destabilizer 0 receives the old stabilizer row X^2 X^2, scaled to
+        # (X^2 X^2)^2 = X X so that it pairs with Z_1 by exponent 1
+        assert arr[0].tolist() == [1, 1, 0, 0, 0]
         # stabilizer 0 is the phased Z_1 insertion for the sampled outcome
         assert arr[2].tolist() == [0, 0, 0, 1, (-rec.outcome) % 3]
         # stabilizer 1 = Z_0^2 Z_1 commutes with Z_1 and is untouched
@@ -311,7 +416,7 @@ class TestGaussianOracle:
 def loop_outcome(tab, j):
     """Deterministic outcome by multiplying stabilizer powers one by one."""
     d, n = tab.d, tab.n
-    y = [int(x) * pow(int(lam), -1, d) % d for x, lam in zip(tab.X[:n, j], tab.lam)]
+    y = [int(x) for x in tab.X[:n, j]]
     prod = PauliString.identity(n, tab.dimension)
     for k in range(n):
         prod = prod * tab.stabilizer(k).pow(y[k])
@@ -335,8 +440,9 @@ class TestDeterministicPhaseSum:
                     rec = tab.copy().measure_z(j, rng)
                     assert rec.deterministic and rec.outcome == want
                     checked += 1
-                    scaled += bool((tab.lam != 1).any())
-                tab.measure_z(j, rng)
+                rec = tab.measure_z(j, rng)
+                # a random measurement whose pivot swaps in as a proper power
+                scaled += not rec.deterministic and tab.pivot[0][j] != 1
         assert checked > 20 and scaled > 5
 
 
@@ -481,12 +587,11 @@ class TestFromStabilizersRoundTrip:
         rebuilt = Tableau.from_stabilizers(zs)
         fresh = Tableau(n, d)
         assert np.array_equal(rebuilt.to_array(), fresh.to_array())
-        assert np.array_equal(rebuilt.lam, fresh.lam)
 
 
 class TestIntegerOperands:
-    """Non-integer qudit counts and indices fail with ShapeError before
-    any array is touched."""
+    """Non-integer qudit counts, indices and exponents fail with ShapeError
+    before any array is touched."""
 
     CASES = {
         "tableau_count": lambda: Tableau(2.5, 3),
@@ -495,6 +600,11 @@ class TestIntegerOperands:
         "measure": lambda: Tableau(2, 3).measure_z(1.5),
         "reset": lambda: Tableau(2, 3).reset(1.5),
         "pauli_error": lambda: Tableau(2, 3).apply_pauli_error(1.5, 1, 0),
+        "x_exponent": lambda: Tableau(2, 3).apply_pauli_error(0, 0.5, 0),
+        "z_exponent": lambda: Tableau(2, 3).apply_pauli_error(0, 0, "x"),
+        "weyl_x_exponent": lambda: WeylTableau(2, 4).apply_pauli_error(0, 2.5, 0),
+        "weyl_z_exponent": lambda: WeylTableau(2, 4).apply_pauli_error(0, 0, None),
+        "pauli_power": lambda: PauliString(Dimension(3), [2, 0], [0, 0]).pow(1.5),
         "gate": lambda: Tableau(2, 3).apply_gate("F", 1.0),
         "sum": lambda: Tableau(2, 3).apply_gate("SUM", 0, np.float64(1)),
         "weyl_measure": lambda: WeylTableau(2, 4).measure_z(1.5),
