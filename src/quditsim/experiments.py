@@ -26,6 +26,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionError, ShapeError, SupportMismatchError, integral
+from .frames import FrameSimulator, check_outcome_entries
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import _check_method_pair, run_circuit
@@ -295,25 +296,23 @@ def _fit_decay(depths, means):
             "B": float(np.exp(intercept)), "reason": ""}
 
 
-def _sweep(cfg: RBConfig, seed, build, score, method: str, threads,
-           initial_tableau=None) -> list:
+def _sweep(cfg: RBConfig, seed, sampler, score) -> list:
     """Per depth, (depth, scores of its cfg.circuits_per_depth circuits).
 
-    Each circuit takes two children of the seed, builds itself as
-    build(depth, rng) from the first, samples cfg.shots shots with the
+    sampler(depth) returns the depth's sample(build_rng, run_seed) for
+    one circuit's cfg.shots outcomes.  Each circuit spawns two seed
+    children, samples with a generator made from the first and with the
     second, and is scored as score(outcomes) before the next is sampled.
     """
     ss = np.random.SeedSequence(seed)
 
-    def one(depth):
+    def one(sample):
         build_child, run_child = ss.spawn(2)
-        circuit = build(depth, np.random.Generator(np.random.PCG64(build_child)))
-        return score(run_circuit(circuit, cfg.shots, run_child, method,
-                                 threads=threads,
-                                 initial_tableau=initial_tableau).outcomes)
+        return score(sample(np.random.Generator(np.random.PCG64(build_child)),
+                            run_child))
 
-    return [(depth, [one(depth) for _ in range(cfg.circuits_per_depth)])
-            for depth in cfg.depths]
+    return [(depth, [one(sample) for _ in range(cfg.circuits_per_depth)])
+            for depth in cfg.depths for sample in (sampler(depth),)]
 
 
 def _depth_row(depth: int, fidelities) -> dict:
@@ -332,9 +331,10 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
            threads: int = None) -> dict:
     """Mean fidelity per depth plus a decay fit f(D) = B * alpha^D."""
     sweep = _sweep(
-        cfg, seed, lambda depth, rng: build_rb_circuit(cfg.d, depth, cfg.p, rng),
-        lambda outcomes: rb_fidelity(per_slot_distributions(outcomes, cfg.d)[0]),
-        method, threads)
+        cfg, seed, lambda depth: lambda rng, run_seed: run_circuit(
+            build_rb_circuit(cfg.d, depth, cfg.p, rng), cfg.shots, run_seed,
+            method, threads=threads).outcomes,
+        lambda outcomes: rb_fidelity(per_slot_distributions(outcomes, cfg.d)[0]))
     per_depth = [{**_depth_row(depth, fidelities), "survivor_fraction": 1.0,
                   "fidelities": [float(f) for f in fidelities]}
                  for depth, fidelities in sweep]
@@ -523,7 +523,9 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     fidelity is computed on the survivors' logical readout (the logical-Z
     weighted sum of data outcomes).  A depth with no surviving shots is
     reported with missing fidelity.  All circuits at one depth are alike,
-    so build ignores the generator that _sweep still spawns for it.
+    so each depth compiles one FrameSimulator and its circuits differ only
+    in their sampling seed.  MemoryCapError comes before any circuit is
+    built if cfg.shots outcome rows exceed frames.MAX_OUTCOME_ENTRIES.
     """
     if code is None:
         code = qutrit_detection_code()
@@ -533,7 +535,8 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
         raise ShapeError("the data readout is in the Z basis, so logical Z "
                          "must be Z-type")
     num_syndromes = len(_selected_stabilizers(code, postselect))
-    weights = code.logical_z.z
+    check_outcome_entries(cfg.shots, num_syndromes + code.n)
+    weights, start = code.logical_z.z, code_initial_tableau(code)
 
     def score(outcomes):
         """(survivor fraction, fidelity of the survivors or None)."""
@@ -545,13 +548,14 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
         dist = per_slot_distributions(logical[:, None], code.d)[0]
         return survivors.shape[0] / cfg.shots, rb_fidelity(dist)
 
-    sweep = _sweep(
-        cfg, seed,
-        lambda depth, _rng: build_lrb_d_circuit(code, depth, cfg.p,
-                                                postselect),
-        score, "frames", threads, code_initial_tableau(code))
+    def sampler(depth):
+        circuit = build_lrb_d_circuit(code, depth, cfg.p, postselect)
+        sim = FrameSimulator(circuit, None, start)
+        return lambda _rng, run_seed: sim.reseed(run_seed).run(cfg.shots,
+                                                               threads)
+
     per_depth = []
-    for depth, scores in sweep:
+    for depth, scores in _sweep(cfg, seed, sampler, score):
         fidelities = [f for _, f in scores if f is not None]
         per_depth.append({
             **_depth_row(depth, fidelities),

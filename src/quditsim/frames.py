@@ -12,12 +12,13 @@ weyl.WeylTableau otherwise) and its symbol entries, the frame, from one
 pass that carries every measured Z back through the circuit, after Stim's
 error analysis (Gidney 2021).  A shard of shots then only draws its
 symbols and adds their entries to the constants (_Layout.sample), so no
-instruction is replayed per shot.  sample_outcomes samples one shard.
+instruction is replayed per shot.
 
 FrameSimulator makes one generator from its seed and works out once what
 every shard reads; run draws shards of shard_size shots from it in order,
 each adding into its rows of one preallocated int64 result, so a second run
-continues the stream.  Noise is sparse, after Stim's frame simulator: the
+continues the stream, and reseed restarts it from a new seed without
+compiling again.  Noise is sparse, after Stim's frame simulator: the
 (location, shot) pairs that fire come from geometric gaps between them
 (fired_positions), one Bernoulli(prob) draw per pair at the cost of the
 events that fire.  Threads ran no faster, so the threads argument is
@@ -160,13 +161,6 @@ class _Layout:
         np.add.at(flat, cell, value * omap.coeffs[pos])
         # numpy vectorizes integer division by a scalar but not remainder
         out -= out // omap.d * omap.d
-
-
-def sample_outcomes(omap, rng, size: int) -> np.ndarray:
-    """(size, M) int64 outcomes of one shard of shots drawn from omap."""
-    out = np.empty((size, len(omap.const)), dtype=np.int64)
-    _Layout(omap).sample(rng, out)
-    return out
 
 
 def _reference(circuit, tab, rng):
@@ -354,8 +348,14 @@ class FrameSimulator:
         self._layout = _Layout(self.omap)
         self.shard_width = self._layout.width
         self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // self.shard_width)
-        self._rng = np.random.default_rng(seed)
+        self.reseed(seed)
         self.op_count = 0
+
+    def reseed(self, seed) -> "FrameSimulator":
+        """Draw later runs from a new generator made from seed, as a new
+        simulator of the same circuit would; returns self."""
+        self._rng = np.random.default_rng(seed)
+        return self
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
         """(shots, num_measurements) int64 outcomes, drawn in shards from the

@@ -27,9 +27,10 @@ from functools import lru_cache
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import MemoryCapError, PauliMatchError, ShapeError, integral
+from .errors import DimensionError, MemoryCapError, PauliMatchError, ShapeError, integral
 from .gates import check_qudits, lookup, resolve
 from .pauli import PauliString, _as_dimension
+from .tableau import Tableau
 
 #: Largest number of amplitudes a DenseState will allocate.
 DEFAULT_AMPLITUDE_CAP = 2 ** 24
@@ -295,8 +296,12 @@ def stabilizer_check(tableau, state: DenseState, atol: float = 1e-9) -> bool:
 
     Bridges the integer and numeric representations: each row is applied to
     the state as an explicit shift/phase operation and compared amplitude by
-    amplitude against the original within atol.
+    amplitude against the original within atol.  It needs a destabilizer
+    Tableau (odd prime d); a WeylTableau raises DimensionError.
     """
+    if not isinstance(tableau, Tableau):
+        raise DimensionError("stabilizer_check needs a destabilizer Tableau "
+                             f"(odd prime d), got {type(tableau).__name__}")
     if tableau.n != state.n or int(tableau.dimension) != int(state.dimension):
         raise ShapeError("tableau and state disagree on shape")
     for i in range(tableau.n):

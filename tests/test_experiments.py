@@ -10,7 +10,8 @@ import pytest
 from quditsim.builders import (build_ghz_chain, build_local_gate_test,
                                build_random_clifford_circuit)
 from quditsim.circuit import Circuit
-from quditsim.errors import DimensionError, ShapeError, SupportMismatchError
+from quditsim.errors import (DimensionError, MemoryCapError, ShapeError,
+                             SupportMismatchError)
 from quditsim.experiments import (
     DetectionCode,
     OutcomeDistribution,
@@ -32,7 +33,8 @@ from quditsim.experiments import (
     validate_backend_pair,
     _depth_row,
 )
-from quditsim.frames import OutcomeMap, compile_circuit
+from quditsim.frames import (MAX_OUTCOME_ENTRIES, FrameSimulator, OutcomeMap,
+                             compile_circuit)
 from quditsim.pauli import Dimension, PauliString
 from quditsim.simulate import run_circuit
 from quditsim.statevector import (DenseState, gate_matrix, pauli_matrix,
@@ -642,6 +644,42 @@ class TestLRBD:
         for row in report["per_depth"]:
             assert row["survivor_fraction"] == 1.0
             assert row["mean_fidelity"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("postselect", ["all", "x_only"])
+    def test_one_compile_per_depth(self, postselect, monkeypatch):
+        """Every circuit at one depth samples the depth's one compiled map;
+        rb circuits differ, so each compiles its own."""
+        compiles = []
+        init = FrameSimulator.__init__
+
+        def counting(sim, *args, **kwargs):
+            compiles.append(args[0].metadata["family"])
+            init(sim, *args, **kwargs)
+
+        monkeypatch.setattr(FrameSimulator, "__init__", counting)
+        cfg = RBConfig(d=3, depths=(0, 2, 5), circuits_per_depth=4, shots=50,
+                       p=0.05)
+        run_lrb_d(cfg, seed=7, postselect=postselect)
+        assert compiles == [f"lrbd_depth{depth}_{postselect}"
+                            for depth in cfg.depths]
+        compiles.clear()
+        run_rb(cfg, seed=7, method="frames")
+        assert len(compiles) == len(cfg.depths) * cfg.circuits_per_depth
+
+    @pytest.mark.parametrize("postselect", ["all", "x_only"])
+    def test_memory_cap_before_any_compile(self, postselect, monkeypatch):
+        """Too many shots for the outcome cap raise before the first
+        circuit is built or compiled, and allocate nothing."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the memory cap")
+
+        monkeypatch.setattr(FrameSimulator, "__init__", unreachable)
+        monkeypatch.setattr("quditsim.experiments.build_lrb_d_circuit",
+                            unreachable)
+        cfg = RBConfig(d=3, depths=(0, 4), circuits_per_depth=2,
+                       shots=MAX_OUTCOME_ENTRIES // 7 + 1, p=0.05)
+        with pytest.raises(MemoryCapError, match="outcome cap"):
+            run_lrb_d(cfg, seed=1, postselect=postselect)
 
     def test_logical_z_must_be_z_type(self):
         # times an X-type stabilizer, logical Z is still a valid logical Z

@@ -19,8 +19,8 @@ from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
-from quditsim.frames import (FrameSimulator, OutcomeMap, _start_tableau,
-                             compile_circuit, draw_symbols, sample_outcomes)
+from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout,
+                             _start_tableau, compile_circuit, draw_symbols)
 from quditsim.gates import GATE_TABLE
 from quditsim.noise import NOISE_KINDS
 from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
@@ -28,6 +28,13 @@ from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau, weyl_from_pauli
+
+
+def sample_outcomes(omap, rng, size: int) -> np.ndarray:
+    """(size, M) int64 outcomes of one shard of shots drawn from omap."""
+    out = np.empty((size, len(omap.const)), dtype=np.int64)
+    _Layout(omap).sample(rng, out)
+    return out
 
 
 def corpus(seed: int, dims, count: int, max_qudits: int, max_depth: int):

@@ -229,6 +229,11 @@ class TestMeasurement:
         with pytest.raises(ShapeError, match="disagree on shape"):
             stabilizer_check(tab, DenseState(3, 3))
 
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_stabilizer_check_needs_a_destabilizer_tableau(self, d):
+        with pytest.raises(DimensionError, match="destabilizer Tableau"):
+            stabilizer_check(WeylTableau(2, d), DenseState(2, d))
+
 
 def measured_ghz():
     """GHZ pair at d=3 after M 1 with outcome 0: destabilizers X X and
