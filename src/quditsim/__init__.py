@@ -21,7 +21,7 @@ from .experiments import (DetectionCode, OutcomeDistribution, RBConfig,
                           channel_distribution_test, code_initial_tableau,
                           qutrit_detection_code, rb_fidelity, run_lrb_d,
                           run_rb, tvd, validate_backend_pair)
-from .frames import FrameSimulator, reference_run
+from .frames import FrameSimulator, outcome_law, reference_run
 from .noise import error_distribution, sample_error
 from .pauli import Dimension, PauliString, is_prime
 from .simulate import METHODS, SimulationResult, run_circuit
@@ -47,8 +47,8 @@ __all__ = [
     "channel_distribution_test", "code_initial_tableau", "conjugate_pauli",
     "error_distribution", "expected_deutsch_jozsa_outcome", "gate_matrix",
     "integer_determinant", "is_prime", "kernel_integer", "kernel_mod",
-    "parse_sdim", "pauli_matrix", "qutrit_detection_code", "rb_fidelity",
-    "reference_run", "run_circuit", "run_lrb_d", "run_rb",
+    "outcome_law", "parse_sdim", "pauli_matrix", "qutrit_detection_code",
+    "rb_fidelity", "reference_run", "run_circuit", "run_lrb_d", "run_rb",
     "sample_error", "serialize_sdim", "smith_normal_form", "solve_integer",
     "solve_mod", "stabilizer_check", "tvd", "validate_backend_pair",
     "__version__",

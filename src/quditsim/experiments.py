@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionError, ShapeError, SupportMismatchError, integral
-from .frames import FrameSimulator, check_outcome_entries
+from .frames import check_outcome_entries, compile_circuit, outcome_law
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import _check_method_pair, run_circuit
@@ -300,9 +300,9 @@ def _sweep(cfg: RBConfig, seed, sampler, score) -> list:
     """Per depth, (depth, scores of its cfg.circuits_per_depth circuits).
 
     sampler(depth) returns the depth's sample(build_rng, run_seed) for
-    one circuit's cfg.shots outcomes.  Each circuit spawns two seed
+    one circuit's cfg.shots shots.  Each circuit spawns two seed
     children, samples with a generator made from the first and with the
-    second, and is scored as score(outcomes) before the next is sampled.
+    second, and is scored as score(sample) before the next is sampled.
     """
     ss = np.random.SeedSequence(seed)
 
@@ -521,11 +521,15 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     Shots whose selected syndromes (every stabilizer's for "all", the
     X-type stabilizers' for "x_only") are all zero survive; each circuit's
     fidelity is computed on the survivors' logical readout (the logical-Z
-    weighted sum of data outcomes).  A depth with no surviving shots is
-    reported with missing fidelity.  All circuits at one depth are alike,
-    so each depth compiles one FrameSimulator and its circuits differ only
-    in their sampling seed.  MemoryCapError comes before any circuit is
-    built if cfg.shots outcome rows exceed frames.MAX_OUTCOME_ENTRIES.
+    weighted sum of data outcomes), and is missing without survivors.
+    Every circuit at one depth is the same, so each depth compiles one map
+    and takes from it the exact law of (selected syndromes, logical
+    readout) (frames.outcome_law); a circuit's shots are one multinomial
+    draw from it, so stderr is shot noise only.  exact_survivor_fraction
+    and exact_fidelity are the infinite-shot values; the sampled fidelity,
+    a modulus, is biased upward at finite shots.  threads is checked but
+    changes nothing.  MemoryCapError comes before any circuit is built if
+    cfg.shots outcome rows exceed frames.MAX_OUTCOME_ENTRIES.
     """
     if code is None:
         code = qutrit_detection_code()
@@ -534,33 +538,47 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     if code.logical_z.x.any():
         raise ShapeError("the data readout is in the Z basis, so logical Z "
                          "must be Z-type")
+    if threads is not None:
+        integral(threads, "threads", minimum=1)
     num_syndromes = len(_selected_stabilizers(code, postselect))
     check_outcome_entries(cfg.shots, num_syndromes + code.n)
-    weights, start = code.logical_z.z, code_initial_tableau(code)
+    start = code_initial_tableau(code)
+    # rows: each selected syndrome, then the logical readout
+    projection = np.eye(num_syndromes + 1, num_syndromes + code.n,
+                        dtype=np.int64)
+    projection[-1, num_syndromes:] = code.logical_z.z
 
-    def score(outcomes):
-        """(survivor fraction, fidelity of the survivors or None)."""
-        clean = np.all(outcomes[:, :num_syndromes] == 0, axis=1)
-        survivors = outcomes[clean, num_syndromes:]
-        if survivors.shape[0] == 0:
+    def score(weights, total):
+        """(survivor fraction, fidelity or None) of clean-syndrome weights
+        per logical value, out of total."""
+        kept = weights.sum()
+        if kept == 0:
             return 0.0, None
-        logical = (survivors @ weights) % code.d
-        dist = per_slot_distributions(logical[:, None], code.d)[0]
-        return survivors.shape[0] / cfg.shots, rb_fidelity(dist)
+        return float(kept / total), rb_fidelity(
+            OutcomeDistribution(code.d, dict(enumerate(weights / kept))))
+
+    clean = {}  # per depth, P(clean syndromes, logical value) per value
+    for depth in cfg.depths:
+        circuit = build_lrb_d_circuit(code, depth, cfg.p, postselect)
+        law = outcome_law(compile_circuit(circuit, start), projection)
+        clean[depth] = law.reshape(-1)[:code.d]
 
     def sampler(depth):
-        circuit = build_lrb_d_circuit(code, depth, cfg.p, postselect)
-        sim = FrameSimulator(circuit, None, start)
-        return lambda _rng, run_seed: sim.reseed(run_seed).run(cfg.shots,
-                                                               threads)
+        pvals = np.r_[clean[depth], max(0.0, 1.0 - clean[depth].sum())]
+        return lambda _rng, run_seed: np.random.default_rng(
+            run_seed).multinomial(cfg.shots, pvals)[:code.d]
 
     per_depth = []
-    for depth, scores in _sweep(cfg, seed, sampler, score):
+    for depth, scores in _sweep(cfg, seed, sampler,
+                                lambda counts: score(counts, cfg.shots)):
         fidelities = [f for _, f in scores if f is not None]
+        exact_fraction, exact_fidelity = score(clean[depth], 1.0)
         per_depth.append({
             **_depth_row(depth, fidelities),
             "survivor_fraction": float(np.mean([frac for frac, _ in scores])),
             "surviving_circuits": len(fidelities),
+            "exact_survivor_fraction": exact_fraction,
+            "exact_fidelity": exact_fidelity,
         })
     return {
         "experiment": "lrbd",

@@ -12,13 +12,13 @@ weyl.WeylTableau otherwise) and its symbol entries, the frame, from one
 pass that carries every measured Z back through the circuit, after Stim's
 error analysis (Gidney 2021).  A shard of shots then only draws its
 symbols and adds their entries to the constants (_Layout.sample), so no
-instruction is replayed per shot.
+instruction is replayed per shot.  outcome_law reads the exact law of any
+small integer projection of the outcomes off the same map, with no sampling.
 
 FrameSimulator makes one generator from its seed and works out once what
 every shard reads; run draws shards of shard_size shots from it in order,
 each adding into its rows of one preallocated int64 result, so a second run
-continues the stream, and reseed restarts it from a new seed without
-compiling again.  Noise is sparse, after Stim's frame simulator: the
+continues the stream.  Noise is sparse, after Stim's frame simulator: the
 (location, shot) pairs that fire come from geometric gaps between them
 (fired_positions), one Bernoulli(prob) draw per pair at the cost of the
 events that fire.  Threads ran no faster, so the threads argument is
@@ -36,9 +36,9 @@ from math import ceil, gcd
 import numpy as np
 
 from .circuit import MeasurementRecord
-from .errors import DimensionError, MemoryCapError, integral
+from .errors import DimensionError, MemoryCapError, ShapeError, integral
 from .gates import GATES
-from .noise import sample_error_batch
+from .noise import error_distribution, sample_error_batch
 from .pauli import _as_dimension
 from .tableau import Tableau
 from .weyl import WeylTableau
@@ -51,6 +51,9 @@ MAX_OUTCOME_ENTRIES = 1 << 28
 # per shot (512 KiB per temporary): glibc then reuses one shard's freed
 # temporaries for the next instead of trimming the heap and re-faulting them.
 OUTCOME_SHARD_ENTRIES = 1 << 16
+
+# outcome_law refuses a law of more outcomes than this (16 MiB of complex128)
+MAX_LAW_ENTRIES = 1 << 20
 
 # compile_circuit buffers at most this many symbol entries (8 MiB of int64)
 # before compressing them to the nonzero ones.
@@ -334,6 +337,56 @@ def compile_circuit(circuit, start) -> OutcomeMap:
     )
 
 
+def _dots(w, d: int) -> np.ndarray:
+    """w . u mod d for every u in Z_d^k, as an array of shape (d,) * len(w)."""
+    total = np.zeros((), dtype=np.int64)
+    for wi in w:
+        total = total[..., None] + wi * np.arange(d)
+    return total % d
+
+
+def outcome_law(omap, P=None) -> np.ndarray:
+    """The exact law of P y mod d, y the outcomes of omap, as an array of
+    shape (d,) * k: entry y' is its probability.  P is an integer (k, M)
+    matrix, the identity when None (else ShapeError), with d^k at most
+    MAX_LAW_ENTRIES (else MemoryCapError).  Symbol s moves P y by X_s w_s,
+    w_s = P v_s, so the law's Fourier transform at u in Z_d^k is, for any d,
+    w^(u.Pc) prod_uniform [u.w_s = 0 mod d] prod_N1 chi(u.w_a, u.w_b), chi
+    the channel's character table.  Symbols with one w enter at once, so
+    memory is O(d^k k) whatever their number.
+    """
+    d, num_slots = omap.d, len(omap.const)
+    P = np.eye(num_slots, dtype=np.int64) if P is None else np.asarray(P)
+    if P.ndim != 2 or P.shape[1] != num_slots or P.dtype.kind not in "iu":
+        raise ShapeError(f"P must be an integer (k, {num_slots}) matrix, got "
+                         f"shape {P.shape} of {P.dtype}")
+    if d ** len(P) > MAX_LAW_ENTRIES:
+        raise MemoryCapError(f"{d}^{len(P)} outcomes exceed the law cap of "
+                             f"{MAX_LAW_ENTRIES}")
+    k, P = len(P), P.astype(np.int64) % d
+    w = np.zeros((len(omap.indptr) - 1, k), dtype=np.int64)
+    np.add.at(w, np.repeat(np.arange(len(w)), np.diff(omap.indptr)),
+              omap.coeffs[:, None] * P[:, omap.slots].T)
+    omega = np.exp(2j * np.pi / d * np.arange(d))
+    dft = omega[np.outer(np.arange(d), np.arange(d)) % d]
+    phi = omega[_dots(P @ omap.const % d, d)]
+    for ws in np.unique(w[omap.uniform] % d, axis=0):
+        phi *= _dots(ws, d) == 0
+    for (kind, prob), locs in omap.noise_groups:
+        table = np.zeros((d, d))
+        for (a, b), p in error_distribution(kind, prob, d).items():
+            table[a, b] = p
+        chi = dft @ table @ dft
+        pairs, reps = np.unique(w[omap.noise[locs]].reshape(len(locs), -1) % d,
+                                axis=0, return_counts=True)
+        for pair, rep in zip(pairs, reps):
+            phi *= chi[_dots(pair[:k], d), _dots(pair[k:], d)] ** rep
+    for _ in range(k):
+        # transforms axis 0 and appends it, so k steps restore the order
+        phi = np.tensordot(phi, dft.conj(), axes=(0, 0))
+    return np.maximum(phi.real / d ** k, 0.0)
+
+
 class FrameSimulator:
     """Samples the measurement outcomes of a circuit from its OutcomeMap.
 
@@ -348,14 +401,8 @@ class FrameSimulator:
         self._layout = _Layout(self.omap)
         self.shard_width = self._layout.width
         self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // self.shard_width)
-        self.reseed(seed)
-        self.op_count = 0
-
-    def reseed(self, seed) -> "FrameSimulator":
-        """Draw later runs from a new generator made from seed, as a new
-        simulator of the same circuit would; returns self."""
         self._rng = np.random.default_rng(seed)
-        return self
+        self.op_count = 0
 
     def run(self, shots: int, threads: int = None) -> np.ndarray:
         """(shots, num_measurements) int64 outcomes, drawn in shards from the

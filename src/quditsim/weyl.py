@@ -44,47 +44,10 @@ import numpy as np
 
 from .errors import ShapeError, integral
 from .gates import resolve
-from .pauli import Dimension, PauliString, _as_dimension
+from .pauli import _as_dimension
 # measurement uses neither; tracers and tests patch these names here
 from .snf import kernel_mod, solve_mod  # noqa: F401
 from .tableau import TableauBase
-
-
-def weyl_mul(f1: int, v1: np.ndarray, f2: int, v2: np.ndarray, dim: Dimension):
-    """Product of two phase-tracked Weyl elements on the same register."""
-    dp = dim.d_prime
-    n = len(v1) // 2
-    f = f1 + f2 + int(v1[:n] @ v2[n:]) - int(v2[:n] @ v1[n:])
-    return f % dp, (v1 + v2) % dp
-
-
-def weyl_pow(f: int, v: np.ndarray, k: int, dim: Dimension):
-    dp = dim.d_prime
-    return (k * f) % dp, (k * v) % dp
-
-
-def weyl_canonical(f: int, v: np.ndarray, dim: Dimension):
-    """Fold coordinates into [0, d); the d-multiples become phase."""
-    d, dp = dim.d, dim.d_prime
-    n = len(v) // 2
-    base = v % d
-    lift = (v - base) % dp
-    if not lift.any():
-        return f % dp, base
-    u = lift // d
-    corr = int(base[:n] @ u[n:]) + int(base[n:] @ u[:n]) + d * int(u[:n] @ u[n:])
-    return (f - d * corr) % dp, base
-
-
-def weyl_from_pauli(p: PauliString):
-    """Coordinates and tau phase of w^r prod X^x Z^z.
-
-    Per slot X^x Z^z = omega^(-zx) Z^z X^x = tau^(-xz) W_(z,x), and the
-    omega phase prefactor contributes two tau units per power.
-    """
-    v = np.concatenate([p.z, p.x]).astype(np.int64)
-    f = (2 * p.r - int(p.x @ p.z)) % p.dimension.d_prime
-    return f, v % p.dimension.d_prime
 
 
 class WeylTableau(TableauBase):
@@ -147,15 +110,6 @@ class WeylTableau(TableauBase):
         self.r = (self.r + 2 * (b * C[:, n + j] - a * C[:, j])) % self.dp
 
     # -- measurement -----------------------------------------------------------
-
-    def _product(self, y):
-        """Phase and coordinates of prod_i generator_i^y_i, in row order."""
-        f, v = 0, np.zeros(2 * self.n, dtype=np.int64)
-        for i, yi in enumerate(y):
-            gf, gv = weyl_pow(int(self.r[i]), self.coords[i], int(yi),
-                              self.dimension)
-            f, v = weyl_mul(f, v, gf, gv, self.dimension)
-        return f, v
 
     def _eliminate(self, f, v, c: int, modulus: int):
         """Reduce rows (phases f, coordinates v) in place until at most one,
@@ -248,7 +202,3 @@ class WeylTableau(TableauBase):
         self.coords = np.vstack([v[keep], np.eye(1, 2 * n, j, dtype=np.int64)])
         return False, k
 
-    def _set_rows(self, rows) -> None:
-        self.coords = np.array([v for _, v in rows], dtype=np.int64).reshape(
-            len(rows), 2 * self.n)
-        self.r = np.array([f for f, _ in rows], dtype=np.int64)

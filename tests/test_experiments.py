@@ -650,13 +650,13 @@ class TestLRBD:
         """Every circuit at one depth samples the depth's one compiled map;
         rb circuits differ, so each compiles its own."""
         compiles = []
-        init = FrameSimulator.__init__
 
-        def counting(sim, *args, **kwargs):
-            compiles.append(args[0].metadata["family"])
-            init(sim, *args, **kwargs)
+        def counting(circuit, start):
+            compiles.append(circuit.metadata["family"])
+            return compile_circuit(circuit, start)
 
-        monkeypatch.setattr(FrameSimulator, "__init__", counting)
+        for module in ("quditsim.frames", "quditsim.experiments"):
+            monkeypatch.setattr(f"{module}.compile_circuit", counting)
         cfg = RBConfig(d=3, depths=(0, 2, 5), circuits_per_depth=4, shots=50,
                        p=0.05)
         run_lrb_d(cfg, seed=7, postselect=postselect)
@@ -681,6 +681,27 @@ class TestLRBD:
         with pytest.raises(MemoryCapError, match="outcome cap"):
             run_lrb_d(cfg, seed=1, postselect=postselect)
 
+    @pytest.mark.parametrize("threads, match", [
+        (0, "threads must be >= 1, got 0"),
+        (-3, "threads must be >= 1, got -3"),
+        (1.5, "threads must be an integer, got 1.5")])
+    def test_threads_checked_before_any_compile(self, threads, match,
+                                                monkeypatch):
+        """threads changes nothing, but a bad value is refused with
+        run_circuit's message before the first compile."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError("compiled before checking threads")
+
+        monkeypatch.setattr("quditsim.experiments.compile_circuit",
+                            unreachable)
+        cfg = RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10,
+                       p=0.0)
+        with pytest.raises(ValueError, match=match):
+            run_lrb_d(cfg, seed=1, threads=threads)
+        with pytest.raises(ValueError, match=match):
+            run_circuit(build_lrb_d_circuit(qutrit_detection_code(), 0, 0.0),
+                        10, 1, threads=threads)
+
     def test_logical_z_must_be_z_type(self):
         # times an X-type stabilizer, logical Z is still a valid logical Z
         code = qutrit_detection_code()
@@ -690,6 +711,56 @@ class TestLRBD:
                        p=0.0)
         with pytest.raises(ShapeError, match="Z-type"):
             run_lrb_d(cfg, mixed, seed=3)
+
+
+def frame_sampled_lrb_d(cfg, seeds, postselect):
+    """Per depth, a (len(seeds), 2) array of each seed's survivor fraction
+    and mean fidelity, sampled shot by shot with FrameSimulator and scored
+    by masking the shots with clean syndromes, independently of run_lrb_d's
+    law and multinomial draws."""
+    code = qutrit_detection_code()
+    start = code_initial_tableau(code)
+    num_syndromes = 4 if postselect == "all" else 2
+    out = {}
+    for depth in cfg.depths:
+        sim = FrameSimulator(build_lrb_d_circuit(code, depth, cfg.p, postselect),
+                             depth, start)
+        rows = []
+        for _ in seeds:
+            fractions, fidelities = [], []
+            for _ in range(cfg.circuits_per_depth):
+                shots = sim.run(cfg.shots)
+                clean = np.all(shots[:, :num_syndromes] == 0, axis=1)
+                logical = shots[clean, num_syndromes:] @ code.logical_z.z
+                fractions.append(clean.mean())
+                if len(logical):
+                    fidelities.append(rb_fidelity(per_slot_distributions(
+                        logical[:, None] % code.d, code.d)[0]))
+            rows.append((np.mean(fractions), np.mean(fidelities)))
+        out[depth] = np.array(rows)
+    return out
+
+
+@pytest.mark.parametrize("postselect", ["all", "x_only"])
+def test_law_drawn_lrb_d_agrees_with_frame_sampling(postselect):
+    """Over 30 seeds, run_lrb_d's per-depth mean survivor fraction and
+    fidelity agree with a frame-sampled, mask-scored reference within four
+    standard errors of their difference."""
+    cfg = RBConfig(d=3, depths=(0, 4, 8), circuits_per_depth=4, shots=2000,
+                   p=0.05)
+    seeds = range(30)
+    reference = frame_sampled_lrb_d(cfg, seeds, postselect)
+    reports = [run_lrb_d(cfg, seed=seed, postselect=postselect)
+               for seed in seeds]
+    for i, depth in enumerate(cfg.depths):
+        drawn = np.array([(r["per_depth"][i]["survivor_fraction"],
+                           r["per_depth"][i]["mean_fidelity"])
+                          for r in reports])
+        sampled = reference[depth]
+        stderr = np.sqrt(drawn.var(axis=0, ddof=1) / len(seeds)
+                         + sampled.var(axis=0, ddof=1) / len(seeds))
+        z = (drawn.mean(axis=0) - sampled.mean(axis=0)) / stderr
+        assert (np.abs(z) <= 4).all(), (depth, z)
 
 
 class TestDepthRow:
@@ -739,11 +810,11 @@ class TestReportDigests:
         # surviving circuits per depth at this seed; TestDepthRow checks the
         # stderr rule for each count
         assert [row["surviving_circuits"] for row in report["per_depth"]] == \
-            [3, 2, 0, 1]
+            [3, 2, 2, 0]
         assert self.digest(report) == (
-            "b20d5b8cd700259f98901f1d2fc021fec56bfd3380bd320866101b87f1b1ed9c")
+            "092e70a428742b385709d6a2cad5a91af16e1dc14f1750167e0fde1d51e1ca9d")
 
     def test_lrbd_x_only(self):
         report = run_lrb_d(self.LRBD_CFG, seed=5, postselect="x_only")
         assert self.digest(report) == (
-            "dd238b6b38af30465bbe7916806427ae846737043883de0b89debb0a8193b105")
+            "69951fed8e6fe332f33c29ab2d40ea6b0889e4e6f63739681044f7742b2b720d")

@@ -9,8 +9,11 @@ import pytest
 import quditsim.frames as frames_module
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
-from quditsim.errors import MemoryCapError
-from quditsim.frames import FrameSimulator, reference_run
+from quditsim.errors import MemoryCapError, ShapeError
+from quditsim.experiments import (build_channel_test_circuit,
+                                  channel_reference_distribution)
+from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, outcome_law,
+                             reference_run)
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import _run_shot, run_circuit
 from quditsim.tableau import Tableau
@@ -447,3 +450,101 @@ class TestWideDimensions:
         mat = FrameSimulator(c, 3).run(20000)
         assert (mat[:, 0] == mat[:, 1]).all()
         assert len(np.unique(mat[:, 0])) == d
+
+
+def noisy_with_mid_circuit_ops(d, kind, seed):
+    """Two noisy random Clifford blocks on two qudits, an M of qudit 0 and a
+    RESET of qudit 1 between them, then M on both: three slots, one or more
+    uniform symbols and N1 events of channel kind at p = 0.1."""
+    rng = np.random.default_rng(seed)
+    c = Circuit(2, d)
+    for block in range(2):
+        part = build_random_clifford_circuit(2, d, 10, rng, two_qudit_prob=0.5,
+                                             noise=(kind, 0.1),
+                                             measure_all=False)
+        for ins in part.instructions:
+            c.add_gate(ins.name, *ins.qudits, noise_channel=ins.noise_channel,
+                       prob=ins.prob)
+        if block == 0:
+            c.add_gate("M", 0)
+            c.add_gate("RESET", 1)
+    for j in range(2):
+        c.add_gate("M", j)
+    return c
+
+
+class TestOutcomeLaw:
+    """frames.outcome_law: the exact law of a projection of a compiled map's
+    outcomes, from the characters of its symbols."""
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_sampler_matches_joint_law(self, d, kind):
+        """FrameSimulator.run against its own map's exact joint law: the
+        sample sits within four times the expected TVD of an exact law.
+        Only a joint check catches uniform coefficients read as 1, since on
+        prime d every unit multiple of a uniform symbol is uniform."""
+        shots = 40000
+        c = noisy_with_mid_circuit_ops(d, kind, 10 * d + NOISE_KINDS.index(kind))
+        sim = FrameSimulator(c, 1)
+        law = outcome_law(sim.omap)
+        assert law.shape == (d,) * 3
+        assert law.sum() == pytest.approx(1.0, abs=1e-12)
+        counts = np.zeros(law.shape)
+        np.add.at(counts, tuple(sim.run(shots).T), 1)
+        score = 0.5 * np.abs(counts / shots - law).sum()
+        # the law is exact: a second sample of infinite size
+        assert score <= sample_tvd_bound(law.reshape(-1), shots, np.inf)
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_noiseless_deterministic_circuit_is_a_point_mass(self, d):
+        c = Circuit(2, d)
+        for name, *qudits in [("X", 0), ("SUM", 0, 1), ("SUM", 0, 1),
+                              ("M", 0), ("M", 1)]:
+            c.add_gate(name, *qudits)
+        law = outcome_law(FrameSimulator(c).omap)
+        expected = np.zeros((d, d))
+        expected[1, 2 % d] = 1.0
+        assert np.abs(law - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("prob", [0.0, 0.3, 1.0])
+    def test_single_channel_matches_closed_form(self, kind, d, prob):
+        law = outcome_law(FrameSimulator(
+            build_channel_test_circuit(kind, d, prob)).omap)
+        reference = channel_reference_distribution(kind, d, prob)
+        assert np.abs(law - [reference.prob(k) for k in range(d)]).max() \
+            <= 1e-12
+
+    def test_projection_is_the_pushforward_of_the_joint(self):
+        """The law of (y0 + 2 y1, y2 - y0) mod d is the full joint summed
+        over the outcomes that map to each value."""
+        d = 4
+        omap = FrameSimulator(noisy_with_mid_circuit_ops(d, "d", 7)).omap
+        P = np.array([[1, 2, 0], [-1, 0, 1]])
+        joint = outcome_law(omap)
+        expected = np.zeros((d, d))
+        for y in np.ndindex(joint.shape):
+            expected[tuple(P @ y % d)] += joint[y]
+        assert np.abs(outcome_law(omap, P) - expected).max() <= 1e-12
+
+    @pytest.mark.parametrize("P", [np.eye(2, dtype=np.int64),
+                                   np.ones(3, dtype=np.int64),
+                                   np.eye(3) / 2],
+                             ids=["too_few_columns", "one_dimensional",
+                                  "not_integer"])
+    def test_bad_projection_rejected(self, P):
+        omap = FrameSimulator(build_ghz_chain(3, 3, measure=True)).omap
+        with pytest.raises(ShapeError, match="P must be an integer"):
+            outcome_law(omap, P)
+
+    @pytest.mark.parametrize("d, rows", [(2, 21), (3, 13)])
+    def test_over_the_cap_rejected(self, d, rows):
+        """d^k above MAX_LAW_ENTRIES raises before any array is built."""
+        assert d ** rows > MAX_LAW_ENTRIES >= d ** (rows - 1)
+        omap = FrameSimulator(build_ghz_chain(2, d, measure=True)).omap
+        with pytest.raises(MemoryCapError, match="law cap"):
+            outcome_law(omap, np.ones((rows, 2), dtype=np.int64))
+        assert outcome_law(omap, np.ones((rows - 1, 2), dtype=np.int64)).size \
+            == d ** (rows - 1)

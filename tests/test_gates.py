@@ -8,7 +8,8 @@ import pytest
 from quditsim.gates import GATE_TABLE, GATES, SINGLE_QUDIT_GATES
 from quditsim.pauli import Dimension, PauliString
 from quditsim.statevector import conjugate_pauli
-from quditsim.weyl import weyl_canonical, weyl_from_pauli
+
+from weyl_helpers import weyl_canonical, weyl_from_pauli
 
 
 def all_paulis(n, d):

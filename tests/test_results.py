@@ -27,7 +27,9 @@ from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
                                records_to_counts, run_circuit)
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
-from quditsim.weyl import WeylTableau, weyl_from_pauli
+from quditsim.weyl import WeylTableau
+
+from weyl_helpers import set_weyl_rows, weyl_from_pauli
 
 
 def sample_outcomes(omap, rng, size: int) -> np.ndarray:
@@ -386,8 +388,8 @@ class TestWeylCompilesTheSameMap:
             code = qutrit_detection_code()
             start = code_initial_tableau(code)
             weyl = WeylTableau(start.n, start.d)
-            weyl._set_rows([weyl_from_pauli(start.stabilizer(i))
-                            for i in range(start.n)])
+            set_weyl_rows(weyl, [weyl_from_pauli(start.stabilizer(i))
+                                 for i in range(start.n)])
             return [(build_lrb_d_circuit(code, depth, 0.05, post),
                      start, weyl)
                     for post in ("all", "x_only") for depth in range(9)]

@@ -10,13 +10,10 @@ from quditsim.frames import compile_circuit
 from quditsim.pauli import Dimension, PauliString
 from quditsim.snf import kernel_mod, solve_mod
 from quditsim.statevector import DenseState
-from quditsim.weyl import (
-    WeylTableau,
-    weyl_canonical,
-    weyl_from_pauli,
-    weyl_mul,
-    weyl_pow,
-)
+from quditsim.weyl import WeylTableau
+
+from weyl_helpers import (weyl_canonical, weyl_from_pauli, weyl_mul,
+                          weyl_pow, weyl_product)
 
 SINGLE_GATES = ["X", "Z", "X_INV", "Z_INV", "F", "F_INV", "P", "P_INV"]
 
@@ -308,7 +305,7 @@ def divisor_search_support(tab, j):
     for m in [m for m in range(1, d + 1) if d % m == 0]:
         y = solve_mod((tab.coords % d).T, (m * target) % d, d)
         if y is not None:
-            f, _ = weyl_canonical(*tab._product(y), tab.dimension)
+            f, _ = weyl_canonical(*weyl_product(tab, y), tab.dimension)
             return m, [k for k in range(d) if (2 * k * m + f) % dp == 0]
     raise AssertionError("m = d is always solvable")
 
