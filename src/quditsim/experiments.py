@@ -26,7 +26,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionError, ShapeError, SupportMismatchError, integral
-from .frames import check_outcome_entries, compile_circuit, outcome_law
+from .frames import compile_circuit, outcome_law
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import _check_method_pair, run_circuit
@@ -528,8 +528,7 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     draw from it, so stderr is shot noise only.  exact_survivor_fraction
     and exact_fidelity are the infinite-shot values; the sampled fidelity,
     a modulus, is biased upward at finite shots.  threads is checked but
-    changes nothing.  MemoryCapError comes before any circuit is built if
-    cfg.shots outcome rows exceed frames.MAX_OUTCOME_ENTRIES.
+    changes nothing.
     """
     if code is None:
         code = qutrit_detection_code()
@@ -541,7 +540,6 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     if threads is not None:
         integral(threads, "threads", minimum=1)
     num_syndromes = len(_selected_stabilizers(code, postselect))
-    check_outcome_entries(cfg.shots, num_syndromes + code.n)
     start = code_initial_tableau(code)
     # rows: each selected syndrome, then the logical readout
     projection = np.eye(num_syndromes + 1, num_syndromes + code.n,

@@ -1,9 +1,10 @@
 """Dense statevector simulation of qudit Clifford circuits.
 
 This module is the slow, obviously-correct reference: gates are applied as
-explicit unitaries on a d^n amplitude tensor, Pauli strings as shift/phase
-operations, and measurement follows the Born rule with explicit collapse.
-Everything else in the package is validated against it.
+their explicit unitaries on a d^n amplitude tensor (a unitary with one
+nonzero per row, as a gather of amplitudes times a phase), Pauli strings as
+shift/phase operations, and measurement follows the Born rule with explicit
+collapse.  Everything else in the package is validated against it.
 
 Gate definitions, written out here independently of the update rules in
 gates.py so that the stabilizer backends can be checked against them:
@@ -65,13 +66,25 @@ def gate_matrix(name: str, d) -> np.ndarray:
     return gate_matrix(gate.inverse, dim).conj().T
 
 
-# room for every gate at a few dimensions; SUM alone holds d^4 entries
+# room for every gate at a few dimensions
 @lru_cache(maxsize=32)
-def _cached_gate_matrix(name: str, d: int) -> np.ndarray:
-    """gate_matrix(name, d), built once per (name, d) and read-only."""
+def _gate_kernel(name: str, d: int) -> tuple:
+    """gate_matrix(name, d) as apply_gate reads it, built once per (name, d).
+
+    A monomial matrix (one nonzero per row: X, Z, P, SUM and inverses) gives
+    (src, coef), row i holding coef[i] in column src[i]; any other gives
+    (m.T, None).  Both arrays are read-only.
+    """
     m = gate_matrix(name, d)
-    m.flags.writeable = False
-    return m
+    nonzero = m != 0
+    if (nonzero.sum(axis=1) != 1).any():
+        m = m.T.copy()
+        m.flags.writeable = False
+        return m, None
+    src = nonzero.argmax(axis=1)
+    coef = m[np.arange(len(m)), src]
+    src.flags.writeable = coef.flags.writeable = False
+    return src, coef
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -118,19 +131,15 @@ class DenseState:
     # -- evolution ---------------------------------------------------------
 
     def apply_gate(self, name: str, *qudits: int) -> None:
+        """One gather (monomial gate) or one matmul on psi, viewed with the
+        gate's axes last, control first, and flattened to d^arity."""
         gate = resolve(name, qudits, self.n)
-        d = self.dimension.d
-        m = _cached_gate_matrix(gate.name, d)
-        if gate.arity == 1:
-            (j,) = qudits
-            self.psi = np.moveaxis(
-                np.tensordot(m, self.psi, axes=([1], [j])), 0, j)
-        else:
-            c, t = qudits
-            moved = np.moveaxis(self.psi, (c, t), (0, 1))
-            moved = np.tensordot(m.reshape(d, d, d, d), moved,
-                                 axes=([2, 3], [0, 1]))
-            self.psi = np.moveaxis(moved, (0, 1), (c, t))
+        src, coef = _gate_kernel(gate.name, self.dimension.d)
+        order = [a for a in range(self.n) if a not in qudits] + list(qudits)
+        flat = self.psi.transpose(order).reshape(-1, len(src))
+        out = flat @ src if coef is None else flat[:, src] * coef
+        self.psi = out.reshape(self.psi.shape).transpose(
+            sorted(range(self.n), key=order.__getitem__))
 
     def apply_pauli(self, p: PauliString) -> None:
         """Apply a Pauli string using index shifts and phase masks."""

@@ -479,6 +479,15 @@ class TestBenchmarkCommands:
         assert doc["postselect"] == "x_only"
         assert doc["per_depth"][0]["survivor_fraction"] > 0.5
 
+    def test_lrbd_shots_past_the_outcome_cap(self):
+        """lrbd draws each circuit's shots from its depth's law, so 3e7
+        shots x 9 measurements, past frames.MAX_OUTCOME_ENTRIES, exit 0."""
+        proc = run_cli("lrbd", "--depths", "0", "--circuits", "1", "--shots",
+                       "30000000", "--p", "0.02", "--seed", "1")
+        assert proc.returncode == 0
+        assert 0 < json.loads(proc.stdout)["per_depth"][0][
+            "survivor_fraction"] <= 1
+
 
 class TestThreadsEnv:
     """SDIM_THREADS fallback."""

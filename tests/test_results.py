@@ -375,6 +375,16 @@ class TestRunDigests:
         assert self.digest(result.outcomes) == (
             "c277abd3b7dbe0733cf67dac8c9b4d13ee5ce2b9ac690364d2c5a4966acb03ae")
 
+    def test_statevector_dense_composite(self):
+        """n=5, d=6, depth 200: the widest shape weyl_validate runs."""
+        circuit = build_random_clifford_circuit(5, 6, 200,
+                                                np.random.default_rng(6))
+        assert _terminal_measurement_plan(circuit) is not None
+        result = run_circuit(circuit, 2000, np.random.SeedSequence(31),
+                             "statevector")
+        assert self.digest(result.outcomes) == (
+            "b5afc26b10ae20f9c6160dd541ac590e75d1e495520c52ae26ba5bc5508be182")
+
 
 class TestWeylCompilesTheSameMap:
     """On prime d every random outcome has full support, so the map in

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from quditsim.errors import DimensionError, MemoryCapError, PauliMatchError, ShapeError
+from quditsim.gates import GATE_ALIASES, GATES, lookup
 from quditsim.pauli import Dimension, PauliString
 from quditsim.statevector import (
     DenseState,
@@ -14,6 +15,17 @@ from quditsim.statevector import (
     match_pauli,
     pauli_matrix,
 )
+
+
+def full_unitary(name, d, n, qudits) -> np.ndarray:
+    """The d^n x d^n unitary of a gate on the given qudits, control first:
+    kron(gate_matrix, I) on the qudits listed first, with its rows and
+    columns permuted back to qudit order."""
+    rest = [q for q in range(n) if q not in qudits]
+    u = np.kron(gate_matrix(name, d), np.eye(d ** len(rest)))
+    order = np.arange(d ** n).reshape((d,) * n).transpose([*qudits, *rest])
+    back = np.argsort(order.reshape(-1))
+    return u[np.ix_(back, back)]
 
 
 class TestGateMatrices:
@@ -198,6 +210,32 @@ class TestDenseState:
                     out[t] = (idx[t] + sign * idx[c]) % d
                     expect[tuple(out)] = psi[idx]
                 assert np.array_equal(state.psi, expect), (name, c, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+    def test_every_gate_matches_its_full_unitary(self, d, n):
+        """Every gate name and alias on every qudit or ordered pair, against
+        its full unitary on a random state: exactly for the gates with one
+        nonzero per row, to 1e-12 for F and F_INV.  Real and imaginary
+        parts are random signed powers of two, so each product with a phase
+        rounds once however numpy groups its multiply-adds."""
+        rng = np.random.default_rng(100 * d + n)
+        parts = rng.choice([-4, -2, -1, -0.5, 0.5, 1, 2, 4], size=(2,) + (d,) * n)
+        psi = parts[0] + 1j * parts[1]
+        for name in [*GATES, *GATE_ALIASES]:
+            arity = lookup(name).arity
+            for qudits in itertools.permutations(range(n), arity):
+                state = DenseState(n, d)
+                state.psi = psi.copy()
+                state.apply_gate(name, *qudits)
+                u = full_unitary(name, d, n, qudits)
+                if lookup(name).name.startswith("F"):
+                    assert np.allclose(state.vector, u @ psi.reshape(-1),
+                                       rtol=0, atol=1e-12), (name, qudits)
+                else:
+                    # one nonzero product per row, summed with exact zeros
+                    expect = (u * psi.reshape(-1)).sum(axis=1)
+                    assert np.array_equal(state.vector, expect), (name, qudits)
 
     def test_gate_matrix_stays_fresh_after_use(self):
         DenseState(1, 3).apply_gate("X", 0)
