@@ -10,7 +10,8 @@ and b of each N1 location's error.  Its constant terms come from one
 reference run on a concrete tableau (a Tableau for odd prime d, a
 weyl.WeylTableau otherwise) and its symbol entries, the frame, from one
 pass that carries every measured Z back through the circuit, after Stim's
-error analysis (Gidney 2021).  A shard of shots then only draws its
+error analysis (Gidney 2021), on live frame columns only: a column leaves
+once a random measurement or reset zeroes it.  A shard of shots draws its
 symbols and adds their entries to the constants (_Layout.sample), so no
 instruction is replayed per shot.  outcome_law reads the exact law of any
 small integer projection of the outcomes off the same map, with no sampling.
@@ -39,7 +40,6 @@ from .circuit import MeasurementRecord
 from .errors import DimensionError, MemoryCapError, ShapeError, integral
 from .gates import GATES
 from .noise import error_distribution, sample_error_batch
-from .pauli import _as_dimension
 from .tableau import Tableau
 from .weyl import WeylTableau
 
@@ -55,10 +55,6 @@ OUTCOME_SHARD_ENTRIES = 1 << 16
 # outcome_law refuses a law of more outcomes than this (16 MiB of complex128)
 MAX_LAW_ENTRIES = 1 << 20
 
-# compile_circuit buffers at most this many symbol entries (8 MiB of int64)
-# before compressing them to the nonzero ones.
-COMPILE_BUFFER_ENTRIES = 1 << 20
-
 
 def check_outcome_entries(shots: int, num_slots: int) -> None:
     """Raise MemoryCapError if a (shots, num_slots) outcome matrix would
@@ -73,12 +69,9 @@ def _start_tableau(circuit, initial_tableau=None):
     """A copy of initial_tableau with no measurements counted, so that seqs
     start at 0, or a fresh register: a Tableau for odd prime d and a
     WeylTableau otherwise."""
-    dim = _as_dimension(circuit.dimension)
     if initial_tableau is None:
-        kind = Tableau if dim.is_odd_prime else WeylTableau
-        return kind(circuit.num_qudits, dim)
-    if initial_tableau.n != circuit.num_qudits or initial_tableau.d != dim.d:
-        raise DimensionError("initial tableau does not match the circuit")
+        kind = Tableau if circuit.dimension.is_odd_prime else WeylTableau
+        return kind(circuit.num_qudits, circuit.dimension)
     tab = initial_tableau.copy()
     tab.measurements_done = 0
     return tab
@@ -167,8 +160,10 @@ class _Layout:
 
 
 def _reference(circuit, tab, rng):
-    """Run circuit once on tab with noise skipped: its MeasurementRecords in
-    program order and, per M and RESET, tab.pivot after it."""
+    """Run circuit on tab, noise skipped: MeasurementRecords in program order
+    and tab.pivot after each M and RESET; DimensionError unless tab fits."""
+    if tab.n != circuit.num_qudits or tab.d != circuit.dimension.d:
+        raise DimensionError("initial tableau does not match the circuit")
     records, pivots = [], []
     for ins in circuit.instructions:
         name = ins.name
@@ -216,124 +211,127 @@ class OutcomeMap:
     noise_groups: list
 
 
-class _SymbolRows:
-    """One row over the slots per symbol, added in descending symbol order,
-    kept as sparse (slot, coeff) entries.
-
-    Rows wait in a buffer of at most COMPILE_BUFFER_ENTRIES, filled from
-    the bottom, and are compressed to their nonzero entries when it is
-    full; read back to front, the chunks are in ascending symbol order.
-    """
-
-    def __init__(self, size: int, num_slots: int, d: int):
-        rows = min(size, COMPILE_BUFFER_ENTRIES // max(1, num_slots))
-        self.buf = np.zeros((max(1, rows), num_slots), dtype=np.int64)
-        self.free = len(self.buf)
-        self.d = d
-        self.chunks = []
-
-    def add(self, row, lo: int) -> None:
-        """The next symbol's row: row on the slots from lo, 0 before."""
-        if not self.free:
-            self._compress()
-        self.free -= 1
-        self.buf[self.free, :lo] = 0
-        self.buf[self.free, lo:] = row
-
-    def _compress(self) -> None:
-        rows = self.buf[self.free:] % self.d
-        which, slot = np.nonzero(rows)
-        self.chunks.append((np.bincount(which, minlength=len(rows)),
-                            slot.astype(np.int32),
-                            rows[which, slot].astype(np.min_scalar_type(self.d - 1))))
-        self.free = len(self.buf)
-
-    def finish(self):
-        """(indptr, slots, coeffs) of every symbol, in symbol order."""
-        self._compress()
-        counts, slots, coeffs = (np.concatenate(part, dtype=np.int64)
-                                 for part in zip(*self.chunks[::-1]))
-        return np.r_[0, np.cumsum(counts)], slots, coeffs
-
-
 def compile_circuit(circuit, start) -> OutcomeMap:
-    """The OutcomeMap of circuit run from start, a Tableau or a WeylTableau;
-    no randomness used.
+    """The OutcomeMap of circuit run from start, a Tableau or a WeylTableau
+    of its n and d (else DimensionError); no randomness used.
 
     A reference run on a copy of start, every random outcome at the lowest
     value its support allows, gives the constants, the flags and the pivot
     (px, pz) of each random M and RESET.  One pass in reverse program order
-    then carries every measured Z_j back to the start, as the columns of x
-    and z (qudits x slots, mod d): a gate applies its inverse's column map,
-    an N1's a gets the entries z[j] and its b -x[j], an M sets z[j, slot]
-    and a RESET clears row j.  A random M or RESET gets row = px.z - pz.x;
-    if px[j] is a unit, row is scaled by its inverse and taken off z[j],
-    which zeroes the slot's own column, so a random outcome is its symbol
-    alone (Symphase's gauge, Fang & Ying 2024).  Partial support on
-    composite d keeps row as it is.  Cost: O(instructions x slots).
+    then carries every measured Z_j back to the start as the live columns
+    of x and z (qudits x L, mod d), slots descending in live: a gate applies
+    its inverse's column map, an N1's a gets the entries z[j] and its b
+    -x[j], an M appends the column e_j of z and a RESET clears row j.  A
+    random M or RESET gets row = px.z - pz.x; if px[j] is a unit, row is
+    scaled by its inverse and taken off z[j], which zeroes the slot's own
+    column, so a random outcome is its symbol alone (Symphase's gauge, Fang
+    & Ying 2024).  Partial support on composite d keeps row as it is.  A
+    column leaves once the RESET or random M that touched it zeroes it, so
+    the cost is O(instructions x live columns); a deterministic M's column
+    can stay live back to the start.
     """
     d, n = start.d, start.n
     records, pivots = _reference(circuit, start.copy(), None)
-    num_slots = len(records)
-    ops = circuit.instructions
-    num_noise = sum(ins.name == "N1" for ins in ops)
-    sym = sum(p is not None for p in pivots) + 2 * num_noise
-    rows = _SymbolRows(sym, num_slots, d)
-    x = np.zeros((n, num_slots), dtype=np.int64)
-    z = np.zeros((n, num_slots), dtype=np.int64)
-    noise = np.zeros((num_noise, 2), dtype=np.int64)
-    uniform = []
-    loc, slot, piv = num_noise, num_slots, len(pivots)
+    ops, num_slots = circuit.instructions, len(records)
+    xz = np.zeros((2 * n, num_slots), dtype=np.int64)
+    x, z = xz[:n], xz[n:]
+    # live is replaced, never written, so each pending row keeps its slots
+    live = np.zeros(0, dtype=np.int64)
+    pending, spans, parts = [], [], [(np.zeros(0, dtype=np.int64),) * 3]
+    # pending rows are bounded by the input: the frame plus one per instruction
+    size, bound, kept = 0, xz.size + len(ops), 0
+
+    def compress():
+        """Move the pending rows' nonzero entries to parts, compactly."""
+        nonlocal size, kept
+        v = np.concatenate(pending) % d
+        nz = v.nonzero()[0]
+        lens = np.fromiter(map(len, pending), np.int64, len(pending))
+        parts.append((kept + nz.searchsorted(lens.cumsum()),
+                      np.concatenate(spans)[nz].astype(np.int32),
+                      v[nz].astype(np.min_scalar_type(d - 1))))
+        size, kept = 0, kept + len(nz)
+        del pending[:], spans[:]
+
+    # symbols and N1 locations count from the end until all are seen; an
+    # N1's backward pair is (a, b) = (sym + 1, sym)
+    noise, uniform, groups = [], [], {}
+    sym, slot, piv, L = 0, num_slots, len(pivots), 0
     for ins in reversed(ops):
+        if size > bound:
+            compress()
         name, j = ins.name, ins.qudits[0]
         if name == "N1":
-            loc -= 1
-            sym -= 2
-            noise[loc] = sym, sym + 1
-            rows.add(-x[j, slot:], slot)
-            rows.add(z[j, slot:], slot)
+            groups.setdefault((ins.noise_channel, ins.prob),
+                              []).append(len(noise))
+            noise.append((sym + 1, sym))
+            sym += 2
+            pending += -x[j, :L], z[j, :L].copy()
+            spans += live, live
+            size += 2 * L
             continue
         if name not in ("M", "RESET"):
             gate = GATES[GATES[name].inverse]
             if gate.arity == 2:
                 c, t = ins.qudits
-                x[t, slot:], z[c, slot:] = gate.cols(
-                    x[c, slot:], z[c, slot:], x[t, slot:], z[t, slot:], d)
+                x[t, :L], z[c, :L] = gate.cols(
+                    x[c, :L], z[c, :L], x[t, :L], z[t, :L], d)
             elif gate.cols is not None:
-                x[j, slot:], z[j, slot:] = gate.cols(x[j, slot:], z[j, slot:], d)
+                x[j, :L], z[j, :L] = gate.cols(x[j, :L], z[j, :L], d)
             continue
+        touched = ()
         if name == "M":
             slot -= 1
-            z[j, slot] = 1
+            live = np.concatenate((live, (slot,)))
+            z[j, L] = 1
+            L += 1
         else:
-            x[j, slot:] = z[j, slot:] = 0
+            touched = (x[j, :L] | z[j, :L]).nonzero()[0]
+            xz[j::n, :L] = 0
         piv -= 1
-        if pivots[piv] is None:
-            continue
-        px, pz = pivots[piv]
-        sym -= 1
-        uniform.append(sym)
-        row = (px @ z[:, slot:] - pz @ x[:, slot:]) % d
-        if gcd(int(px[j]), d) == 1:
-            row = row * pow(int(px[j]), -1, d) % d
-            z[j, slot:] = (z[j, slot:] - row) % d
-        rows.add(row, slot)
-    indptr, slots, coeffs = rows.finish()
-    groups = {}
-    for k, ins in enumerate(ins for ins in ops if ins.name == "N1"):
-        groups.setdefault((ins.noise_channel, ins.prob), []).append(k)
+        if pivots[piv] is not None:
+            px, pz = pivots[piv]
+            uniform.append(sym)
+            sym += 1
+            row = (px @ z[:, :L] - pz @ x[:, :L]) % d
+            unit = gcd(int(px[j]), d) == 1
+            if unit:
+                row = row * pow(int(px[j]), -1, d) % d
+                z[j, :L] = (z[j, :L] - row) % d
+            pending.append(row)
+            spans.append(live)
+            size += L
+            if unit and name == "M":
+                # its own column, the last, is zero now; another column that
+                # row moved is zero only where z[j] became 0
+                L -= 1
+                live = live[:L]
+                touched = ((row[:L] != 0) & (z[j, :L] == 0)).nonzero()[0]
+        if len(touched) and not xz.take(touched, axis=1).any(axis=0).all():
+            # a column died: drop it, leaving zero columns for the next M
+            keep = xz[:, :L].any(axis=0)
+            live = live[keep]
+            xz[:, :len(live)], xz[:, len(live):L] = xz[:, :L][:, keep], 0
+            L = len(live)
+    if pending:
+        compress()
+    # reversed, the rows are in (symbol, slot) order
+    end, slots, coeffs = (np.concatenate([a[::-1] for a in part[::-1]],
+                                         dtype=np.int64) for part in zip(*parts))
     return OutcomeMap(
         d=d,
         const=np.array([r.outcome for r in records], dtype=np.int64),
         qudits=np.array([r.qudit for r in records], dtype=np.int64),
         seqs=np.array([r.seq for r in records], dtype=np.int64),
         deterministic=np.array([r.deterministic for r in records], dtype=bool),
-        indptr=indptr,
+        indptr=np.append(kept - end, kept),
         slots=slots,
         coeffs=coeffs,
-        uniform=np.array(uniform[::-1], dtype=np.int64),
-        noise=noise,
-        noise_groups=[(key, np.array(locs)) for key, locs in groups.items()],
+        uniform=sym - 1 - np.array(uniform[::-1], dtype=np.int64),
+        noise=sym - 1 - np.array(noise[::-1], dtype=np.int64).reshape(-1, 2),
+        noise_groups=sorted(((key, len(noise) - 1 - np.array(locs[::-1]))
+                             for key, locs in groups.items()),
+                            key=lambda group: group[1][0]),
     )
 
 

@@ -9,14 +9,15 @@ import pytest
 import quditsim.frames as frames_module
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
-from quditsim.errors import MemoryCapError, ShapeError
+from quditsim.errors import DimensionError, MemoryCapError, ShapeError
 from quditsim.experiments import (build_channel_test_circuit,
                                   channel_reference_distribution)
-from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, outcome_law,
-                             reference_run)
+from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, compile_circuit,
+                             outcome_law, reference_run)
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.simulate import _run_shot, run_circuit
 from quditsim.tableau import Tableau
+from quditsim.weyl import WeylTableau
 
 
 def outcome_histogram(matrix, d):
@@ -185,6 +186,16 @@ class TestCustomInitialTableau:
         assert (mat[:, 0] == mat[:, 1]).all()
         freqs = np.bincount(mat[:, 0], minlength=3) / 2000
         assert (np.abs(freqs - 1 / 3) < 0.06).all()
+
+    @pytest.mark.parametrize("kind", [Tableau, WeylTableau])
+    @pytest.mark.parametrize("n, d", [(4, 3), (3, 5)], ids=["n", "d"])
+    def test_start_must_fit_the_circuit(self, kind, n, d):
+        """A start of another n or d is refused, not compiled."""
+        c = build_ghz_chain(3, 3, measure=True)
+        with pytest.raises(DimensionError, match="does not match the circuit"):
+            compile_circuit(c, kind(n, d))
+        with pytest.raises(DimensionError, match="does not match the circuit"):
+            reference_run(c, np.random.default_rng(0), kind(n, d))
 
     def test_op_count_accumulates(self):
         c = build_ghz_chain(2, 3, measure=True)

@@ -8,20 +8,20 @@ view, and require the streamed text to match it exactly.
 import hashlib
 import json
 from dataclasses import fields
+from math import gcd
 
 import numpy as np
 import pytest
 
-import quditsim.frames as frames_module
 from quditsim import cli
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
-from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout,
+from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout, _reference,
                              _start_tableau, compile_circuit, draw_symbols)
-from quditsim.gates import GATE_TABLE
+from quditsim.gates import GATE_TABLE, GATES
 from quditsim.noise import NOISE_KINDS
 from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
                                records_to_counts, run_circuit)
@@ -281,6 +281,13 @@ class TestMapDigests:
         # two of its four random M and RESET have partial support
         "reset_corpus_d4":
             "3274b0a1e3a324a34748b795ce58dec2a3517880b6b8b2a8ddadddf8023f21b2",
+        # pinned before the backward pass kept only its live frame columns
+        "guard_d3":
+            "295f84e5ec8db4940a8ec0aceadfc031702464b108d3c2b553d636fb18a5832f",
+        "guard_d2":
+            "e36bfac6d85a2a4cbd59bafde6fb5dff6a0f5c87ee8bfbb9792d6048b1e8b7a3",
+        "syndrome_rounds_30":
+            "2b96d0ce998347933571ba14126d5c77bdb6936843803b4ea1cae0993b09272d",
     }
 
     @staticmethod
@@ -302,6 +309,9 @@ class TestMapDigests:
             "weyl_d3": (weyl_d3, WeylTableau(weyl_d3.num_qudits, 3)),
             "reset_corpus_d4": (reset_corpus_circuit(
                 4, np.random.default_rng(404), ("d", 0.1)), None),
+            "guard_d3": (guard_circuit(3), None),
+            "guard_d2": (guard_circuit(2), None),
+            "syndrome_rounds_30": (syndrome_rounds(30), None),
         }
 
     @classmethod
@@ -316,16 +326,106 @@ class TestMapDigests:
             h.update(np.ascontiguousarray(locs, dtype=np.int64).tobytes())
         return h.hexdigest()
 
-    # one buffered row at a time, and chunks of a few rows
-    @pytest.mark.parametrize("buffer_entries", [None, 1, 40])
-    def test_digests(self, monkeypatch, buffer_entries):
-        if buffer_entries is not None:
-            monkeypatch.setattr(frames_module, "COMPILE_BUFFER_ENTRIES",
-                                buffer_entries)
+    def test_digests(self):
         digests = {name: self.digest(compile_circuit(
                        circuit, start or _start_tableau(circuit)))
                    for name, (circuit, start) in self.cases().items()}
         assert digests == self.DIGESTS
+
+
+def dense_compile(circuit, start) -> OutcomeMap:
+    """compile_circuit's map by the dense backward pass it replaced: x and
+    z carry a column for every slot measured later, and every symbol's row
+    is dense over all slots until the end."""
+    d, n = start.d, start.n
+    records, pivots = _reference(circuit, start.copy(), None)
+    num_slots, ops = len(records), circuit.instructions
+    num_noise = sum(ins.name == "N1" for ins in ops)
+    sym = sum(p is not None for p in pivots) + 2 * num_noise
+    rows = np.zeros((sym, num_slots), dtype=np.int64)
+    x = np.zeros((n, num_slots), dtype=np.int64)
+    z = np.zeros((n, num_slots), dtype=np.int64)
+    noise = np.zeros((num_noise, 2), dtype=np.int64)
+    uniform = []
+    loc, slot, piv = num_noise, num_slots, len(pivots)
+    for ins in reversed(ops):
+        name, j = ins.name, ins.qudits[0]
+        if name == "N1":
+            loc -= 1
+            sym -= 2
+            noise[loc] = sym, sym + 1
+            rows[sym, slot:], rows[sym + 1, slot:] = z[j, slot:], -x[j, slot:]
+            continue
+        if name not in ("M", "RESET"):
+            gate = GATES[GATES[name].inverse]
+            if gate.arity == 2:
+                c, t = ins.qudits
+                x[t, slot:], z[c, slot:] = gate.cols(
+                    x[c, slot:], z[c, slot:], x[t, slot:], z[t, slot:], d)
+            elif gate.cols is not None:
+                x[j, slot:], z[j, slot:] = gate.cols(x[j, slot:], z[j, slot:], d)
+            continue
+        if name == "M":
+            slot -= 1
+            z[j, slot] = 1
+        else:
+            x[j, slot:] = z[j, slot:] = 0
+        piv -= 1
+        if pivots[piv] is None:
+            continue
+        px, pz = pivots[piv]
+        sym -= 1
+        uniform.insert(0, sym)
+        row = (px @ z[:, slot:] - pz @ x[:, slot:]) % d
+        if gcd(int(px[j]), d) == 1:
+            row = row * pow(int(px[j]), -1, d) % d
+            z[j, slot:] = (z[j, slot:] - row) % d
+        rows[sym, slot:] = row
+    rows %= d
+    which, slots = np.nonzero(rows)
+    groups = {}
+    for k, ins in enumerate(ins for ins in ops if ins.name == "N1"):
+        groups.setdefault((ins.noise_channel, ins.prob), []).append(k)
+    return OutcomeMap(
+        d=d,
+        const=np.array([r.outcome for r in records], dtype=np.int64),
+        qudits=np.array([r.qudit for r in records], dtype=np.int64),
+        seqs=np.array([r.seq for r in records], dtype=np.int64),
+        deterministic=np.array([r.deterministic for r in records], dtype=bool),
+        indptr=np.searchsorted(which, np.arange(len(rows) + 1)),
+        slots=slots,
+        coeffs=rows[which, slots],
+        uniform=np.array(uniform, dtype=np.int64),
+        noise=noise,
+        noise_groups=[(key, np.array(locs)) for key, locs in groups.items()],
+    )
+
+
+class TestDenseOracle:
+    """compile_circuit, which carries only live frame columns and keeps only
+    nonzero entries, gives the dense backward pass's map field by field."""
+
+    @staticmethod
+    def starts(circuit) -> list:
+        """The default start; on odd prime d, a WeylTableau as well."""
+        start = _start_tableau(circuit)
+        if isinstance(start, WeylTableau):
+            return [start]
+        return [start, WeylTableau(start.n, start.d)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 9])
+    def test_noisy_reset_corpus(self, d):
+        for i in range(8):
+            circuit = reset_corpus_circuit(d, np.random.default_rng(1000 * d + i),
+                                           (NOISE_KINDS[i % 3], 0.1))
+            for start in self.starts(circuit):
+                a, b = compile_circuit(circuit, start), dense_compile(circuit, start)
+                for f in fields(OutcomeMap):
+                    if f.name != "noise_groups":
+                        assert np.array_equal(getattr(a, f.name),
+                                              getattr(b, f.name)), (i, f.name)
+                assert ([(key, locs.tolist()) for key, locs in a.noise_groups] ==
+                        [(key, locs.tolist()) for key, locs in b.noise_groups])
 
 
 class TestRunDigests:
@@ -534,6 +634,33 @@ def reset_corpus_circuit(d: int, rng, noise=None) -> Circuit:
                 circuit.add_gate("N1", q, noise_channel=noise[0], prob=noise[1])
     for j in range(n):
         circuit.add_gate("M", j)
+    return circuit
+
+
+def guard_circuit(d: int) -> Circuit:
+    """A small member of the long-circuit compile guard's family: 20
+    qudits, depth 400, depolarizing noise and mid-circuit measurements."""
+    return build_random_clifford_circuit(20, d, 400, np.random.default_rng(1),
+                                         noise=("d", 0.001),
+                                         mid_measure_prob=0.05)
+
+
+def syndrome_rounds(rounds: int) -> Circuit:
+    """Qutrit repetition-code syndrome rounds: per round, noise on the 11
+    data qudits, then each ancilla 11+a reads Z_a Z_(a+1)^-1 and is reset;
+    the data qudits are measured at the end.  Every syndrome outcome is
+    deterministic, so its frame column stays live back to the start."""
+    circuit = Circuit(21, 3)
+    for _ in range(rounds):
+        for q in range(11):
+            circuit.add_gate("N1", q, noise_channel="d", prob=0.001)
+        for a in range(10):
+            circuit.add_gate("SUM", a, 11 + a)
+            circuit.add_gate("SUM_INV", a + 1, 11 + a)
+            circuit.add_gate("M", 11 + a)
+            circuit.add_gate("RESET", 11 + a)
+    for q in range(11):
+        circuit.add_gate("M", q)
     return circuit
 
 
