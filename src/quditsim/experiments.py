@@ -20,7 +20,7 @@ command line (cli.py) writes the CSV and manifest files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -299,17 +299,15 @@ def _fit_decay(depths, means):
 def _sweep(cfg: RBConfig, seed, sampler, score) -> list:
     """Per depth, (depth, scores of its cfg.circuits_per_depth circuits).
 
-    sampler(depth) returns the depth's sample(build_rng, run_seed) for
+    sampler(depth) returns the depth's sample(build_seed, run_seed) for
     one circuit's cfg.shots shots.  Each circuit spawns two seed
-    children, samples with a generator made from the first and with the
-    second, and is scored as score(sample) before the next is sampled.
+    children, samples with them, and is scored as score(sample) before
+    the next is sampled.
     """
     ss = np.random.SeedSequence(seed)
 
     def one(sample):
-        build_child, run_child = ss.spawn(2)
-        return score(sample(np.random.Generator(np.random.PCG64(build_child)),
-                            run_child))
+        return score(sample(*ss.spawn(2)))
 
     return [(depth, [one(sample) for _ in range(cfg.circuits_per_depth)])
             for depth in cfg.depths for sample in (sampler(depth),)]
@@ -331,8 +329,9 @@ def run_rb(cfg: RBConfig, seed=None, method: str = "frames",
            threads: int = None) -> dict:
     """Mean fidelity per depth plus a decay fit f(D) = B * alpha^D."""
     sweep = _sweep(
-        cfg, seed, lambda depth: lambda rng, run_seed: run_circuit(
-            build_rb_circuit(cfg.d, depth, cfg.p, rng), cfg.shots, run_seed,
+        cfg, seed, lambda depth: lambda build_seed, run_seed: run_circuit(
+            build_rb_circuit(cfg.d, depth, cfg.p, np.random.Generator(
+                np.random.PCG64(build_seed))), cfg.shots, run_seed,
             method, threads=threads).outcomes,
         lambda outcomes: rb_fidelity(per_slot_distributions(outcomes, cfg.d)[0]))
     per_depth = [{**_depth_row(depth, fidelities), "survivor_fraction": 1.0,
@@ -522,10 +521,12 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     X-type stabilizers' for "x_only") are all zero survive; each circuit's
     fidelity is computed on the survivors' logical readout (the logical-Z
     weighted sum of data outcomes), and is missing without survivors.
-    Every circuit at one depth is the same, so each depth compiles one map
-    and takes from it the exact law of (selected syndromes, logical
-    readout) (frames.outcome_law); a circuit's shots are one multinomial
-    draw from it, so stderr is shot noise only.  exact_survivor_fraction
+    Every noise round precedes the gadgets, so the sweep compiles the
+    depth-0 circuit once: with each noise location listed D + 1 times, its
+    map gives depth D's exact law of (selected syndromes, logical readout)
+    (frames.outcome_law) bit for bit, and the cost is flat in depth.  A
+    circuit's shots are one multinomial draw from that law, so stderr is
+    shot noise only.  exact_survivor_fraction
     and exact_fidelity are the infinite-shot values; the sampled fidelity,
     a modulus, is biased upward at finite shots.  threads is checked but
     changes nothing.
@@ -540,7 +541,6 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     if threads is not None:
         integral(threads, "threads", minimum=1)
     num_syndromes = len(_selected_stabilizers(code, postselect))
-    start = code_initial_tableau(code)
     # rows: each selected syndrome, then the logical readout
     projection = np.eye(num_syndromes + 1, num_syndromes + code.n,
                         dtype=np.int64)
@@ -555,15 +555,18 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
         return float(kept / total), rb_fidelity(
             OutcomeDistribution(code.d, dict(enumerate(weights / kept))))
 
+    omap = compile_circuit(build_lrb_d_circuit(code, 0, cfg.p, postselect),
+                           code_initial_tableau(code))
     clean = {}  # per depth, P(clean syndromes, logical value) per value
     for depth in cfg.depths:
-        circuit = build_lrb_d_circuit(code, depth, cfg.p, postselect)
-        law = outcome_law(compile_circuit(circuit, start), projection)
+        law = outcome_law(replace(omap, noise_groups=[
+            (key, np.tile(locs, depth + 1))
+            for key, locs in omap.noise_groups]), projection)
         clean[depth] = law.reshape(-1)[:code.d]
 
     def sampler(depth):
         pvals = np.r_[clean[depth], max(0.0, 1.0 - clean[depth].sum())]
-        return lambda _rng, run_seed: np.random.default_rng(
+        return lambda _, run_seed: np.random.default_rng(
             run_seed).multinomial(cfg.shots, pvals)[:code.d]
 
     per_depth = []

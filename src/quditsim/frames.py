@@ -173,7 +173,8 @@ def _reference(circuit, tab, rng):
             tab.reset(ins.qudits[0], rng)
         else:
             if name != "N1":
-                tab.apply_gate(name, *ins.qudits)
+                # Circuit.add_gate checked the name and the operands
+                tab._apply(GATES[name], ins.qudits)
             continue
         pivots.append(tab.pivot)
     return records, pivots
@@ -195,7 +196,8 @@ class OutcomeMap:
     components a and b (the rows of noise), which are 0 unless it fires.
     Symbol s's entries, sorted by slot, are slots[indptr[s]:indptr[s+1]]
     with their coeffs.  noise_groups lists, per (channel, prob), the N1
-    locations (rows of noise) that share it.
+    locations (rows of noise) that share it; a location listed k times is
+    k independent events with its entries.
     """
 
     d: int
@@ -368,7 +370,8 @@ def outcome_law(omap, P=None) -> np.ndarray:
     omega = np.exp(2j * np.pi / d * np.arange(d))
     dft = omega[np.outer(np.arange(d), np.arange(d)) % d]
     phi = omega[_dots(P @ omap.const % d, d)]
-    for ws in np.unique(w[omap.uniform] % d, axis=0):
+    # with counts, np.unique skips its numpy.ma check and that import
+    for ws in np.unique(w[omap.uniform] % d, axis=0, return_counts=True)[0]:
         phi *= _dots(ws, d) == 0
     for (kind, prob), locs in omap.noise_groups:
         table = np.zeros((d, d))

@@ -209,11 +209,11 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
         # outcomes of slot i each positive-probability prefix allows
         marginal = joint.sum(axis=tuple(range(i + 1, joint.ndim)))
         allowed = (marginal.reshape(-1, joint.shape[i]) > 1e-12).sum(axis=1)
-        kinds = np.unique(allowed[allowed > 0] == 1)
+        kinds = set((allowed[allowed > 0] == 1).tolist())
         if len(kinds) != 1:
             raise QuditSimError("deterministic flags of the dense joint "
                                 "depend on the earlier outcomes")
-        flags.append(bool(kinds[0]))
+        flags.append(kinds.pop())
     slot = [distinct.index(q) for q in measured]
     repeat = [q in measured[:i] for i, q in enumerate(measured)]
     outcomes = np.stack(np.unravel_index(draws, joint.shape), axis=1)[:, slot]

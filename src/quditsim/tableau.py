@@ -65,8 +65,9 @@ class TableauBase:
     """Copying, measurement records and operand checks shared by Tableau
     and weyl.WeylTableau.
 
-    A subclass keeps its phases in r, has apply_pauli_error(j, a, b) and
-    has a _collapse(j, rng) that measures Z_j and returns (deterministic,
+    A subclass keeps its phases in r, has _apply(gate, qudits) for a
+    gates.Gate on qudits already checked, apply_pauli_error(j, a, b) and
+    a _collapse(j, rng) that measures Z_j and returns (deterministic,
     outcome k mod d).  After a random measurement or reset, pivot is the
     stabilizer (x, z) mod d that the measured Z_j did not commute with; it
     is None after a deterministic one.
@@ -80,6 +81,10 @@ class TableauBase:
         out.__dict__.update({k: v.copy() if isinstance(v, (np.ndarray, list)) else v
                              for k, v in self.__dict__.items()})
         return out
+
+    def apply_gate(self, name: str, *qudits: int) -> None:
+        """Apply the gate name, or an alias, to qudits after checking them."""
+        self._apply(resolve(name, qudits, self.n), qudits)
 
     def _check_qudit(self, j: int) -> None:
         check_qudits("qudit", 1, (j,), self.n)
@@ -208,8 +213,7 @@ class Tableau(TableauBase):
 
     # -- gates -----------------------------------------------------------------
 
-    def apply_gate(self, name: str, *qudits: int) -> None:
-        gate = resolve(name, qudits, self.n)
+    def _apply(self, gate, qudits) -> None:
         d, X, Z = self.d, self.X, self.Z
         if gate.arity == 1:
             (j,) = qudits

@@ -43,7 +43,6 @@ from math import gcd
 import numpy as np
 
 from .errors import ShapeError, integral
-from .gates import resolve
 from .pauli import _as_dimension
 # measurement uses neither; tracers and tests patch these names here
 from .snf import kernel_mod, solve_mod  # noqa: F401
@@ -85,9 +84,8 @@ class WeylTableau(TableauBase):
 
     # -- gates ---------------------------------------------------------------
 
-    def apply_gate(self, name: str, *qudits: int) -> None:
+    def _apply(self, gate, qudits) -> None:
         # a coordinate row is (z | x): the Z-block comes first
-        gate = resolve(name, qudits, self.n)
         n, dp, C = self.n, self.dp, self.coords
         if gate.arity == 1:
             (j,) = qudits

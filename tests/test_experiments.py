@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import subprocess
+import sys
+import textwrap
 from dataclasses import fields
 
 import numpy as np
@@ -33,7 +36,7 @@ from quditsim.experiments import (
     _depth_row,
 )
 from quditsim.frames import (MAX_OUTCOME_ENTRIES, FrameSimulator, OutcomeMap,
-                             compile_circuit)
+                             compile_circuit, outcome_law)
 from quditsim.pauli import Dimension, PauliString
 from quditsim.simulate import run_circuit
 from quditsim.statevector import (DenseState, gate_matrix, pauli_matrix,
@@ -644,10 +647,11 @@ class TestLRBD:
             assert row["survivor_fraction"] == 1.0
             assert row["mean_fidelity"] == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize("depths", [(0,), (0, 2, 5), (7, 3, 40)])
     @pytest.mark.parametrize("postselect", ["all", "x_only"])
-    def test_one_compile_per_depth(self, postselect, monkeypatch):
-        """Every circuit at one depth samples the depth's one compiled map;
-        rb circuits differ, so each compiles its own."""
+    def test_one_compile_per_sweep(self, postselect, depths, monkeypatch):
+        """The whole sweep reads every depth's law off the depth-0 map; rb
+        circuits differ, so each compiles its own."""
         compiles = []
 
         def counting(circuit, start):
@@ -656,14 +660,42 @@ class TestLRBD:
 
         for module in ("quditsim.frames", "quditsim.experiments"):
             monkeypatch.setattr(f"{module}.compile_circuit", counting)
-        cfg = RBConfig(d=3, depths=(0, 2, 5), circuits_per_depth=4, shots=50,
+        cfg = RBConfig(d=3, depths=depths, circuits_per_depth=4, shots=50,
                        p=0.05)
         run_lrb_d(cfg, seed=7, postselect=postselect)
-        assert compiles == [f"lrbd_depth{depth}_{postselect}"
-                            for depth in cfg.depths]
+        assert compiles == [f"lrbd_depth0_{postselect}"]
         compiles.clear()
         run_rb(cfg, seed=7, method="frames")
         assert len(compiles) == len(cfg.depths) * cfg.circuits_per_depth
+
+    @pytest.mark.parametrize("p", [0.02, 0.3])
+    @pytest.mark.parametrize("postselect", ["all", "x_only"])
+    def test_each_depth_law_is_its_compiled_circuit_law(self, postselect, p,
+                                                        monkeypatch):
+        """The map run_lrb_d reads each depth's law from gives, bit for bit,
+        the projected law and the full joint law of the compiled depth-D
+        circuit."""
+        maps = []
+
+        def recording(omap, P=None):
+            maps.append((omap, P))
+            return outcome_law(omap, P)
+
+        monkeypatch.setattr("quditsim.experiments.outcome_law", recording)
+        code = qutrit_detection_code()
+        start = code_initial_tableau(code)
+        cfg = RBConfig(d=3, depths=(0, 1, 5, 17), circuits_per_depth=1,
+                       shots=10, p=p)
+        run_lrb_d(cfg, code, seed=1, postselect=postselect)
+        assert len(maps) == len(cfg.depths)
+        for depth, (omap, P) in zip(cfg.depths, maps):
+            compiled = compile_circuit(
+                build_lrb_d_circuit(code, depth, p, postselect), start)
+            assert len(omap.noise_groups[0][1]) == 5 * (depth + 1)
+            assert np.array_equal(outcome_law(omap, P),
+                                  outcome_law(compiled, P)), depth
+            assert np.array_equal(outcome_law(omap),
+                                  outcome_law(compiled)), depth
 
     @pytest.mark.parametrize("postselect", ["all", "x_only"])
     def test_shots_past_the_outcome_cap_run(self, postselect):
@@ -754,6 +786,33 @@ def test_law_drawn_lrb_d_agrees_with_frame_sampling(postselect):
                          + sampled.var(axis=0, ddof=1) / len(seeds))
         z = (drawn.mean(axis=0) - sampled.mean(axis=0)) / stderr
         assert (np.abs(z) <= 4).all(), (depth, z)
+
+
+def test_fresh_runs_leave_numpy_ma_unimported():
+    """np.unique without counts or indices checks for a masked array, and
+    that imports numpy.ma; a fresh run, validate, rb or lrbd never does."""
+    script = textwrap.dedent("""\
+        import sys
+        import numpy as np
+        from quditsim.builders import build_random_clifford_circuit
+        from quditsim.experiments import (RBConfig, run_lrb_d, run_rb,
+                                          validate_backend_pair)
+        from quditsim.simulate import run_circuit
+        cfg = RBConfig(d=3, depths=(0, 4), circuits_per_depth=2, shots=100,
+                       p=0.05)
+        run_lrb_d(cfg, seed=1)
+        run_rb(cfg, seed=1)
+        c = build_random_clifford_circuit(3, 4, 20, np.random.default_rng(1))
+        names = [ins.name for ins in c.instructions]
+        assert names.count("M") == 3 and names[-3:] == ["M"] * 3
+        validate_backend_pair([c], "tableau", "statevector", 50, 1.0, seed=1)
+        run_circuit(c, 50, 1, "frames")
+        print("numpy.ma" in sys.modules)
+    """)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 class TestDepthRow:

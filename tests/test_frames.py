@@ -2,6 +2,7 @@
 
 import threading
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,9 @@ from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit
 from quditsim.errors import DimensionError, MemoryCapError, ShapeError
 from quditsim.experiments import (build_channel_test_circuit,
-                                  channel_reference_distribution)
+                                  build_lrb_d_circuit,
+                                  channel_reference_distribution,
+                                  code_initial_tableau, qutrit_detection_code)
 from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, compile_circuit,
                              outcome_law, reference_run)
 from quditsim.noise import NOISE_KINDS, error_distribution
@@ -505,6 +508,34 @@ class TestOutcomeLaw:
         np.add.at(counts, tuple(sim.run(shots).T), 1)
         score = 0.5 * np.abs(counts / shots - law).sum()
         # the law is exact: a second sample of infinite size
+        assert score <= sample_tvd_bound(law.reshape(-1), shots, np.inf)
+
+    @pytest.mark.parametrize("case", ["lrbd_x_only", "mid_circuit_d3",
+                                      "mid_circuit_d6"])
+    def test_repeated_locations_sample_as_independent_events(self, case):
+        """A map whose noise locations are each listed three times: its
+        _Layout sample sits within four times the expected TVD of its
+        outcome_law, which raises each location's character to the count."""
+        shots = 40000
+        if case == "lrbd_x_only":
+            code = qutrit_detection_code()
+            omap = compile_circuit(
+                build_lrb_d_circuit(code, 0, 0.05, "x_only"),
+                code_initial_tableau(code))
+        else:
+            d = int(case[-1])
+            omap = compile_circuit(noisy_with_mid_circuit_ops(d, "d", d),
+                                   Tableau(2, 3) if d == 3
+                                   else WeylTableau(2, d))
+        tiled = replace(omap, noise_groups=[
+            (key, np.tile(locs, 3)) for key, locs in omap.noise_groups])
+        law = outcome_law(tiled)
+        assert np.abs(law - outcome_law(omap)).max() > 0.01
+        out = np.empty((shots, len(omap.const)), dtype=np.int64)
+        frames_module._Layout(tiled).sample(np.random.default_rng(5), out)
+        counts = np.zeros(law.shape)
+        np.add.at(counts, tuple(out.T), 1)
+        score = 0.5 * np.abs(counts / shots - law).sum()
         assert score <= sample_tvd_bound(law.reshape(-1), shots, np.inf)
 
     @pytest.mark.parametrize("d", [2, 3, 6])
