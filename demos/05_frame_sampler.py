@@ -17,16 +17,18 @@ import time
 
 import numpy as np
 
-from quditsim import Tableau, build_random_clifford_circuit, run_circuit
+from quditsim import (Tableau, build_random_clifford_circuit, run_circuit,
+                      sample_error)
 from quditsim.experiments import mean_slot_tvd
-from quditsim.simulate import _run_shot
+from quditsim.frames import _run
 
 
 def naive_repetition(circuit, shots: int, seed: int) -> np.ndarray:
     """(shots, M) outcomes from a fresh tableau per shot."""
     rng = np.random.default_rng(seed)
     n, d = circuit.num_qudits, circuit.dimension
-    return np.array([[r.outcome for r in _run_shot(circuit, Tableau(n, d), rng)]
+    return np.array([[r.outcome for r in
+                      _run(circuit, Tableau(n, d), rng, sample_error)[0]]
                      for _ in range(shots)], dtype=np.int64)
 
 

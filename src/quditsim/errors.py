@@ -25,7 +25,8 @@ class MemoryCapError(QuditSimError):
     """Raised before a run allocates past a size cap: a dense statevector
     over the amplitude cap, an outcome matrix of more shots x measurements
     than frames.MAX_OUTCOME_ENTRIES, or an exact law (frames.outcome_law)
-    of more outcomes than frames.MAX_LAW_ENTRIES."""
+    of more outcomes, or a d x d character table of more entries, than
+    frames.MAX_LAW_ENTRIES."""
 
 
 class SupportMismatchError(QuditSimError):

@@ -25,8 +25,9 @@ continues the stream.  Noise is sparse, after Stim's frame simulator: the
 events that fire.  Threads ran no faster, so the threads argument is
 checked but changes nothing; output never depended on it.
 simulate.run_circuit samples the 'frames' and 'tableau' methods with
-FrameSimulator.  reference_run runs the circuit once on a concrete tableau
-with noise skipped, the same loop the compile starts from.
+FrameSimulator.  _run runs a circuit once on any register, in the one loop:
+with noise skipped it is the reference shot that the compile and
+reference_run read, and with a noise draw one per-shot statevector run.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ MAX_OUTCOME_ENTRIES = 1 << 28
 # temporaries for the next instead of trimming the heap and re-faulting them.
 OUTCOME_SHARD_ENTRIES = 1 << 16
 
-# outcome_law refuses a law of more outcomes than this (16 MiB of complex128)
+# outcome_law refuses a law of more outcomes than this (16 MiB of complex128),
+# or a d x d character table of more entries
 MAX_LAW_ENTRIES = 1 << 20
 
 
@@ -159,31 +161,38 @@ class _Layout:
         out -= out // omap.d * omap.d
 
 
-def _reference(circuit, tab, rng):
-    """Run circuit on tab, noise skipped: MeasurementRecords in program order
-    and tab.pivot after each M and RESET; DimensionError unless tab fits."""
-    if tab.n != circuit.num_qudits or tab.d != circuit.dimension.d:
-        raise DimensionError("initial tableau does not match the circuit")
+def _run(circuit, state, rng, draw=None):
+    """Run circuit once on state, any register: MeasurementRecords in program
+    order and state.pivot after each M and RESET; DimensionError unless
+    state fits.  Each N1 applies the error draw(kind, prob, d, rng) returns;
+    without draw it is skipped, which gives the noiseless reference shot."""
+    d = state.d
+    if state.n != circuit.num_qudits or d != circuit.dimension.d:
+        raise DimensionError("initial state does not match the circuit")
     records, pivots = [], []
     for ins in circuit.instructions:
         name = ins.name
         if name == "M":
-            records.append(tab.measure_z(ins.qudits[0], rng))
+            records.append(state.measure_z(ins.qudits[0], rng))
         elif name == "RESET":
-            tab.reset(ins.qudits[0], rng)
+            state.reset(ins.qudits[0], rng)
         else:
             if name != "N1":
                 # Circuit.add_gate checked the name and the operands
-                tab._apply(GATES[name], ins.qudits)
+                state._apply(GATES[name], ins.qudits)
+            elif draw is not None:
+                a, b = draw(ins.noise_channel, ins.prob, d, rng)
+                if a or b:
+                    state.apply_pauli_error(ins.qudits[0], a, b)
             continue
-        pivots.append(tab.pivot)
+        pivots.append(state.pivot)
     return records, pivots
 
 
 def reference_run(circuit, rng, initial_tableau=None) -> list[MeasurementRecord]:
     """One noiseless execution on a concrete tableau; its MeasurementRecords
     in program order."""
-    return _reference(circuit, _start_tableau(circuit, initial_tableau), rng)[0]
+    return _run(circuit, _start_tableau(circuit, initial_tableau), rng)[0]
 
 
 @dataclass(eq=False)
@@ -213,9 +222,10 @@ class OutcomeMap:
     noise_groups: list
 
 
-def compile_circuit(circuit, start) -> OutcomeMap:
+def compile_circuit(circuit, start=None) -> OutcomeMap:
     """The OutcomeMap of circuit run from start, a Tableau or a WeylTableau
-    of its n and d (else DimensionError); no randomness used.
+    of its n and d (else DimensionError), or from _start_tableau's fresh
+    register when None; no randomness used.
 
     A reference run on a copy of start, every random outcome at the lowest
     value its support allows, gives the constants, the flags and the pivot
@@ -232,8 +242,9 @@ def compile_circuit(circuit, start) -> OutcomeMap:
     the cost is O(instructions x live columns); a deterministic M's column
     can stay live back to the start.
     """
+    start = _start_tableau(circuit, start)
     d, n = start.d, start.n
-    records, pivots = _reference(circuit, start.copy(), None)
+    records, pivots = _run(circuit, start, None)
     ops, num_slots = circuit.instructions, len(records)
     xz = np.zeros((2 * n, num_slots), dtype=np.int64)
     x, z = xz[:n], xz[n:]
@@ -348,8 +359,8 @@ def _dots(w, d: int) -> np.ndarray:
 def outcome_law(omap, P=None) -> np.ndarray:
     """The exact law of P y mod d, y the outcomes of omap, as an array of
     shape (d,) * k: entry y' is its probability.  P is an integer (k, M)
-    matrix, the identity when None (else ShapeError), with d^k at most
-    MAX_LAW_ENTRIES (else MemoryCapError).  Symbol s moves P y by X_s w_s,
+    matrix, the identity when None (else ShapeError), with d^k and d^2 at
+    most MAX_LAW_ENTRIES (else MemoryCapError).  Symbol s moves P y by X_s w_s,
     w_s = P v_s, so the law's Fourier transform at u in Z_d^k is, for any d,
     w^(u.Pc) prod_uniform [u.w_s = 0 mod d] prod_N1 chi(u.w_a, u.w_b), chi
     the channel's character table.  Symbols with one w enter at once, so
@@ -360,9 +371,9 @@ def outcome_law(omap, P=None) -> np.ndarray:
     if P.ndim != 2 or P.shape[1] != num_slots or P.dtype.kind not in "iu":
         raise ShapeError(f"P must be an integer (k, {num_slots}) matrix, got "
                          f"shape {P.shape} of {P.dtype}")
-    if d ** len(P) > MAX_LAW_ENTRIES:
-        raise MemoryCapError(f"{d}^{len(P)} outcomes exceed the law cap of "
-                             f"{MAX_LAW_ENTRIES}")
+    if max(d ** len(P), d * d) > MAX_LAW_ENTRIES:
+        raise MemoryCapError(f"{d}^{len(P)} outcomes or {d}^2 characters "
+                             f"exceed the law cap of {MAX_LAW_ENTRIES}")
     k, P = len(P), P.astype(np.int64) % d
     w = np.zeros((len(omap.indptr) - 1, k), dtype=np.int64)
     np.add.at(w, np.repeat(np.arange(len(w)), np.diff(omap.indptr)),
@@ -397,8 +408,7 @@ class FrameSimulator:
     """
 
     def __init__(self, circuit, seed=None, initial_tableau=None):
-        self.omap = compile_circuit(circuit,
-                                    _start_tableau(circuit, initial_tableau))
+        self.omap = compile_circuit(circuit, initial_tableau)
         self._layout = _Layout(self.omap)
         self.shard_width = self._layout.width
         self.shard_size = max(1, OUTCOME_SHARD_ENTRIES // self.shard_width)

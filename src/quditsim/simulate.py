@@ -14,7 +14,9 @@ Methods:
   seed.
 - 'statevector': dense reference simulation.  Circuits whose measurements
   are all terminal, with no noise or resets, are sampled from one joint Born
-  distribution over the measured qudits instead of evolving every shot.
+  distribution over the measured qudits instead of evolving every shot;
+  any other runs each shot on a fresh DenseState in frames._run, the loop
+  the compile's reference shot runs in, with sample_error drawing its noise.
 
 Results are columnar: outcomes[s, i] is shot s's outcome at measurement
 slot i (program order), and the per-slot arrays qudits, seqs and
@@ -44,7 +46,8 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import QuditSimError, integral
-from .frames import FrameSimulator, check_outcome_entries
+from .frames import FrameSimulator, _run, check_outcome_entries
+from .gates import GATES
 from .noise import sample_error
 from .statevector import DenseState
 
@@ -126,32 +129,6 @@ class SimulationResult:
         return [tuple(row) for row in self.outcomes.tolist()]
 
 
-def _slot_arrays(records) -> tuple:
-    """(qudits, seqs, deterministic) arrays of one shot's records."""
-    return (np.array([r.qudit for r in records], dtype=np.int64),
-            np.array([r.seq for r in records], dtype=np.int64),
-            np.array([r.deterministic for r in records], dtype=bool))
-
-
-def _run_shot(circuit: Circuit, state, rng):
-    """One shot on a fresh state of any single-shot backend; its records in
-    order."""
-    records = []
-    for ins in circuit.instructions:
-        name = ins.name
-        if name == "M":
-            records.append(state.measure_z(ins.qudits[0], rng))
-        elif name == "RESET":
-            state.reset(ins.qudits[0], rng)
-        elif name == "N1":
-            a, b = sample_error(ins.noise_channel, ins.prob, circuit.dimension.d, rng)
-            if a or b:
-                state.apply_pauli_error(ins.qudits[0], a, b)
-        else:
-            state.apply_gate(name, *ins.qudits)
-    return tuple(records)
-
-
 def _terminal_measurement_plan(circuit: Circuit):
     """Measured qudit order if the dense fast path applies, else None."""
     measured = []
@@ -168,17 +145,20 @@ def _terminal_measurement_plan(circuit: Circuit):
 def _run_per_shot(circuit: Circuit, shots: int, rng) -> tuple:
     """Outcome rows and slot arrays from one fresh DenseState per shot."""
     n, dim = circuit.num_qudits, circuit.dimension
-    first = _run_shot(circuit, DenseState(n, dim), rng)
+    # the module's sample_error, read per call, so patching it takes effect
+    first = _run(circuit, DenseState(n, dim), rng, sample_error)[0]
     flags = [r.deterministic for r in first]
     outcomes = np.empty((shots, len(first)), dtype=np.int64)
     outcomes[0] = [r.outcome for r in first]
     for s in range(1, shots):
-        records = _run_shot(circuit, DenseState(n, dim), rng)
+        records = _run(circuit, DenseState(n, dim), rng, sample_error)[0]
         if [r.deterministic for r in records] != flags:
             raise QuditSimError(f"shot {s} has deterministic flags that "
                                 f"differ from shot 0")
         outcomes[s] = [r.outcome for r in records]
-    return (outcomes, *_slot_arrays(first))
+    # a fresh state counts every M from 0, so slot i has seq i
+    return (outcomes, np.array([r.qudit for r in first], dtype=np.int64),
+            np.arange(len(first), dtype=np.int64), np.array(flags, dtype=bool))
 
 
 def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
@@ -192,7 +172,7 @@ def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
     state = DenseState(circuit.num_qudits, circuit.dimension)
     for ins in circuit.instructions:
         if ins.name != "M":
-            state.apply_gate(ins.name, *ins.qudits)
+            state._apply(GATES[ins.name], ins.qudits)
     distinct = list(dict.fromkeys(measured))
     probs = np.abs(state.psi) ** 2
     other = tuple(a for a in range(circuit.num_qudits) if a not in distinct)

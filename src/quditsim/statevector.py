@@ -5,6 +5,8 @@ their explicit unitaries on a d^n amplitude tensor (a unitary with one
 nonzero per row, as a gather of amplitudes times a phase), Pauli strings as
 shift/phase operations, and measurement follows the Born rule with explicit
 collapse.  Everything else in the package is validated against it.
+DenseState shares its copies, records, resets and operand checks with the
+tableaus through tableau.Register, so frames._run runs a circuit on any.
 
 Gate definitions, written out here independently of the update rules in
 gates.py so that the stabilizer backends can be checked against them:
@@ -27,11 +29,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuit import MeasurementRecord
 from .errors import DimensionError, MemoryCapError, PauliMatchError, ShapeError, integral
-from .gates import check_qudits, lookup, resolve
+from .gates import lookup
 from .pauli import PauliString, _as_dimension
-from .tableau import Tableau
+from .tableau import Register, Tableau
 
 #: Largest number of amplitudes a DenseState will allocate.
 DEFAULT_AMPLITUDE_CAP = 2 ** 24
@@ -69,7 +70,7 @@ def gate_matrix(name: str, d) -> np.ndarray:
 # room for every gate at a few dimensions
 @lru_cache(maxsize=32)
 def _gate_kernel(name: str, d: int) -> tuple:
-    """gate_matrix(name, d) as apply_gate reads it, built once per (name, d).
+    """gate_matrix(name, d) as DenseState._apply reads it, once per (name, d).
 
     A monomial matrix (one nonzero per row: X, Z, P, SUM and inverses) gives
     (src, coef), row i holding coef[i] in column src[i]; any other gives
@@ -101,7 +102,7 @@ def pauli_matrix(p: PauliString) -> np.ndarray:
     return out
 
 
-class DenseState:
+class DenseState(Register):
     """A d^n statevector with qudit 0 as the most significant digit."""
 
     def __init__(self, n: int, d):
@@ -111,6 +112,7 @@ class DenseState:
             raise MemoryCapError(f"d^n = {dim.d}^{n} exceeds the amplitude cap "
                                  f"{DEFAULT_AMPLITUDE_CAP}")
         self.dimension = dim
+        self.d = dim.d
         self.n = n
         self.psi = np.zeros((dim.d,) * n, dtype=complex)
         self.psi[(0,) * n] = 1.0
@@ -120,21 +122,12 @@ class DenseState:
     def vector(self) -> np.ndarray:
         return self.psi.reshape(-1)
 
-    def copy(self) -> "DenseState":
-        out = DenseState.__new__(DenseState)
-        out.dimension = self.dimension
-        out.n = self.n
-        out.psi = self.psi.copy()
-        out.measurements_done = self.measurements_done
-        return out
-
     # -- evolution ---------------------------------------------------------
 
-    def apply_gate(self, name: str, *qudits: int) -> None:
+    def _apply(self, gate, qudits) -> None:
         """One gather (monomial gate) or one matmul on psi, viewed with the
         gate's axes last, control first, and flattened to d^arity."""
-        gate = resolve(name, qudits, self.n)
-        src, coef = _gate_kernel(gate.name, self.dimension.d)
+        src, coef = _gate_kernel(gate.name, self.d)
         order = [a for a in range(self.n) if a not in qudits] + list(qudits)
         flat = self.psi.transpose(order).reshape(-1, len(src))
         out = flat @ src if coef is None else flat[:, src] * coef
@@ -143,10 +136,9 @@ class DenseState:
 
     def apply_pauli(self, p: PauliString) -> None:
         """Apply a Pauli string using index shifts and phase masks."""
-        if p.n != self.n or p.dimension.d != self.dimension.d:
+        if p.n != self.n or p.dimension.d != self.d:
             raise ShapeError("Pauli string does not match state shape")
-        d = self.dimension.d
-        w = self.dimension.omega()
+        d, w = self.d, self.dimension.omega()
         psi = self.psi
         for j in range(self.n):
             b = int(p.z[j])
@@ -170,31 +162,27 @@ class DenseState:
 
     def outcome_distribution(self, j: int) -> np.ndarray:
         """Born probabilities for a Z-basis measurement of qudit j."""
-        check_qudits("qudit", 1, (j,), self.n)
-        probs = np.abs(self.psi) ** 2
+        self._check_qudit(j)
         axes = tuple(k for k in range(self.n) if k != j)
-        return probs.sum(axis=axes)
+        return (np.abs(self.psi) ** 2).sum(axis=axes)
 
-    def measure_z(self, j: int, rng: np.random.Generator) -> MeasurementRecord:
+    def _collapse(self, j: int, rng):
+        """Measure Z_j by the Born rule, then project: (deterministic,
+        outcome k).  Without rng, k is the lowest outcome in support."""
         probs = self.outcome_distribution(j)
         probs = probs / probs.sum()
-        deterministic = bool(probs.max() >= 1.0 - 1e-9)
-        k = int(rng.choice(self.dimension.d, p=probs))
-        self.project(j, k)
-        seq = self.measurements_done
-        self.measurements_done += 1
-        return MeasurementRecord(j, seq, deterministic, k)
+        k = (probs > 1e-12).argmax() if rng is None else rng.choice(self.d, p=probs)
+        self.project(j, int(k))
+        return bool(probs.max() >= 1.0 - 1e-9), int(k)
 
     def project(self, j: int, k: int) -> float:
         """Collapse qudit j to |k> and renormalize; returns the branch weight."""
-        check_qudits("qudit", 1, (j,), self.n)
-        if not isinstance(k, (int, np.integer)) or not 0 <= k < self.dimension.d:
+        self._check_qudit(j)
+        if not isinstance(k, (int, np.integer)) or not 0 <= k < self.d:
             raise ShapeError(f"outcome must be an integer in [0, "
-                             f"{self.dimension.d}), got {k!r}")
+                             f"{self.d}), got {k!r}")
         idx = [slice(None)] * self.n
-        sel = np.zeros(self.dimension.d, dtype=bool)
-        sel[k] = True
-        idx[j] = ~sel
+        idx[j] = np.arange(self.d) != k
         weight = float((np.abs(self.psi) ** 2).sum() -
                        (np.abs(self.psi[tuple(idx)]) ** 2).sum())
         if weight <= 1e-12:
@@ -203,12 +191,6 @@ class DenseState:
         self.psi[tuple(idx)] = 0.0
         self.psi /= np.sqrt(weight)
         return weight
-
-    def reset(self, j: int, rng: np.random.Generator) -> None:
-        rec = self.measure_z(j, rng)
-        self.measurements_done -= 1  # resets do not occupy a record slot
-        if rec.outcome:
-            self.apply_pauli_error(j, -rec.outcome, 0)
 
     # -- inner products ----------------------------------------------------
 

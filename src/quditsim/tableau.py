@@ -61,16 +61,18 @@ def rref_mod_prime(a, p: int):
     return a, pivots
 
 
-class TableauBase:
-    """Copying, measurement records and operand checks shared by Tableau
-    and weyl.WeylTableau.
+class Register:
+    """Copying, measurement records, resets and operand checks shared by
+    every single-shot register: Tableau, weyl.WeylTableau and
+    statevector.DenseState.
 
-    A subclass keeps its phases in r, has _apply(gate, qudits) for a
-    gates.Gate on qudits already checked, apply_pauli_error(j, a, b) and
+    A subclass has n, d and measurements_done, an _apply(gate, qudits) for
+    a gates.Gate on qudits already checked, apply_pauli_error(j, a, b) and
     a _collapse(j, rng) that measures Z_j and returns (deterministic,
-    outcome k mod d).  After a random measurement or reset, pivot is the
-    stabilizer (x, z) mod d that the measured Z_j did not commute with; it
-    is None after a deterministic one.
+    outcome k mod d).  After a random measurement or reset of a tableau,
+    pivot is the stabilizer (x, z) mod d that the measured Z_j did not
+    commute with; it is None after a deterministic one, and always on a
+    DenseState.
     """
 
     pivot = None
@@ -109,12 +111,13 @@ class TableauBase:
 
     def reset(self, j: int, rng: np.random.Generator = None) -> None:
         """Measure qudit j and shift it back to |0> with the correction
-        X^-k for outcome k."""
+        X^-k for outcome k, if k is not 0."""
         _, k = self._collapse(j, rng)
-        self.apply_pauli_error(j, -k, 0)
+        if k:
+            self.apply_pauli_error(j, -k, 0)
 
 
-class Tableau(TableauBase):
+class Tableau(Register):
     """Destabilizer/stabilizer tableau for n qudits of odd prime dimension d."""
 
     def __init__(self, n: int, d):
@@ -262,12 +265,13 @@ class Tableau(TableauBase):
         # Z_j = prod_k S_k^y_k with y = X[:n, j].  Multiplying the
         # powers in order k = 0..n-1 gives the phase sum below: each power
         # contributes y_k r_k + C(y_k, 2) (x_k . z_k), and each earlier
-        # factor k' < k contributes y_k' y_k (z_k' . x_k).
+        # factor k' < k contributes y_k' y_k (z_k' . x_k): a prefix sum over
+        # k', so the measurement costs O(n^2).
         y = self.X[:n, j]
         sx, sz = self.X[n:], self.Z[n:]
-        px = (y @ sx) % d
-        pz = (y @ sz) % d
-        cross = np.triu((y[:, None] * sz % d) @ (y[:, None] * sx % d).T % d, 1)
+        px, pz = y @ sx % d, y @ sz % d
+        zy, xy = y[:, None] * sz % d, y[:, None] * sx % d
+        cross = (np.cumsum(zy, axis=0) - zy) % d * xy % d
         assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
         # every factor is reduced mod d first, so no term overflows int64

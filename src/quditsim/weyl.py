@@ -46,10 +46,10 @@ from .errors import ShapeError, integral
 from .pauli import _as_dimension
 # measurement uses neither; tracers and tests patch these names here
 from .snf import kernel_mod, solve_mod  # noqa: F401
-from .tableau import TableauBase
+from .tableau import Register
 
 
-class WeylTableau(TableauBase):
+class WeylTableau(Register):
     """Phase-tracked stabilizer generators for any qudit dimension d >= 2.
 
     Row i is tau^r[i] W_coords[i]; every row is a stabilizer generator.

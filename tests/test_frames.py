@@ -15,10 +15,11 @@ from quditsim.experiments import (build_channel_test_circuit,
                                   build_lrb_d_circuit,
                                   channel_reference_distribution,
                                   code_initial_tableau, qutrit_detection_code)
-from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, compile_circuit,
-                             outcome_law, reference_run)
-from quditsim.noise import NOISE_KINDS, error_distribution
-from quditsim.simulate import _run_shot, run_circuit
+from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, _run,
+                             compile_circuit, outcome_law, reference_run)
+from quditsim.noise import NOISE_KINDS, error_distribution, sample_error
+from quditsim.simulate import run_circuit
+from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau
 
@@ -189,6 +190,35 @@ class TestCustomInitialTableau:
         assert (mat[:, 0] == mat[:, 1]).all()
         freqs = np.bincount(mat[:, 0], minlength=3) / 2000
         assert (np.abs(freqs - 1 / 3) < 0.06).all()
+
+    @pytest.mark.parametrize("kind, d", [
+        (Tableau, 3), (Tableau, 5), (WeylTableau, 3), (WeylTableau, 4),
+        (DenseState, 3), (DenseState, 4)])
+    def test_reference_shot_skips_noise(self, kind, d):
+        """_run without draw gives the records and pivots of the same circuit
+        with its N1 lines removed, on every register."""
+        noisy = build_random_clifford_circuit(
+            3, d, 60, np.random.default_rng(d), noise=("d", 0.3),
+            mid_measure_prob=0.1, reset_prob=0.1)
+        clean = Circuit(3, d)
+        for ins in noisy.instructions:
+            if ins.name != "N1":
+                clean.add_gate(ins.name, *ins.qudits)
+        assert len(clean.instructions) < len(noisy.instructions)
+        runs = [_run(c, kind(3, d), np.random.default_rng(1))
+                for c in (noisy, clean)]
+        (rec_a, piv_a), (rec_b, piv_b) = runs
+        assert rec_a == rec_b and len(piv_a) == len(piv_b)
+        assert any(p is not None for p in piv_a) == (kind is not DenseState)
+        for p, q in zip(piv_a, piv_b):
+            assert (p is None and q is None) or all(
+                np.array_equal(u, v) for u, v in zip(p, q))
+
+    @pytest.mark.parametrize("n, d", [(4, 3), (3, 5)], ids=["n", "d"])
+    def test_dense_state_must_fit_the_circuit(self, n, d):
+        c = build_ghz_chain(3, 3, measure=True)
+        with pytest.raises(DimensionError, match="does not match the circuit"):
+            _run(c, DenseState(n, d), np.random.default_rng(0), sample_error)
 
     @pytest.mark.parametrize("kind", [Tableau, WeylTableau])
     @pytest.mark.parametrize("n, d", [(4, 3), (3, 5)], ids=["n", "d"])
@@ -428,7 +458,8 @@ class TestWideDimensions:
         n_frames, n_tab = 20000, 2000
         fr = FrameSimulator(c, 1).run(n_frames)
         tab_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(2)))
-        tab = np.array([[r.outcome for r in _run_shot(c, Tableau(3, d), tab_rng)]
+        tab = np.array([[r.outcome for r in _run(c, Tableau(3, d), tab_rng,
+                                                 sample_error)[0]]
                         for _ in range(n_tab)], dtype=np.int64)
         m = fr.shape[1]
 
@@ -580,6 +611,20 @@ class TestOutcomeLaw:
         omap = FrameSimulator(build_ghz_chain(3, 3, measure=True)).omap
         with pytest.raises(ShapeError, match="P must be an integer"):
             outcome_law(omap, P)
+
+    @pytest.mark.parametrize("d", [1021, 1031])
+    def test_character_table_counts_against_the_cap(self, d):
+        """A one-slot law needs d x d character tables: d = 1031 (d^2 over
+        MAX_LAW_ENTRIES) raises before building them, d = 1021 fits."""
+        c = Circuit(1, d)
+        c.add_gate("N1", 0, noise_channel="f", prob=0.1)
+        c.add_gate("M", 0)
+        omap = compile_circuit(c)
+        if d * d > MAX_LAW_ENTRIES:
+            with pytest.raises(MemoryCapError, match="law cap"):
+                outcome_law(omap)
+        else:
+            assert outcome_law(omap).sum() == pytest.approx(1)
 
     @pytest.mark.parametrize("d, rows", [(2, 21), (3, 13)])
     def test_over_the_cap_rejected(self, d, rows):

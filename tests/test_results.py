@@ -19,12 +19,12 @@ from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
-from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout, _reference,
+from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout, _run,
                              _start_tableau, compile_circuit, draw_symbols)
 from quditsim.gates import GATE_TABLE, GATES
-from quditsim.noise import NOISE_KINDS
-from quditsim.simulate import (_run_shot, _terminal_measurement_plan,
-                               records_to_counts, run_circuit)
+from quditsim.noise import NOISE_KINDS, sample_error
+from quditsim.simulate import (_terminal_measurement_plan, records_to_counts,
+                               run_circuit)
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau
@@ -54,7 +54,8 @@ def corpus(seed: int, dims, count: int, max_qudits: int, max_depth: int):
 def per_shot_records(circuit, shots: int, seed, new_state) -> list:
     """Records of independent shots, drawn from run_circuit's RNG stream."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    return [_run_shot(circuit, new_state(), rng) for _ in range(shots)]
+    return [_run(circuit, new_state(), rng, sample_error)[0]
+            for _ in range(shots)]
 
 
 class ReplayRNG:
@@ -338,7 +339,7 @@ def dense_compile(circuit, start) -> OutcomeMap:
     z carry a column for every slot measured later, and every symbol's row
     is dense over all slots until the end."""
     d, n = start.d, start.n
-    records, pivots = _reference(circuit, start.copy(), None)
+    records, pivots = _run(circuit, start.copy(), None)
     num_slots, ops = len(records), circuit.instructions
     num_noise = sum(ins.name == "N1" for ins in ops)
     sym = sum(p is not None for p in pivots) + 2 * num_noise

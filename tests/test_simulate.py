@@ -422,7 +422,8 @@ class TestBatchedTableau:
             c = build_lrb_d_circuit(code, depth, 0.05)
             assert any(ins.name == "RESET" for ins in c.instructions)
             shot_rng = np.random.default_rng(34 + depth)
-            shots = [simulate._run_shot(c, start.copy(), shot_rng)
+            shots = [frames_module._run(c, start.copy(), shot_rng,
+                                        simulate.sample_error)[0]
                      for _ in range(2000)]
             tab = np.array([[r.outcome for r in shot] for shot in shots])
             frames = run_circuit(c, 10**4, 44 + depth, "frames",

@@ -280,6 +280,43 @@ class TestDenseState:
         rec = state.measure_z(0, rng)
         assert rec.deterministic and rec.outcome == 0
 
+    def test_copy_is_independent(self):
+        state = DenseState(2, 3)
+        state.apply_gate("F", 0)
+        state.measure_z(1, np.random.default_rng(1))
+        twin = state.copy()
+        assert twin.measurements_done == 1
+        twin.apply_gate("Z", 0)
+        assert not np.allclose(twin.vector, state.vector)
+        assert state.measure_z(0, np.random.default_rng(2)).seq == 1
+        assert twin.measurements_done == 1
+
+    @pytest.mark.parametrize("name, qudits, operand, match", [
+        ("F", (2,), 1, "out of range for n=2"),
+        ("F", (0.5,), 1, "qudit index must be an integer"),
+        ("F", (0, 1), 0, "F takes 1 qudit"),
+        ("SUM", (1, 1), 2, "SUM needs two distinct qudits"),
+        ("CNOT", (0, -1), 2, "out of range for n=2"),
+        ("NOPE", (0,), 0, "unknown gate name"),
+    ])
+    def test_apply_gate_checks_operands(self, name, qudits, operand, match):
+        state = DenseState(2, 3)
+        with pytest.raises(ShapeError, match=match) as exc:
+            state.apply_gate(name, *qudits)
+        assert exc.value.operand == operand
+        assert np.isclose(state.vector[0], 1)
+
+    def test_lowest_outcome_without_rng(self):
+        """A GHZ run with no generator reads the lowest outcome, 0."""
+        state = DenseState(3, 5)
+        state.apply_gate("F", 0)
+        state.apply_gate("SUM", 0, 1)
+        state.apply_gate("SUM", 1, 2)
+        records = [state.measure_z(j) for j in (2, 0, 1)]
+        assert [r.outcome for r in records] == [0, 0, 0]
+        assert [r.deterministic for r in records] == [False, True, True]
+        assert [r.seq for r in records] == [0, 1, 2]
+
     def test_expectation_of_stabilizer(self):
         state = DenseState(2, 3)
         state.apply_gate("F", 0)

@@ -409,6 +409,24 @@ class TestGaussianOracle:
             if flag:
                 assert rec.outcome == outcome
 
+    @pytest.mark.parametrize("d", [3, 1048573])
+    def test_agrees_with_measure_z_on_wide_registers(self, d):
+        """12 qudits, up to the largest prime dimension: the prefix-sum
+        cross term of a deterministic outcome stays exact in int64."""
+        rng = np.random.default_rng(d)
+        tab = Tableau(12, d)
+        random_gate_walk(tab, rng, 200)
+        deterministic = 0
+        for j in rng.integers(12, size=60).tolist():
+            flag, outcome = tab.deterministic_outcome_gaussian(j)
+            rec = tab.measure_z(j, rng)
+            assert rec.deterministic == flag
+            if flag:
+                assert rec.outcome == outcome
+                deterministic += 1
+            random_gate_walk(tab, rng, 2)
+        assert deterministic >= 10
+
     def test_never_mutates(self):
         tab = Tableau(2, 3)
         tab.apply_gate("F", 0)
