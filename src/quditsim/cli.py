@@ -11,9 +11,11 @@ Commands:
 Exit codes: 0 success, 2 circuit parse error, 4 usage error, 5 file I/O
 error, 6 memory cap exceeded, 7 internal error.  Results go to stdout;
 wall-clock timing and diagnostics go to stderr so identical inputs and
-seeds produce byte-identical output.  The library calls return reports;
-this module writes every file: validate, rb and lrbd open --csv and
---manifest (stdout's JSON text) before the run and fill them after it.
+seeds produce byte-identical output.  run writes each outcome block of
+simulate.stream_circuit as it comes, in pieces of at most PIECE_RECORDS
+records, and counts from a running Tally.  The library calls return
+reports; this module writes every file: validate, rb and lrbd open --csv
+and --manifest (stdout's JSON text) before the run and fill them after it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,8 @@ from .errors import MemoryCapError, ParseError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
 from .pauli import Dimension
-from .simulate import METHODS, _check_method_pair, run_circuit
+from .simulate import (METHODS, Tally, _check_method_pair,  # noqa: F401
+                       run_circuit, stream_circuit)  # perfbench patches cli.run_circuit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -46,8 +49,8 @@ EXIT_IO = 5
 EXIT_MEMORY = 6
 EXIT_INTERNAL = 7
 
-# --out json|csv writes the text of this many shots at a time
-CHUNK_SHOTS = 4096
+# --out json|csv writes the text of at most this many records at a time
+PIECE_RECORDS = 1 << 12
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,36 +97,42 @@ def _depths(text: str) -> tuple:
     return depths
 
 
-def _slot_text(result, render) -> np.ndarray:
-    """render(slot, qudit, seq, flag, outcome) for every slot and outcome
-    value, flattened so that entry i * d + k is slot i at outcome k."""
-    slots = zip(result.qudits.tolist(), result.seqs.tolist(),
-                result.deterministic.tolist())
-    return np.array([render(i, q, s, f, k) for i, (q, s, f) in enumerate(slots)
-                     for k in range(result.dimension)], dtype=object)
+def _slot_text(slots, d: int, render) -> np.ndarray:
+    """render(slot, qudit, seq, flag, outcome) for every slot of slots
+    (qudits, seqs, deterministic) and every outcome value, flattened so that
+    entry i * d + k is slot i at outcome k."""
+    rows = zip(*(column.tolist() for column in slots))
+    return np.array([render(i, q, s, f, k) for i, (q, s, f) in enumerate(rows)
+                     for k in range(d)], dtype=object)
 
 
-def _chunks(result):
-    """(first shot, text table indices) per chunk of outcome rows."""
-    offsets = np.arange(result.outcomes.shape[1]) * result.dimension
-    for start in range(0, result.shots, CHUNK_SHOTS):
-        yield start, result.outcomes[start:start + CHUNK_SHOTS] + offsets
+def _pieces(blocks, d: int, tally=None, empty: int = 0):
+    """(first record, text table indices) per piece of at most PIECE_RECORDS
+    records, over the outcome blocks in shot order, each block added to
+    tally if one is given.  Slot i at outcome k is table entry i * d + k; a
+    shot of no slots holds `empty` records, each entry 0."""
+    first = 0
+    for block in blocks:
+        if tally is not None:
+            tally.add(block)
+        index = ((block + np.arange(block.shape[1]) * d).ravel() if block.size
+                 else np.zeros(len(block) * empty, dtype=np.int64))
+        for lo in range(0, len(index), PIECE_RECORDS):
+            yield first + lo, index[lo:lo + PIECE_RECORDS]
+        first += len(index)
 
 
-def _write_json(result, seed) -> None:
-    """The json.dumps(doc, indent=2) text of the run, written in chunks from
-    the outcome array; each record's text is prebuilt once per slot and
-    outcome value."""
-    head, tail = json.dumps({
-        "dimension": result.dimension,
-        "qudits": result.num_qudits,
-        "shots": result.shots,
-        "seed": seed,
-        "method": result.method,
-        "records": [],
-        "counts": result.counts,
-    }, indent=2).split('"records": []', 1)
-    m = result.outcomes.shape[1]
+def _write_json(args, circuit, slots, blocks) -> None:
+    """The json.dumps(doc, indent=2) text of the run, written piece by piece;
+    each record's text is prebuilt once per slot and outcome value, and
+    counts, the last field, comes from the tally once every piece is out."""
+    d, m = circuit.dimension.d, len(slots[0])
+    tally = Tally(d)
+
+    def halves(counts):
+        doc = dict(dimension=d, qudits=circuit.num_qudits, shots=args.shots,
+                   seed=args.seed, method=args.method, records=[], counts=counts)
+        return json.dumps(doc, indent=2).split('"records": []', 1)
 
     def render(i, q, s, f, k):
         opening = ",\n    [" if i == 0 else ","
@@ -133,26 +142,27 @@ def _write_json(result, seed) -> None:
                 f'        "deterministic": {json.dumps(f)},\n'
                 f'        "outcome": {k}\n      }}{closing}')
 
-    table = _slot_text(result, render)
+    table = (_slot_text(slots, d, render) if m
+             else np.array([",\n    []"], dtype=object))
     out = sys.stdout
-    out.write(head + '"records": [')
-    for start, index in _chunks(result):
-        text = ("".join(table[index].ravel().tolist()) if m
-                else ",\n    []" * len(index))
-        out.write(text[1:] if start == 0 else text)
-    out.write("\n  ]" + tail + "\n")
+    out.write(halves({})[0] + '"records": [')
+    for first, index in _pieces(blocks, d, tally, empty=1):
+        text = "".join(table[index].tolist())
+        out.write(text[1:] if first == 0 else text)
+    out.write("\n  ]" + halves(tally.counts())[1] + "\n")
 
 
-def _write_csv(result) -> None:
-    """One line per record, written in chunks from the outcome array."""
-    table = _slot_text(result, lambda i, q, s, f, k: f",{q},{s},{int(f)},{k}\n")
+def _write_csv(slots, blocks, d: int) -> None:
+    """One line per record, written piece by piece."""
+    table = _slot_text(slots, d, lambda i, q, s, f, k: f",{q},{s},{int(f)},{k}\n")
     out = sys.stdout
     out.write("shot,qudit,seq,deterministic,outcome\n")
-    for start, index in _chunks(result):
-        lines = np.empty(index.shape + (2,), dtype=object)
-        lines[..., 0] = np.array([str(s) for s in range(start, start + len(index))],
-                                 dtype=object)[:, None]
-        lines[..., 1] = table[index]
+    for first, index in _pieces(blocks, d):
+        shot = np.arange(first, first + len(index)) // len(slots[0])
+        lines = np.empty((len(index), 2), dtype=object)
+        lines[:, 0] = np.array([str(s) for s in range(shot[0], shot[-1] + 1)],
+                               dtype=object)[shot - shot[0]]
+        lines[:, 1] = table[index]
         out.write("".join(lines.ravel().tolist()))
 
 
@@ -182,16 +192,19 @@ def _cmd_run(args) -> int:
         return EXIT_PARSE
     threads = _threads_from(args)
     started = time.perf_counter()
-    result = run_circuit(circuit, shots=args.shots, seed=args.seed,
-                         method=args.method, threads=threads)
-    print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
+    *slots, blocks = stream_circuit(circuit, shots=args.shots, seed=args.seed,
+                                    method=args.method, threads=threads)
     if args.out == "json":
-        _write_json(result, args.seed)
+        _write_json(args, circuit, slots, blocks)
     elif args.out == "counts":
+        tally = Tally(circuit.dimension.d)
+        for block in blocks:
+            tally.add(block)
         _emit("\n".join(f"{key} {count}"
-                        for key, count in result.counts.items()))
+                        for key, count in tally.counts().items()))
     else:
-        _write_csv(result)
+        _write_csv(slots, blocks, circuit.dimension.d)
+    print(f"elapsed {time.perf_counter() - started:.3f}s", file=sys.stderr)
     return EXIT_OK
 
 

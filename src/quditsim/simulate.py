@@ -1,44 +1,41 @@
 """Shot sampling across the three simulation methods.
 
-Methods:
-
-- 'tableau': compiles every outcome into an affine OutcomeMap over random
-  symbols, from one reference run on the destabilizer Tableau for odd
-  prime d and on the Weyl generator tableau otherwise, and one backward
-  pass over the circuit (frames.compile_circuit); each shard of shots then
-  draws its symbols and fired errors and reads its outcomes off that map
-  (frames.FrameSimulator).  An initial_tableau starts the reference run
-  from a given state; a WeylTableau(n, d) compiles an odd-prime circuit on
-  the Weyl tableau into the same map.
-- 'frames': the same sampler as 'tableau', with the same output at the same
-  seed.
+- 'tableau' and 'frames', one sampler: every outcome is compiled into an
+  affine OutcomeMap over random symbols, from one reference run (on the
+  destabilizer Tableau for odd prime d, the Weyl tableau otherwise, or a
+  given initial_tableau) and one backward pass (frames.compile_circuit);
+  each shard of shots draws its symbols and fired errors and reads its
+  outcomes off that map (frames.FrameSimulator).
 - 'statevector': dense reference simulation.  Circuits whose measurements
   are all terminal, with no noise or resets, are sampled from one joint Born
-  distribution over the measured qudits instead of evolving every shot;
-  any other runs each shot on a fresh DenseState in frames._run, the loop
-  the compile's reference shot runs in, with sample_error drawing its noise.
+  distribution over the measured qudits; any other runs each shot on a
+  fresh DenseState in frames._run, the compile's reference-shot loop, with
+  sample_error drawing its noise.
 
 Results are columnar: outcomes[s, i] is shot s's outcome at measurement
 slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
-earlier outcomes nor Pauli noise change, so one flag per slot is exact.
-The compiled map reads it off its one reference run; the
-per-shot statevector loop checks that every shot agrees with the first.
+earlier outcomes nor Pauli noise change, so one flag per slot is exact: the
+compiled map reads it off its reference run, and the per-shot statevector
+loop checks that every shot agrees with the first.  run_circuit returns the
+(shots, M) matrix; stream_circuit yields its rows a shard at a time on the
+compiled sampler, and Tally counts them as they come, so a caller that
+writes each block holds one shard and the distinct rows, not the matrix.
 
 Statevector shots run one after another on one generator, and their noise
 draws one float and one integer per N1 and shot whether or not it fires
 (noise.sample_error), so their streams stay aligned across circuits that
-differ only in where errors land.  The compiled sampler runs its shards of
-shots serially, drawing them in order from one generator made from the
-seed (FrameSimulator.run), so its output never depends on the thread count,
-which is checked but changes nothing.  It draws only the errors that fire,
-one integer each (noise.sample_error_batch).  Its RNG work is all in the
-shards: compiling draws nothing.
+differ only in where errors land.  The compiled sampler draws its shards
+serially, in order, from one generator made from the seed
+(FrameSimulator.run), so neither the thread count (checked, then unused)
+nor how calls on the shard grid split the shots changes its output.  It
+draws only the errors that fire, one integer each; compiling draws nothing.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -76,29 +73,38 @@ def counts_key(outcomes, d: int) -> str:
     return "-".join(str(int(k)) for k in outcomes)
 
 
+class Tally:
+    """A running tally of outcome rows over d, added block by block, its
+    memory in the distinct rows: each is kept as the bytes of its digits
+    (ASCII for d <= 10, big-endian above), whose order is numeric order."""
+
+    def __init__(self, d: int):
+        self.d, self.seen = d, Counter()
+        self.zero = ord("0") if d <= 10 else 0
+        self.digit = np.dtype(np.uint8 if d <= 256 else ">u4")
+
+    def add(self, outcomes) -> None:
+        """Count the rows of a (shots, M) outcome array."""
+        rows = (np.asarray(outcomes) + self.zero).astype(self.digit, order="C")
+        width = rows.itemsize * rows.shape[-1]  # 0 for an empty list too
+        self.seen.update(rows.view(f"V{width}").reshape(-1).tolist() if width
+                         else [b""] * len(rows))
+
+    def counts(self) -> dict:
+        """The tally, keys ordered by numeric outcome."""
+        keys = sorted(self.seen)
+        names = ([key.decode() for key in keys] if self.d <= 10 else
+                 [counts_key(np.frombuffer(key, self.digit).tolist(), self.d)
+                  for key in keys])
+        return dict(zip(names, map(self.seen.get, keys)))
+
+
 def records_to_counts(outcomes, d: int) -> dict:
     """Tally the rows of a (shots, M) outcome array, keys ordered by
     numeric outcome."""
-    outcomes = np.asarray(outcomes, dtype=np.int64)
-    if len(outcomes) == 0:
-        return {}
-    shots, m = outcomes.shape
-    if m == 0:
-        return {"": shots}
-    if d <= 10:
-        # each row's digit string as one byte string; byte order is the
-        # numeric order of the rows
-        keys = outcomes.astype(np.uint8, order="C")
-        keys += 48
-        keys = keys.view(f"S{m}")[:, 0]
-        keys, counts = np.unique(keys, return_counts=True)
-        return dict(zip(keys.astype(str).tolist(), counts.tolist()))
-    # lexsort's last key is its primary one; np.unique(axis=0) is slower
-    rows = outcomes[np.lexsort(outcomes.T[::-1])]
-    starts = np.flatnonzero(np.r_[True, (rows[1:] != rows[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, len(rows)])
-    return {counts_key(row, d): c
-            for row, c in zip(rows[starts].tolist(), counts.tolist())}
+    tally = Tally(d)
+    tally.add(outcomes)
+    return tally.counts()
 
 
 @dataclass(eq=False)
@@ -234,15 +240,26 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
         columns = (sim.run(shots, threads), omap.qudits, omap.seqs,
                    omap.deterministic)
 
-    outcomes, qudits, seqs, deterministic = columns
-    return SimulationResult(
-        dimension=circuit.dimension.d,
-        num_qudits=circuit.num_qudits,
-        shots=shots,
-        seed=seed,
-        method=method,
-        outcomes=outcomes,
-        qudits=qudits,
-        seqs=seqs,
-        deterministic=deterministic,
-    )
+    return SimulationResult(circuit.dimension.d, circuit.num_qudits, shots,
+                            seed, method, *columns)
+
+
+def stream_circuit(circuit: Circuit, shots: int = 1, seed=None,
+                   method: str = "tableau", threads: int = None,
+                   initial_tableau=None) -> tuple:
+    """(qudits, seqs, deterministic, blocks): run_circuit's slot arrays and an
+    iterator of its outcome rows in blocks, in shot order, never the whole
+    matrix: one shard per block, drawn by FrameSimulator.run on its
+    shard_size grid, or on statevector run_circuit's outcomes as one block.
+    Arguments and the outcome cap are checked as run_circuit checks them."""
+    if SAMPLERS.get(method) != "frames":  # statevector, or run_circuit's error
+        run = run_circuit(circuit, shots, seed, method, threads, initial_tableau)
+        return run.qudits, run.seqs, run.deterministic, iter([run.outcomes])
+    shots = integral(shots, "shots", minimum=1)
+    if threads is not None:
+        integral(threads, "threads", minimum=1)
+    check_outcome_entries(shots, circuit.num_measurements)
+    sim = FrameSimulator(circuit, seed, initial_tableau)
+    blocks = (sim.run(min(sim.shard_size, shots - lo), threads)
+              for lo in range(0, shots, sim.shard_size))
+    return sim.omap.qudits, sim.omap.seqs, sim.omap.deterministic, blocks

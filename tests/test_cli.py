@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from quditsim import cli
+from quditsim import Circuit, FrameSimulator, cli, serialize_sdim
 from quditsim.errors import MemoryCapError
 
 CLI = [sys.executable, "-m", "quditsim"]
@@ -88,6 +88,44 @@ class TestRun:
         proc = run_cli("run", str(path), "--shots", "10", "--seed", "4")
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["method"] == "tableau"
+
+    # upper bounds on one record's text: qudit and seq below 1000, d <= 10,
+    # shot numbers below 10**6
+    RECORD_TEXT = {"json": 128, "csv": 24}
+
+    @pytest.mark.parametrize("out", ["json", "csv"])
+    def test_writes_stay_within_the_record_bound(self, tmp_path, monkeypatch,
+                                                 out):
+        """200 slots over several shards: no single write to stdout carries
+        more than PIECE_RECORDS records' text, and the writes join into the
+        whole output."""
+        circuit = Circuit(200, 3)
+        for q in range(200):
+            circuit.add_gate("F", q)
+            circuit.add_gate("N1", q, noise_channel="d", prob=0.05)
+            circuit.add_gate("M", q)
+        shots = 3 * FrameSimulator(circuit).shard_size + 5
+        path = tmp_path / "wide.sdim"
+        path.write_text(serialize_sdim(circuit))
+        writes = []
+
+        class Recorder:
+            def write(self, text):
+                writes.append(text)
+
+        monkeypatch.setattr(sys, "stdout", Recorder())
+        assert cli.main(["run", str(path), "--shots", str(shots), "--seed",
+                         "1", "--out", out]) == 0
+        monkeypatch.undo()
+        bound = cli.PIECE_RECORDS * self.RECORD_TEXT[out]
+        assert max(len(text) for text in writes) <= bound
+        text = "".join(writes)
+        if out == "json":
+            doc = json.loads(text)
+            assert len(doc["records"]) == shots
+            assert sum(doc["counts"].values()) == shots
+        else:
+            assert len(text.splitlines()) == 1 + 200 * shots
 
 
 class TestExitCodes:

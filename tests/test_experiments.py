@@ -199,6 +199,18 @@ class TestChannels:
         assert report["passed"], report
         assert report["tvd"] < 0.02
 
+    @pytest.mark.parametrize("kind", ["flip", "phase", "depolarizing"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("prob", [0.1, 0.37])
+    def test_law_matches_reference(self, kind, d, prob):
+        """The exact law of the channel test circuit's one outcome is the
+        closed form, with no sampling floor."""
+        law = outcome_law(compile_circuit(build_channel_test_circuit(kind, d,
+                                                                     prob)))
+        ref = channel_reference_distribution(kind, d, prob)
+        assert law.shape == (d,)
+        assert np.abs(law - [ref.prob(k) for k in range(d)]).max() <= 1e-12
+
     def test_alias_names(self):
         for alias, short in (("flip", "f"), ("phase", "p"),
                              ("depolarizing", "d")):

@@ -717,15 +717,34 @@ def noiseless(n, d, depth, seed):
                                          np.random.default_rng(seed))
 
 
+def wide_circuit() -> Circuit:
+    """226 measurement slots, with mid-circuit measurements and noise."""
+    return build_random_clifford_circuit(40, 3, 1500, np.random.default_rng(3),
+                                         noise=("d", 0.002),
+                                         mid_measure_prob=0.1)
+
+
+def past_shards(circuit, shards: int, rest: int) -> int:
+    """shards whole shards of the circuit's sampler and rest shots more."""
+    return shards * FrameSimulator(circuit).shard_size + rest
+
+
 BYTE_CASES = {
-    # name: (circuit, method, shots); frames crosses chunk boundaries
-    "frames": (lambda: noisy(4, 3, 60, 1), "frames", 4 * cli.CHUNK_SHOTS + 37),
+    # name: (circuit, method, shots or shots(circuit)); frames crosses shard
+    # and text piece boundaries and ends on a partial shard
+    "frames": (lambda: noisy(4, 3, 60, 1), "frames",
+               lambda c: past_shards(c, 3, 37)),
     "tableau": (lambda: noisy(3, 5, 40, 2), "tableau", 150),
     "weyl_d4": (lambda: noiseless(3, 4, 30, 3), "tableau", 80),
     "statevector_fast": (lambda: build_ghz_chain(2, 3, measure=True),
                          "statevector", 120),
     "statevector_per_shot": (reset_circuit, "statevector", 120),
     "frames_d11": (lambda: noisy(3, 11, 30, 4), "frames", 300),
+    # almost every one of its 3000 rows is distinct, so counts has about
+    # 3000 dash-separated keys
+    "frames_d11_distinct": (lambda: noisy(8, 11, 60, 5), "frames",
+                            lambda c: past_shards(c, 1, 270)),
+    "wide": (wide_circuit, "tableau", lambda c: past_shards(c, 2, 56)),
     "no_measurements": (lambda: Circuit(2, 3), "frames", 5),
 }
 
@@ -735,6 +754,7 @@ BYTE_CASES = {
 def test_cli_bytes_match_record_writers(case, out, tmp_path, capsys):
     build, method, shots = BYTE_CASES[case]
     circuit = build()
+    shots = shots(circuit) if callable(shots) else shots
     path = tmp_path / "circuit.sdim"
     path.write_text(serialize_sdim(circuit))
     seed = 17
