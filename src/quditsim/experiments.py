@@ -20,13 +20,13 @@ command line (cli.py) writes the CSV and manifest files.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .circuit import Circuit
 from .errors import DimensionError, ShapeError, SupportMismatchError, integral
-from .frames import compile_circuit, outcome_law
+from .frames import _outcome_laws, compile_circuit
 from .gates import GATES, SINGLE_QUDIT_GATES
 from .pauli import Dimension, PauliString, _as_dimension
 from .simulate import _check_method_pair, run_circuit
@@ -248,6 +248,10 @@ class RBConfig:
         for name in ("circuits_per_depth", "shots"):
             object.__setattr__(self, name, integral(getattr(self, name), name,
                                                     ShapeError, minimum=1))
+        try:
+            object.__setattr__(self, "p", float(self.p))
+        except (TypeError, ValueError):
+            raise ShapeError(f"p must be a number, got {self.p!r}") from None
         if not 0.0 <= self.p <= 1.0:
             raise ShapeError("p must lie in [0, 1]")
 
@@ -524,12 +528,12 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
     Every noise round precedes the gadgets, so the sweep compiles the
     depth-0 circuit once: with each noise location listed D + 1 times, its
     map gives depth D's exact law of (selected syndromes, logical readout)
-    (frames.outcome_law) bit for bit, and the cost is flat in depth.  A
-    circuit's shots are one multinomial draw from that law, so stderr is
-    shot noise only.  exact_survivor_fraction
-    and exact_fidelity are the infinite-shot values; the sampled fidelity,
-    a modulus, is biased upward at finite shots.  threads is checked but
-    changes nothing.
+    (frames.outcome_law) bit for bit, and one pass over its symbols gives
+    every depth's (frames._outcome_laws): time and memory are flat in depth.
+    A circuit's shots are one multinomial draw from that law, so stderr is
+    shot noise only.  exact_survivor_fraction and exact_fidelity are the
+    infinite-shot values; the sampled fidelity, a modulus, is biased upward
+    at finite shots.  threads is checked but changes nothing.
     """
     if code is None:
         code = qutrit_detection_code()
@@ -557,12 +561,9 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
 
     omap = compile_circuit(build_lrb_d_circuit(code, 0, cfg.p, postselect),
                            code_initial_tableau(code))
-    clean = {}  # per depth, P(clean syndromes, logical value) per value
-    for depth in cfg.depths:
-        law = outcome_law(replace(omap, noise_groups=[
-            (key, np.tile(locs, depth + 1))
-            for key, locs in omap.noise_groups]), projection)
-        clean[depth] = law.reshape(-1)[:code.d]
+    # per depth, P(clean syndromes, logical value) per value
+    clean = {depth: law.reshape(-1)[:code.d] for depth, law in zip(
+        cfg.depths, _outcome_laws(omap, projection, np.add(cfg.depths, 1)))}
 
     def sampler(depth):
         pvals = np.r_[clean[depth], max(0.0, 1.0 - clean[depth].sum())]

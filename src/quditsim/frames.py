@@ -356,16 +356,9 @@ def _dots(w, d: int) -> np.ndarray:
     return total % d
 
 
-def outcome_law(omap, P=None) -> np.ndarray:
-    """The exact law of P y mod d, y the outcomes of omap, as an array of
-    shape (d,) * k: entry y' is its probability.  P is an integer (k, M)
-    matrix, the identity when None (else ShapeError), with d^k and d^2 at
-    most MAX_LAW_ENTRIES (else MemoryCapError).  Symbol s moves P y by X_s w_s,
-    w_s = P v_s, so the law's Fourier transform at u in Z_d^k is, for any d,
-    w^(u.Pc) prod_uniform [u.w_s = 0 mod d] prod_N1 chi(u.w_a, u.w_b), chi
-    the channel's character table.  Symbols with one w enter at once, so
-    memory is O(d^k k) whatever their number.
-    """
+def _law_factors(omap, P):
+    """One pass over omap's symbols for outcome_law(omap, P): phi masked by
+    the uniform symbols, (values, count) per distinct N1 pair, and dft."""
     d, num_slots = omap.d, len(omap.const)
     P = np.eye(num_slots, dtype=np.int64) if P is None else np.asarray(P)
     if P.ndim != 2 or P.shape[1] != num_slots or P.dtype.kind not in "iu":
@@ -374,7 +367,8 @@ def outcome_law(omap, P=None) -> np.ndarray:
     if max(d ** len(P), d * d) > MAX_LAW_ENTRIES:
         raise MemoryCapError(f"{d}^{len(P)} outcomes or {d}^2 characters "
                              f"exceed the law cap of {MAX_LAW_ENTRIES}")
-    k, P = len(P), P.astype(np.int64) % d
+    # reduced in P's own kind: an int64 cast would wrap uint64 entries
+    k, P = len(P), np.remainder(P, d, dtype=P.dtype.kind + "8").astype(int)
     w = np.zeros((len(omap.indptr) - 1, k), dtype=np.int64)
     np.add.at(w, np.repeat(np.arange(len(w)), np.diff(omap.indptr)),
               omap.coeffs[:, None] * P[:, omap.slots].T)
@@ -384,19 +378,49 @@ def outcome_law(omap, P=None) -> np.ndarray:
     # with counts, np.unique skips its numpy.ma check and that import
     for ws in np.unique(w[omap.uniform] % d, axis=0, return_counts=True)[0]:
         phi *= _dots(ws, d) == 0
+    factors = []
     for (kind, prob), locs in omap.noise_groups:
         table = np.zeros((d, d))
         for (a, b), p in error_distribution(kind, prob, d).items():
             table[a, b] = p
         chi = dft @ table @ dft
-        pairs, reps = np.unique(w[omap.noise[locs]].reshape(len(locs), -1) % d,
-                                axis=0, return_counts=True)
-        for pair, rep in zip(pairs, reps):
-            phi *= chi[_dots(pair[:k], d), _dots(pair[k:], d)] ** rep
-    for _ in range(k):
-        # transforms axis 0 and appends it, so k steps restore the order
-        phi = np.tensordot(phi, dft.conj(), axes=(0, 0))
-    return np.maximum(phi.real / d ** k, 0.0)
+        pairs, reps = np.unique(w[omap.noise[locs]].reshape(len(locs), 2 * k)
+                                % d, axis=0, return_counts=True)
+        factors += [(chi[_dots(pair[:k], d), _dots(pair[k:], d)], rep)
+                    for pair, rep in zip(pairs, reps)]
+    return phi, factors, dft
+
+
+def _outcome_laws(omap, P, reps):
+    """Yields outcome_law(omap, P) with each N1 location listed r times, per r
+    in reps, bit for bit, from one _law_factors pass: a pair's values enter
+    to the power count * r, MAX_LAW_ENTRIES // d^k multiplicities at once."""
+    phi, factors, dft = _law_factors(omap, P)
+    reps = np.asarray(reps, dtype=np.int64).reshape((-1,) + (1,) * phi.ndim)
+    step = MAX_LAW_ENTRIES // phi.size
+    for lo in range(0, len(reps), step):
+        batch = np.repeat(phi[None], len(reps[lo:lo + step]), axis=0)
+        for values, count in factors:
+            batch *= values ** (count * reps[lo:lo + step])
+        for law in batch:
+            for _ in range(phi.ndim):
+                # transforms axis 0 and appends it; k steps restore the order
+                law = np.tensordot(law, dft.conj(), axes=(0, 0))
+            yield np.maximum(law.real / phi.size, 0.0)
+
+
+def outcome_law(omap, P=None) -> np.ndarray:
+    """The exact law of P y mod d, y the outcomes of omap, as an array of
+    shape (d,) * k: entry y' is its probability.  P is an integer (k, M)
+    matrix, the identity when None (else ShapeError), with d^k and d^2 at
+    most MAX_LAW_ENTRIES (else MemoryCapError).  Symbol s moves P y by X_s w_s,
+    w_s = P v_s, so the law's Fourier transform at u in Z_d^k is, for any d,
+    w^(u.Pc) prod_uniform [u.w_s = 0 mod d] prod_N1 chi(u.w_a, u.w_b), chi
+    the channel's character table.  Symbols with one w enter at once, so
+    memory is O(d^k k) whatever their number (_outcome_laws: batches of at
+    most MAX_LAW_ENTRIES // d^k transforms, one pass over the pairs each).
+    """
+    return next(_outcome_laws(omap, P, [1]))
 
 
 class FrameSimulator:

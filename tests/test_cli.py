@@ -526,6 +526,24 @@ class TestBenchmarkCommands:
         assert 0 < json.loads(proc.stdout)["per_depth"][0][
             "survivor_fraction"] <= 1
 
+    def test_lrbd_depth_1e7_in_bounded_memory(self):
+        """Every depth's law comes from one pass over the depth-0 map, so
+        depth 1e7 runs in a 2 GiB address space, where listing each noise
+        location 1e7 + 1 times needs 3.7 GiB; the code state is then fully
+        mixed: 1 of the 81 syndrome values is clean and the fidelity is 0."""
+        cap = 1 << 31
+        proc = subprocess.run(
+            CLI + ["lrbd", "--depths", "0,10000000", "--circuits", "2",
+                   "--shots", "100", "--p", "0.02", "--seed", "1"],
+            capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
+        row = json.loads(proc.stdout)["per_depth"][-1]
+        assert row["depth"] == 10**7
+        assert round(row["exact_survivor_fraction"], 6) == 0.012346
+        assert row["exact_fidelity"] < 1e-9
+
 
 class TestThreadsEnv:
     """SDIM_THREADS fallback."""

@@ -36,7 +36,8 @@ from quditsim.experiments import (
     _depth_row,
 )
 from quditsim.frames import (MAX_OUTCOME_ENTRIES, FrameSimulator, OutcomeMap,
-                             compile_circuit, outcome_law)
+                             _law_factors, _outcome_laws, compile_circuit,
+                             outcome_law)
 from quditsim.pauli import Dimension, PauliString
 from quditsim.simulate import run_circuit
 from quditsim.statevector import (DenseState, gate_matrix, pauli_matrix,
@@ -290,6 +291,18 @@ class TestRB:
             RBConfig(d=3, depths=(-1,), circuits_per_depth=1, shots=10, p=0.0)
         with pytest.raises(ShapeError):
             RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=1.5)
+
+    @pytest.mark.parametrize("p", [None, "half", [0.1], float("nan")])
+    def test_config_rejects_a_p_that_is_no_probability(self, p):
+        """p goes through float(), as an N1 probability does: a value that
+        does not convert, or NaN, raises ShapeError."""
+        with pytest.raises(ShapeError, match="p must"):
+            RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=p)
+
+    @pytest.mark.parametrize("p", ["0.25", np.float32(0.25), 0.25])
+    def test_config_converts_p_to_float(self, p):
+        cfg = RBConfig(d=3, depths=(0,), circuits_per_depth=1, shots=10, p=p)
+        assert type(cfg.p) is float and cfg.p == 0.25
 
     @pytest.mark.parametrize("field, value", [
         ("depths", (1.5,)), ("circuits_per_depth", 1.5), ("shots", 2.5),
@@ -680,34 +693,50 @@ class TestLRBD:
         run_rb(cfg, seed=7, method="frames")
         assert len(compiles) == len(cfg.depths) * cfg.circuits_per_depth
 
+    def test_one_symbol_pass_per_sweep(self, monkeypatch):
+        """The default sweep reads every depth's law from one pass over the
+        depth-0 map's symbols."""
+        passes = []
+
+        def counting(omap, P):
+            passes.append(len(omap.noise))
+            return _law_factors(omap, P)
+
+        monkeypatch.setattr("quditsim.frames._law_factors", counting)
+        cfg = RBConfig(d=3, depths=(0, 4, 8, 12, 16, 20), circuits_per_depth=2,
+                       shots=100, p=0.02)
+        run_lrb_d(cfg, seed=1)
+        assert passes == [5]
+
     @pytest.mark.parametrize("p", [0.02, 0.3])
     @pytest.mark.parametrize("postselect", ["all", "x_only"])
     def test_each_depth_law_is_its_compiled_circuit_law(self, postselect, p,
                                                         monkeypatch):
-        """The map run_lrb_d reads each depth's law from gives, bit for bit,
-        the projected law and the full joint law of the compiled depth-D
-        circuit."""
-        maps = []
+        """The laws run_lrb_d reads off the depth-0 map, one per depth at
+        multiplicity depth + 1, are bit for bit the projected law of the
+        compiled depth-D circuit, and the same multiplicities give its full
+        joint law."""
+        calls = []
 
-        def recording(omap, P=None):
-            maps.append((omap, P))
-            return outcome_law(omap, P)
+        def recording(omap, P, reps):
+            laws = list(_outcome_laws(omap, P, reps))
+            calls.append((omap, P, list(reps), laws))
+            return laws
 
-        monkeypatch.setattr("quditsim.experiments.outcome_law", recording)
+        monkeypatch.setattr("quditsim.experiments._outcome_laws", recording)
         code = qutrit_detection_code()
         start = code_initial_tableau(code)
         cfg = RBConfig(d=3, depths=(0, 1, 5, 17), circuits_per_depth=1,
                        shots=10, p=p)
         run_lrb_d(cfg, code, seed=1, postselect=postselect)
-        assert len(maps) == len(cfg.depths)
-        for depth, (omap, P) in zip(cfg.depths, maps):
+        [(omap, P, reps, laws)] = calls
+        assert reps == [depth + 1 for depth in cfg.depths]
+        joints = _outcome_laws(omap, None, reps)
+        for depth, law, joint in zip(cfg.depths, laws, joints):
             compiled = compile_circuit(
                 build_lrb_d_circuit(code, depth, p, postselect), start)
-            assert len(omap.noise_groups[0][1]) == 5 * (depth + 1)
-            assert np.array_equal(outcome_law(omap, P),
-                                  outcome_law(compiled, P)), depth
-            assert np.array_equal(outcome_law(omap),
-                                  outcome_law(compiled)), depth
+            assert np.array_equal(law, outcome_law(compiled, P)), depth
+            assert np.array_equal(joint, outcome_law(compiled)), depth
 
     @pytest.mark.parametrize("postselect", ["all", "x_only"])
     def test_shots_past_the_outcome_cap_run(self, postselect):

@@ -15,8 +15,8 @@ from quditsim.experiments import (build_channel_test_circuit,
                                   build_lrb_d_circuit,
                                   channel_reference_distribution,
                                   code_initial_tableau, qutrit_detection_code)
-from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, _run,
-                             compile_circuit, outcome_law, reference_run)
+from quditsim.frames import (MAX_LAW_ENTRIES, FrameSimulator, _outcome_laws,
+                             _run, compile_circuit, outcome_law, reference_run)
 from quditsim.noise import NOISE_KINDS, error_distribution, sample_error
 from quditsim.simulate import run_circuit
 from quditsim.statevector import DenseState
@@ -518,6 +518,26 @@ def noisy_with_mid_circuit_ops(d, kind, seed):
     return c
 
 
+REPEATED_CASES = ["lrbd_x_only", "mid_circuit_d3", "mid_circuit_d6"]
+
+
+def repeated_case_map(case):
+    """The depth-0 x-only LRB-D map, or noisy_with_mid_circuit_ops's at d."""
+    if case == "lrbd_x_only":
+        code = qutrit_detection_code()
+        return compile_circuit(build_lrb_d_circuit(code, 0, 0.05, "x_only"),
+                               code_initial_tableau(code))
+    d = int(case[-1])
+    return compile_circuit(noisy_with_mid_circuit_ops(d, "d", d),
+                           Tableau(2, 3) if d == 3 else WeylTableau(2, d))
+
+
+def tile_noise(omap, r):
+    """omap with each noise location listed r times."""
+    return replace(omap, noise_groups=[
+        (key, np.tile(locs, r)) for key, locs in omap.noise_groups])
+
+
 class TestOutcomeLaw:
     """frames.outcome_law: the exact law of a projection of a compiled map's
     outcomes, from the characters of its symbols."""
@@ -541,25 +561,14 @@ class TestOutcomeLaw:
         # the law is exact: a second sample of infinite size
         assert score <= sample_tvd_bound(law.reshape(-1), shots, np.inf)
 
-    @pytest.mark.parametrize("case", ["lrbd_x_only", "mid_circuit_d3",
-                                      "mid_circuit_d6"])
+    @pytest.mark.parametrize("case", REPEATED_CASES)
     def test_repeated_locations_sample_as_independent_events(self, case):
         """A map whose noise locations are each listed three times: its
         _Layout sample sits within four times the expected TVD of its
         outcome_law, which raises each location's character to the count."""
         shots = 40000
-        if case == "lrbd_x_only":
-            code = qutrit_detection_code()
-            omap = compile_circuit(
-                build_lrb_d_circuit(code, 0, 0.05, "x_only"),
-                code_initial_tableau(code))
-        else:
-            d = int(case[-1])
-            omap = compile_circuit(noisy_with_mid_circuit_ops(d, "d", d),
-                                   Tableau(2, 3) if d == 3
-                                   else WeylTableau(2, d))
-        tiled = replace(omap, noise_groups=[
-            (key, np.tile(locs, 3)) for key, locs in omap.noise_groups])
+        omap = repeated_case_map(case)
+        tiled = tile_noise(omap, 3)
         law = outcome_law(tiled)
         assert np.abs(law - outcome_law(omap)).max() > 0.01
         out = np.empty((shots, len(omap.const)), dtype=np.int64)
@@ -568,6 +577,41 @@ class TestOutcomeLaw:
         np.add.at(counts, tuple(out.T), 1)
         score = 0.5 * np.abs(counts / shots - law).sum()
         assert score <= sample_tvd_bound(law.reshape(-1), shots, np.inf)
+
+    @pytest.mark.parametrize("case", REPEATED_CASES)
+    def test_multiplicity_law_is_the_tiled_map_law(self, case):
+        """The law at noise multiplicity r is outcome_law of the map with
+        each location listed r times, bit for bit, projected or joint."""
+        omap = repeated_case_map(case)
+        reps = [0, 1, 3, 7]
+        P = np.array([np.arange(len(omap.const)) + 1])
+        for law, joint, r in zip(_outcome_laws(omap, P, reps),
+                                 _outcome_laws(omap, None, reps), reps):
+            assert np.array_equal(law, outcome_law(tile_noise(omap, r), P)), r
+            assert np.array_equal(joint, outcome_law(tile_noise(omap, r))), r
+
+    @pytest.mark.parametrize("case", REPEATED_CASES)
+    def test_multiplicities_in_batches_match_one_batch(self, case,
+                                                       monkeypatch):
+        """A law cap that splits six multiplicities into three batches leaves
+        every law the same."""
+        omap = repeated_case_map(case)
+        reps = [5, 0, 2, 2, 9, 1]
+        whole = list(_outcome_laws(omap, None, reps))
+        monkeypatch.setattr(frames_module, "MAX_LAW_ENTRIES",
+                            2 * whole[0].size)
+        assert np.array_equal(list(_outcome_laws(omap, None, reps)), whole)
+
+    @pytest.mark.parametrize("row", [[2**64 - 1, 0], [2**64 - 2, 1]])
+    def test_uint64_projection_is_reduced_in_its_own_dtype(self, row):
+        """y0 is uniform and y1 = y0 on Z_3: with each entry reduced mod 3 as
+        the uint64 it is, P y is 0 for sure, where an int64 cast would read
+        2^64 - 1 as -1 and 2^64 - 2 as -2."""
+        c = Circuit(1, 3)
+        for name in ("F", "M", "M"):
+            c.add_gate(name, 0)
+        law = outcome_law(compile_circuit(c), np.array([row], dtype=np.uint64))
+        assert np.abs(law - [1, 0, 0]).max() <= 1e-12
 
     @pytest.mark.parametrize("d", [2, 3, 6])
     def test_noiseless_deterministic_circuit_is_a_point_mass(self, d):
