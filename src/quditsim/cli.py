@@ -35,7 +35,7 @@ from .builders import (build_bernstein_vazirani, build_deutsch_jozsa,
                        build_ghz_chain, build_local_gate_test,
                        build_random_clifford_circuit)
 from .circuit import parse_sdim, serialize_sdim
-from .errors import MemoryCapError, ParseError
+from .errors import MemoryCapError, ParseError, ShapeError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
 from .pauli import Dimension
@@ -299,9 +299,11 @@ def _cmd_lrbd(args, threads) -> dict:
     cfg = RBConfig(d=code.d, depths=args.depths,
                    circuits_per_depth=args.circuits, shots=args.shots,
                    p=args.p)
-    return run_lrb_d(cfg, code, seed=args.seed,
-                     postselect=args.postselect.replace("-", "_"),
-                     threads=threads)
+    try:
+        return run_lrb_d(cfg, code, seed=args.seed, threads=threads,
+                         postselect=args.postselect.replace("-", "_"))
+    except ShapeError as exc:  # a depth too large to count its events
+        raise _usage_error(str(exc)) from None
 
 
 def _methods_pair(text: str):

@@ -563,7 +563,7 @@ def run_lrb_d(cfg: RBConfig, code: DetectionCode = None, seed=None,
                            code_initial_tableau(code))
     # per depth, P(clean syndromes, logical value) per value
     clean = {depth: law.reshape(-1)[:code.d] for depth, law in zip(
-        cfg.depths, _outcome_laws(omap, projection, np.add(cfg.depths, 1)))}
+        cfg.depths, _outcome_laws(omap, projection, [D + 1 for D in cfg.depths]))}
 
     def sampler(depth):
         pvals = np.r_[clean[depth], max(0.0, 1.0 - clean[depth].sum())]

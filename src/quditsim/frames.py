@@ -24,10 +24,8 @@ continues the stream.  Noise is sparse, after Stim's frame simulator: the
 (fired_positions), one Bernoulli(prob) draw per pair at the cost of the
 events that fire.  Threads ran no faster, so the threads argument is
 checked but changes nothing; output never depended on it.
-simulate.run_circuit samples the 'frames' and 'tableau' methods with
-FrameSimulator.  _run runs a circuit once on any register, in the one loop:
-with noise skipped it is the reference shot that the compile and
-reference_run read, and with a noise draw one per-shot statevector run.
+_run runs a circuit once on any register: with noise skipped, the reference
+shot that the compile reads; with a noise draw, one per-shot run.
 """
 
 from __future__ import annotations
@@ -384,6 +382,7 @@ def _law_factors(omap, P):
         for (a, b), p in error_distribution(kind, prob, d).items():
             table[a, b] = p
         chi = dft @ table @ dft
+        chi /= chi[0, 0]  # trivial characters exactly 1: no power decays
         pairs, reps = np.unique(w[omap.noise[locs]].reshape(len(locs), 2 * k)
                                 % d, axis=0, return_counts=True)
         factors += [(chi[_dots(pair[:k], d), _dots(pair[k:], d)], rep)
@@ -396,6 +395,9 @@ def _outcome_laws(omap, P, reps):
     in reps, bit for bit, from one _law_factors pass: a pair's values enter
     to the power count * r, MAX_LAW_ENTRIES // d^k multiplicities at once."""
     phi, factors, dft = _law_factors(omap, P)
+    if max(int(c) for _, c in factors or [(0, 0)]) * max(reps) >= 1 << 63:
+        raise ShapeError(f"noise listed {max(reps)} times (LRB-D depth "
+                         f"{max(reps) - 1}) reaches 2^63 events at one location")
     reps = np.asarray(reps, dtype=np.int64).reshape((-1,) + (1,) * phi.ndim)
     step = MAX_LAW_ENTRIES // phi.size
     for lo in range(0, len(reps), step):

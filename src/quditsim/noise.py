@@ -7,13 +7,10 @@ otherwise applies a uniformly random nonidentity error from its support:
     'p' (phase):         Z^b, b in 1..d-1
     'd' (depolarizing):  X^a Z^b, (a, b) != (0, 0)
 
-sample_error consumes one uniform float and one integer draw per event,
-whether or not an error fires, so the per-shot stream of the statevector
-backend stays aligned across circuits that only differ in where errors
-land.  The compiled sampler takes the firing (location, shot) pairs of
-each group of N1 locations from geometric gaps (frames.fired_positions),
-and sample_error_batch draws the errors of those events only, one integer
-each, so every draw follows the events that fire.
+Both samplers take the events that fire from geometric gaps
+(frames.fired_positions) and draw their errors only, one integer each, with
+sample_error_batch.  sample_error, one float and one integer per event
+whether or not it fires, is the draw of a per-shot run (frames._run).
 """
 
 from __future__ import annotations

@@ -6,31 +6,27 @@
   given initial_tableau) and one backward pass (frames.compile_circuit);
   each shard of shots draws its symbols and fired errors and reads its
   outcomes off that map (frames.FrameSimulator).
-- 'statevector': dense reference simulation.  Circuits whose measurements
-  are all terminal, with no noise or resets, are sampled from one joint Born
-  distribution over the measured qudits; any other runs each shot on a
-  fresh DenseState in frames._run, the compile's reference-shot loop, with
-  sample_error drawing its noise.
+- 'statevector', dense (_run_dense): the gates before the first M, RESET or
+  N1 run once; past them shots share a stack of states, one row per distinct
+  history, as Stim shares a reference (Gidney 2021), each instruction one
+  numpy call over all the rows.
 
 Results are columnar: outcomes[s, i] is shot s's outcome at measurement
 slot i (program order), and the per-slot arrays qudits, seqs and
 deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact: the
-compiled map reads it off its reference run, and the per-shot statevector
-loop checks that every shot agrees with the first.  run_circuit returns the
-(shots, M) matrix; stream_circuit yields its rows a shard at a time on the
-compiled sampler, and Tally counts them as they come, so a caller that
-writes each block holds one shard and the distinct rows, not the matrix.
+compiled map reads it off its reference run, and the dense sampler checks
+that every row and shard agrees.  run_circuit returns the (shots, M)
+matrix; stream_circuit yields its rows a shard at a time on the compiled
+sampler, and Tally counts them as they come, so a caller that writes each
+block holds one shard and the distinct rows, not the matrix.
 
-Statevector shots run one after another on one generator, and their noise
-draws one float and one integer per N1 and shot whether or not it fires
-(noise.sample_error), so their streams stay aligned across circuits that
-differ only in where errors land.  The compiled sampler draws its shards
-serially, in order, from one generator made from the seed
-(FrameSimulator.run), so neither the thread count (checked, then unused)
-nor how calls on the shard grid split the shots changes its output.  It
-draws only the errors that fire, one integer each; compiling draws nothing.
+Both samplers draw in order from one generator made from the seed, only the
+errors that fire (frames.fired_positions), so neither the thread count
+(checked, then unused) nor how calls on the shard grid split the shots
+changes the output.  A noiseless circuit whose M are all terminal takes one
+rng.choice over the joint Born law of its measured qudits.
 """
 
 from __future__ import annotations
@@ -43,16 +39,20 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import QuditSimError, integral
-from .frames import FrameSimulator, _run, check_outcome_entries
+from .frames import (FrameSimulator, check_outcome_entries, fired_positions,
+                     sample_error_batch)
 from .gates import GATES
-from .noise import sample_error
-from .statevector import DenseState
+from .noise import sample_error  # noqa: F401  (perfbench/tracing.py patches it)
+from .statevector import DenseState, _evolve
 
 # the sampler behind each method: 'tableau' and 'frames' are two names for
 # the compiled Pauli-frame sampler
 SAMPLERS = {"tableau": "frames", "frames": "frames",
             "statevector": "statevector"}
 METHODS = tuple(SAMPLERS)
+
+# statevector rows past the trunk: shards of this many amplitudes over d^n shots
+DENSE_SHARD_AMPLITUDES = 1 << 15
 
 
 def _check_method_pair(method_a: str, method_b: str) -> None:
@@ -135,77 +135,96 @@ class SimulationResult:
         return [tuple(row) for row in self.outcomes.tolist()]
 
 
-def _terminal_measurement_plan(circuit: Circuit):
-    """Measured qudit order if the dense fast path applies, else None."""
-    measured = []
-    tail = False
-    for ins in circuit.instructions:
-        if ins.name == "M":
-            tail = True
-            measured.append(ins.qudits[0])
-        elif ins.name in ("N1", "RESET") or tail:
-            return None
-    return measured or None
-
-
-def _run_per_shot(circuit: Circuit, shots: int, rng) -> tuple:
-    """Outcome rows and slot arrays from one fresh DenseState per shot."""
-    n, dim = circuit.num_qudits, circuit.dimension
-    # the module's sample_error, read per call, so patching it takes effect
-    first = _run(circuit, DenseState(n, dim), rng, sample_error)[0]
-    flags = [r.deterministic for r in first]
-    outcomes = np.empty((shots, len(first)), dtype=np.int64)
-    outcomes[0] = [r.outcome for r in first]
-    for s in range(1, shots):
-        records = _run(circuit, DenseState(n, dim), rng, sample_error)[0]
-        if [r.deterministic for r in records] != flags:
-            raise QuditSimError(f"shot {s} has deterministic flags that "
-                                f"differ from shot 0")
-        outcomes[s] = [r.outcome for r in records]
-    # a fresh state counts every M from 0, so slot i has seq i
-    return (outcomes, np.array([r.qudit for r in first], dtype=np.int64),
-            np.arange(len(first), dtype=np.int64), np.array(flags, dtype=bool))
-
-
-def _run_dense_fast(circuit: Circuit, measured, shots: int, rng) -> tuple:
-    """Sample all terminal measurements from one joint Born distribution.
-
-    The joint is over the distinct measured qudits in first-measured order;
-    a repeated slot copies its qudit's first outcome and is deterministic.
-    A first slot is deterministic when every reachable prefix of earlier
-    slots leaves it one outcome, and random when every one leaves several.
-    """
-    state = DenseState(circuit.num_qudits, circuit.dimension)
-    for ins in circuit.instructions:
-        if ins.name != "M":
-            state._apply(GATES[ins.name], ins.qudits)
-    distinct = list(dict.fromkeys(measured))
-    probs = np.abs(state.psi) ** 2
-    other = tuple(a for a in range(circuit.num_qudits) if a not in distinct)
-    joint = probs.sum(axis=other) if other else probs
+def _measure_rows(rows, row, qudits, out, flags, rng, split: bool) -> tuple:
+    """(rows, row) after a run of M (a list of qudits, its slots from column
+    len(flags) of out) or a RESET (a tuple): one rng.choice per row over its
+    joint.  With split, a row per (row, outcome), at |0> after a RESET."""
+    distinct = list(dict.fromkeys(qudits))
+    k, d = len(distinct), rows.shape[1]
+    joint = (np.abs(rows) ** 2).sum(axis=tuple(
+        a for a in range(1, rows.ndim) if a - 1 not in distinct))
     # summing keeps axes in qudit order; put them in measurement order
-    order = np.argsort(np.argsort(distinct))
-    joint = np.ascontiguousarray(np.transpose(joint, axes=order))
-    flat = joint.reshape(-1)
-    flat = flat / flat.sum()
-    draws = rng.choice(len(flat), size=shots, p=flat)
+    joint = np.transpose(joint, (0, *np.argsort(np.argsort(distinct)) + 1)
+                         ).reshape(len(rows), -1)
+    flat, shape = joint / joint.sum(axis=1, keepdims=True), (d,) * k
+    draws = np.empty(len(row), dtype=np.int64)
+    draws[np.argsort(row, kind="stable")] = np.concatenate([
+        rng.choice(len(p), size=c, p=p) for p, c in zip(flat, np.bincount(row))])
+    if isinstance(qudits, list):
+        slot = [distinct.index(q) for q in qudits]
+        out[:, len(flags):len(flags) + len(slot)] = np.stack(
+            np.unravel_index(draws, shape), axis=1)[:, slot]
+        # deterministic if every reachable prefix, in every row, leaves one
+        single = [(allowed[allowed > 0] == 1) for allowed in (
+            (joint.reshape(-1, d ** m, d ** (k - m)).sum(axis=2).reshape(-1, d)
+             > 1e-12).sum(axis=1) for m in range(1, k + 1))]
+        if any(one.any() != one.all() for one in single):
+            raise QuditSimError("dense flags depend on the earlier outcomes")
+        flags += [q in qudits[:m] or bool(single[c][0])
+                  for m, (q, c) in enumerate(zip(qudits, slot))]
+    if not split:
+        return rows, row
+    cells, row = np.unique(row * flat.shape[1] + draws, return_inverse=True)
+    src, cell = np.divmod(cells, flat.shape[1])
+    kept, axes = np.unravel_index(cell, shape), (
+        [q + 1 for q in distinct], range(1, k + 1))
+    new = np.zeros((len(cells),) + rows.shape[1:], dtype=complex)
+    np.moveaxis(new, *axes)[(np.arange(len(cells)), *(
+        kept if isinstance(qudits, list) else (0,)))] = np.moveaxis(
+        rows, *axes)[(src, *kept)] / np.sqrt(flat[src, cell]).reshape(
+        (-1,) + (1,) * (rows.ndim - 1 - k))
+    return new, row
 
-    flags = []
-    for i in range(joint.ndim):
-        # outcomes of slot i each positive-probability prefix allows
-        marginal = joint.sum(axis=tuple(range(i + 1, joint.ndim)))
-        allowed = (marginal.reshape(-1, joint.shape[i]) > 1e-12).sum(axis=1)
-        kinds = set((allowed[allowed > 0] == 1).tolist())
-        if len(kinds) != 1:
-            raise QuditSimError("deterministic flags of the dense joint "
-                                "depend on the earlier outcomes")
-        flags.append(kinds.pop())
-    slot = [distinct.index(q) for q in measured]
-    repeat = [q in measured[:i] for i, q in enumerate(measured)]
-    outcomes = np.stack(np.unravel_index(draws, joint.shape), axis=1)[:, slot]
-    return (outcomes.astype(np.int64), np.array(measured, dtype=np.int64),
-            np.arange(len(measured), dtype=np.int64),
-            np.array([r or flags[k] for k, r in zip(slot, repeat)], dtype=bool))
+
+def _run_dense(circuit: Circuit, shots: int, rng) -> tuple:
+    """Outcome rows and slot arrays of the statevector method: the gates
+    before the first M, RESET or N1 on one DenseState, the rest on a stack
+    of its copies, one row per distinct shot history (outcomes drawn and
+    errors fired), in shards of DENSE_SHARD_AMPLITUDES // d^n shots unless
+    only M remain.  A fired error changes its shot's row, copied first if
+    another shot shares it.  Flags that differ between rows or shards raise
+    QuditSimError."""
+    state, steps = DenseState(circuit.num_qudits, circuit.dimension), []
+    for ins in circuit.instructions:  # steps: a run of M as its qudit list
+        if not steps and ins.name not in ("M", "RESET", "N1"):
+            state._apply(GATES[ins.name], ins.qudits)
+        elif ins.name == "M" and steps and isinstance(steps[-1], list):
+            steps[-1].append(ins.qudits[0])
+        else:
+            steps.append([ins.qudits[0]] if ins.name == "M" else
+                         ins.qudits if ins.name == "RESET" else ins)
+    measured = [q for step in steps if isinstance(step, list) for q in step]
+    terminal, d = all(isinstance(step, list) for step in steps), state.d
+    size = shots if terminal else max(1, DENSE_SHARD_AMPLITUDES // state.psi.size)
+    outcomes, flags = np.empty((shots, len(measured)), dtype=np.int64), set()
+    for lo in range(0, shots, size):
+        # rows change in place, so a shard that can change them copies
+        rows, out = state.psi[None] if terminal else state.psi[None].copy(), []
+        row = np.zeros(min(size, shots - lo), dtype=np.int64)
+        for i, step in enumerate(steps):
+            if isinstance(step, (list, tuple)):
+                rows, row = _measure_rows(rows, row, step, outcomes[lo:lo + size],
+                                          out, rng, i + 1 < len(steps))
+            elif step.name != "N1":
+                rows = _evolve(rows, step.name, step.qudits, d, 1)
+            elif len(fired := fired_positions(rng, len(row), step.prob)):
+                a, b = sample_error_batch(step.noise_channel, d, rng, len(fired))
+                shared = fired[np.bincount(row)[row[fired]] > 1]
+                if len(shared):  # and drop the rows no shot is left on
+                    rows = np.concatenate((rows, rows[row[shared]]))
+                    row[shared] = len(rows) - len(shared) + np.arange(len(shared))
+                    used = np.bincount(row, minlength=len(rows)) > 0
+                    rows, row = rows[used], (np.cumsum(used) - 1)[row]
+                hit = np.moveaxis(rows[row[fired]], step.qudits[0] + 1, -1) * np.exp(
+                    2j * np.pi / d * np.arange(d) * b.reshape(-1, *[1] * (rows.ndim - 1)))
+                for shift in set(a.tolist()) - {0}:
+                    hit[a == shift] = np.roll(hit[a == shift], shift, -1)
+                rows[row[fired]] = np.moveaxis(hit, -1, step.qudits[0] + 1)
+        flags.add(tuple(out))
+    if len(flags) != 1:
+        raise QuditSimError("dense flags differ between shards")
+    return (outcomes, np.array(measured, dtype=np.int64), np.arange(
+        len(measured), dtype=np.int64), np.array(flags.pop(), dtype=bool))
 
 
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
@@ -228,12 +247,7 @@ def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
     check_outcome_entries(shots, circuit.num_measurements)
 
     if sampler == "statevector":
-        rng = np.random.default_rng(seed)
-        measured = _terminal_measurement_plan(circuit)
-        if measured is not None:
-            columns = _run_dense_fast(circuit, measured, shots, rng)
-        else:
-            columns = _run_per_shot(circuit, shots, rng)
+        columns = _run_dense(circuit, shots, np.random.default_rng(seed))
     else:
         sim = FrameSimulator(circuit, seed, initial_tableau)
         omap = sim.omap

@@ -1,8 +1,8 @@
 """Dense statevector simulation of qudit Clifford circuits.
 
 This module is the slow, obviously-correct reference: gates are applied as
-their explicit unitaries on a d^n amplitude tensor (a unitary with one
-nonzero per row, as a gather of amplitudes times a phase), Pauli strings as
+their explicit unitaries on a d^n amplitude tensor (a permutation as a
+roll or gather of amplitudes, a diagonal as a product), Pauli strings as
 shift/phase operations, and measurement follows the Born rule with explicit
 collapse.  Everything else in the package is validated against it.
 DenseState shares its copies, records, resets and operand checks with the
@@ -70,22 +70,39 @@ def gate_matrix(name: str, d) -> np.ndarray:
 # room for every gate at a few dimensions
 @lru_cache(maxsize=32)
 def _gate_kernel(name: str, d: int) -> tuple:
-    """gate_matrix(name, d) as DenseState._apply reads it, once per (name, d).
-
-    A monomial matrix (one nonzero per row: X, Z, P, SUM and inverses) gives
-    (src, coef), row i holding coef[i] in column src[i]; any other gives
-    (m.T, None).  Both arrays are read-only.
-    """
+    """gate_matrix(name, d) as _evolve reads it: ("shift", s) for X^s,
+    ("gather", src) for another permutation (SUM and its inverse), row i
+    holding 1 in column src[i], ("phase", diagonal) for Z, P and inverses,
+    and ("matmul", m.T) for any other."""
     m = gate_matrix(name, d)
-    nonzero = m != 0
-    if (nonzero.sum(axis=1) != 1).any():
-        m = m.T.copy()
-        m.flags.writeable = False
-        return m, None
-    src = nonzero.argmax(axis=1)
-    coef = m[np.arange(len(m)), src]
-    src.flags.writeable = coef.flags.writeable = False
-    return src, coef
+    j, src = np.arange(len(m)), np.abs(m).argmax(axis=1)
+    m.flags.writeable = src.flags.writeable = False  # every caller shares them
+    if np.array_equal(m, np.eye(len(m))[src]):
+        shift = -src[0] % d
+        if len(m) == d and np.array_equal(src, (j - shift) % d):
+            return "shift", shift
+        return "gather", src
+    if len(m) == d and np.array_equal(m, np.diag(m.diagonal())):
+        return "phase", m.diagonal()
+    return "matmul", m.T
+
+
+def _evolve(psi, name: str, qudits: tuple, d: int, lead: int = 0) -> np.ndarray:
+    """psi, its qudit axes after lead leading ones, after the gate name on
+    qudits: a roll or a product along one axis, or one gather or matmul per
+    leading index with the gate's axes last, control first, flattened."""
+    kind, k = _gate_kernel(name, d)
+    if kind == "shift":
+        return np.roll(psi, k, lead + qudits[0])
+    if kind == "phase":
+        return psi * k.reshape((d,) + (1,) * (psi.ndim - 1 - lead - qudits[0]))
+    order = [a for a in range(psi.ndim) if a - lead not in qudits]
+    order += [lead + q for q in qudits]
+    flat = psi.transpose(order).reshape(*psi.shape[:lead], -1, len(k))
+    # contiguous for a matmul, so that BLAS takes each leading index alone
+    out = flat[..., k] if kind == "gather" else np.ascontiguousarray(flat) @ k
+    return out.reshape(psi.shape).transpose(
+        sorted(range(psi.ndim), key=order.__getitem__))
 
 
 def pauli_matrix(p: PauliString) -> np.ndarray:
@@ -125,14 +142,7 @@ class DenseState(Register):
     # -- evolution ---------------------------------------------------------
 
     def _apply(self, gate, qudits) -> None:
-        """One gather (monomial gate) or one matmul on psi, viewed with the
-        gate's axes last, control first, and flattened to d^arity."""
-        src, coef = _gate_kernel(gate.name, self.d)
-        order = [a for a in range(self.n) if a not in qudits] + list(qudits)
-        flat = self.psi.transpose(order).reshape(-1, len(src))
-        out = flat @ src if coef is None else flat[:, src] * coef
-        self.psi = out.reshape(self.psi.shape).transpose(
-            sorted(range(self.n), key=order.__getitem__))
+        self.psi = _evolve(self.psi, gate.name, qudits, self.d)
 
     def apply_pauli(self, p: PauliString) -> None:
         """Apply a Pauli string using index shifts and phase masks."""

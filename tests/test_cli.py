@@ -526,6 +526,17 @@ class TestBenchmarkCommands:
         assert 0 < json.loads(proc.stdout)["per_depth"][0][
             "survivor_fraction"] <= 1
 
+    def test_lrbd_depth_past_int64_events_is_4(self):
+        """A depth whose event count per noise location passes 2^63 is a
+        usage error that names the depth, with no numpy warning."""
+        proc = run_cli("lrbd", "--depths", "0,10000000000000000000",
+                       "--circuits", "2", "--shots", "100", "--p", "0.02",
+                       "--seed", "1")
+        assert proc.returncode == 4
+        assert proc.stdout == ""
+        assert "depth 10000000000000000000" in proc.stderr
+        assert "Warning" not in proc.stderr
+
     def test_lrbd_depth_1e7_in_bounded_memory(self):
         """Every depth's law comes from one pass over the depth-0 map, so
         depth 1e7 runs in a 2 GiB address space, where listing each noise

@@ -747,6 +747,25 @@ class TestLRBD:
         report = run_lrb_d(cfg, seed=1, postselect=postselect)
         assert 0 < report["per_depth"][0]["survivor_fraction"] <= 1
 
+    def test_depth_1e15_is_fully_mixed(self):
+        """At depth 10^15 each of the four syndromes is uniform, so 1 of
+        the 81 syndrome values is clean.  Every trivial character must be
+        exactly 1: read as 1 - 2.2e-16 and raised to the power 10^15 + 1,
+        it gave 0.00407."""
+        cfg = RBConfig(d=3, depths=(10**15,), circuits_per_depth=1,
+                       shots=100, p=0.02)
+        row = run_lrb_d(cfg, seed=1)["per_depth"][0]
+        assert row["exact_survivor_fraction"] == pytest.approx(1 / 81,
+                                                               abs=1e-9)
+
+    def test_depth_past_int64_event_counts_is_refused(self):
+        """Depth 10^19 lists each noise location more than 2^63 times:
+        refused, naming the depth, before any int64 cast wraps it."""
+        cfg = RBConfig(d=3, depths=(0, 10**19), circuits_per_depth=1,
+                       shots=100, p=0.02)
+        with pytest.raises(ShapeError, match="depth 10000000000000000000"):
+            run_lrb_d(cfg, seed=1)
+
     @pytest.mark.parametrize("threads, match", [
         (0, "threads must be >= 1, got 0"),
         (-3, "threads must be >= 1, got -3"),

@@ -7,12 +7,16 @@ view, and require the streamed text to match it exactly.
 
 import hashlib
 import json
+import resource
+import subprocess
+import sys
 from dataclasses import fields
 from math import gcd
 
 import numpy as np
 import pytest
 
+import quditsim.simulate as simulate
 from quditsim import cli
 from quditsim.builders import build_ghz_chain, build_random_clifford_circuit
 from quditsim.circuit import Circuit, serialize_sdim
@@ -20,15 +24,16 @@ from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
 from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout, _run,
-                             _start_tableau, compile_circuit, draw_symbols)
+                             _start_tableau, compile_circuit, draw_symbols,
+                             outcome_law)
 from quditsim.gates import GATE_TABLE, GATES
 from quditsim.noise import NOISE_KINDS, sample_error
-from quditsim.simulate import (_terminal_measurement_plan, records_to_counts,
-                               run_circuit)
+from quditsim.simulate import records_to_counts, run_circuit
 from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau
 
+from test_frames import noisy_with_mid_circuit_ops, sample_tvd_bound
 from weyl_helpers import set_weyl_rows, weyl_from_pauli
 
 
@@ -230,11 +235,14 @@ class TestSlotFlags:
         assert random_slots >= 10 and fired >= 100
 
     def test_statevector_per_shot_flags(self):
+        """Every per-shot DenseState run has the dense sampler's flags, and
+        the sampler's joint sits at the sampling floor of the exact law."""
         circuit = reset_circuit()
         n, dim = circuit.num_qudits, circuit.dimension
         records = per_shot_records(circuit, 40, 5, lambda: DenseState(n, dim))
-        result = run_circuit(circuit, 40, 5, "statevector")
-        assert np.array_equal(result.outcomes, record_outcomes(records))
+        result = run_circuit(circuit, 4000, 5, "statevector")
+        assert joint_tvd(result.outcomes, circuit) <= sample_tvd_bound(
+            outcome_law(compile_circuit(circuit)).reshape(-1), 4000, np.inf)
         for shot in records:
             assert result.deterministic.tolist() == [r.deterministic
                                                      for r in shot]
@@ -255,6 +263,129 @@ class TestSlotFlags:
         assert result.deterministic.tolist() == omap.deterministic.tolist()
         assert result.qudits.tolist() == omap.qudits.tolist()
         assert result.seqs.tolist() == omap.seqs.tolist()
+
+
+def joint_tvd(outcomes, circuit) -> float:
+    """TVD between the joint of sampled outcome rows and the circuit's
+    exact law, outcome_law of its compiled map."""
+    law = outcome_law(compile_circuit(circuit))
+    counts = np.zeros(law.shape)
+    np.add.at(counts, tuple(outcomes.T), 1)
+    return 0.5 * np.abs(counts / len(outcomes) - law).sum()
+
+
+def two_resets_through_partners(d: int) -> Circuit:
+    """Qudit 0 is put in uniform superposition, copied onto a partner and
+    reset, twice; the partners keep the two reset outcomes, which are
+    independent and uniform.  A sampler that merged the rows of two
+    histories after the second reset would correlate them."""
+    circuit = Circuit(3, d)
+    for partner in (1, 2):
+        circuit.add_gate("F", 0)
+        circuit.add_gate("SUM", 0, partner)
+        circuit.add_gate("RESET", 0)
+    circuit.add_gate("M", 1)
+    circuit.add_gate("M", 2)
+    return circuit
+
+
+class TestDenseRows:
+    """The statevector sampler: one dense row per distinct shot history,
+    checked against per-shot DenseState runs and exact laws."""
+
+    @pytest.mark.parametrize("d, seed", [(2, 21), (3, 31), (4, 40), (5, 51),
+                                         (6, 61), (9, 92)])
+    def test_matches_per_shot_runs(self, d, seed):
+        """Against the per-shot oracle, one fresh DenseState per shot with
+        sample_error's draws: every slot's marginal within four times the
+        expected TVD of two samples, and the same flags in every shot."""
+        circuit = reset_corpus_circuit(d, np.random.default_rng(seed),
+                                       ("d", 0.1))
+        n, dim = circuit.num_qudits, circuit.dimension
+        records = per_shot_records(circuit, 300, seed,
+                                   lambda: DenseState(n, dim))
+        oracle = record_outcomes(records)
+        result = run_circuit(circuit, 3000, seed, "statevector")
+        for slot in range(circuit.num_measurements):
+            a, b = (np.bincount(m[:, slot], minlength=d)
+                    for m in (result.outcomes, oracle))
+            score = 0.5 * np.abs(a / a.sum() - b / b.sum()).sum()
+            assert score <= sample_tvd_bound(a + b, a.sum(), b.sum()), slot
+        for shot in records:
+            assert result.deterministic.tolist() == [r.deterministic
+                                                     for r in shot]
+
+    @pytest.mark.parametrize("kind", NOISE_KINDS)
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_noisy_mid_circuit_joint_matches_law(self, d, kind):
+        circuit = noisy_with_mid_circuit_ops(d, kind, 10 * d + 1)
+        result = run_circuit(circuit, 20000, d, "statevector")
+        law = outcome_law(compile_circuit(circuit))
+        assert joint_tvd(result.outcomes, circuit) <= sample_tvd_bound(
+            law.reshape(-1), 20000, np.inf)
+        assert np.array_equal(result.deterministic,
+                              compile_circuit(circuit).deterministic)
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_two_resets_keep_their_histories_apart(self, d):
+        circuit = two_resets_through_partners(d)
+        result = run_circuit(circuit, 20000, 1, "statevector")
+        law = outcome_law(compile_circuit(circuit))
+        assert np.abs(law - 1 / d ** 2).max() <= 1e-12
+        assert joint_tvd(result.outcomes, circuit) <= sample_tvd_bound(
+            law.reshape(-1), 20000, np.inf)
+        # each RESET collapses its partner
+        assert result.deterministic.tolist() == [True, True]
+        assert np.array_equal(result.deterministic,
+                              compile_circuit(circuit).deterministic)
+
+    def test_shards_keep_the_law_and_terminal_streams(self, monkeypatch):
+        """Shards of 1000 shots: a noisy run over 20 of them still matches
+        its law, and a noiseless run whose M are all terminal, which never
+        runs in shards, gives the same bytes as with the default size."""
+        noisy = noisy_with_mid_circuit_ops(3, "d", 31)
+        clean = build_random_clifford_circuit(4, 5, 40,
+                                              np.random.default_rng(5))
+        expected = run_circuit(clean, 2000, 29, "statevector").outcomes
+        monkeypatch.setattr(simulate, "DENSE_SHARD_AMPLITUDES", 9 * 1000)
+        result = run_circuit(noisy, 20000, 3, "statevector")
+        law = outcome_law(compile_circuit(noisy))
+        assert joint_tvd(result.outcomes, noisy) <= sample_tvd_bound(
+            law.reshape(-1), 20000, np.inf)
+        assert np.array_equal(result.deterministic,
+                              compile_circuit(noisy).deterministic)
+        monkeypatch.setattr(simulate, "DENSE_SHARD_AMPLITUDES", 1)
+        assert np.array_equal(
+            run_circuit(clean, 2000, 29, "statevector").outcomes, expected)
+
+    def test_rows_stay_bounded_in_memory(self, tmp_path):
+        """Every one of 150 shots fires an error on a 12-qutrit state, so
+        its rows would take 1.28 GB at once; in shards the run completes in
+        a 1 GiB address space."""
+        circuit = Circuit(12, 3)
+        circuit.add_gate("F", 0)
+        for q in range(1, 12):
+            circuit.add_gate("SUM", 0, q)
+        circuit.add_gate("N1", 4, noise_channel="d", prob=1.0)
+        circuit.add_gate("M", 0)
+        circuit.add_gate("M", 4)
+        shots = 150
+        assert shots * 3 ** 12 * 16 > 2 ** 30
+        path = tmp_path / "wide.sdim"
+        path.write_text(serialize_sdim(circuit))
+        cap = 1 << 30
+        proc = subprocess.run(
+            [sys.executable, "-m", "quditsim", "run", str(path), "--shots",
+             str(shots), "--seed", "1", "--method", "statevector", "--out",
+             "counts"], capture_output=True, text=True, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS,
+                                                  (cap, cap)))
+        assert proc.returncode == 0, proc.stderr
+        counts = dict(line.split() for line in proc.stdout.splitlines())
+        assert sum(map(int, counts.values())) == shots
+        # X^a moves qudit 4 off qudit 0's value unless a = 0
+        assert 0.1 < sum(int(c) for key, c in counts.items()
+                         if key[0] == key[1]) / shots < 0.4
 
 
 class TestMapDigests:
@@ -462,15 +593,13 @@ class TestRunDigests:
     def test_statevector_per_shot(self):
         circuit = reset_corpus_circuit(3, np.random.default_rng(303),
                                        ("d", 0.1))
-        assert _terminal_measurement_plan(circuit) is None
         result = run_circuit(circuit, 300, 23, "statevector")
         assert self.digest(result.outcomes) == (
-            "469349fece4a6163305819b41d82bfa7d4119d97f7e3a777333d2ced3292a6d2")
+            "1cce8831a935e16f1a3bab133e077a7616d4e0567ed766d5648e96d9452306e7")
 
     def test_statevector_dense(self):
         circuit = build_random_clifford_circuit(4, 5, 40,
                                                 np.random.default_rng(5))
-        assert _terminal_measurement_plan(circuit) is not None
         result = run_circuit(circuit, 2000, np.random.SeedSequence(29),
                              "statevector")
         assert self.digest(result.outcomes) == (
@@ -480,7 +609,6 @@ class TestRunDigests:
         """n=5, d=6, depth 200: the widest shape weyl_validate runs."""
         circuit = build_random_clifford_circuit(5, 6, 200,
                                                 np.random.default_rng(6))
-        assert _terminal_measurement_plan(circuit) is not None
         result = run_circuit(circuit, 2000, np.random.SeedSequence(31),
                              "statevector")
         assert self.digest(result.outcomes) == (
