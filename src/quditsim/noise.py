@@ -10,7 +10,8 @@ otherwise applies a uniformly random nonidentity error from its support:
 Both samplers take the events that fire from geometric gaps
 (frames.fired_positions) and draw their errors only, one integer each, with
 sample_error_batch.  sample_error, one float and one integer per event
-whether or not it fires, is the draw of a per-shot run (frames._run).
+whether or not it fires, is the draw of a per-shot run (frames._run), and
+stays public API as that oracle's draw.
 """
 
 from __future__ import annotations

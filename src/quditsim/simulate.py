@@ -17,16 +17,16 @@ deterministic describe slot i for every shot.  Whether a measurement is
 deterministic depends only on the phaseless stabilizer group, which neither
 earlier outcomes nor Pauli noise change, so one flag per slot is exact: the
 compiled map reads it off its reference run, and the dense sampler checks
-that every row and shard agrees.  run_circuit returns the (shots, M)
-matrix; stream_circuit yields its rows a shard at a time on the compiled
-sampler, and Tally counts them as they come, so a caller that writes each
+that every row and shard agrees.  stream_circuit yields the rows a shard
+at a time on either sampler, run_circuit collects them into the (shots, M)
+matrix, and Tally counts them as they come, so a caller that writes each
 block holds one shard and the distinct rows, not the matrix.
 
 Both samplers draw in order from one generator made from the seed, only the
 errors that fire (frames.fired_positions), so neither the thread count
 (checked, then unused) nor how calls on the shard grid split the shots
-changes the output.  A noiseless circuit whose M are all terminal takes one
-rng.choice over the joint Born law of its measured qudits.
+changes the output.  A noiseless circuit whose M are all terminal draws as
+one rng.choice over the joint Born law of its measured qudits.
 """
 
 from __future__ import annotations
@@ -34,9 +34,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
+from . import frames
 from .circuit import Circuit
 from .errors import QuditSimError, integral
 from .frames import (FrameSimulator, check_outcome_entries, fired_positions,
@@ -137,8 +139,9 @@ class SimulationResult:
 
 def _measure_rows(rows, row, qudits, out, flags, rng, split: bool) -> tuple:
     """(rows, row) after a run of M (a list of qudits, its slots from column
-    len(flags) of out) or a RESET (a tuple): one rng.choice per row over its
-    joint.  With split, a row per (row, outcome), at |0> after a RESET."""
+    len(flags) of out) or a RESET (a tuple): each row's shots draw from its
+    joint as rng.choice does, all from one rng.random in row order.  With
+    split, a row per (row, outcome), at |0> after a RESET."""
     distinct = list(dict.fromkeys(qudits))
     k, d = len(distinct), rows.shape[1]
     joint = (np.abs(rows) ** 2).sum(axis=tuple(
@@ -147,9 +150,11 @@ def _measure_rows(rows, row, qudits, out, flags, rng, split: bool) -> tuple:
     joint = np.transpose(joint, (0, *np.argsort(np.argsort(distinct)) + 1)
                          ).reshape(len(rows), -1)
     flat, shape = joint / joint.sum(axis=1, keepdims=True), (d,) * k
+    parts = np.split(rng.random(len(row)), np.cumsum(np.bincount(row))[:-1])
     draws = np.empty(len(row), dtype=np.int64)
     draws[np.argsort(row, kind="stable")] = np.concatenate([
-        rng.choice(len(p), size=c, p=p) for p, c in zip(flat, np.bincount(row))])
+        np.searchsorted(cdf / cdf[-1], u, "right")
+        for cdf, u in zip(np.cumsum(flat, axis=1), parts)])
     if isinstance(qudits, list):
         slot = [distinct.index(q) for q in qudits]
         out[:, len(flags):len(flags) + len(slot)] = np.stack(
@@ -177,13 +182,13 @@ def _measure_rows(rows, row, qudits, out, flags, rng, split: bool) -> tuple:
 
 
 def _run_dense(circuit: Circuit, shots: int, rng) -> tuple:
-    """Outcome rows and slot arrays of the statevector method: the gates
-    before the first M, RESET or N1 on one DenseState, the rest on a stack
-    of its copies, one row per distinct shot history (outcomes drawn and
-    errors fired), in shards of DENSE_SHARD_AMPLITUDES // d^n shots unless
-    only M remain.  A fired error changes its shot's row, copied first if
-    another shot shares it.  Flags that differ between rows or shards raise
-    QuditSimError."""
+    """stream_circuit's tuple for the statevector method: the gates before
+    the first M, RESET or N1 on one DenseState, the rest on a stack of its
+    copies, one row per distinct shot history (outcomes drawn and errors
+    fired), in shards of DENSE_SHARD_AMPLITUDES // d^n shots, or of
+    OUTCOME_SHARD_ENTRIES // M (at least d^n) on one row if only M remain.
+    A fired error changes its shot's row, copied first if shared.  Flags
+    that differ between rows or shards raise QuditSimError."""
     state, steps = DenseState(circuit.num_qudits, circuit.dimension), []
     for ins in circuit.instructions:  # steps: a run of M as its qudit list
         if not steps and ins.name not in ("M", "RESET", "N1"):
@@ -195,16 +200,19 @@ def _run_dense(circuit: Circuit, shots: int, rng) -> tuple:
                          ins.qudits if ins.name == "RESET" else ins)
     measured = [q for step in steps if isinstance(step, list) for q in step]
     terminal, d = all(isinstance(step, list) for step in steps), state.d
-    size = shots if terminal else max(1, DENSE_SHARD_AMPLITUDES // state.psi.size)
-    outcomes, flags = np.empty((shots, len(measured)), dtype=np.int64), set()
-    for lo in range(0, shots, size):
+    size = (max(frames.OUTCOME_SHARD_ENTRIES // max(1, len(measured)),
+                state.psi.size) if terminal
+            else max(1, DENSE_SHARD_AMPLITUDES // state.psi.size))
+
+    def shard(lo: int) -> np.ndarray:
         # rows change in place, so a shard that can change them copies
-        rows, out = state.psi[None] if terminal else state.psi[None].copy(), []
+        rows, flags = state.psi[None] if terminal else state.psi[None].copy(), []
         row = np.zeros(min(size, shots - lo), dtype=np.int64)
+        out = np.empty((len(row), len(measured)), dtype=np.int64)
         for i, step in enumerate(steps):
             if isinstance(step, (list, tuple)):
-                rows, row = _measure_rows(rows, row, step, outcomes[lo:lo + size],
-                                          out, rng, i + 1 < len(steps))
+                rows, row = _measure_rows(rows, row, step, out, flags, rng,
+                                          i + 1 < len(steps))
             elif step.name != "N1":
                 rows = _evolve(rows, step.name, step.qudits, d, 1)
             elif len(fired := fired_positions(rng, len(row), step.prob)):
@@ -220,59 +228,50 @@ def _run_dense(circuit: Circuit, shots: int, rng) -> tuple:
                 for shift in set(a.tolist()) - {0}:
                     hit[a == shift] = np.roll(hit[a == shift], shift, -1)
                 rows[row[fired]] = np.moveaxis(hit, -1, step.qudits[0] + 1)
-        flags.add(tuple(out))
-    if len(flags) != 1:
-        raise QuditSimError("dense flags differ between shards")
-    return (outcomes, np.array(measured, dtype=np.int64), np.arange(
-        len(measured), dtype=np.int64), np.array(flags.pop(), dtype=bool))
+        seen.add(tuple(flags))
+        if len(seen) != 1:
+            raise QuditSimError("dense flags differ between shards")
+        return out
+
+    seen, blocks = set(), map(shard, range(0, shots, size))
+    first = next(blocks)  # drawn now: the slot arrays need its flags
+    return (np.array(measured, dtype=np.int64), np.arange(len(measured)),
+            np.array(*seen, dtype=bool), chain([first], blocks))
 
 
 def run_circuit(circuit: Circuit, shots: int = 1, seed=None,
                 method: str = "tableau", threads: int = None,
                 initial_tableau=None) -> SimulationResult:
-    """Sample measurement outcomes for a circuit.
-
-    Raises MemoryCapError, before compiling or sampling anything, when the
-    (shots, measurements) outcome matrix would exceed
-    frames.MAX_OUTCOME_ENTRIES."""
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
-    shots = integral(shots, "shots", minimum=1)
-    if threads is not None:
-        integral(threads, "threads", minimum=1)
-    sampler = SAMPLERS[method]
-    if initial_tableau is not None and sampler == "statevector":
-        raise ValueError("initial_tableau requires the tableau or frames "
-                         "method")
-    check_outcome_entries(shots, circuit.num_measurements)
-
-    if sampler == "statevector":
-        columns = _run_dense(circuit, shots, np.random.default_rng(seed))
-    else:
-        sim = FrameSimulator(circuit, seed, initial_tableau)
-        omap = sim.omap
-        columns = (sim.run(shots, threads), omap.qudits, omap.seqs,
-                   omap.deterministic)
-
-    return SimulationResult(circuit.dimension.d, circuit.num_qudits, shots,
-                            seed, method, *columns)
+    """Sample measurement outcomes for a circuit: stream_circuit's blocks,
+    each copied into one (shots, M) matrix, raising its errors (the outcome
+    cap's MemoryCapError too) before compiling or sampling anything."""
+    qudits, seqs, deterministic, blocks = stream_circuit(
+        circuit, shots, seed, method, threads, initial_tableau)
+    outcomes, lo = np.empty((int(shots), len(qudits)), dtype=np.int64), 0
+    for block in blocks:
+        outcomes[lo:lo + len(block)], lo = block, lo + len(block)
+    return SimulationResult(circuit.dimension.d, circuit.num_qudits, lo, seed,
+                            method, outcomes, qudits, seqs, deterministic)
 
 
 def stream_circuit(circuit: Circuit, shots: int = 1, seed=None,
                    method: str = "tableau", threads: int = None,
                    initial_tableau=None) -> tuple:
-    """(qudits, seqs, deterministic, blocks): run_circuit's slot arrays and an
-    iterator of its outcome rows in blocks, in shot order, never the whole
-    matrix: one shard per block, drawn by FrameSimulator.run on its
-    shard_size grid, or on statevector run_circuit's outcomes as one block.
-    Arguments and the outcome cap are checked as run_circuit checks them."""
-    if SAMPLERS.get(method) != "frames":  # statevector, or run_circuit's error
-        run = run_circuit(circuit, shots, seed, method, threads, initial_tableau)
-        return run.qudits, run.seqs, run.deterministic, iter([run.outcomes])
+    """(qudits, seqs, deterministic, blocks): the slot arrays and an iterator
+    of the outcome rows in shot order, one shard per block, drawn by
+    FrameSimulator.run on its shard_size grid or by _run_dense.  Arguments
+    and the outcome cap are checked first, before compiling or sampling."""
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     shots = integral(shots, "shots", minimum=1)
     if threads is not None:
         integral(threads, "threads", minimum=1)
+    if initial_tableau is not None and SAMPLERS[method] == "statevector":
+        raise ValueError("initial_tableau requires the tableau or frames "
+                         "method")
     check_outcome_entries(shots, circuit.num_measurements)
+    if SAMPLERS[method] == "statevector":
+        return _run_dense(circuit, shots, np.random.default_rng(seed))
     sim = FrameSimulator(circuit, seed, initial_tableau)
     blocks = (sim.run(min(sim.shard_size, shots - lo), threads)
               for lo in range(0, shots, sim.shard_size))

@@ -23,6 +23,7 @@ from quditsim.circuit import Circuit, serialize_sdim
 from quditsim.experiments import (OutcomeDistribution, build_lrb_d_circuit,
                                   code_initial_tableau, per_slot_distributions,
                                   qutrit_detection_code)
+import quditsim.frames as frames_module
 from quditsim.frames import (FrameSimulator, OutcomeMap, _Layout, _run,
                              _start_tableau, compile_circuit, draw_symbols,
                              outcome_law)
@@ -341,8 +342,8 @@ class TestDenseRows:
 
     def test_shards_keep_the_law_and_terminal_streams(self, monkeypatch):
         """Shards of 1000 shots: a noisy run over 20 of them still matches
-        its law, and a noiseless run whose M are all terminal, which never
-        runs in shards, gives the same bytes as with the default size."""
+        its law, and a noiseless run whose M are all terminal, whose shards
+        this size does not set, gives the same bytes as with the default."""
         noisy = noisy_with_mid_circuit_ops(3, "d", 31)
         clean = build_random_clifford_circuit(4, 5, 40,
                                               np.random.default_rng(5))
@@ -357,6 +358,39 @@ class TestDenseRows:
         monkeypatch.setattr(simulate, "DENSE_SHARD_AMPLITUDES", 1)
         assert np.array_equal(
             run_circuit(clean, 2000, 29, "statevector").outcomes, expected)
+
+    @pytest.mark.parametrize("case", ["terminal_ghz", "noisy_reset"])
+    def test_stream_comes_in_bounded_shards(self, case, monkeypatch):
+        """With small shard sizes stream_circuit yields the statevector run
+        in three or more blocks, each within its shard bound, and together
+        they are the bytes of run_circuit.  A terminal run, its one row
+        drawn as one rng.choice, also gives the bytes of the default sizes;
+        past the trunk each shard draws its own noise and outcomes, so
+        there the shard size is part of the stream."""
+        terminal = case == "terminal_ghz"
+        circuit = (build_ghz_chain(4, 3, measure=True) if terminal
+                   else noisy_with_mid_circuit_ops(3, "d", 31))
+        default = run_circuit(circuit, 2000, 5, "statevector")
+        amplitudes = circuit.dimension.d ** circuit.num_qudits
+        slots = max(1, circuit.num_measurements)
+        monkeypatch.setattr(simulate, "DENSE_SHARD_AMPLITUDES", 300 * amplitudes)
+        monkeypatch.setattr(frames_module, "OUTCOME_SHARD_ENTRIES", 150 * slots)
+        # terminal runs are sized by the outcome entries, the rest by the
+        # amplitudes, and a terminal shard holds at least d^n shots
+        bound = max(150, amplitudes) if terminal else 300
+        *columns, blocks = simulate.stream_circuit(circuit, 2000, 5,
+                                                   "statevector")
+        blocks = list(blocks)
+        assert len(blocks) >= 3
+        assert all(0 < len(block) <= bound for block in blocks)
+        joined = np.concatenate(blocks).tobytes()
+        expected = run_circuit(circuit, 2000, 5, "statevector")
+        assert joined == expected.outcomes.tobytes()
+        if terminal:
+            assert joined == default.outcomes.tobytes()
+        for got, name in zip(columns, ("qudits", "seqs", "deterministic")):
+            assert np.array_equal(got, getattr(expected, name))
+            assert np.array_equal(got, getattr(default, name))
 
     def test_rows_stay_bounded_in_memory(self, tmp_path):
         """Every one of 150 shots fires an error on a 12-qutrit state, so

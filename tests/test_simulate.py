@@ -11,12 +11,13 @@ from quditsim.builders import (
 import quditsim.frames as frames_module
 import quditsim.simulate as simulate
 from quditsim.circuit import Circuit
-from quditsim.errors import DimensionError
+from quditsim.errors import DimensionError, MemoryCapError
 from quditsim.experiments import (build_lrb_d_circuit, code_initial_tableau,
                                   mean_slot_tvd, qutrit_detection_code)
 from quditsim.noise import NOISE_KINDS, error_distribution
 from quditsim.frames import FrameSimulator
 from quditsim.simulate import counts_key, records_to_counts, run_circuit
+from quditsim.statevector import DenseState
 from quditsim.tableau import Tableau
 from quditsim.weyl import WeylTableau
 
@@ -82,6 +83,31 @@ class TestMethodRouting:
         c = build_ghz_chain(2, 3, measure=True)
         with pytest.raises(ValueError):
             run_circuit(c, shots=1, seed=0, method="magic")
+
+    @pytest.mark.parametrize("bad", [
+        dict(shots=2.5), dict(shots=0), dict(threads=0), dict(threads="two"),
+        dict(shots=10**12), dict(method="magic"),
+        pytest.param(dict(initial_tableau=Tableau(2, 3)), id="initial_tableau")],
+        ids=str)
+    @pytest.mark.parametrize("method", ["tableau", "frames", "statevector"])
+    def test_stream_checks_arguments_as_run_does(self, method, bad,
+                                                 monkeypatch):
+        """stream_circuit raises run_circuit's argument and cap errors on
+        every method, before a FrameSimulator or DenseState is built."""
+        if "initial_tableau" in bad and method != "statevector":
+            bad = {**bad, "shots": 0}  # a valid start there: bad shots with it
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sampler was built before the checks")
+
+        monkeypatch.setattr(FrameSimulator, "__init__", refuse)
+        monkeypatch.setattr(DenseState, "__init__", refuse)
+        c = build_ghz_chain(2, 3, measure=True)
+        errors = []
+        for call in (run_circuit, simulate.stream_circuit):
+            with pytest.raises((ValueError, MemoryCapError)) as info:
+                call(c, **{"shots": 10, "seed": 1, "method": method, **bad})
+            errors.append((type(info.value), str(info.value)))
+        assert errors[0] == errors[1]
 
 
 class TestRecords:
