@@ -38,7 +38,7 @@ from itertools import chain
 
 import numpy as np
 
-from . import frames
+from . import frames  # OUTCOME_SHARD_ENTRIES is read at call time
 from .circuit import Circuit
 from .errors import QuditSimError, integral
 from .frames import (FrameSimulator, check_outcome_entries, fired_positions,
