@@ -9,13 +9,14 @@ Commands:
     quditsim lrbd --depths LIST --circuits N --shots N --p P --seed S ...
 
 Exit codes: 0 success, 2 circuit parse error, 4 usage error, 5 file I/O
-error, 6 memory cap exceeded, 7 internal error.  Results go to stdout;
-wall-clock timing and diagnostics go to stderr so identical inputs and
-seeds produce byte-identical output.  run writes each outcome block of
-simulate.stream_circuit as it comes, in pieces of at most PIECE_RECORDS
-records, and counts from a running Tally.  The library calls return
-reports; this module writes every file: validate, rb and lrbd open --csv
-and --manifest (stdout's JSON text) before the run and fill them after it.
+error, 6 memory cap exceeded or out of memory, 7 internal error.  Results
+go to stdout; wall-clock timing and diagnostics go to stderr so identical
+inputs and seeds produce byte-identical output.  run writes each outcome
+block of simulate.stream_circuit as it comes, in pieces of at most
+PIECE_RECORDS records, and counts from a running Tally.  The library calls
+return reports; this module writes every file: validate, rb and lrbd open
+--csv and --manifest (stdout's JSON text) before the run and fill them
+after it.
 """
 
 from __future__ import annotations
@@ -39,8 +40,7 @@ from .errors import MemoryCapError, ParseError, ShapeError
 from .experiments import (RBConfig, qutrit_detection_code, run_lrb_d, run_rb,
                           validate_backend_pair)
 from .pauli import Dimension
-from .simulate import (METHODS, Tally, _check_method_pair,  # noqa: F401
-                       run_circuit, stream_circuit)  # perfbench patches cli.run_circuit
+from .simulate import METHODS, Tally, _check_method_pair, stream_circuit
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -458,6 +458,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     except MemoryCapError as exc:
         print(f"memory cap exceeded: {exc}", file=sys.stderr)
+        return EXIT_MEMORY
+    except MemoryError as exc:  # numpy names the allocation it could not make
+        print(str(exc) or "out of memory", file=sys.stderr)
         return EXIT_MEMORY
     except OSError as exc:
         print(f"file error: {exc}", file=sys.stderr)

@@ -7,19 +7,17 @@ experiment builders all read their gate semantics from here; the dense
 matrices in statevector.gate_matrix are written out independently,
 because they are the oracle the rules below are tested against.
 
-Conventions (see pauli.py and weyl.py):
-
-- A tableau row is w^r X^x Z^z, with x, z and r in Z_d (odd prime d).
-- A Weyl element is tau^f W_(z, x), with coordinates and f taken mod
-  d' = d (odd d) or 2d (even d), and tau^2 = w.
+Every gate has one phase rule, in the Weyl convention of weyl.py: an
+element is tau^f W_(z, x), with coordinates and f taken mod d' = d (odd d)
+or 2d (even d), and tau^2 = w.  Both tableaus store their rows this way;
+Tableau reads a row out as w^r X^x Z^z (pauli.py) only on access.
 
 A single-qudit gate maps one qudit's exponent columns (x, z) by a
 symplectic matrix.  Given numpy columns reduced mod m, cols(x, z, m)
 returns the new columns reduced mod m as fresh arrays, so that callers may
 pass views and write the results back in either order; cols is None for X
-and Z powers, which move only phases.  omega(x, z, d) is the increment of
-r (tableau rows) and tau(x, z, d) the increment of f (Weyl coordinates,
-None where f does not move), both computed from the columns before the
+and Z powers, which move only phases.  tau(x, z, d) is the increment of
+f (None where f does not move), computed from the columns before the
 gate.  P and P_INV move the tau phase only for odd d: for even d the phase
 gate is diag(tau^(j^2)), which fixes the Weyl phase.
 
@@ -45,31 +43,22 @@ class Gate:
     arity: int
     inverse: str
     cols: Optional[Callable] = None
-    omega: Optional[Callable] = None
     tau: Optional[Callable] = None
     aliases: tuple = ()
 
 
 GATE_TABLE = (
-    Gate("X", 1, "X_INV",
-         omega=lambda x, z, d: -z, tau=lambda x, z, d: -2 * z),
-    Gate("X_INV", 1, "X",
-         omega=lambda x, z, d: z, tau=lambda x, z, d: 2 * z),
-    Gate("Z", 1, "Z_INV",
-         omega=lambda x, z, d: x, tau=lambda x, z, d: 2 * x),
-    Gate("Z_INV", 1, "Z",
-         omega=lambda x, z, d: -x, tau=lambda x, z, d: -2 * x),
+    Gate("X", 1, "X_INV", tau=lambda x, z, d: -2 * z),
+    Gate("X_INV", 1, "X", tau=lambda x, z, d: 2 * z),
+    Gate("Z", 1, "Z_INV", tau=lambda x, z, d: 2 * x),
+    Gate("Z_INV", 1, "Z", tau=lambda x, z, d: -2 * x),
     Gate("F", 1, "F_INV", cols=lambda x, z, m: ((m - z) % m, x.copy()),
-         omega=lambda x, z, d: -x * z, tau=lambda x, z, d: None,
-         aliases=("H",)),
+         tau=lambda x, z, d: None, aliases=("H",)),
     Gate("F_INV", 1, "F", cols=lambda x, z, m: (z.copy(), (m - x) % m),
-         omega=lambda x, z, d: -x * z, tau=lambda x, z, d: None,
-         aliases=("H_INV",)),
+         tau=lambda x, z, d: None, aliases=("H_INV",)),
     Gate("P", 1, "P_INV", cols=lambda x, z, m: (x.copy(), (z + x) % m),
-         omega=lambda x, z, d: (x * (x - 1)) // 2,
          tau=lambda x, z, d: -x if d % 2 else None),
     Gate("P_INV", 1, "P", cols=lambda x, z, m: (x.copy(), (z + (m - x)) % m),
-         omega=lambda x, z, d: -((x * (x - 1)) // 2),
          tau=lambda x, z, d: x if d % 2 else None),
     Gate("SUM", 2, "SUM_INV",
          cols=lambda xc, zc, xt, zt, m: ((xt + xc) % m, (zc + (m - zt)) % m),

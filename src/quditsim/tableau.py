@@ -2,9 +2,11 @@
 
 The tableau holds 2n Pauli rows over Z_d: rows 0..n-1 are destabilizers,
 rows n..2n-1 are stabilizers.  A fresh register starts as destabilizer X_j
-and stabilizer Z_j for each qudit j.  Gates act by the column maps and
-omega phase rules of gates.py on the X-block, Z-block and phase vector;
-measurement uses the destabilizer block to avoid searching the full group.
+and stabilizer Z_j for each qudit j.  Rows are stored as the Weyl elements
+of weyl.py, tau^r W_(z, x) with coordinates (z | x) and r mod d, so gates,
+Pauli errors and row products are the shared WeylRows updates; a row reads
+out as w^r' X^x Z^z with r' = (r + x.z)(d+1)/2 mod d (tau^2 = w).
+Measurement uses the destabilizer block to avoid searching the full group.
 
 Row pairing invariant: the commutation exponent of stabilizer i with
 destabilizer k is delta_ik.  A random measurement of Z_j keeps it by moving
@@ -117,27 +119,89 @@ class Register:
             self.apply_pauli_error(j, -k, 0)
 
 
-class Tableau(Register):
-    """Destabilizer/stabilizer tableau for n qudits of odd prime dimension d."""
+class WeylRows(Register):
+    """Phase-tracked Weyl rows tau^r[i] W_coords[i] (see weyl.py), shared by
+    Tableau and weyl.WeylTableau: the gate, Pauli-error and row-times-power
+    updates and the bracket matrix.  coords has one row (z | x) per Pauli,
+    coordinates and phases r are taken mod d' (dp), and a fresh register
+    holds the rows Z_j of |0...0>.
+    """
+
+    def __init__(self, n: int, d):
+        dim = _as_dimension(d)
+        n = integral(n, "qudit count", ShapeError, minimum=1)
+        self.dimension = dim
+        self.d = dim.d
+        self.dp = dim.d_prime
+        self.n = n
+        self.coords = np.eye(n, 2 * n, dtype=np.int64)
+        self.r = np.zeros(n, dtype=np.int64)
+        self.measurements_done = 0
+
+    def _apply(self, gate, qudits) -> None:
+        n, dp, C = self.n, self.dp, self.coords
+        if gate.arity == 1:
+            (j,) = qudits
+            x, z = C[:, n + j], C[:, j]
+            df = gate.tau(x, z, self.d)
+            if df is not None:
+                self.r += df
+                self.r %= dp
+            if gate.cols is not None:
+                C[:, n + j], C[:, j] = gate.cols(x, z, dp)
+        else:
+            c, t = qudits
+            C[:, n + t], C[:, c] = gate.cols(C[:, n + c], C[:, c],
+                                             C[:, n + t], C[:, t], dp)
+
+    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
+        """Conjugate every row by X^a Z^b on qudit j."""
+        a, b = self._error_exponents(j, a, b)
+        C = self.coords
+        self.r = (self.r + 2 * b * C[:, self.n + j] - 2 * a * C[:, j]) % self.dp
+
+    def _times_power(self, f, v, rows, p, q) -> None:
+        """Multiply each row i of rows (phases f, coordinates v) by row p to
+        the power q_i, in place: v_i += q_i v_p and
+        f_i += q_i (f_p + <v_i, v_p>), mod d'."""
+        n, dp = self.n, self.dp
+        bracket = (f[p] + v[rows, :n] @ v[p, n:] - v[rows, n:] @ v[p, :n]) % dp
+        f[rows] = (f[rows] + q * bracket) % dp
+        v[rows] = (v[rows] + q[:, None] * v[p]) % dp
+
+    def _brackets(self, v, w) -> np.ndarray:
+        """Commutation exponents <v_i, w_k> mod d of rows v against rows w."""
+        n = self.n
+        return (v[:, :n] @ w[:, n:].T - v[:, n:] @ w[:, :n].T) % self.d
+
+
+class Tableau(WeylRows):
+    """Destabilizer/stabilizer tableau for n qudits of odd prime dimension d.
+
+    X and Z are views of the X and Z blocks of coords; r holds the tau
+    phases of the rows, and stabilizer(i), destabilizer(k) and to_array
+    read them out in the w^r' X^x Z^z form of pauli.py.
+    """
 
     def __init__(self, n: int, d):
         dim = _as_dimension(d)
         if not dim.is_odd_prime:
             raise DimensionError(
                 f"tableau backend requires an odd prime dimension, got d={dim.d}")
-        n = integral(n, "qudit count", ShapeError, minimum=1)
-        self.dimension = dim
-        self.d = dim.d
-        self.n = n
-        self.X = np.zeros((2 * n, n), dtype=np.int64)
-        self.Z = np.zeros((2 * n, n), dtype=np.int64)
-        self.r = np.zeros(2 * n, dtype=np.int64)
-        for j in range(n):
-            self.X[j, j] = 1
-            self.Z[n + j, j] = 1
-        self.measurements_done = 0
+        super().__init__(n, dim)
+        # destabilizer X_j above each stabilizer Z_j
+        self.coords = np.vstack([np.roll(self.coords, self.n, axis=1), self.coords])
+        self.r = np.zeros(2 * self.n, dtype=np.int64)
         self.gate_op_log: list[int] = []
         self.measure_op_log: list[int] = []
+
+    @property
+    def X(self) -> np.ndarray:
+        return self.coords[:, self.n:]
+
+    @property
+    def Z(self) -> np.ndarray:
+        return self.coords[:, :self.n]
 
     @classmethod
     def from_stabilizers(cls, stabilizers) -> "Tableau":
@@ -150,8 +214,7 @@ class Tableau(Register):
         stabs = list(stabilizers)
         if not stabs:
             raise ShapeError("need at least one stabilizer")
-        n = stabs[0].n
-        dim = stabs[0].dimension
+        n, dim = stabs[0].n, stabs[0].dimension
         d = dim.d
         if len(stabs) != n:
             raise ShapeError(f"need exactly n={n} stabilizers, got {len(stabs)}")
@@ -164,20 +227,21 @@ class Tableau(Register):
                     raise ShapeError(f"stabilizers do not commute: {s} vs {t}")
 
         tab = cls(n, dim)
-        for i, s in enumerate(stabs, n):
-            tab.X[i], tab.Z[i], tab.r[i] = s.x, s.z, s.r
-        sx, sz = tab.X[n:], tab.Z[n:]
+        sv = tab.coords[n:]
+        for i, s in enumerate(stabs):
+            # w^r X^x Z^z = tau^(2r - x.z) W_(z, x)
+            sv[i, :n], sv[i, n:] = s.z, s.x
+            tab.r[n + i] = (2 * s.r - int(s.x @ s.z)) % d
 
         red, pivots = rref_mod_prime(
-            np.hstack([sz, -sx, np.eye(n, dtype=np.int64)]), d)
+            np.hstack([sv[:, :n], -sv[:, n:], np.eye(n, dtype=np.int64)]), d)
         if pivots[-1] >= 2 * n:
             raise ShapeError("stabilizer rows are not independent")
         u = np.zeros((n, 2 * n), dtype=np.int64)
         u[:, pivots] = red[:, 2 * n:].T
-        ux, uz = u[:, :n], u[:, n:]
-        c = np.triu((uz @ ux.T - ux @ uz.T) % d, 1)
-        tab.X[:n] = (ux - c @ sx) % d
-        tab.Z[:n] = (uz - c @ sz) % d
+        u = np.roll(u, n, axis=1)  # solved for (x | z)
+        tab.coords[:n] = (u - np.triu(tab._brackets(u, u), 1) @ sv) % d
+        tab.r[:n] = -(tab.X[:n] * tab.Z[:n]).sum(axis=1) % d
         tab.check_invariants()
         return tab
 
@@ -193,47 +257,34 @@ class Tableau(Register):
         if not isinstance(i, (int, np.integer)) or not 0 <= i < self.n:
             raise ShapeError(f"{what} index must be an integer in [0, {self.n}), got {i!r}")
         k = offset + int(i)
-        return PauliString(self.dimension, self.X[k], self.Z[k], int(self.r[k]))
+        return PauliString(self.dimension, self.X[k], self.Z[k],
+                           int(self._omega_phase(k)))
+
+    def _omega_phase(self, k):
+        """r' of row(s) k read out as w^r' X^x Z^z: (r + x.z)(d+1)/2 mod d."""
+        d = self.d
+        xz = (self.X[k] * self.Z[k]).sum(axis=-1) % d
+        return (self.r[k] + xz) * ((d + 1) // 2) % d
 
     def to_array(self) -> np.ndarray:
-        """Block matrix [X | Z | r] of shape (2n, 2n+1)."""
-        return np.hstack([self.X, self.Z, self.r.reshape(-1, 1)]).astype(np.int64)
+        """Block matrix [X | Z | r'] of shape (2n, 2n+1), with the phases
+        read out as w^r' X^x Z^z."""
+        return np.hstack([self.X, self.Z, self._omega_phase(slice(None))[:, None]])
 
     def check_invariants(self) -> None:
         """Raise if the pairing or commutation structure is broken."""
-        d, n = self.d, self.n
-        sx, sz = self.X[n:], self.Z[n:]
-        comm = (sz @ sx.T - sx @ sz.T) % d
-        if np.any(comm):
+        n = self.n
+        dv, sv = self.coords[:n], self.coords[n:]
+        if np.any(self._brackets(sv, sv)):
             raise ShapeError("stabilizer rows do not mutually commute")
-        dx, dz = self.X[:n], self.Z[:n]
-        comm = (dz @ dx.T - dx @ dz.T) % d
-        if np.any(comm):
+        if np.any(self._brackets(dv, dv)):
             raise ShapeError("destabilizer rows do not mutually commute")
-        pair = (sz @ dx.T - sx @ dz.T) % d
-        if np.any(pair != np.eye(n, dtype=np.int64)):
+        if np.any(self._brackets(sv, dv) != np.eye(n, dtype=np.int64)):
             raise ShapeError("stabilizer/destabilizer pairing is broken")
 
-    # -- gates -----------------------------------------------------------------
-
     def _apply(self, gate, qudits) -> None:
-        d, X, Z = self.d, self.X, self.Z
-        if gate.arity == 1:
-            (j,) = qudits
-            x, z = X[:, j], Z[:, j]
-            self.r += gate.omega(x, z, d)
-            self.r %= d
-            if gate.cols is not None:
-                X[:, j], Z[:, j] = gate.cols(x, z, d)
-        else:
-            c, t = qudits
-            X[:, t], Z[:, c] = gate.cols(X[:, c], Z[:, c], X[:, t], Z[:, t], d)
+        super()._apply(gate, qudits)
         self.gate_op_log.append(2 * gate.arity * self.n)
-
-    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
-        """Conjugate every row by X^a Z^b on qudit j."""
-        a, b = self._error_exponents(j, a, b)
-        self.r = (self.r + b * self.X[:, j] - a * self.Z[:, j]) % self.d
 
     # -- measurement -----------------------------------------------------------
 
@@ -241,45 +292,41 @@ class Tableau(Register):
         """Measure Z_j: (deterministic, outcome k mod d).  Outcome k
         collapses onto w^(-k) Z_j; a random one is drawn from rng, or is 0
         without one."""
-        d, n = self.d, self.n
+        d, n, C = self.d, self.n, self.coords
         self._check_qudit(j)
-        hits = np.flatnonzero(self.X[n:, j])
+        hits = np.flatnonzero(C[n:, n + j])
         if len(hits):
             p = n + int(hits[0])
-            self.pivot = (self.X[p].copy(), self.Z[p].copy())
-            ops = 2 * n
-            ops += self._eliminate_column(j, p) * (2 * n + 1)
-            u = pow(int(self.X[p, j]), -1, d)  # P^u pairs with Z_j
-            self.X[p - n] = self.X[p] * u % d
-            self.Z[p - n] = self.Z[p] * u % d
-            self.r[p - n] = self.r[p]  # free: no outcome reads a destabilizer phase
-            self.X[p] = 0
-            self.Z[p] = 0
-            self.Z[p, j] = 1
+            self.pivot = (C[p, n:].copy(), C[p, :n].copy())
+            u = pow(int(C[p, n + j]), -1, d)  # P^u pairs with Z_j
+            # clear X_j from every other row with a power of P
+            rows = np.flatnonzero(C[:, n + j])
+            rows = rows[rows != p]
+            self._times_power(self.r, C, rows, p, -C[rows, n + j] * u % d)
+            # P^u keeps P's read-out phase: free, since no outcome reads a
+            # destabilizer phase, but to_array shows it
+            xz = int(C[p, :n] @ C[p, n:]) % d
+            self.r[p - n] = (self.r[p] + xz * ((1 - u * u) % d)) % d
+            C[p - n] = C[p] * u % d
+            C[p] = 0
+            C[p, j] = 1
             k = 0 if rng is None else int(rng.integers(0, d))
-            self.r[p] = (-k) % d
-            ops += 2 * (2 * n + 1) + 1
-            self.measure_op_log.append(ops)
+            self.r[p] = (-2 * k) % d
+            self.measure_op_log.append(2 * n + (len(rows) + 2) * (2 * n + 1) + 1)
             return False, k
 
-        # Z_j = prod_k S_k^y_k with y = X[:n, j].  Multiplying the
-        # powers in order k = 0..n-1 gives the phase sum below: each power
-        # contributes y_k r_k + C(y_k, 2) (x_k . z_k), and each earlier
-        # factor k' < k contributes y_k' y_k (z_k' . x_k): a prefix sum over
-        # k', so the measurement costs O(n^2).
-        y = self.X[:n, j]
-        sx, sz = self.X[n:], self.Z[n:]
-        px, pz = y @ sx % d, y @ sz % d
-        zy, xy = y[:, None] * sz % d, y[:, None] * sx % d
-        cross = (np.cumsum(zy, axis=0) - zy) % d * xy % d
-        assert not px.any() and pz[j] == 1 and pz.sum() == 1, \
+        # Z_j = prod_k S_k^y_k with y = X[:n, j].  The stabilizers commute,
+        # so every bracket of the product vanishes mod d and it is
+        # tau^(y.r) Z_j; it fixes the state, so outcome k has
+        # tau^(2k) = tau^(-y.r).
+        y = C[:n, n + j]
+        prod = y @ C[n:] % d
+        assert not prod[n:].any() and prod[j] == 1 and prod.sum() == 1, \
             "deterministic measurement product is not the bare Z on the target"
-        # every factor is reduced mod d first, so no term overflows int64
-        k = (-(y @ self.r[n:]) - cross.sum()
-             - (y * (y - 1) // 2 % d) @ ((sx * sz).sum(axis=1) % d))
+        k = -(y @ self.r[n:] % d) * ((d + 1) // 2) % d
         self.pivot = None
         self.measure_op_log.append(2 * n + n + n * (2 * n + 1))
-        return True, int(k % d)
+        return True, int(k)
 
     def deterministic_outcome_gaussian(self, j: int):
         """Branch decision and outcome by direct linear solving; never mutates.
@@ -304,22 +351,3 @@ class Tableau(Register):
             prod = prod * self.stabilizer(i).pow(int(y[i]))
         assert not prod.x.any() and prod.z[j] == 1 and prod.z.sum() == 1
         return True, (-prod.r) % d
-
-    def _eliminate_column(self, j: int, p: int) -> int:
-        """Clear column j of X in all rows except pivot p; returns rows touched."""
-        d = self.d
-        col = self.X[:, j]
-        rows = np.flatnonzero(col)
-        rows = rows[rows != p]
-        if not len(rows):
-            return 0
-        xp = self.X[p].copy()
-        zp = self.Z[p].copy()
-        inv = pow(int(col[p]), -1, d)
-        h = (-(col[rows]) * inv) % d
-        self.r[rows] = (self.r[rows] + h * self.r[p]
-                        + (h * (h - 1) // 2 % d) * (int(xp @ zp) % d)
-                        + h * (self.Z[rows] @ xp % d)) % d
-        self.X[rows] = (self.X[rows] + h[:, None] * xp) % d
-        self.Z[rows] = (self.Z[rows] + h[:, None] * zp) % d
-        return int(len(rows))

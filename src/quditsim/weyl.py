@@ -12,7 +12,8 @@ Coordinates d apart describe the same operator up to sign:
 
     W_(v + d*u) = tau^(-d(a.ub + b.ua + d*ua.ub)) W_v,  u = (ua | ub),
 
-so every W_(d e_i) is the identity.
+so every W_(d e_i) is the identity.  tableau.WeylRows applies gates, Pauli
+errors and row products to rows in this form, here and in tableau.Tableau.
 
 The state is at most 2n phase-tracked generators of the stabilizer group:
 composite d may need more than n (for d=4, (|0>+|2>)/sqrt(2) needs both X^2
@@ -42,30 +43,17 @@ from math import gcd
 
 import numpy as np
 
-from .errors import ShapeError, integral
-from .pauli import _as_dimension
+from .errors import ShapeError
 # measurement uses neither; tracers and tests patch these names here
 from .snf import kernel_mod, solve_mod  # noqa: F401
-from .tableau import Register
+from .tableau import WeylRows
 
 
-class WeylTableau(Register):
+class WeylTableau(WeylRows):
     """Phase-tracked stabilizer generators for any qudit dimension d >= 2.
 
     Row i is tau^r[i] W_coords[i]; every row is a stabilizer generator.
     """
-
-    def __init__(self, n: int, d):
-        dim = _as_dimension(d)
-        n = integral(n, "qudit count", ShapeError, minimum=1)
-        self.dimension = dim
-        self.d = dim.d
-        self.dp = dim.d_prime
-        self.n = n
-        # rows start as the Z_j generators of |0...0>
-        self.coords = np.eye(n, 2 * n, dtype=np.int64)
-        self.r = np.zeros(n, dtype=np.int64)
-        self.measurements_done = 0
 
     def to_array(self) -> np.ndarray:
         """Debug dump: phase row, then Z block, then X block, one generator
@@ -76,36 +64,8 @@ class WeylTableau(Register):
                           self.coords[:, n:].T])
 
     def check_invariants(self) -> None:
-        d, n = self.d, self.n
-        a, b = self.coords[:, :n], self.coords[:, n:]
-        comm = (a @ b.T - b @ a.T) % d
-        if np.any(comm):
+        if np.any(self._brackets(self.coords, self.coords)):
             raise ShapeError("stabilizer generators do not commute")
-
-    # -- gates ---------------------------------------------------------------
-
-    def _apply(self, gate, qudits) -> None:
-        # a coordinate row is (z | x): the Z-block comes first
-        n, dp, C = self.n, self.dp, self.coords
-        if gate.arity == 1:
-            (j,) = qudits
-            x, z = C[:, n + j], C[:, j]
-            df = gate.tau(x, z, self.d)
-            if df is not None:
-                self.r += df
-                self.r %= dp
-            if gate.cols is not None:
-                C[:, n + j], C[:, j] = gate.cols(x, z, dp)
-        else:
-            c, t = qudits
-            C[:, n + t], C[:, c] = gate.cols(C[:, n + c], C[:, c],
-                                             C[:, n + t], C[:, t], dp)
-
-    def apply_pauli_error(self, j: int, a: int, b: int) -> None:
-        """Conjugate every generator by X^a Z^b on qudit j."""
-        a, b = self._error_exponents(j, a, b)
-        n, C = self.n, self.coords
-        self.r = (self.r + 2 * (b * C[:, n + j] - a * C[:, j])) % self.dp
 
     # -- measurement -----------------------------------------------------------
 
@@ -127,9 +87,7 @@ class WeylTableau(Register):
             p = hit[np.argmin(e[hit])]
             hit = hit[hit != p]
             q = -(e[hit] // e[p])
-            bracket = (f[p] + v[hit, :n] @ v[p, n:] - v[hit, n:] @ v[p, :n]) % dp
-            f[hit] = (f[hit] + q * bracket) % dp
-            v[hit] = (v[hit] + q[:, None] * v[p]) % dp
+            self._times_power(f, v, hit, p, q)
             e = v[:, c] % modulus
         if not e.any():
             return 0, np.zeros(2 * n, dtype=np.int64)

@@ -499,6 +499,25 @@ class TestBenchmarkCommands:
         assert saved.read_text() == capsys.readouterr().out
         assert table.read_text().startswith("depth,")
 
+    def test_allocation_failure_is_6_and_keeps_files(
+            self, tmp_path, monkeypatch, capsys):
+        """A MemoryError, even one with no message, exits 6 with a line on
+        stderr, and leaves --csv and --manifest as they were."""
+        table, saved = tmp_path / "x.csv", tmp_path / "x.json"
+        table.write_text("old table\n")
+        saved.write_text("old manifest\n")
+
+        def fail(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "run_rb", fail)
+        assert cli.main(["rb", "--p", "0.05", "--seed", "1", "--csv",
+                         str(table), "--manifest", str(saved)]) == 6
+        out, err = capsys.readouterr()
+        assert out == "" and err == "out of memory\n"
+        assert table.read_text() == "old table\n"
+        assert saved.read_text() == "old manifest\n"
+
     def test_one_distinct_depth_is_not_fitted(self):
         """A depth list with one distinct depth gives a report, not a fit."""
         proc = run_cli("rb", "--d", "3", "--p", "0", "--depths", "0,0,0",

@@ -8,6 +8,7 @@ import pytest
 from quditsim.gates import GATE_TABLE, GATES, SINGLE_QUDIT_GATES
 from quditsim.pauli import Dimension, PauliString
 from quditsim.statevector import conjugate_pauli
+from quditsim.tableau import Tableau, rref_mod_prime
 
 from weyl_helpers import weyl_canonical, weyl_from_pauli
 
@@ -34,17 +35,30 @@ def tau_image(gate, p):
     return weyl_canonical(f, np.concatenate([z, x]), dim)
 
 
-def omega_image(gate, p):
-    """Table image of p as a tableau row (odd prime d)."""
-    d = p.dimension.d
-    x, z, r = p.x.copy(), p.z.copy(), p.r
-    if gate.arity == 1:
-        r = (r + gate.omega(x[0], z[0], d)) % d
-        if gate.cols is not None:
-            x[0], z[0] = gate.cols(x[0], z[0], d)
+def tableau_image(name, p):
+    """Table image of p, read back from stabilizer row 0 of a Tableau.
+
+    A p other than a phase times the identity becomes the first of the
+    stabilizers of Tableau.from_stabilizers, after the first Pauli with
+    phase 0 that commutes with it and is no power of it.  w^r I is written
+    into that row directly, as tau^(2r) W_0.
+    """
+    n, dim = p.n, p.dimension
+    if p.x.any() or p.z.any():
+        rows = [p]
+        for q in all_paulis(n, dim.d):
+            if len(rows) == n:
+                break
+            block = np.array([p.encode_block()[:-1], q.encode_block()[:-1]])
+            if p.commutes(q) and len(rref_mod_prime(block, dim.d)[1]) == 2:
+                rows.append(q)
+        tab = Tableau.from_stabilizers(rows)
     else:
-        x[1], z[0] = gate.cols(x[0], z[0], x[1], z[1], d)
-    return PauliString(p.dimension, x, z, int(r))
+        tab = Tableau(n, dim)
+        tab.coords[n] = 0
+        tab.r[n] = 2 * p.r % dim.d
+    tab.apply_gate(name, *range(n))
+    return tab.stabilizer(0)
 
 
 def cases(max_sum_d):
@@ -87,14 +101,13 @@ class TestOracle:
     @pytest.mark.parametrize("name, d", [
         pytest.param(g.name, d, id=f"{g.name}-d{d}")
         for g in GATE_TABLE for d in (3, 5)])
-    def test_omega_rule(self, name, d):
-        gate = GATES[name]
-        for p0 in all_paulis(gate.arity, d):
+    def test_tableau_rule(self, name, d):
+        for p0 in all_paulis(GATES[name].arity, d):
             for r in range(d):
                 p = PauliString(p0.dimension, p0.x, p0.z, r)
                 q, tau_pow = conjugate_pauli(name, p)
                 assert tau_pow == 0
-                assert omega_image(gate, p) == q
+                assert tableau_image(name, p) == q
 
 
 class TestColumnWriteBack:

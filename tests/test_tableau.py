@@ -1,5 +1,7 @@
 """Tests for the odd-prime destabilizer/stabilizer tableau."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -380,6 +382,33 @@ class TestGHZWorkedExample:
         state.apply_gate("F", 0)
         state.apply_gate("SUM", 0, 1)
         assert stabilizer_check(tab, state)
+
+
+class TestWalkDigest:
+    """to_array after every step of a seeded walk of gates and
+    measurements, pinned by its sha256 digest.  It is the one check of the
+    destabilizer phase that a random measurement leaves: P^u keeps P's
+    read-out phase, and d = 5 and 7 reach pivots with u^2 != 1 and
+    x.z != 0, where the stored phase has to move for that."""
+
+    DIGESTS = {
+        3: "fdd84aeb167119cef18b140ba9d20fbac7c359d9b9f27a2699e08528382ac2ad",
+        5: "2da7e81ee1e3abba30cdb0ca9b587674c134a06e417f92641423eb7316187433",
+        7: "fd5883c217bee11cef5ef6dff31c64cfd31fe58d7cc441a785682c855b96602c",
+    }
+
+    @pytest.mark.parametrize("d", [3, 5, 7])
+    def test_every_step_of_a_walk(self, d):
+        rng = np.random.default_rng(d)
+        tab = Tableau(4, d)
+        digest = hashlib.sha256()
+        for _ in range(200):
+            if rng.random() < 0.2:
+                tab.measure_z(int(rng.integers(4)), rng)
+            else:
+                random_gate_walk(tab, rng, 1)
+            digest.update(tab.to_array().tobytes())
+        assert digest.hexdigest() == self.DIGESTS[d]
 
 
 class TestGaussianOracle:
